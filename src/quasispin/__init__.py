@@ -7,7 +7,7 @@ o_5 states.
 """
 
 from .scalars import Rational, QuadScalar, SQRT2, INV_SQRT2
-from .linalg import (ExactMatrix, LinOp, SpanBasis, characteristic_polynomial,
+from .linalg import (ExactMatrix, LinOp, characteristic_polynomial,
                      rank_and_kernel, solve)
 from .liealg import (GenIndex, Weight, bracket, canonical_generators,
                      canonicalize, defining_matrices, root_of, weyl_dimension)

@@ -115,7 +115,8 @@ def quasispin_operators(space: FockSpace) -> dict:
 
     def phase(m) -> int:
         e = j - m
-        assert e.denominator == 1, "j-m must be integral for m>0 sums"
+        if e.denominator != 1:
+            raise AssertionError(f"j-m = {e} must be integral for m>0 sums")
         return -1 if int(e) % 2 else 1
 
     ops = {}

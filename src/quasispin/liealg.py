@@ -1,6 +1,6 @@
 """The split realization of o_N: generators F_ij, brackets, roots.
 
-Indices run over {-n,...,-1,0,1,...,n} (0 dropped for even N), and
+Indices run over {-n,...,-1,0,1,...,n} (N = 2n+1 is odd), and
 F_ij = E_ij - E_{-j,-i}, so F_ij = -F_{-j,-i} and F_{i,-i} = 0.  Exactly
 one member of each {(i,j), (-j,-i)} pair is kept as the canonical
 generator: the lexicographically smaller one.
@@ -17,17 +17,14 @@ operators of the Fock realization.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .linalg import ExactMatrix
 from .scalars import ONE, Rational, rat
 
 
-def index_range(n: int, odd: bool = True):
-    """Valid matrix indices: {-n..n} with 0 present only for odd N."""
-    if odd:
-        return list(range(-n, n + 1))
-    return [i for i in range(-n, n + 1) if i != 0]
+def index_range(n: int):
+    """Valid matrix indices of o_{2n+1}: {-n..n}."""
+    return list(range(-n, n + 1))
 
 
 class GenIndex:
@@ -200,38 +197,21 @@ def bracket(a: GenIndex, b: GenIndex):
     return [(c, g) for g, c in sorted(acc.items(), key=lambda t: pbw_sort_key(t[0])) if c]
 
 
-def defining_matrices(n: int, odd: bool = True):
+def defining_matrices(n: int):
     """The defining N x N representation: GenIndex -> ExactMatrix.
 
     Basis ordered by index (-n, ..., n); entry convention
     F_ij = E_ij - E_{-j,-i}.
     """
-    idx = index_range(n, odd)
+    idx = index_range(n)
     pos = {v: t for t, v in enumerate(idx)}
     out = {}
-    for g in canonical_generators(n) if odd else _even_generators(n):
+    for g in canonical_generators(n):
         m = ExactMatrix(len(idx), len(idx))
         m.data[pos[g.i]][pos[g.j]] = m.data[pos[g.i]][pos[g.j]] + ONE
         m.data[pos[-g.j]][pos[-g.i]] = m.data[pos[-g.j]][pos[-g.i]] - ONE
         out[g] = m
     return out
-
-
-def _even_generators(n: int):
-    gens = []
-    for i in index_range(n, odd=False):
-        for j in index_range(n, odd=False):
-            if j == -i:
-                continue
-            if (i, j) <= (-j, -i):
-                gens.append(GenIndex(i, j, n))
-    gens.sort(key=pbw_sort_key)
-    return gens
-
-
-@lru_cache(maxsize=None)
-def _gen_table(n: int):
-    return tuple(canonical_generators(n))
 
 
 def weyl_dimension(lam1, lam2) -> int:
@@ -249,7 +229,9 @@ def weyl_dimension(lam1, lam2) -> int:
         raise ValueError("weights must be simultaneously integer or half-integer")
     a, b = -lam2, -lam1
     d = (a - b + 1) * (a + b + 2) * (2 * a + 3) * (2 * b + 1) / 6
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise AssertionError(f"Weyl dimension {d} of ({lam1},{lam2}) is not "
+                             "a positive integer")
     return int(d)
 
 

@@ -1,17 +1,24 @@
 """Exact dense linear algebra over Q(sqrt 2).
 
-Matrices are small (desk scale, <= a few hundred rows), so everything is
-plain Gaussian elimination with the deterministic pivot rule "first
-nonzero column, first nonzero row".  A sparse incremental span
-(`SpanBasis`) is provided for the representation-theory layers, which
-work with vectors given as {index: QuadScalar} dicts.
+Matrices are small (desk scale, <= a few hundred rows).  There is one
+Gaussian elimination, `ExactMatrix.rref`, with the deterministic pivot
+rule "first nonzero column, first nonzero row".  Everything else is
+built on it:
+- `rank_and_kernel` and `rank`;
+- `solve`, which eliminates `[mat | rhs]` once for a whole matrix of
+  right-hand sides;
+- `row_basis`, a span stored as the nonzero rows of an RREF.  That form
+  is canonical: equal spans have equal rows, whatever order their
+  vectors came in.
+`LinOp` holds sparse operators, columns given as {index: QuadScalar}
+dicts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, QuadScalar, quad
+from .scalars import ONE, ZERO, quad
 
 
 class ExactMatrix:
@@ -43,6 +50,12 @@ class ExactMatrix:
             return ExactMatrix(0, 0)
         return ExactMatrix(len(rows), len(rows[0]), rows)
 
+    @staticmethod
+    def from_columns(vectors, rows: int) -> "ExactMatrix":
+        """Matrix whose columns are the given dense vectors of length rows."""
+        return ExactMatrix(rows, len(vectors),
+                           [[v[i] for v in vectors] for i in range(rows)])
+
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -58,14 +71,19 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def _check_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs "
+                             f"{other.rows}x{other.cols}")
+
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        self._check_shape(other)
         return ExactMatrix(self.rows, self.cols,
                            [[a + b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        self._check_shape(other)
         return ExactMatrix(self.rows, self.cols,
                            [[a - b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.data, other.data)])
@@ -80,7 +98,9 @@ class ExactMatrix:
                            [[c * a for a in row] for row in self.data])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert self.cols == other.rows, "shape mismatch"
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
+                             f"{other.rows}x{other.cols}")
         out = ExactMatrix(self.rows, other.cols)
         odata = other.data
         for i, row in enumerate(self.data):
@@ -96,7 +116,8 @@ class ExactMatrix:
 
     def apply(self, vec):
         """Matrix times a dense column vector (list of scalars)."""
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ValueError(f"vector of length {len(vec)} for {self.cols} columns")
         out = []
         for row in self.data:
             s = ZERO
@@ -112,7 +133,8 @@ class ExactMatrix:
                             for j in range(self.cols)])
 
     def trace(self):
-        assert self.is_square()
+        if not self.is_square():
+            raise ValueError("trace needs a square matrix")
         s = ZERO
         for i in range(self.rows):
             s = s + self.data[i][i]
@@ -120,9 +142,6 @@ class ExactMatrix:
 
     def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
         return self @ other - other @ self
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [row[:] for row in self.data])
 
     def __repr__(self):
         body = "\n".join("[" + ", ".join(map(str, row)) + "]" for row in self.data)
@@ -149,11 +168,11 @@ class ExactMatrix:
                 continue
             m[r], m[pr] = m[pr], m[r]
             inv = m[r][c].inverse()
-            m[r] = [inv * x for x in m[r]]
+            prow = m[r] = [inv * x if x else x for x in m[r]]
             for i in range(self.rows):
                 if i != r and m[i][c]:
                     f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                    m[i] = [a - f * b if b else a for a, b in zip(m[i], prow)]
             pivots.append(c)
             r += 1
             if r == self.rows:
@@ -178,32 +197,40 @@ def rank_and_kernel(mat: ExactMatrix):
         for r, pc in enumerate(pivots):
             v[pc] = -red.data[r][fc]
         basis.append(v)
-    if basis:
-        canon, _ = ExactMatrix.from_rows(basis).rref()
-        basis = [canon.data[i][:] for i in range(len(basis))]
-    return rank, basis
+    return rank, row_basis(basis, mat.cols)
 
 
 def rank(mat: ExactMatrix) -> int:
-    return rank_and_kernel(mat)[0]
+    return len(mat.rref()[1])
 
 
-def solve(mat: ExactMatrix, b):
-    """Solve mat @ x = b exactly.
+def row_basis(vectors, length: int):
+    """Canonical basis of the span of dense vectors of the given length:
+    the nonzero rows of the RREF of the stacked vectors."""
+    if not vectors:
+        return []
+    red, pivots = ExactMatrix(len(vectors), length, vectors).rref()
+    return red.data[:len(pivots)]
 
-    Returns the particular solution with free variables set to zero, or
-    None when the system is inconsistent.
+
+def solve(mat: ExactMatrix, rhs: ExactMatrix):
+    """Solve mat @ X = rhs exactly, for all columns of rhs at once.
+
+    One elimination of [mat | rhs].  Returns X with mat @ X == rhs and
+    the rows of free variables zero, or None when some column of rhs is
+    outside the column space of mat (a pivot lands in the rhs block).
     """
-    assert len(b) == mat.rows
-    aug = ExactMatrix(mat.rows, mat.cols + 1,
-                      [row + [quad(x)] for row, x in
-                       zip([r[:] for r in mat.data], b)])
+    if rhs.rows != mat.rows:
+        raise ValueError(f"{rhs.rows} right-hand-side rows for a matrix "
+                         f"with {mat.rows} rows")
+    aug = ExactMatrix(mat.rows, mat.cols + rhs.cols,
+                      [a + b for a, b in zip(mat.data, rhs.data)])
     red, pivots = aug.rref()
-    if mat.cols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [ZERO] * mat.cols
+    if pivots and pivots[-1] >= mat.cols:
+        return None
+    x = ExactMatrix(mat.cols, rhs.cols)
     for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][mat.cols]
+        x.data[pc] = red.data[r][mat.cols:]
     return x
 
 
@@ -226,12 +253,6 @@ def characteristic_polynomial(mat: ExactMatrix):
     return coeffs
 
 
-def determinant(mat: ExactMatrix):
-    cp = characteristic_polynomial(mat)
-    d = cp[-1]
-    return d if mat.rows % 2 == 0 else -d
-
-
 # -- sparse vectors -------------------------------------------------
 
 def svec_add(u: dict, v: dict, c=None) -> dict:
@@ -245,85 +266,6 @@ def svec_add(u: dict, v: dict, c=None) -> dict:
         else:
             out.pop(k, None)
     return out
-
-
-def svec_scale(v: dict, c) -> dict:
-    c = quad(c)
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
-
-
-def svec_is_zero(v: dict) -> bool:
-    return not any(v.values())
-
-
-def svec_to_dense(v: dict, n: int):
-    out = [ZERO] * n
-    for k, x in v.items():
-        out[k] = x
-    return out
-
-
-def dense_to_svec(vec) -> dict:
-    return {i: quad(x) for i, x in enumerate(vec) if quad(x)}
-
-
-class SpanBasis:
-    """Incremental exact span of sparse vectors, kept in echelon form.
-
-    Vectors are dicts {coordinate index: QuadScalar}.  Pivot of a vector
-    is its smallest-index nonzero coordinate, each stored vector is
-    normalized to pivot 1 and reduced against the others, so membership
-    tests and dimension counting are deterministic.
-    """
-
-    def __init__(self):
-        self.pivots: dict = {}  # pivot index -> reduced vector
-
-    def __len__(self):
-        return len(self.pivots)
-
-    def reduce(self, vec: dict) -> dict:
-        """Residual of vec after subtracting its projection on the span."""
-        v = dict(vec)
-        while v:
-            p = min(k for k, x in v.items() if x)
-            if not v[p]:
-                del v[p]
-                continue
-            row = self.pivots.get(p)
-            if row is None:
-                return v
-            v = svec_add(v, row, -v[p])
-        return v
-
-    def add(self, vec: dict) -> bool:
-        """Insert vec; returns True when it enlarged the span."""
-        v = self.reduce(vec)
-        v = {k: x for k, x in v.items() if x}
-        if not v:
-            return False
-        p = min(v)
-        v = svec_scale(v, v[p].inverse())
-        # back-substitute into existing rows to keep full reduction
-        for q, row in list(self.pivots.items()):
-            if p in row and row[p]:
-                self.pivots[q] = svec_add(row, v, -row[p])
-        self.pivots[p] = v
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        return svec_is_zero(self.reduce(vec))
-
-    def vectors(self):
-        """Echelon basis, ordered by pivot index (deterministic)."""
-        return [self.pivots[p] for p in sorted(self.pivots)]
-
-    def copy(self) -> "SpanBasis":
-        s = SpanBasis()
-        s.pivots = {p: dict(v) for p, v in self.pivots.items()}
-        return s
 
 
 class LinOp:
@@ -363,8 +305,12 @@ class LinOp:
                     out.pop(r, None)
         return out
 
+    def _check_dim(self, other):
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
     def __matmul__(self, other: "LinOp") -> "LinOp":
-        assert self.dim == other.dim
+        self._check_dim(other)
         out = LinOp(self.dim)
         for c, col in other.cols.items():
             img = self.apply(col)
@@ -373,7 +319,7 @@ class LinOp:
         return out
 
     def __add__(self, other: "LinOp") -> "LinOp":
-        assert self.dim == other.dim
+        self._check_dim(other)
         out = LinOp(self.dim, {c: dict(col) for c, col in self.cols.items()})
         for c, col in other.cols.items():
             merged = svec_add(out.cols.get(c, {}), col)
@@ -429,47 +375,3 @@ class LinOp:
             for r, x in col.items():
                 m.data[r][c] = x
         return m
-
-    def restrict(self, source_basis, target_basis) -> "ExactMatrix | None":
-        """Matrix of the operator from span(source) to span(target) bases.
-
-        Returns None when some image falls outside the target span (the
-        caller treats that as a falsified containment claim).
-        """
-        cols = []
-        for v in source_basis:
-            img = self.apply(v)
-            coords = coordinates_in_basis(target_basis, img)
-            if coords is None:
-                return None
-            cols.append(coords)
-        m = ExactMatrix(len(target_basis), len(source_basis))
-        for j, col in enumerate(cols):
-            for i, x in enumerate(col):
-                m.data[i][j] = x
-        return m
-
-
-def coordinates_in_basis(basis, vec: dict):
-    """Express vec in the given (ordered, independent) sparse basis.
-
-    Returns the coefficient list, or None when vec lies outside the span.
-    """
-    support = sorted({k for b in basis for k in b} | set(vec))
-    pos = {k: i for i, k in enumerate(support)}
-    mat = ExactMatrix(len(support), len(basis))
-    for j, b in enumerate(basis):
-        for k, x in b.items():
-            mat.data[pos[k]][j] = x
-    rhs = [ZERO] * len(support)
-    for k, x in vec.items():
-        rhs[pos[k]] = x
-    x = solve(mat, rhs)
-    if x is None:
-        return None
-    # solve() zero-fills free variables; verify exactly (basis should be
-    # independent so the solution, if any, is unique)
-    chk = mat.apply(x)
-    if chk != rhs:
-        return None
-    return x

@@ -20,10 +20,9 @@ from fractions import Fraction
 from .liealg import (GenIndex, Weight, canonical_generators,
                      defining_matrices, is_lowering, is_raising, root_of,
                      weyl_dimension)
-from .linalg import (ExactMatrix, LinOp, SpanBasis, coordinates_in_basis,
-                     characteristic_polynomial, rank_and_kernel, solve)
+from .linalg import ExactMatrix, LinOp, rank_and_kernel, row_basis, solve
 from .scalars import ONE, ZERO, QuadScalar, quad
-from .uea import UEAElement, hat_set, pfaffian
+from .uea import UEAElement, evaluate_in_representation, hat_set, pfaffian
 
 N_RANK = 2  # everything here is o_5
 
@@ -100,8 +99,9 @@ def fock_representation(j) -> Representation:
 
 
 class NonDiagonalCartan(Exception):
-    """Cartan generators are not simultaneously diagonal here: the source
-    representation is broken (all supported sources are weight-diagonal)."""
+    """Cartan generators are not simultaneously diagonal with rational
+    eigenvalues here: the source representation is broken (all supported
+    sources are weight-diagonal)."""
 
 
 def weight_decompose(rep: Representation) -> dict:
@@ -117,7 +117,9 @@ def weight_decompose(rep: Representation) -> dict:
         comps = []
         for op in cartans:
             ev = op.entry(k, k)
-            assert ev.is_rational(), "Cartan eigenvalues must be rational"
+            if not ev.is_rational():
+                raise NonDiagonalCartan(
+                    f"irrational Cartan eigenvalue {ev} on {rep.label}")
             comps.append(-ev.a)  # F_{rr} = -F_{-r,-r}
         w = Weight(comps)
         buckets.setdefault(w, []).append(k)
@@ -129,8 +131,8 @@ class Irrep:
 
     basis[i] is a sparse ambient vector; genmats[g] is the dim x dim
     matrix of generator g in that basis.  Basis vectors are grouped by
-    weight, weights ordered lexicographically descending, echelon form
-    inside each weight block.
+    weight, highest weight first; each weight block is the nonzero rows
+    of its RREF in ambient coordinates, so the basis is canonical.
     """
 
     def __init__(self, source: str, highest_weight, basis, weights):
@@ -150,14 +152,7 @@ class Irrep:
 
     def matrix_of(self, x: UEAElement) -> ExactMatrix:
         """Matrix of a (normally ordered) U(o5) element in the irrep basis."""
-        out = ExactMatrix(self.dim, self.dim)
-        ident = ExactMatrix.identity(self.dim)
-        for w, c in x.terms.items():
-            m = ident
-            for g in w:
-                m = m @ self.genmats[g]
-            out = out + m.scale(Fraction(c))
-        return out
+        return evaluate_in_representation(x, self.genmats, self.dim)
 
     def pf_matrix(self, sign: int) -> ExactMatrix:
         """Matrix of PfF_{2-hat} (sign=+1) or PfF_{-2-hat} (sign=-1)."""
@@ -181,13 +176,14 @@ def extract_irreps(rep: Representation):
     (per irrep against the Weyl formula, and in total).
     """
     buckets = weight_decompose(rep)
+    order = sorted(buckets, key=_weight_sort_key)
     gens = canonical_generators(N_RANK)
     raising = [g for g in gens if is_raising(g)]
-    lowering = [g for g in gens if is_lowering(g)]
+    lowering = [(g, root_of(g)) for g in gens if is_lowering(g)]
 
     irreps = []
     total = 0
-    for mu in sorted(buckets, key=_weight_sort_key):
+    for at, mu in enumerate(order):
         members = buckets[mu]
         # kernel of the stacked raising operators restricted to V_mu
         support = sorted({r for g in raising for c in members
@@ -207,67 +203,80 @@ def extract_irreps(rep: Representation):
             kernel = [[ONE if t == s else ZERO for t in range(len(members))]
                       for s in range(len(members))]
         for kv in kernel:
-            hv = {members[t]: x for t, x in enumerate(kv) if x}
             lam = (mu.comps[0], mu.comps[1])
             if not (0 >= lam[0] >= lam[1]):
                 raise AssertionError(
                     f"highest weight {lam} violates 0 >= lam1 >= lam2; "
                     "polarity convention broken")
-            span = SpanBasis()
-            span.add(hv)
-            frontier = [hv]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for g in lowering:
+            blocks = {mu: [{members[t]: x for t, x in enumerate(kv) if x}]}
+            # V_nu = sum over lowering f_alpha of f_alpha V_{nu - alpha}:
+            # every nu - alpha is higher than nu, so its block is built
+            for nu in order[at + 1:]:
+                pos = {k: t for t, k in enumerate(buckets[nu])}
+                images = []
+                for g, alpha in lowering:
+                    for v in blocks.get(nu - alpha, ()):
                         img = rep.genmap[g].apply(v)
-                        if img and span.add(img):
-                            nxt.append(img)
-                frontier = nxt
-            vecs = span.vectors()
+                        if img:
+                            row = [ZERO] * len(pos)
+                            for k, x in img.items():
+                                row[pos[k]] = x
+                            images.append(row)
+                if images:
+                    blocks[nu] = [
+                        {buckets[nu][t]: x for t, x in enumerate(row) if x}
+                        for row in row_basis(images, len(pos))]
+            basis = [v for nu in order if nu in blocks for v in blocks[nu]]
+            weights = [nu for nu in order if nu in blocks
+                       for _ in blocks[nu]]
             expected = weyl_dimension(lam[0], lam[1])
-            if len(vecs) != expected:
+            if len(basis) != expected:
                 raise AssertionError(
-                    f"irrep {lam} in {rep.label}: span dim {len(vecs)} != "
+                    f"irrep {lam} in {rep.label}: span dim {len(basis)} != "
                     f"Weyl dimension {expected}")
-            # group by weight (vectors are weight-pure: buckets have
-            # disjoint coordinate supports)
-            coord_weight = {}
-            for w, mem in buckets.items():
-                for k in mem:
-                    coord_weight[k] = w
-            tagged = [(coord_weight[min(v)], v) for v in vecs]
-            tagged.sort(key=lambda t: (_weight_sort_key(t[0]), sorted(t[1])))
-            basis = [v for _, v in tagged]
-            weights = [w for w, _ in tagged]
-            assert weights[0].comps == lam, "highest weight must sort first"
             irreps.append(Irrep(rep.label, lam, basis, weights))
-            total += len(vecs)
+            total += len(basis)
     if total != rep.dim:
         raise AssertionError(
             f"irrep dimensions sum to {total}, ambient is {rep.dim}")
-    _fill_generator_matrices(rep, irreps, buckets)
+    _fill_generator_matrices(rep, irreps)
     return irreps
 
 
-def _fill_generator_matrices(rep: Representation, irreps, buckets):
+def _fill_generator_matrices(rep: Representation, irreps):
+    """genmats[g] from one solve per (generator, source weight block)."""
+    gens = [(g, root_of(g)) for g in canonical_generators(N_RANK)]
     for irr in irreps:
-        for g in canonical_generators(N_RANK):
-            alpha = root_of(g)
+        for g, alpha in gens:
+            op = rep.genmap[g]
             m = ExactMatrix(irr.dim, irr.dim)
-            for cj in range(irr.dim):
-                img = rep.genmap[g].apply(irr.basis[cj])
-                if not img:
+            for w, cols in irr.weight_positions.items():
+                images = [op.apply(irr.basis[c]) for c in cols]
+                if not any(images):
                     continue
-                tw = irr.weights[cj] + alpha
-                rows = irr.weight_positions.get(tw, [])
-                coords = coordinates_in_basis([irr.basis[r] for r in rows], img)
+                rows = irr.weight_positions.get(w + alpha, [])
+                targets = [irr.basis[r] for r in rows]
+                support = sorted({k for v in targets + images for k in v})
+                coords = solve(_sparse_columns(targets, support),
+                               _sparse_columns(images, support))
                 if coords is None:
                     raise AssertionError(
                         f"{g} image leaves the irrep span in {irr}")
-                for ri, x in zip(rows, coords):
-                    m.data[ri][cj] = x
+                for r, crow in zip(rows, coords.data):
+                    for c, x in zip(cols, crow):
+                        m.data[r][c] = x
             irr.genmats[g] = m
+
+
+def _sparse_columns(vectors, support) -> ExactMatrix:
+    """Matrix whose columns are sparse vectors, rows indexed by support."""
+    return ExactMatrix(len(support), len(vectors),
+                       [[v.get(k, ZERO) for v in vectors] for k in support])
+
+
+def _submatrix(m: ExactMatrix, rows, cols) -> ExactMatrix:
+    return ExactMatrix(len(rows), len(cols),
+                       [[m.data[r][c] for c in cols] for r in rows])
 
 
 # -- o3 structure -----------------------------------------------------
@@ -309,9 +318,7 @@ def multiplicity_slices(irrep: Irrep):
             continue  # o3-highest vectors sit at tau0 = T <= 0
         cols = irrep.weight_positions[w]
         target = irrep.weight_positions.get(Weight((T - 1, N)), [])
-        block = ExactMatrix(len(target), len(cols),
-                            [[e.data[r][c] for c in cols] for r in target])
-        _, kernel = rank_and_kernel(block)
+        _, kernel = rank_and_kernel(_submatrix(e, target, cols))
         if not kernel:
             continue
         basis = []
@@ -329,53 +336,50 @@ def multiplicity_slices(irrep: Irrep):
 
 
 class SliceMap:
-    """Matrix of an operator between two multiplicity slices."""
+    """Matrix of an operator between two multiplicity slices.
+
+    Rank and kernel come from one elimination, made on first use.
+    """
 
     def __init__(self, source: MultiplicitySlice, target, matrix: ExactMatrix):
         self.source = source
         self.target = target  # may be None for an empty target slice
         self.matrix = matrix
+        self._rank_kernel = None
+
+    def _factor(self):
+        if self._rank_kernel is None:
+            self._rank_kernel = rank_and_kernel(self.matrix)
+        return self._rank_kernel
 
     @property
     def rank(self):
-        return rank_and_kernel(self.matrix)[0] if self.matrix.cols else 0
+        return self._factor()[0]
 
     @property
     def nullity(self):
         return self.matrix.cols - self.rank
 
     def kernel(self):
-        return rank_and_kernel(self.matrix)[1]
+        return self._factor()[1]
 
 
 def _restrict_to_slices(op: ExactMatrix, source: MultiplicitySlice,
                         target) -> SliceMap:
-    """Express op: span(source) -> span(target); image containment is an
-    assertion (weight shift + o3-commutation guarantee it)."""
+    """Express op: span(source) -> span(target) by one solve; image
+    containment is an assertion (weight shift + o3-commutation guarantee
+    it).  An empty target (None) admits only zero images."""
     tbasis = target.basis if target is not None else []
-    cols = []
-    for v in source.basis:
-        img = op.apply(v)
-        if all(not x for x in img):
-            cols.append([ZERO] * len(tbasis))
-            continue
-        if not tbasis:
-            raise AssertionError(
-                f"image of slice ({source.T},{source.N}) lands outside the "
-                "(empty) target slice")
-        mat = ExactMatrix(len(img), len(tbasis),
-                          [[tb[r] for tb in tbasis] for r in range(len(img))])
-        coords = solve(mat, img)
-        if coords is None or mat.apply(coords) != img:
-            raise AssertionError(
-                f"image of slice ({source.T},{source.N}) not inside target "
-                f"slice ({target.T},{target.N})")
-        cols.append(coords)
-    m = ExactMatrix(len(tbasis), len(source.basis))
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            m.data[i][j] = x
-    return SliceMap(source, target, m)
+    images = [op.apply(v) for v in source.basis]
+    coords = solve(ExactMatrix.from_columns(tbasis, op.rows),
+                   ExactMatrix.from_columns(images, op.rows))
+    if coords is None:
+        where = (f"({target.T},{target.N})" if target is not None
+                 else "(empty)")
+        raise AssertionError(
+            f"image of slice ({source.T},{source.N}) not inside target "
+            f"slice {where}")
+    return SliceMap(source, target, coords)
 
 
 def pf_slice_maps(irrep: Irrep, T):
@@ -428,32 +432,21 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
         # e = F_{-1,0} has root -e_1 (maps tau0 -> tau0 - 1); f = F_{0,-1}
         # has root +e_1, so f-images landing here come from tau0 - 1 too.
         up = irrep.weight_positions.get(Weight((w.comps[0] - 1, w.comps[1])), [])
-        dn = up
-        # ker(e) restricted to the block
-        eblock = ExactMatrix(len(up), len(cols),
-                             [[e.data[r][c] for c in cols] for r in up])
-        _, kern = rank_and_kernel(eblock)
-        # im(f) from the tau0-1 block
-        fcols = []
-        for c in dn:
-            fcols.append([f.data[r][c] for r in cols])
-        # solve for the projector columns: each block basis vector splits
-        # uniquely as (kernel part) + (image part)
-        span_cols = [list(v) for v in kern] + fcols
-        mat = ExactMatrix(len(cols), len(span_cols),
-                          [[span_cols[j][i] for j in range(len(span_cols))]
-                           for i in range(len(cols))])
-        for t, c in enumerate(cols):
-            rhs = [ONE if i == t else ZERO for i in range(len(cols))]
-            sol = solve(mat, rhs)
-            if sol is None:
-                raise AssertionError("ker(e) + im(f) fails to span a weight block")
-            pcol = [ZERO] * len(cols)
-            for ki in range(len(kern)):
-                if sol[ki]:
-                    pcol = [a + sol[ki] * b for a, b in zip(pcol, kern[ki])]
-            for i, r in enumerate(cols):
-                proj.data[r][c] = pcol[i]
+        # ker(e) restricted to the block, and im(f) from the tau0-1 block
+        _, kern = rank_and_kernel(_submatrix(e, up, cols))
+        kmat = ExactMatrix.from_columns(kern, len(cols))
+        fmat = _submatrix(f, cols, up)
+        # one solve for all projector columns: each block basis vector
+        # splits uniquely as (kernel part) + (image part)
+        sol = solve(ExactMatrix(len(cols), len(kern) + len(up),
+                                [a + b for a, b in zip(kmat.data, fmat.data)]),
+                    ExactMatrix.identity(len(cols)))
+        if sol is None:
+            raise AssertionError("ker(e) + im(f) fails to span a weight block")
+        pblock = kmat @ ExactMatrix(len(kern), len(cols), sol.data[:len(kern)])
+        for i, r in enumerate(cols):
+            for t, c in enumerate(cols):
+                proj.data[r][c] = pblock.data[i][t]
         # series cross-check on this block: h = 2 F_{-1,-1}, rho(h) = 1,
         # f normalized to 2 F_{0,-1} so that [e, f] = h
         mu_h = -2 * w.comps[0]
@@ -510,7 +503,8 @@ def omega_genindex(g: GenIndex):
     from .liealg import canonicalize
     s, h = canonicalize(g.j, g.i, g.n)
     b2 = root_of(g).comps[1]
-    assert b2.denominator == 1
+    if b2.denominator != 1:
+        raise AssertionError(f"root of {g} has a non-integral e_2 coordinate")
     twist = -1 if int(b2) % 2 else 1
     return (-Fraction(s * twist), h)
 
@@ -518,63 +512,46 @@ def omega_genindex(g: GenIndex):
 def omega_operator(irrep: Irrep) -> ExactMatrix:
     """Intertwiner with Omega M(g) = M(omega(g)) Omega, unique up to scale.
 
-    Built by transporting the highest-weight line to the lowest-weight
-    line along lowering words, then verified generator by generator.
-    Maps every weight space V_lam onto V_{-lam}.
+    Fixed by sending the highest-weight vector to the lowest-weight one,
+    then transported down one weight at a time, highest first: V_nu is
+    spanned by the lowering images f v of the blocks already built, and
+    Omega(f v) = omega(f) Omega(v).  One RREF of the rows [f v | Omega f v]
+    per weight gives [identity | Omega on V_nu]; a pivot in the Omega part
+    means the images contradict each other.  Verified generator by
+    generator at the end.  Maps every weight space V_lam onto V_{-lam}.
     """
     d = irrep.dim
-    lowering = [g for g in canonical_generators(N_RANK) if is_lowering(g)]
-    hv = [ONE if i == 0 else ZERO for i in range(d)]  # basis[0] is highest
-    lam = irrep.weights[0]
-    low_positions = irrep.weight_positions.get(Weight((-lam.comps[0], -lam.comps[1])))
+    lowering = [(g, root_of(g)) + omega_genindex(g)
+                for g in canonical_generators(N_RANK) if is_lowering(g)]
+    lam = irrep.weights[0]  # basis[0] is the highest-weight vector
+    low_positions = irrep.weight_positions.get(-lam)
     if not low_positions or len(low_positions) != 1:
         raise AssertionError("lowest weight space is not a line")
-    lv = [ONE if i == low_positions[0] else ZERO for i in range(d)]
-
-    span = SpanBasis()
-    words = []  # (word, vector) with vector = M(word) hv
-    vec0 = {0: ONE}
-    span.add(vec0)
-    words.append(((), vec0))
-    frontier = [((), vec0)]
-    while len(span) < d and frontier:
-        nxt = []
-        for word, v in frontier:
-            for g in lowering:
-                img_dense = irrep.genmats[g].apply(
-                    [v.get(i, ZERO) for i in range(d)])
-                img = {i: x for i, x in enumerate(img_dense) if x}
-                if img and span.add(img):
-                    entry = ((g,) + word, img)  # operators act on the left
-                    words.append(entry)
-                    nxt.append(entry)
-        frontier = nxt
-    if len(span) != d:
-        raise AssertionError("lowering words fail to span the irrep")
-
-    # columns of W are the word-vectors; Omega(word.hv) = omega(word).lv
-    W = ExactMatrix(d, d)
-    Y = ExactMatrix(d, d)
-    for t, (word, v) in enumerate(words):
-        for i, x in v.items():
-            W.data[i][t] = x
-        img = lv
-        coeff = Fraction(1)
-        for g in reversed(word):
-            c, h = omega_genindex(g)
-            coeff *= c
-            img = irrep.genmats[h].apply(img)
-        for i, x in enumerate(img):
-            Y.data[i][t] = x * quad(coeff) if x else ZERO
-    # Omega = Y W^{-1}, column by column
     omega = ExactMatrix(d, d)
-    for i in range(d):
-        rhs = [ONE if r == i else ZERO for r in range(d)]
-        c = solve(W, rhs)
-        assert c is not None
-        col = Y.apply(c)
-        for r in range(d):
-            omega.data[r][i] = col[r]
+    omega.data[low_positions[0]][0] = ONE
+    positions = irrep.weight_positions
+    for nu in sorted(positions, key=_weight_sort_key)[1:]:
+        pos, mirror = positions[nu], positions.get(-nu, [])
+        rows = []
+        for g, alpha, c, h in lowering:
+            src = positions.get(nu - alpha)
+            if not src:
+                continue
+            src_mirror = positions.get(alpha - nu, [])
+            down = _submatrix(irrep.genmats[g], pos, src)
+            image = (_submatrix(irrep.genmats[h], mirror, src_mirror)
+                     @ _submatrix(omega, src_mirror, src)).scale(Fraction(c))
+            rows.extend(a + b for a, b in zip(down.transpose().data,
+                                              image.transpose().data))
+        red, pivots = ExactMatrix(len(rows), len(pos) + len(mirror),
+                                  rows).rref()
+        if pivots != list(range(len(pos))):
+            raise AssertionError(
+                f"lowering images fail to span V_{nu} or give inconsistent "
+                f"Omega images on {irrep}")
+        for i, p in enumerate(pos):
+            for k, q in enumerate(mirror):
+                omega.data[q][p] = red.data[i][len(pos) + k]
     # posterior verification: the defining intertwining property
     for g in canonical_generators(N_RANK):
         c, h = omega_genindex(g)
@@ -602,23 +579,6 @@ def theta_transport(irrep: Irrep, omega: ExactMatrix, T) -> ExactMatrix:
 
 
 # -- probes -------------------------------------------------------------
-
-
-def slice_endomorphism_charpolys(irrep: Irrep):
-    """Char polys of PfF_{-2hat} PfF_{2hat} restricted to each slice.
-
-    These are honest basis-independent spectra of the up-then-down round
-    trips; emitted as probe content.
-    """
-    out = {}
-    slices = multiplicity_slices(irrep)
-    up = irrep.pf_matrix(+1)
-    down = irrep.pf_matrix(-1)
-    comp = down @ up
-    for (T, N), s in sorted(slices.items()):
-        sm = _restrict_to_slices(comp, s, s)
-        out[(T, N)] = characteristic_polynomial(sm.matrix)
-    return out
 
 
 def tps_scalar_probe(irrep: Irrep):

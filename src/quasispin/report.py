@@ -31,7 +31,8 @@ class Check:
     __slots__ = ("id", "status", "witness", "wall_time")
 
     def __init__(self, check_id: str, status: str, witness=None, wall_time=None):
-        assert status in (PASS, FAIL, ANOMALY)
+        if status not in (PASS, FAIL, ANOMALY):
+            raise ValueError(f"unknown status {status!r} for check {check_id}")
         if status == FAIL and not witness:
             raise ValueError(f"failed check {check_id} needs a witness")
         self.id = check_id

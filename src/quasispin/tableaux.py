@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import weyl_dimension
-from .linalg import (ExactMatrix, SpanBasis, characteristic_polynomial,
-                     rank_and_kernel)
+from .linalg import (ExactMatrix, characteristic_polynomial, rank,
+                     rank_and_kernel, row_basis, solve)
 from .replab import (Irrep, multiplicity_slices, omega_operator,
                      pf_slice_maps, theta_transport, _restrict_to_slices)
 from .scalars import ONE, ZERO, quad, rat
@@ -191,7 +191,7 @@ class ModelMatrix:
     def rank(self):
         if self.matrix is None:
             return None
-        return rank_and_kernel(self.matrix)[0]
+        return rank(self.matrix)
 
     @property
     def nullity(self):
@@ -252,8 +252,9 @@ def predicted_slice_matrix(lam1, lam2, T, N, convention: str) -> ModelMatrix:
 class Flag:
     """Decreasing filtration U_0 >= U_1 >= ... of a slice, in slice coords.
 
-    levels[m] is an echelon basis (list of dense coordinate vectors of
-    length slice.dim); levels[0] is the full space.
+    levels[m] is the RREF basis (nonzero rows, dense coordinate vectors
+    of length slice.dim) of U_m, so equal subspaces have equal levels;
+    levels[0] is the full space.
     """
 
     def __init__(self, dim: int, levels=None):
@@ -280,64 +281,28 @@ class Flag:
             out.append(self.level_dim(m) - nxt)
         return out
 
-    def contains_at(self, m, vec) -> bool:
-        if all(not x for x in vec):
-            return True
-        if m >= self.depth():
-            return False
-        return _in_span(self.levels[m], vec)
+    def contains_all(self, m, vectors) -> bool:
+        """Whether every vector lies in U_m (U_m = 0 beyond the depth)."""
+        level = self.levels[m] if m < self.depth() else []
+        return solve(ExactMatrix.from_columns(level, self.dim),
+                     ExactMatrix.from_columns(vectors, self.dim)) is not None
 
 
 def _identity_levels(dim):
     return [[ONE if i == t else ZERO for i in range(dim)] for t in range(dim)]
 
 
-def _echelon(vectors, dim):
-    """Canonical echelon basis of span(vectors) as dense vectors."""
-    span = SpanBasis()
-    for v in vectors:
-        span.add({i: x for i, x in enumerate(v) if x})
-    out = []
-    for sv in span.vectors():
-        out.append([sv.get(i, ZERO) for i in range(dim)])
-    return out
-
-def _in_span(basis, vec) -> bool:
-    span = SpanBasis()
-    for v in basis:
-        span.add({i: x for i, x in enumerate(v) if x})
-    return span.contains({i: x for i, x in enumerate(vec) if x})
-
-
 def _push_flag(flag: Flag, matrix: ExactMatrix, target_dim: int) -> Flag:
     """Image flag: levels'[0] = full target, levels'[m+1] = M(levels[m])."""
-    levels = [_identity_levels(target_dim)]
-    for lvl in flag.levels:
-        imgs = [matrix.apply(v) for v in lvl]
-        ech = _echelon([v for v in imgs if any(v)], target_dim)
-        levels.append(ech)
-    return Flag(target_dim, levels)
+    return Flag(target_dim, [_identity_levels(target_dim)]
+                + _map_flag(flag, matrix, target_dim).levels)
 
 
 def _map_flag(flag: Flag, matrix: ExactMatrix, target_dim: int) -> Flag:
     """Transport a flag through an isomorphism (no prefixed full level)."""
-    levels = []
-    for lvl in flag.levels:
-        imgs = [matrix.apply(v) for v in lvl]
-        levels.append(_echelon([v for v in imgs if any(v)], target_dim))
-    return Flag(target_dim, levels)
-
-
-def _flags_equal(a: Flag, b: Flag) -> bool:
-    if a.depth() != b.depth():
-        return False
-    for m in range(a.depth()):
-        if a.level_dim(m) != b.level_dim(m):
-            return False
-        for v in a.levels[m]:
-            if not b.contains_at(m, v):
-                return False
-    return True
+    return Flag(target_dim, [row_basis([matrix.apply(v) for v in lvl],
+                                       target_dim)
+                             for lvl in flag.levels])
 
 
 class ClassifiedState:
@@ -364,10 +329,9 @@ def _raising_violation(source_flag: Flag, matrix: ExactMatrix,
                        target_flag: Flag):
     """First level m whose image misses target level m+1, else None."""
     for m in range(source_flag.depth()):
-        for v in source_flag.levels[m]:
-            img = matrix.apply(v)
-            if not target_flag.contains_at(m + 1, img):
-                return m
+        images = [matrix.apply(v) for v in source_flag.levels[m]]
+        if not target_flag.contains_all(m + 1, images):
+            return m
     return None
 
 
@@ -385,7 +349,11 @@ def assign_k(irrep: Irrep):
     equality and recorded as an anomaly when it fails (the reflection
     restricted to a multiplicity slice at N = 0 need not be scalar: on
     the (-1,-2) irrep it has eigenvalues +1 and -1, so the two
-    filtrations genuinely differ while the k-multiset still agrees).
+    filtrations genuinely differ).  Their k-multisets always agree:
+    since Omega PfF_{-2-hat} = -PfF_{2-hat} Omega, the bijection theta
+    carries the from-below PfF_{2-hat} filtration of the N = 0 slice
+    onto the from-above PfF_{-2-hat} one, level by level, so the level
+    dimensions coincide and only the subspaces can differ.
     Hard contradictions of the classification pattern (label collisions,
     non-transverse kernels, broken raising) raise ClassificationError.
     """
@@ -431,14 +399,13 @@ def assign_k(irrep: Irrep):
             tmap = _restrict_to_slices(theta, mine[0], mine[0])
             data["theta"][(T, 0)] = tmap
             seam_flag = _map_flag(flags[0], tmap.matrix, mine[0].dim)
-            if not _flags_equal(flags[0], seam_flag):
+            # levels are RREF bases, so equal flags have equal levels
+            if flags[0].levels != seam_flag.levels:
                 below = [flags[0].level_dim(m) for m in range(flags[0].depth())]
                 data["anomalies"].append({
                     "kind": "n0-two-sided-disagreement",
                     "T": T,
                     "level_dims": below,
-                    "k_multiset_agrees":
-                        flags[0].stratum_dims() == seam_flag.stratum_dims(),
                 })
         data["flags"].update({(T, N): f for N, f in flags.items()})
         # raising property at filtration level (PfF_{2-hat} out of N < 0).
@@ -483,14 +450,11 @@ def assign_k(irrep: Irrep):
         for N in ns:
             if N not in mine:
                 continue
-            up = ups[N]
-            kern = up.kernel()
-            if kern and N <= 0:
-                for kv in kern:
-                    if flags[N].contains_at(1, list(kv)):
-                        raise ClassificationError(
-                            f"kernel of the raising map meets the image "
-                            f"filtration at (T={T},N={N})")
+            if N <= 0 and flags[N].depth() > 1 and _meet_dim(
+                    ups[N].kernel(), flags[N].levels[1], flags[N].dim):
+                raise ClassificationError(
+                    f"kernel of the raising map meets the image "
+                    f"filtration at (T={T},N={N})")
         # emit labels
         for N in ns:
             f = flags[N]
@@ -524,22 +488,19 @@ def assign_k(irrep: Irrep):
 # -- model-vs-representation validation ----------------------------------
 
 
+def _meet_dim(a, b, dim: int) -> int:
+    """dim(span a intersect span b) for two independent lists of dense
+    vectors, as dim(A) + dim(B) - dim(A+B)."""
+    if not a or not b:
+        return 0
+    return len(a) + len(b) - rank(ExactMatrix(len(a) + len(b), dim, a + b))
+
+
 def _kernel_level_dims(kernel_basis, flag: Flag):
     """dim(ker intersect U_m) for each flag level (invariant integers)."""
-    out = []
-    for m in range(flag.depth()):
-        if m == 0:
-            out.append(len(kernel_basis))
-            continue
-        dim_level = flag.level_dim(m)
-        # intersection dimension via dim(A) + dim(B) - dim(A+B)
-        span_sum = SpanBasis()
-        for v in flag.levels[m]:
-            span_sum.add({i: x for i, x in enumerate(v) if x})
-        for v in kernel_basis:
-            span_sum.add({i: x for i, x in enumerate(v) if x})
-        out.append(len(kernel_basis) + dim_level - len(span_sum))
-    return out
+    return [len(kernel_basis)] + [_meet_dim(kernel_basis, flag.levels[m],
+                                            flag.dim)
+                                  for m in range(1, flag.depth())]
 
 
 def structural_slice_matrix(lam1, lam2, T, N) -> ModelMatrix:

@@ -22,7 +22,6 @@ from math import factorial
 
 from .liealg import (GenIndex, Weight, bracket, canonicalize, index_range,
                      pbw_sort_key, root_of)
-from .linalg import ExactMatrix
 from .scalars import Rational
 
 Word = tuple  # a word is a tuple of GenIndex, () is the scalar word
@@ -82,8 +81,13 @@ class UEAElement:
 
     # -- linear structure ----------------------------------------------
 
+    def _check_rank(self, other: "UEAElement"):
+        if self.n != other.n:
+            raise ValueError(f"elements of U(o_{2 * self.n + 1}) and "
+                             f"U(o_{2 * other.n + 1}) do not combine")
+
     def __add__(self, other: "UEAElement") -> "UEAElement":
-        assert self.n == other.n
+        self._check_rank(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             s = out.get(w, Fraction(0)) + c
@@ -107,7 +111,7 @@ class UEAElement:
 
     def __mul__(self, other: "UEAElement") -> "UEAElement":
         """Concatenation product; NOT normally ordered."""
-        assert self.n == other.n
+        self._check_rank(other)
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -529,31 +533,21 @@ def pf_hat_star_expression(n: int, sign: int) -> UEAElement:
 # -- evaluation in a matrix representation -----------------------------
 
 
-def evaluate_in_representation(x: UEAElement, genmap: dict, dim: int) -> ExactMatrix:
-    """Substitute matrices for generators: words become matrix products."""
-    out = ExactMatrix(dim, dim)
-    ident = ExactMatrix.identity(dim)
+def evaluate_in_representation(x: UEAElement, genmap: dict, dim: int):
+    """Substitute matrices for generators: words become matrix products.
+
+    The genmap values are all `ExactMatrix` or all `LinOp`; the result
+    has the same type.
+    """
+    ident = type(next(iter(genmap.values()))).identity(dim)
+    out = None
     for w, c in x.terms.items():
         m = ident
         for g in w:
             m = m @ genmap[g]
-        out = out + m.scale(Fraction(c))
-    return out
-
-
-def transpose_image(x: UEAElement) -> UEAElement:
-    """Image under the anti-automorphism F_ij -> F_ji (word reversal)."""
-    out = UEAElement.zero(x.n)
-    for w, c in x.terms.items():
-        word = []
-        sgn = 1
-        for g in reversed(w):
-            s, h = canonicalize(g.j, g.i, x.n)
-            assert s != 0
-            sgn *= s
-            word.append(h)
-        out = out + UEAElement(x.n, {tuple(word): Fraction(sgn * c)})
-    return out
+        term = m.scale(Fraction(c))
+        out = term if out is None else out + term
+    return ident.scale(0) if out is None else out
 
 
 def omega_image(x: UEAElement) -> UEAElement:
@@ -569,7 +563,8 @@ def omega_image(x: UEAElement) -> UEAElement:
         sgn = (-1) ** len(w)
         for g in w:
             s, h = canonicalize(g.j, g.i, x.n)
-            assert s != 0
+            if s == 0:
+                raise AssertionError(f"{g} has no transpose generator")
             sgn *= s
             word.append(h)
         out = out + UEAElement(x.n, {tuple(word): Fraction(sgn * c)})

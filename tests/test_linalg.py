@@ -2,11 +2,32 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quasispin.linalg import (ExactMatrix, LinOp, SpanBasis,
-                              characteristic_polynomial, coordinates_in_basis,
-                              rank_and_kernel, solve)
-from quasispin.scalars import ONE, SQRT2, ZERO, quad
+from quasispin.linalg import (ExactMatrix, LinOp, characteristic_polynomial,
+                              rank, rank_and_kernel, row_basis, solve)
+from quasispin.scalars import ONE, SQRT2, ZERO, QuadScalar, quad
+
+# small entries of Q(sqrt 2), zero-heavy so that singular matrices and
+# consistent systems with free variables come up often
+coeffs = st.sampled_from([0, 0, 0, 1, -1, 2])
+entries = st.builds(QuadScalar, coeffs, coeffs)
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda data: ExactMatrix(rows, cols, data))
+
+
+@st.composite
+def systems(draw):
+    """(mat, rhs): rhs is mat @ Y (consistent) or drawn freely."""
+    r, c, k = (draw(st.integers(1, 4)) for _ in range(3))
+    mat = draw(matrices(r, c))
+    if draw(st.booleans()):
+        return mat, mat @ draw(matrices(c, k))
+    return mat, draw(matrices(r, k))
 
 
 def mat(rows):
@@ -76,36 +97,77 @@ def test_charpoly_similarity_invariant():
                                    for _ in range(n)])
             if rank_and_kernel(p)[0] == n:
                 break
-        # solve P X = M P column by column for X = P^{-1} M P
-        mp = m @ p
-        cols = [solve(p, [mp.data[i][j] for i in range(n)]) for j in range(n)]
-        x = ExactMatrix(n, n, [[cols[j][i] for j in range(n)]
-                               for i in range(n)])
+        # solve P X = M P in one elimination for X = P^{-1} M P
+        x = solve(p, m @ p)
         assert characteristic_polynomial(x) == characteristic_polynomial(m)
 
 
 def test_solve_examples():
-    assert solve(ExactMatrix.identity(2), [quad(1), quad(2)]) == \
-        [quad(1), quad(2)]
-    assert solve(mat([[1, 1], [2, 2]]), [quad(1), quad(3)]) is None
-    assert solve(mat([[1, 1], [2, 2]]), [quad(1), quad(2)]) == \
-        [quad(1), ZERO]  # free variable pinned to zero
+    assert solve(ExactMatrix.identity(2), mat([[1], [2]])) == mat([[1], [2]])
+    assert solve(mat([[1, 1], [2, 2]]), mat([[1], [3]])) is None
+    assert solve(mat([[1, 1], [2, 2]]), mat([[1], [2]])) == \
+        mat([[1], [0]])  # free variable pinned to zero
+    # one inconsistent column makes the whole system inconsistent
+    assert solve(mat([[1, 1], [2, 2]]), mat([[1, 1], [2, 3]])) is None
 
 
-def test_span_basis():
-    s = SpanBasis()
-    assert s.add({0: ONE, 1: quad(2)})
-    assert not s.add({0: quad(2), 1: quad(4)})
-    assert s.add({1: ONE})
-    assert len(s) == 2
-    assert s.contains({0: quad(5), 1: quad(-1)})
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_solve_solves_with_free_rows_zero(system):
+    mat, rhs = system
+    x = solve(mat, rhs)
+    if x is None:
+        return
+    assert mat @ x == rhs
+    _, pivots = mat.rref()
+    for c in range(mat.cols):
+        if c not in pivots:
+            assert all(not v for v in x.data[c])
 
 
-def test_coordinates_in_basis():
-    basis = [{0: ONE, 2: quad(1)}, {1: quad(2)}]
-    coords = coordinates_in_basis(basis, {0: quad(3), 1: quad(4), 2: quad(3)})
-    assert coords == [quad(3), quad(2)]
-    assert coordinates_in_basis(basis, {3: ONE}) is None
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_solve_none_exactly_when_inconsistent(system):
+    mat, rhs = system
+    aug = ExactMatrix(mat.rows, mat.cols + rhs.cols,
+                      [a + b for a, b in zip(mat.data, rhs.data)])
+    assert (solve(mat, rhs) is None) == (rank(aug) > rank(mat))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1,
+             max_size=5), st.randoms())))
+def test_row_basis_independent_of_order(case):
+    vectors, rnd = case
+    shuffled = vectors[:]
+    rnd.shuffle(shuffled)
+    n = len(vectors[0])
+    assert row_basis(shuffled, n) == row_basis(vectors, n)
+
+
+def test_row_basis_fully_reduced():
+    # inserting (0,1) before (1,5) must still reduce (1,5) to (1,0)
+    for order in ([[ZERO, ONE], [ONE, quad(5)]], [[ONE, quad(5)], [ZERO, ONE]]):
+        assert row_basis(order, 2) == [[ONE, ZERO], [ZERO, ONE]]
+
+
+def test_span_as_rref_rows():
+    # the span of (1,2), (2,4), (0,1) is all of Q^2; membership of
+    # (5,-1) is consistency of the system with the vectors as columns
+    vecs = mat([[1, 2], [2, 4], [0, 1]])
+    red, pivots = vecs.rref()
+    assert pivots == [0, 1]
+    assert red.data[:2] == mat([[1, 0], [0, 1]]).data
+    assert solve(vecs.transpose(), mat([[5], [-1]])) is not None
+
+
+def test_coordinates_by_solve():
+    # coordinates of (3,4,3) in the basis (1,0,1), (0,2,0); a vector
+    # outside the span gives None
+    basis = mat([[1, 0], [0, 2], [1, 0]])
+    assert solve(basis, mat([[3], [4], [3]])) == mat([[3], [2]])
+    assert solve(basis, mat([[0], [0], [1]])) is None
 
 
 def test_linop_roundtrip_and_products():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quasispin.liealg import Weight, weyl_dimension
-from quasispin.linalg import rank_and_kernel
+from quasispin.linalg import ExactMatrix, rank_and_kernel, solve
 from quasispin.replab import (O3_LOWERING, O3_RAISING,
                               NonDiagonalCartan, Representation,
                               defining_representation, extract_irreps,
@@ -63,6 +63,19 @@ def test_extract_tensor_square():
     weights = sorted((str(a), str(b)) for a, b in
                      (i.highest_weight for i in irs))
     assert weights == [("-1", "-1"), ("0", "-2"), ("0", "0")]
+
+
+def test_irrep_weight_blocks_are_rref():
+    # each weight block of Irrep.basis is the nonzero rows of its own RREF
+    for rep in (fock_representation(HALF), tensor_power_representation(3)):
+        for irr in extract_irreps(rep):
+            for w, positions in irr.weight_positions.items():
+                support = sorted({k for p in positions for k in irr.basis[p]})
+                rows = [[irr.basis[p].get(k, quad(0)) for k in support]
+                        for p in positions]
+                red, pivots = ExactMatrix.from_rows(rows).rref()
+                assert len(pivots) == len(rows)
+                assert red.data == rows, (irr, w)
 
 
 def test_generator_matrices_are_homomorphic():
@@ -192,9 +205,8 @@ def test_theta_maps_slices():
     tgt = slices[(Fraction(-1), Fraction(1))]
     img = th.apply(src.basis[0])
     assert any(img)
-    from quasispin.linalg import coordinates_in_basis, dense_to_svec
-    coords = coordinates_in_basis(
-        [dense_to_svec(b) for b in tgt.basis], dense_to_svec(img))
+    coords = solve(ExactMatrix.from_columns(tgt.basis, irr.dim),
+                   ExactMatrix.from_columns([img], irr.dim))
     assert coords is not None
 
 
