@@ -2,11 +2,13 @@
 
 Noncommutative Pfaffians in U(o_N) with symbolic identity verification,
 fermionic Fock realizations of the quasi-spin operators, representation
-analysis over Q(sqrt 2), and the fourth-quantum-number classification of
-o_5 states.
+analysis, and the fourth-quantum-number classification of o_5 states.
+All arithmetic is exact over Q: the Fock realization is built in a
+basis rescaled by sqrt2^(tau0 + N), where the dictionary's factors
+1/sqrt2 cancel (see `fock`).
 """
 
-from .scalars import Rational, QuadScalar, SQRT2, INV_SQRT2
+from .scalars import Rational
 from .linalg import (ExactMatrix, LinOp, characteristic_polynomial,
                      rank_and_kernel, solve)
 from .liealg import (GenIndex, Weight, bracket, canonical_generators,

@@ -7,8 +7,10 @@ Subcommands:
   classify --weight L1,L2
   probe conventions
 
-Exit codes: 0 all checks pass (anomalies allowed), 1 some check failed,
-2 usage error.  --out writes the report or table, --format json|csv.
+Exit codes: 0 all checks pass (anomalies allowed), 1 some check failed
+(an internal error inside a suite is reported as the failed check
+<command>/internal-error), 2 usage error.  --out writes the report or
+table, --format json|csv.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from . import fock, replab, tableaux
 from .liealg import (canonical_generators, defining_matrices, index_range,
                      o3_subalgebra_generators, weyl_dimension, Weight)
 from .report import (VerificationReport, classification_table,
-                     genmap_to_json, serialize_value, write_output)
-from .scalars import quad
+                     format_sqrt2_power, genmap_to_json, serialize_value,
+                     write_output)
 from .uea import (CheckResult, IndexSet, UEAElement, capelli,
                   check_corollary_split, check_lemma_l2, check_minorn,
                   check_split_formula, evaluate_in_representation, hat_set,
@@ -221,7 +223,7 @@ def suite_fock(j) -> VerificationReport:
     ops = fock.quasispin_operators(space)
     vac = space.vacuum()
     nvac = ops["N"].apply(vac)
-    want = {0: quad(-Fraction(2 * Fraction(j) + 1, 2))}
+    want = {0: -Fraction(2 * Fraction(j) + 1, 2)}
     report.add("fock/number-on-vacuum", nvac == want,
                None if nvac == want else {"got": serialize_value(nvac)})
     genmap = fock.dictionary_to_o5(ops)
@@ -235,8 +237,9 @@ def suite_fock(j) -> VerificationReport:
                                 "dictionary signs of A(1)/B(1) corrected; "
                                 "B(X) realized as the adjoint of A(X)",
                         "formulas": fock.CORRECTED_FORMULAS,
-                        "dictionary": {f"F[{i},{k}]": (name, str(c))
-                                       for (i, k), (name, c)
+                        "dictionary": {f"F[{i},{j}]": (name,
+                                                       format_sqrt2_power(c, k))
+                                       for (i, j), (name, c, k)
                                        in fock.DICTIONARY.items()}})
     # represented Pfaffians match the star-product expressions
     for sign, label in ((1, "2hat"), (-1, "-2hat")):
@@ -529,6 +532,13 @@ def main(argv=None) -> int:
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except (AssertionError, replab.NonDiagonalCartan) as ex:
+        # an internal contradiction (ClassificationError included) is a
+        # failed check with the error as its witness, not a traceback
+        report = VerificationReport(args.command)
+        report.add(f"{args.command}/internal-error", False,
+                   {"error": f"{type(ex).__name__}: {ex}"})
+        payload = None
     for line in report.summary_lines():
         print(line)
     if args.out:

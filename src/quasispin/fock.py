@@ -12,15 +12,28 @@ inconsistent (mixed species / stray daggers); the corrected forms used
 here make B(X) the matrix adjoint of A(X), and `verify_representation`
 is the arbiter that the corrected dictionary closes the full bracket
 table.
+
+Rescaled basis.  The conventional normalisation lives in `DICTIONARY`
+alone: generator g is c * sqrt2^k times a quasi-spin operator with
+rational matrix entries (the 1/sqrt2 of A(0) and B(0) is the k = -1
+there, not part of `quasispin_operators`).  `dictionary_to_o5` returns
+the conjugate D F D^-1 by D = diag(sqrt2^(tau0 + N)) of the
+conventional generator map F.  Every entry of F_g shifts the weight by
+root_of(g), so conjugation multiplies F_g by sqrt2^s(g) with
+s(g) = alpha_1 + alpha_2 for alpha = root_of(g), and every generator
+becomes rational: c * 2^((k + s(g))/2) times its operator.  Brackets,
+ranks and every other basis-independent output are unchanged;
+`report.genmap_to_json` undoes the scale to export the conventional
+matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .liealg import bracket, canonical_generators
+from .liealg import bracket, canonical_generators, root_of
 from .linalg import LinOp
-from .scalars import INV_SQRT2, ONE, QuadScalar, rat
+from .scalars import rat
 
 MAX_J_DEFAULT = Fraction(5, 2)
 
@@ -65,7 +78,7 @@ class FockSpace:
             if mask & bit:
                 continue
             sign = -1 if bin(mask & below).count("1") % 2 else 1
-            op.cols[mask] = {mask | bit: QuadScalar(sign)}
+            op.cols[mask] = {mask | bit: Fraction(sign)}
         return op
 
     def adag(self, species: str, m) -> LinOp:
@@ -75,7 +88,7 @@ class FockSpace:
         return self._a[self.mode_pos[(species, rat(m))]]
 
     def vacuum(self) -> dict:
-        return {0: ONE}
+        return {0: Fraction(1)}
 
     def car_violations(self):
         """Exhaustive CAR check; returns offending (relation, i, j) triples."""
@@ -96,7 +109,11 @@ class FockSpace:
 
 
 def quasispin_operators(space: FockSpace) -> dict:
-    """The ten quasi-spin operators as exact matrices (corrected forms)."""
+    """The ten quasi-spin operators as exact matrices (corrected forms).
+
+    A(0) and B(0) come without their 1/sqrt2 prefactor, which sits in
+    `DICTIONARY`; every entry is an integer or a half-integer.
+    """
     j = space.j
     dim = space.dim
     half = Fraction(1, 2)
@@ -131,7 +148,7 @@ def quasispin_operators(space: FockSpace) -> dict:
     ops["A(1)"] = sum_ops((ap[m] @ ap[-m]).scale(phase(m)) for m in pos_m)
     ops["A(-1)"] = sum_ops((an[m] @ an[-m]).scale(phase(m)) for m in pos_m)
     ops["A(0)"] = sum_ops(((ap[m] @ an[-m]) + (an[m] @ ap[-m])).scale(phase(m))
-                          for m in pos_m).scale(INV_SQRT2)
+                          for m in pos_m)
     # B(X) is the adjoint (real transpose) of A(X)
     ops["B(1)"] = ops["A(1)"].transpose()
     ops["B(-1)"] = ops["A(-1)"].transpose()
@@ -139,31 +156,43 @@ def quasispin_operators(space: FockSpace) -> dict:
     return ops
 
 
-# Canonical-generator dictionary.  The conventional table carries
+# Canonical-generator dictionary, conventional normalisation: F_(i,j)
+# = c * sqrt2^k * operator, as (operator, c, k).  The k = -1 entries are
+# the 1/sqrt2 of tau+-, A(0) and B(0).  The conventional table carries
 # F_{2,-1} = -A(1) and F_{-1,2} = -B(1); with the tau's above and the
 # corrected A(0) those signs fail the bracket table ([tau+, A(0)] =
 # +sqrt2 A(1) forces F_{1,-2} = -A(1)), so the verifier fixes both
 # entries to the opposite sign.  Everything else is as received.
 DICTIONARY = {
-    (0, -1): ("tau+", INV_SQRT2),
-    (-1, -2): ("A(-1)", ONE),
-    (0, -2): ("A(0)", ONE),
-    (1, -2): ("A(1)", -ONE),
-    (-1, -1): ("tau0", -ONE),
-    (-1, 0): ("tau-", INV_SQRT2),
-    (-2, -1): ("B(-1)", ONE),
-    (-2, 0): ("B(0)", ONE),
-    (-2, 1): ("B(1)", -ONE),
-    (-2, -2): ("N", -ONE),
+    (0, -1): ("tau+", 1, -1),
+    (-1, -2): ("A(-1)", 1, 0),
+    (0, -2): ("A(0)", 1, -1),
+    (1, -2): ("A(1)", -1, 0),
+    (-1, -1): ("tau0", -1, 0),
+    (-1, 0): ("tau-", 1, -1),
+    (-2, -1): ("B(-1)", 1, 0),
+    (-2, 0): ("B(0)", 1, -1),
+    (-2, 1): ("B(1)", -1, 0),
+    (-2, -2): ("N", -1, 0),
 }
 
 
+def rescale_exponent(g) -> int:
+    """s(g) = alpha_1 + alpha_2 for alpha = root_of(g): the power of
+    sqrt2 that the rescaled basis puts on generator g."""
+    return int(sum(root_of(g).comps))
+
+
 def dictionary_to_o5(ops: dict) -> dict:
-    """Assign the ten canonical o_5 generators per the quasi-spin dictionary."""
+    """The ten canonical o_5 generators in the rescaled basis: the
+    dictionary's c * sqrt2^k times sqrt2^s(g), which must be rational."""
     out = {}
     for g in canonical_generators(2):
-        name, coeff = DICTIONARY[(g.i, g.j)]
-        out[g] = ops[name].scale(coeff)
+        name, c, k = DICTIONARY[(g.i, g.j)]
+        e = k + rescale_exponent(g)
+        if e % 2:
+            raise AssertionError(f"{g}: sqrt2^{e} is irrational")
+        out[g] = ops[name].scale(c * Fraction(2) ** (e // 2))
     return out
 
 
@@ -188,7 +217,8 @@ def verify_representation(genmap: dict, n: int = 2):
 
 
 def build_o5_on_fock(j, max_j=MAX_J_DEFAULT):
-    """Convenience: Fock space, quasi-spin operators, o5 generator map."""
+    """Fock space, quasi-spin operators and the o5 generator map D F D^-1
+    in the rescaled basis (see the module docstring)."""
     space = FockSpace(j, max_j)
     ops = quasispin_operators(space)
     genmap = dictionary_to_o5(ops)

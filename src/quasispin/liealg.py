@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import ExactMatrix
-from .scalars import ONE, Rational, rat
+from .scalars import Rational, rat
 
 
 def index_range(n: int):
@@ -208,8 +208,8 @@ def defining_matrices(n: int):
     out = {}
     for g in canonical_generators(n):
         m = ExactMatrix(len(idx), len(idx))
-        m.data[pos[g.i]][pos[g.j]] = m.data[pos[g.i]][pos[g.j]] + ONE
-        m.data[pos[-g.j]][pos[-g.i]] = m.data[pos[-g.j]][pos[-g.i]] - ONE
+        m.data[pos[g.i]][pos[g.j]] = m.data[pos[g.i]][pos[g.j]] + 1
+        m.data[pos[-g.j]][pos[-g.i]] = m.data[pos[-g.j]][pos[-g.i]] - 1
         out[g] = m
     return out
 

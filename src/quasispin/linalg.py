@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q(sqrt 2).
+"""Exact dense linear algebra over Q.
 
 Matrices are small (desk scale, <= a few hundred rows).  There is one
 Gaussian elimination, `ExactMatrix.rref`, with the deterministic pivot
@@ -10,19 +10,23 @@ built on it:
 - `row_basis`, a span stored as the nonzero rows of an RREF.  That form
   is canonical: equal spans have equal rows, whatever order their
   vectors came in.
-`LinOp` holds sparse operators, columns given as {index: QuadScalar}
-dicts.
+`LinOp` holds sparse operators, columns given as {index: Fraction}
+dicts.  Both classes coerce every entry with `scalars.rat`, so a float
+or any other non-rational entry raises `TypeError`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, quad
+from .scalars import rat
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ExactMatrix:
-    """Dense matrix over Q(sqrt 2); arithmetic is exact everywhere."""
+    """Dense matrix over Q; arithmetic is exact everywhere."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -30,17 +34,17 @@ class ExactMatrix:
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[ZERO] * cols for _ in range(rows)]
+            self.data = [[_ZERO] * cols for _ in range(rows)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("inconsistent matrix dimensions")
-            self.data = [[quad(x) for x in row] for row in data]
+            self.data = [[rat(x) for x in row] for row in data]
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
         m = ExactMatrix(n, n)
         for i in range(n):
-            m.data[i][i] = ONE
+            m.data[i][i] = _ONE
         return m
 
     @staticmethod
@@ -93,7 +97,7 @@ class ExactMatrix:
                            [[-a for a in row] for row in self.data])
 
     def scale(self, c) -> "ExactMatrix":
-        c = quad(c)
+        c = rat(c)
         return ExactMatrix(self.rows, self.cols,
                            [[c * a for a in row] for row in self.data])
 
@@ -120,10 +124,10 @@ class ExactMatrix:
             raise ValueError(f"vector of length {len(vec)} for {self.cols} columns")
         out = []
         for row in self.data:
-            s = ZERO
+            s = _ZERO
             for x, v in zip(row, vec):
                 if x and v:
-                    s = s + x * quad(v)
+                    s = s + x * rat(v)
             out.append(s)
         return out
 
@@ -135,7 +139,7 @@ class ExactMatrix:
     def trace(self):
         if not self.is_square():
             raise ValueError("trace needs a square matrix")
-        s = ZERO
+        s = _ZERO
         for i in range(self.rows):
             s = s + self.data[i][i]
         return s
@@ -167,7 +171,7 @@ class ExactMatrix:
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            inv = m[r][c].inverse()
+            inv = 1 / m[r][c]
             prow = m[r] = [inv * x if x else x for x in m[r]]
             for i in range(self.rows):
                 if i != r and m[i][c]:
@@ -192,8 +196,8 @@ def rank_and_kernel(mat: ExactMatrix):
     free = [c for c in range(mat.cols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [ZERO] * mat.cols
-        v[fc] = ONE
+        v = [_ZERO] * mat.cols
+        v[fc] = _ONE
         for r, pc in enumerate(pivots):
             v[pc] = -red.data[r][fc]
         basis.append(v)
@@ -243,7 +247,7 @@ def characteristic_polynomial(mat: ExactMatrix):
     if not mat.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
     n = mat.rows
-    coeffs = [ONE]
+    coeffs = [_ONE]
     m = ExactMatrix(n, n)  # running M_k, starts at 0 so M_1 = A
     ident = ExactMatrix.identity(n)
     for k in range(1, n + 1):
@@ -255,12 +259,11 @@ def characteristic_polynomial(mat: ExactMatrix):
 
 # -- sparse vectors -------------------------------------------------
 
-def svec_add(u: dict, v: dict, c=None) -> dict:
-    """u + c*v for sparse vectors; c defaults to 1."""
+def svec_add(u: dict, v: dict) -> dict:
+    """u + v for sparse vectors."""
     out = dict(u)
     for k, x in v.items():
-        y = x if c is None else c * x
-        s = out.get(k, ZERO) + y
+        s = out.get(k, _ZERO) + x
         if s:
             out[k] = s
         else:
@@ -283,13 +286,13 @@ class LinOp:
         self.cols: dict = {}
         if cols:
             for c, col in cols.items():
-                col = {r: quad(x) for r, x in col.items() if quad(x)}
+                col = {r: y for r, x in col.items() if (y := rat(x))}
                 if col:
                     self.cols[c] = col
 
     @staticmethod
     def identity(dim: int) -> "LinOp":
-        return LinOp(dim, {c: {c: ONE} for c in range(dim)})
+        return LinOp(dim, {c: {c: _ONE} for c in range(dim)})
 
     def apply(self, vec: dict) -> dict:
         out: dict = {}
@@ -298,7 +301,7 @@ class LinOp:
             if not col or not x:
                 continue
             for r, y in col.items():
-                s = out.get(r, ZERO) + x * y
+                s = out.get(r, _ZERO) + x * y
                 if s:
                     out[r] = s
                 else:
@@ -336,7 +339,7 @@ class LinOp:
         return self.scale(-1)
 
     def scale(self, c) -> "LinOp":
-        c = quad(c)
+        c = rat(c)
         if not c:
             return LinOp(self.dim)
         return LinOp(self.dim, {k: {r: c * x for r, x in col.items()}
@@ -364,7 +367,7 @@ class LinOp:
         return self.dim == other.dim and (self - other).is_zero()
 
     def entry(self, r: int, c: int):
-        return self.cols.get(c, {}).get(r, ZERO)
+        return self.cols.get(c, {}).get(r, _ZERO)
 
     def is_diagonal(self) -> bool:
         return all(set(col) <= {c} for c, col in self.cols.items())

@@ -21,7 +21,6 @@ from .liealg import (GenIndex, Weight, canonical_generators,
                      defining_matrices, is_lowering, is_raising, root_of,
                      weyl_dimension)
 from .linalg import ExactMatrix, LinOp, rank_and_kernel, row_basis, solve
-from .scalars import ONE, ZERO, QuadScalar, quad
 from .uea import UEAElement, evaluate_in_representation, hat_set, pfaffian
 
 N_RANK = 2  # everything here is o_5
@@ -81,7 +80,7 @@ def tensor_power_representation(power: int) -> Representation:
                     continue
                 for r, x in src.items():
                     tgt = idx + (r - digits[slot]) * 5 ** slot
-                    s = col.get(tgt, ZERO) + x
+                    s = col.get(tgt, 0) + x
                     if s:
                         col[tgt] = s
                     else:
@@ -99,9 +98,9 @@ def fock_representation(j) -> Representation:
 
 
 class NonDiagonalCartan(Exception):
-    """Cartan generators are not simultaneously diagonal with rational
-    eigenvalues here: the source representation is broken (all supported
-    sources are weight-diagonal)."""
+    """A Cartan generator is not diagonal in the computational basis: the
+    source representation is broken (all supported sources are
+    weight-diagonal, with rational eigenvalues since every entry is)."""
 
 
 def weight_decompose(rep: Representation) -> dict:
@@ -114,14 +113,7 @@ def weight_decompose(rep: Representation) -> dict:
         cartans.append(op)
     buckets: dict = {}
     for k in range(rep.dim):
-        comps = []
-        for op in cartans:
-            ev = op.entry(k, k)
-            if not ev.is_rational():
-                raise NonDiagonalCartan(
-                    f"irrational Cartan eigenvalue {ev} on {rep.label}")
-            comps.append(-ev.a)  # F_{rr} = -F_{-r,-r}
-        w = Weight(comps)
+        w = Weight([-op.entry(k, k) for op in cartans])  # F_rr = -F_-r,-r
         buckets.setdefault(w, []).append(k)
     return buckets
 
@@ -146,6 +138,7 @@ class Irrep:
             self.weight_positions.setdefault(w, []).append(i)
         self.genmats: dict = {}
         self._pf_cache: dict = {}
+        self._slices = None  # filled by multiplicity_slices
 
     def __repr__(self):
         return f"<Irrep {self.highest_weight} dim {self.dim} from {self.source}>"
@@ -188,20 +181,19 @@ def extract_irreps(rep: Representation):
         # kernel of the stacked raising operators restricted to V_mu
         support = sorted({r for g in raising for c in members
                           for r in rep.genmap[g].cols.get(c, {})})
+        pos = {s: t for t, s in enumerate(support)}
         stacked = []
         for g in raising:
             op = rep.genmap[g]
-            pos = {s: t for t, s in enumerate(support)}
-            block = [[ZERO] * len(members) for _ in range(len(support))]
+            block = ExactMatrix(len(support), len(members))
             for ci, c in enumerate(members):
                 for r, x in op.cols.get(c, {}).items():
-                    block[pos[r]][ci] = x
-            stacked.extend(block)
+                    block.data[pos[r]][ci] = x
+            stacked.extend(block.data)
         if stacked:
             _, kernel = rank_and_kernel(ExactMatrix.from_rows(stacked))
         else:
-            kernel = [[ONE if t == s else ZERO for t in range(len(members))]
-                      for s in range(len(members))]
+            kernel = ExactMatrix.identity(len(members)).data
         for kv in kernel:
             lam = (mu.comps[0], mu.comps[1])
             if not (0 >= lam[0] >= lam[1]):
@@ -218,7 +210,7 @@ def extract_irreps(rep: Representation):
                     for v in blocks.get(nu - alpha, ()):
                         img = rep.genmap[g].apply(v)
                         if img:
-                            row = [ZERO] * len(pos)
+                            row = [Fraction(0)] * len(pos)
                             for k, x in img.items():
                                 row[pos[k]] = x
                             images.append(row)
@@ -271,7 +263,7 @@ def _fill_generator_matrices(rep: Representation, irreps):
 def _sparse_columns(vectors, support) -> ExactMatrix:
     """Matrix whose columns are sparse vectors, rows indexed by support."""
     return ExactMatrix(len(support), len(vectors),
-                       [[v.get(k, ZERO) for v in vectors] for k in support])
+                       [[v.get(k, 0) for v in vectors] for k in support])
 
 
 def _submatrix(m: ExactMatrix, rows, cols) -> ExactMatrix:
@@ -308,7 +300,12 @@ class MultiplicitySlice:
 
 
 def multiplicity_slices(irrep: Irrep):
-    """All nonempty V+_{T,N}, keyed by (T, N); includes the dim sum check."""
+    """All nonempty V+_{T,N}, keyed by (T, N); includes the dim sum check.
+
+    Computed on the first call and cached on the irrep.
+    """
+    if irrep._slices is not None:
+        return irrep._slices
     e = irrep.genmats[O3_RAISING]
     slices = {}
     covered = 0
@@ -323,7 +320,7 @@ def multiplicity_slices(irrep: Irrep):
             continue
         basis = []
         for kv in kernel:
-            v = [ZERO] * irrep.dim
+            v = [Fraction(0)] * irrep.dim
             for t, x in zip(cols, kv):
                 v[t] = x
             basis.append(v)
@@ -332,6 +329,7 @@ def multiplicity_slices(irrep: Irrep):
     if covered != irrep.dim:
         raise AssertionError(
             f"slice dimension bookkeeping off: {covered} != {irrep.dim}")
+    irrep._slices = slices
     return slices
 
 
@@ -425,6 +423,7 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
     e = irrep.genmats[O3_RAISING]
     f = irrep.genmats[O3_LOWERING]
     proj = ExactMatrix(d, d)
+    unit = ExactMatrix.identity(d).data
     singular = []
     checked = []
     for w in sorted(irrep.weight_positions, key=_weight_sort_key):
@@ -450,7 +449,7 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
         # series cross-check on this block: h = 2 F_{-1,-1}, rho(h) = 1,
         # f normalized to 2 F_{0,-1} so that [e, f] = h
         mu_h = -2 * w.comps[0]
-        block_vecs = [[ONE if i == c else ZERO for i in range(d)] for c in cols]
+        block_vecs = [unit[c] for c in cols]
         # e-powers of the block basis, up to nilpotency
         towers = []
         for v in block_vecs:
@@ -471,8 +470,8 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
                 term = tower[k]
                 for _ in range(k):
                     term = f.apply(term)
-                    term = [QuadScalar(2) * x for x in term]
-                acc = [a + quad(coeff) * t for a, t in zip(acc, term)]
+                    term = [2 * x for x in term]
+                acc = [a + coeff * t for a, t in zip(acc, term)]
             want = proj.apply(v)
             if acc != want:
                 agree = False
@@ -519,6 +518,13 @@ def omega_operator(irrep: Irrep) -> ExactMatrix:
     per weight gives [identity | Omega on V_nu]; a pivot in the Omega part
     means the images contradict each other.  Verified generator by
     generator at the end.  Maps every weight space V_lam onto V_{-lam}.
+
+    The normalisation refers to basis vectors, so Omega's scale depends on
+    the basis: conjugating the generator matrices by D = diag(t_nu) turns
+    Omega into (t_lam / t_{-lam}) D Omega D^-1.  On Fock irreps, built in
+    the rescaled basis of `fock` (t_nu = sqrt2^(nu_1 + nu_2)), the
+    coefficient of x^(d-i) in its characteristic polynomial is therefore
+    2^(i (lam1 + lam2)) times the one of the conventional basis.
     """
     d = irrep.dim
     lowering = [(g, root_of(g)) + omega_genindex(g)
@@ -528,7 +534,7 @@ def omega_operator(irrep: Irrep) -> ExactMatrix:
     if not low_positions or len(low_positions) != 1:
         raise AssertionError("lowest weight space is not a line")
     omega = ExactMatrix(d, d)
-    omega.data[low_positions[0]][0] = ONE
+    omega.data[low_positions[0]][0] = Fraction(1)
     positions = irrep.weight_positions
     for nu in sorted(positions, key=_weight_sort_key)[1:]:
         pos, mirror = positions[nu], positions.get(-nu, [])
@@ -607,9 +613,9 @@ def tps_scalar_probe(irrep: Irrep):
                 continue
             report["pf_sym_scalar"].append({
                 "T": T, "N": N, "measured": scal,
-                "matches_F11_eigenvalue": scal == quad(T),
-                "D1_prediction": quad(T + Fraction(1, 2)),
-                "matches_D1": scal == quad(T + Fraction(1, 2)),
+                "matches_F11_eigenvalue": scal == T,
+                "D1_prediction": T + Fraction(1, 2),
+                "matches_D1": scal == T + Fraction(1, 2),
             })
             x = m_pf2.apply(v)
             y = m_f20.apply(v)
@@ -623,7 +629,7 @@ def tps_scalar_probe(irrep: Irrep):
     # measured fit: every sample so far satisfies c(T) = 1 - T
     rows = report["c_constant"]
     report["c_fits_one_minus_T"] = bool(rows) and all(
-        r["c"] == quad(1 - r["T"]) for r in rows)
+        r["c"] == 1 - r["T"] for r in rows)
     return report
 
 
@@ -646,5 +652,5 @@ def _ratio(x, y):
         elif c != r:
             return None
     if c is None:
-        c = ZERO if all(not a for a in x) else None
+        c = Fraction(0) if all(not a for a in x) else None
     return c

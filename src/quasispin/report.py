@@ -4,9 +4,11 @@ JSON schema: reports are {"schema_version": 1, "suite": ..., "checks":
 [{"id", "status", "witness"?, "wall_time"?}]} with status one of
 pass|fail|anomaly, and every failed check carrying a nonempty witness.
 Classification tables are {"weight": [lam1, lam2], "states": [{T, tau0,
-N, k, case, sigma, slice_dim}]}.  Rationals travel as "p/q" strings,
-Q(sqrt2) scalars as {"a": "p/q", "b": "r/s"}; CSV is the flattened
-table with the same headers.
+N, k, case, sigma, slice_dim}]}.  Rationals travel as "p/q" strings;
+CSV is the flattened table with the same headers.  The Fock generator
+export (`genmap_to_json`) is the one place with irrational numbers: it
+writes the conventional entries c * sqrt2^k as {"a": "p/q", "b": "r/s"}
+meaning a + b sqrt2.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import io
 import json
 from fractions import Fraction
 
+from .fock import rescale_exponent
 from .linalg import ExactMatrix
-from .scalars import (QuadScalar, format_quad, format_rational,
-                      parse_rational)
+from .scalars import format_rational, parse_rational
 
 SCHEMA_VERSION = 1
 
@@ -102,13 +104,12 @@ def _short(x, limit=200):
 
 def serialize_value(x):
     """Recursively map values into the wire format."""
-    if isinstance(x, QuadScalar):
-        return format_quad(x)
     if isinstance(x, Fraction):
         return format_rational(x)
     if isinstance(x, ExactMatrix):
         return {"rows": x.rows, "cols": x.cols,
-                "entries": [[format_quad(v) for v in row] for row in x.data]}
+                "entries": [[format_rational(v) for v in row]
+                            for row in x.data]}
     if isinstance(x, dict):
         return {str(k): serialize_value(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -167,12 +168,25 @@ def parse_table(payload) -> dict:
     return payload
 
 
+def format_sqrt2_power(c: Fraction, k: int) -> dict:
+    """c * sqrt2^k in the wire form {"a", "b"} of a + b sqrt2."""
+    if not c:
+        return {"a": "0", "b": "0"}  # most export entries; skip the power
+    x = format_rational(c * Fraction(2) ** (k // 2))
+    return {"a": "0", "b": x} if k % 2 else {"a": x, "b": "0"}
+
+
 def genmap_to_json(genmap: dict) -> dict:
-    """Generator map as the artifact's JSON matrix format."""
+    """Fock generator map, rescaled basis (see `fock`), as the artifact's
+    JSON matrices of the conventional generators: entry v of F_g is
+    written as v * sqrt2^-s(g)."""
     out = {}
     for g, op in genmap.items():
-        m = op.to_matrix() if hasattr(op, "to_matrix") else op
-        out[f"F[{g.i},{g.j}]"] = serialize_value(m)
+        k = -rescale_exponent(g)
+        out[f"F[{g.i},{g.j}]"] = {
+            "rows": op.dim, "cols": op.dim,
+            "entries": [[format_sqrt2_power(v, k) for v in row]
+                        for row in op.to_matrix().data]}
     return out
 
 

@@ -1,8 +1,10 @@
-"""Exact scalars: rationals and the quadratic field Q(sqrt 2).
+"""Exact scalars: every number in this package is a ``fractions.Fraction``.
 
-Every number in this package is either a ``fractions.Fraction`` or a
-``QuadScalar`` a + b*sqrt(2) with Fraction components.  Nothing is ever
-rounded; equality always means exact equality.
+The quasi-spin dictionary carries factors 1/sqrt 2, but the Fock
+realization is used in a rescaled basis where all of them cancel (see
+``fock``), so every matrix entry is rational.  Nothing is ever rounded;
+equality always means exact equality.  ``rat`` is the single coercion
+point and refuses floats.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 Rational = Fraction
-
-_SQRT2_STR = "√2"
 
 
 def rat(x) -> Fraction:
@@ -25,156 +25,9 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-class QuadScalar:
-    """An element a + b*sqrt(2) of Q(sqrt 2), exact field arithmetic."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", rat(a))
-        object.__setattr__(self, "b", rat(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadScalar is immutable")
-
-    # -- predicates -------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.a and not self.b
-
-    def is_rational(self) -> bool:
-        return not self.b
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    # -- ring/field operations ---------------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, QuadScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadScalar(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadScalar(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadScalar(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadScalar(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + b r)(c + d r) = ac + 2bd + (ad + bc) r,  r^2 = 2
-        return QuadScalar(self.a * o.a + 2 * self.b * o.b,
-                          self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "QuadScalar":
-        return QuadScalar(self.a, -self.b)
-
-    def inverse(self) -> "QuadScalar":
-        # 1/(a+br) = (a-br)/(a^2 - 2 b^2); the norm vanishes only at 0
-        # because sqrt(2) is irrational.
-        n = self.a * self.a - 2 * self.b * self.b
-        if not n:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
-        return QuadScalar(self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- comparison / hashing ----------------------------------------
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __repr__(self):
-        if not self.b:
-            return str(self.a)
-        if not self.a:
-            return f"{self.b}{_SQRT2_STR}" if self.b != 1 else _SQRT2_STR
-        sign = "+" if self.b > 0 else "-"
-        babs = abs(self.b)
-        bpart = _SQRT2_STR if babs == 1 else f"{babs}{_SQRT2_STR}"
-        return f"{self.a}{sign}{bpart}"
-
-
-ZERO = QuadScalar(0)
-ONE = QuadScalar(1)
-SQRT2 = QuadScalar(0, 1)
-INV_SQRT2 = QuadScalar(0, Fraction(1, 2))  # 1/sqrt(2) = sqrt(2)/2
-
-
-def quad(x) -> QuadScalar:
-    """Coerce an int, Fraction, or QuadScalar to QuadScalar."""
-    if isinstance(x, QuadScalar):
-        return x
-    return QuadScalar(rat(x))
-
-
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def parse_rational(s: str) -> Fraction:
     return Fraction(s)
-
-
-def format_quad(x: QuadScalar) -> dict:
-    """Serialize to the wire form {"a": "p/q", "b": "r/s"}."""
-    return {"a": format_rational(x.a), "b": format_rational(x.b)}
-
-
-def parse_quad(d: dict) -> QuadScalar:
-    return QuadScalar(parse_rational(d["a"]), parse_rational(d["b"]))

@@ -31,7 +31,7 @@ from .linalg import (ExactMatrix, characteristic_polynomial, rank,
                      rank_and_kernel, row_basis, solve)
 from .replab import (Irrep, multiplicity_slices, omega_operator,
                      pf_slice_maps, theta_transport, _restrict_to_slices)
-from .scalars import ONE, ZERO, quad, rat
+from .scalars import rat
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def predicted_slice_matrix(lam1, lam2, T, N, convention: str) -> ModelMatrix:
     for j, p in enumerate(pts):
         if sigma == 0:
             if p in tpos:
-                m.data[tpos[p]][j] = ONE
+                m.data[tpos[p]][j] = Fraction(1)
             continue
         g1, g2 = gammas(p[0], p[1], convention)
         if g1 * g1 == g2 * g2:
@@ -240,9 +240,9 @@ def predicted_slice_matrix(lam1, lam2, T, N, convention: str) -> ModelMatrix:
         up1 = (p[0] + 1, p[1])
         up2 = (p[0], p[1] + 1)
         if up1 in tpos:
-            m.data[tpos[up1]][j] = quad(c1)
+            m.data[tpos[up1]][j] = c1
         if up2 in tpos:
-            m.data[tpos[up2]][j] = quad(c2)
+            m.data[tpos[up2]][j] = c2
     return ModelMatrix(None if singular else m, pts, tpts, sigma, singular)
 
 
@@ -260,7 +260,7 @@ class Flag:
     def __init__(self, dim: int, levels=None):
         self.dim = dim
         if levels is None:
-            levels = [_identity_levels(dim)] if dim else [[]]
+            levels = [ExactMatrix.identity(dim).data]
         self.levels = levels
         self._strip()
 
@@ -288,13 +288,9 @@ class Flag:
                      ExactMatrix.from_columns(vectors, self.dim)) is not None
 
 
-def _identity_levels(dim):
-    return [[ONE if i == t else ZERO for i in range(dim)] for t in range(dim)]
-
-
 def _push_flag(flag: Flag, matrix: ExactMatrix, target_dim: int) -> Flag:
     """Image flag: levels'[0] = full target, levels'[m+1] = M(levels[m])."""
-    return Flag(target_dim, [_identity_levels(target_dim)]
+    return Flag(target_dim, [ExactMatrix.identity(target_dim).data]
                 + _map_flag(flag, matrix, target_dim).levels)
 
 
@@ -524,7 +520,7 @@ def structural_slice_matrix(lam1, lam2, T, N) -> ModelMatrix:
         targets = [p] if sigma == 0 else [(p[0] + 1, p[1]), (p[0], p[1] + 1)]
         for q in targets:
             if q in tpos:
-                m.data[tpos[q]][j] = ONE
+                m.data[tpos[q]][j] = Fraction(1)
     return ModelMatrix(m, pts, tpts, sigma, [])
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from quasispin import replab
 from quasispin.cli import main, suite_identities
+from quasispin.tableaux import ClassificationError
 
 
 def run(argv):
@@ -70,3 +72,21 @@ def test_fock_build_writes_genmap(tmp_path, capsys):
     assert run(["fock", "build", "--j", "1/2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert "F[0,-1]" in payload and payload["F[0,-1]"]["rows"] == 16
+
+
+@pytest.mark.parametrize("error", [AssertionError, ClassificationError,
+                                   replab.NonDiagonalCartan])
+def test_internal_error_is_a_failed_check(monkeypatch, tmp_path, capsys,
+                                          error):
+    def broken(rep):
+        raise error("dimensions do not add up")
+
+    monkeypatch.setattr(replab, "extract_irreps", broken)
+    out = tmp_path / "report.json"
+    assert run(["repr", "analyze", "--source", "defining-power",
+                "--power", "1", "--out", str(out)]) == 1
+    assert "FAIL    repr/internal-error" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["checks"] == [{
+        "id": "repr/internal-error", "status": "fail",
+        "witness": {"error": f"{error.__name__}: dimensions do not add up"}}]

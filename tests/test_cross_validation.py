@@ -12,7 +12,6 @@ from quasispin.replab import (extract_irreps, fock_representation,
 from quasispin.tableaux import assign_k, validate_against_representation
 from quasispin.uea import capelli
 from quasispin.linalg import characteristic_polynomial
-from quasispin.scalars import ZERO
 
 F = Fraction
 
@@ -68,7 +67,7 @@ def test_capelli_scalars_match_across_sources():
         for irr in (a, b):
             m = irr.matrix_of(ck)
             diag = m.data[0][0]
-            off_ok = all(m.data[i][j] == (diag if i == j else ZERO)
+            off_ok = all(m.data[i][j] == (diag if i == j else 0)
                          for i in range(irr.dim) for j in range(irr.dim))
             assert off_ok, f"C_{k} not scalar on {irr}"
             scalars.append(diag)

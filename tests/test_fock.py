@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from quasispin.fock import (FockSpace, build_o5_on_fock, dictionary_to_o5,
-                            quasispin_operators, verify_representation)
-from quasispin.liealg import GenIndex
+from quasispin.fock import (DICTIONARY, FockSpace, build_o5_on_fock,
+                            dictionary_to_o5, quasispin_operators,
+                            verify_representation)
+from quasispin.liealg import GenIndex, root_of
 from quasispin.linalg import LinOp
-from quasispin.scalars import quad
 from quasispin.uea import hat_set, pf_hat_star_expression, pfaffian
 
 HALF = Fraction(1, 2)
@@ -55,7 +55,7 @@ def test_j_cap():
 def test_number_operator_on_vacuum():
     sp = FockSpace(HALF)
     ops = quasispin_operators(sp)
-    assert ops["N"].apply(sp.vacuum()) == {0: quad(-1)}
+    assert ops["N"].apply(sp.vacuum()) == {0: -1}
 
 
 def test_a1_single_term():
@@ -70,7 +70,7 @@ def test_tau0_on_one_proton():
     ops = quasispin_operators(sp)
     onep = sp.adag("p", HALF).apply(sp.vacuum())
     got = ops["tau0"].apply(onep)
-    assert got == {k: quad(HALF) * v for k, v in onep.items()}
+    assert got == {k: HALF * v for k, v in onep.items()}
 
 
 def test_dictionary_entries():
@@ -79,8 +79,26 @@ def test_dictionary_entries():
     genmap = dictionary_to_o5(ops)
     assert genmap[GenIndex(-2, -2, 2)] == ops["N"].scale(-1)
     assert genmap[GenIndex(-1, -1, 2)] == ops["tau0"].scale(-1)
-    # F_{2,-1} = -F_{1,-2} = A(1) after the sign correction
-    assert genmap[GenIndex(1, -2, 2)] == ops["A(1)"].scale(-1)
+    # F_{2,-1} = -F_{1,-2} = A(1) after the sign correction: the table
+    # holds the conventional -1 * sqrt2^0 * A(1), and the rescaled basis
+    # multiplies it by sqrt2^2 (root e_1 + e_2)
+    assert DICTIONARY[(1, -2)] == ("A(1)", -1, 0)
+    assert genmap[GenIndex(1, -2, 2)] == ops["A(1)"].scale(-2)
+
+
+def test_rescaled_generators_are_rational_weight_vectors():
+    from quasispin.replab import fock_representation, weight_decompose
+    for j in (HALF, Fraction(3, 2)):
+        rep = fock_representation(j)
+        weight = {k: w for w, ks in weight_decompose(rep).items() for k in ks}
+        nonzero = 0
+        for g, op in rep.genmap.items():
+            for c, col in op.cols.items():
+                for r, x in col.items():
+                    assert type(x) is Fraction
+                    assert weight[r] - weight[c] == root_of(g), (g, r, c)
+                    nonzero += 1
+        assert nonzero == {HALF: 68, Fraction(3, 2): 1908}[j]
 
 
 def test_b_operators_are_adjoints():

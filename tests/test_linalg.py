@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from quasispin.linalg import (ExactMatrix, LinOp, characteristic_polynomial,
                               rank, rank_and_kernel, row_basis, solve)
-from quasispin.scalars import ONE, SQRT2, ZERO, QuadScalar, quad
 
-# small entries of Q(sqrt 2), zero-heavy so that singular matrices and
+# small rational entries, zero-heavy so that singular matrices and
 # consistent systems with free variables come up often
-coeffs = st.sampled_from([0, 0, 0, 1, -1, 2])
-entries = st.builds(QuadScalar, coeffs, coeffs)
+entries = st.builds(Fraction, st.sampled_from([0, 0, 0, 1, -1, 2]),
+                    st.sampled_from([1, 1, 2, 3]))
 
 
 def matrices(rows, cols):
@@ -31,7 +30,11 @@ def systems(draw):
 
 
 def mat(rows):
-    return ExactMatrix.from_rows([[quad(x) for x in r] for r in rows])
+    return ExactMatrix.from_rows(rows)
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
 
 
 def mat_apply_zero(m, vecs):
@@ -49,14 +52,8 @@ def test_rank_kernel_proportional_rows():
     assert r == 1 and len(k) == 1
     # kernel spans (-2, 1)
     v = k[0]
-    assert v[0] * quad(1) + v[1] * quad(2) == ZERO
+    assert v[0] * 1 + v[1] * 2 == 0
     assert mat_apply_zero(m, k)
-
-
-def test_rank_kernel_sqrt2_row():
-    m = ExactMatrix(2, 2, [[SQRT2, quad(2)], [ONE, SQRT2]])
-    r, _ = rank_and_kernel(m)
-    assert r == 1  # second row is the first divided by sqrt 2
 
 
 def test_rank_nullity_sums():
@@ -65,7 +62,7 @@ def test_rank_nullity_sums():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = ExactMatrix(rows, cols,
-                        [[quad(Fraction(rng.randint(-3, 3)))
+                        [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                           for _ in range(cols)] for _ in range(rows)])
         r, k = rank_and_kernel(m)
         assert r + len(k) == cols
@@ -73,12 +70,9 @@ def test_rank_nullity_sums():
 
 
 def test_charpoly_examples():
-    assert characteristic_polynomial(ExactMatrix.identity(2)) == \
-        [ONE, quad(-2), ONE]
-    assert characteristic_polynomial(mat([[3, 0], [0, 5]])) == \
-        [ONE, quad(-8), quad(15)]
-    assert characteristic_polynomial(mat([[0, 1], [2, 0]])) == \
-        [ONE, ZERO, quad(-2)]
+    assert characteristic_polynomial(ExactMatrix.identity(2)) == [1, -2, 1]
+    assert characteristic_polynomial(mat([[3, 0], [0, 5]])) == [1, -8, 15]
+    assert characteristic_polynomial(mat([[0, 1], [2, 0]])) == [1, 0, -2]
 
 
 def test_charpoly_rejects_nonsquare():
@@ -90,10 +84,10 @@ def test_charpoly_similarity_invariant():
     rng = random.Random(3)
     for _ in range(10):
         n = rng.randint(2, 4)
-        m = ExactMatrix(n, n, [[quad(rng.randint(-2, 2)) for _ in range(n)]
+        m = ExactMatrix(n, n, [[rng.randint(-2, 2) for _ in range(n)]
                                for _ in range(n)])
         while True:
-            p = ExactMatrix(n, n, [[quad(rng.randint(-2, 2)) for _ in range(n)]
+            p = ExactMatrix(n, n, [[rng.randint(-2, 2) for _ in range(n)]
                                    for _ in range(n)])
             if rank_and_kernel(p)[0] == n:
                 break
@@ -148,8 +142,8 @@ def test_row_basis_independent_of_order(case):
 
 def test_row_basis_fully_reduced():
     # inserting (0,1) before (1,5) must still reduce (1,5) to (1,0)
-    for order in ([[ZERO, ONE], [ONE, quad(5)]], [[ONE, quad(5)], [ZERO, ONE]]):
-        assert row_basis(order, 2) == [[ONE, ZERO], [ZERO, ONE]]
+    for order in ([[0, 1], [1, 5]], [[1, 5], [0, 1]]):
+        assert row_basis(order, 2) == [[1, 0], [0, 1]]
 
 
 def test_span_as_rref_rows():
@@ -171,10 +165,35 @@ def test_coordinates_by_solve():
 
 
 def test_linop_roundtrip_and_products():
-    a = LinOp(3, {0: {1: ONE}, 1: {2: quad(2)}})
-    b = LinOp(3, {0: {0: quad(3)}})
-    assert (a @ b).cols == {0: {1: quad(3)}}
-    assert a.transpose().cols == {1: {0: ONE}, 2: {1: quad(2)}}
+    a = LinOp(3, {0: {1: 1}, 1: {2: 2}})
+    b = LinOp(3, {0: {0: 3}})
+    assert (a @ b).cols == {0: {1: 3}}
+    assert a.transpose().cols == {1: {0: 1}, 2: {1: 2}}
     m = a.to_matrix()
-    assert m.data[1][0] == ONE and m.data[2][1] == quad(2)
+    assert m.data[1][0] == 1 and m.data[2][1] == 2
     assert (a - a).is_zero()
+
+
+def test_float_entries_rejected():
+    with pytest.raises(TypeError):
+        ExactMatrix(1, 2, [[1, 0.5]])
+    with pytest.raises(TypeError):
+        ExactMatrix.identity(2).scale(0.5)
+    with pytest.raises(TypeError):
+        LinOp(2, {0: {1: 0.5}})
+    with pytest.raises(TypeError):
+        LinOp.identity(2).scale(0.5)
+
+
+def test_integer_input_gives_fractions():
+    # int / int would be a float; every result entry must stay a Fraction
+    m = ExactMatrix.from_rows([[2, 3, 1], [4, 1, 5], [6, 4, 6]])
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    red, _ = m.rref()
+    assert all_fractions(red.data)
+    r, kernel = rank_and_kernel(m)
+    assert r == 2 and all_fractions(kernel)
+    x = solve(m, ExactMatrix.from_rows([[1], [3], [4]]))
+    assert x is not None and all_fractions(x.data)
+    assert all_fractions([characteristic_polynomial(m)])
+    assert all_fractions(row_basis([[3, 1, 2], [1, 1, 1]], 3))

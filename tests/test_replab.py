@@ -12,7 +12,6 @@ from quasispin.replab import (O3_LOWERING, O3_RAISING,
                               pf_slice_maps, tensor_power_representation,
                               theta_transport, tps_scalar_probe,
                               trivial_representation, weight_decompose)
-from quasispin.scalars import quad
 
 HALF = Fraction(1, 2)
 
@@ -71,7 +70,7 @@ def test_irrep_weight_blocks_are_rref():
         for irr in extract_irreps(rep):
             for w, positions in irr.weight_positions.items():
                 support = sorted({k for p in positions for k in irr.basis[p]})
-                rows = [[irr.basis[p].get(k, quad(0)) for k in support]
+                rows = [[irr.basis[p].get(k, 0) for k in support]
                         for p in positions]
                 red, pivots = ExactMatrix.from_rows(rows).rref()
                 assert len(pivots) == len(rows)
@@ -116,6 +115,20 @@ def test_slices_of_adjoint():
                    ("0", "0"): 1}
     # bookkeeping: 3 * 3 + 1 = 10
     assert irr.dim == 10
+
+
+def test_slices_computed_once(monkeypatch):
+    irr = max(extract_irreps(tensor_power_representation(2)),
+              key=lambda i: i.dim)
+    calls = []
+    rref = ExactMatrix.rref
+    monkeypatch.setattr(ExactMatrix, "rref",
+                        lambda self: calls.append(1) or rref(self))
+    first = multiplicity_slices(irr)
+    assert calls  # the first call eliminates
+    del calls[:]
+    assert multiplicity_slices(irr) is first
+    assert calls == []
 
 
 def test_pf_slice_maps_zero_into_missing_slice():
@@ -165,7 +178,7 @@ def test_projector_on_highest_and_lowest_triplet_vectors():
 def test_omega_trivial_rep():
     irr = extract_irreps(trivial_representation())[0]
     om = omega_operator(irr)
-    assert om.data[0][0] == quad(1)
+    assert om.data[0][0] == 1
 
 
 def test_omega_defining_structure():
@@ -217,7 +230,7 @@ def test_tps_probe_values():
     assert rows and all(r["matches_F11_eigenvalue"] for r in rows)
     assert all(not r["matches_D1"] for r in rows)
     t_minus1 = [r for r in rows if r["T"] == Fraction(-1)]
-    assert t_minus1 and t_minus1[0]["measured"] == quad(-1)
+    assert t_minus1 and t_minus1[0]["measured"] == -1
 
 
 def test_projected_pfaffian_scalar_fits_one_minus_T():
@@ -239,7 +252,7 @@ def test_nondiagonal_cartan_rejected():
     rep = defining_representation()
     broken = dict(rep.genmap)
     cart = GenIndex(-1, -1, 2)
-    op = LinOp(5, {0: {1: quad(1)}})
+    op = LinOp(5, {0: {1: 1}})
     broken[cart] = op
     with pytest.raises(NonDiagonalCartan):
         weight_decompose(Representation("broken", 5, broken))

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from quasispin.linalg import ExactMatrix
 from quasispin.report import (ANOMALY, FAIL, PASS, Check, VerificationReport,
-                              classification_table, genmap_to_json,
-                              parse_report, parse_table, serialize_value,
-                              table_to_csv, write_output)
-from quasispin.scalars import QuadScalar
+                              classification_table, format_sqrt2_power,
+                              genmap_to_json, parse_report, parse_table,
+                              serialize_value, table_to_csv, write_output)
 from quasispin.tableaux import ClassifiedState
 
 
@@ -43,8 +43,21 @@ def test_exit_code_contract():
 
 def test_rational_serialization():
     assert serialize_value(Fraction(-1, 2)) == "-1/2"
-    assert serialize_value(QuadScalar(Fraction(1, 3), Fraction(-2, 5))) == \
-        {"a": "1/3", "b": "-2/5"}
+    assert serialize_value(ExactMatrix.from_rows([[Fraction(1, 3), 2]])) == \
+        {"rows": 1, "cols": 2, "entries": [["1/3", "2"]]}
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+       st.integers(-7, 7))
+def test_sqrt2_power_wire_form(c, k):
+    w = format_sqrt2_power(c, k)
+    a, b = Fraction(w["a"]), Fraction(w["b"])
+    # a + b sqrt2 = c sqrt2^k: one part is zero, and squaring both sides
+    # (a^2 + 2 b^2 = c^2 2^k) with matching signs pins the other
+    assert a * b == 0
+    assert a * a + 2 * b * b == c * c * Fraction(2) ** k
+    assert (a + b > 0) == (c > 0) and (a + b < 0) == (c < 0)
+    assert (b != 0) == (c != 0 and k % 2 == 1)
 
 
 def test_table_serialization_and_roundtrip():
@@ -91,3 +104,8 @@ def test_genmap_export():
     entry = payload["F[-2,-2]"]
     assert entry["rows"] == entry["cols"] == 16
     assert entry["entries"][0][0] == {"a": "1", "b": "0"}  # -N on vacuum
+    # tau+ / sqrt2: the conventional entries are +-1/sqrt2 = +-sqrt2/2
+    tau = {json.dumps(v, sort_keys=True)
+           for row in payload["F[0,-1]"]["entries"] for v in row}
+    assert tau == {'{"a": "0", "b": "0"}', '{"a": "0", "b": "1/2"}',
+                   '{"a": "0", "b": "-1/2"}'}

@@ -44,7 +44,6 @@ def test_fock_five_halves_builds():
     from fractions import Fraction
     from quasispin.fock import FockSpace, quasispin_operators
     from quasispin.linalg import LinOp
-    from quasispin.scalars import quad
 
     sp = FockSpace(Fraction(5, 2))
     assert sp.dim == 4096
@@ -54,4 +53,4 @@ def test_fock_five_halves_builds():
     pair = sp.a("n", Fraction(1, 2)).anticommutator(sp.adag("n", Fraction(1, 2)))
     assert pair == LinOp.identity(sp.dim)
     ops = quasispin_operators(sp)
-    assert ops["N"].apply(sp.vacuum()) == {0: quad(-3)}
+    assert ops["N"].apply(sp.vacuum()) == {0: -3}
