@@ -27,7 +27,7 @@ from . import fock, replab, tableaux
 from .liealg import (canonical_generators, defining_matrices, index_range,
                      o3_subalgebra_generators, weyl_dimension, Weight)
 from .report import (VerificationReport, classification_table,
-                     format_sqrt2_power, genmap_to_json, serialize_value,
+                     format_sqrt2_power, serialize_value, write_genmap,
                      write_output)
 from .uea import (CheckResult, IndexSet, UEAElement, capelli,
                   check_corollary_split, check_lemma_l2, check_minorn,
@@ -508,13 +508,14 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    payload = None
+    if args.format == "csv" and args.command != "classify":
+        parser.error("--format csv is only for classify tables")
+    genmap = table = None
     try:
         if args.command == "verify":
             report = suite_identities(args.n, slow=args.slow, seed=args.seed)
         elif args.command == "fock":
             report, genmap = suite_fock(args.j)
-            payload = genmap_to_json(genmap) if args.out else None
         elif args.command == "repr":
             if args.source == "fock" and args.j is None:
                 parser.error("--source fock needs --j")
@@ -524,7 +525,6 @@ def main(argv=None) -> int:
                                                 power=args.power))
         elif args.command == "classify":
             report, table = suite_classify(*args.weight)
-            payload = table
         elif args.command == "probe":
             report = suite_probe()
         else:  # pragma: no cover
@@ -538,12 +538,22 @@ def main(argv=None) -> int:
         report = VerificationReport(args.command)
         report.add(f"{args.command}/internal-error", False,
                    {"error": f"{type(ex).__name__}: {ex}"})
-        payload = None
     for line in report.summary_lines():
         print(line)
-    if args.out:
-        write_output(args.out, payload if payload is not None
-                     else report.to_json(), args.format)
+    if args.out and args.format == "csv" and table is None:
+        print("error: no classification table to write as csv",
+              file=sys.stderr)
+    elif args.out:
+        try:
+            if genmap is not None:
+                write_genmap(args.out, genmap)
+            else:
+                write_output(args.out, table if table is not None
+                             else report.to_json(), args.format)
+        except OSError as ex:
+            print(f"error: cannot write {args.out}: {ex.strerror or ex}",
+                  file=sys.stderr)
+            return 2
         print(f"wrote {args.out}")
     return report.exit_code()
 

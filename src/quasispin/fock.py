@@ -23,7 +23,7 @@ root_of(g), so conjugation multiplies F_g by sqrt2^s(g) with
 s(g) = alpha_1 + alpha_2 for alpha = root_of(g), and every generator
 becomes rational: c * 2^((k + s(g))/2) times its operator.  Brackets,
 ranks and every other basis-independent output are unchanged;
-`report.genmap_to_json` undoes the scale to export the conventional
+`report.write_genmap` undoes the scale to export the conventional
 matrices.
 """
 

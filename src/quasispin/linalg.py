@@ -371,10 +371,3 @@ class LinOp:
 
     def is_diagonal(self) -> bool:
         return all(set(col) <= {c} for c, col in self.cols.items())
-
-    def to_matrix(self) -> ExactMatrix:
-        m = ExactMatrix(self.dim, self.dim)
-        for c, col in self.cols.items():
-            for r, x in col.items():
-                m.data[r][c] = x
-        return m

@@ -6,9 +6,11 @@ pass|fail|anomaly, and every failed check carrying a nonempty witness.
 Classification tables are {"weight": [lam1, lam2], "states": [{T, tau0,
 N, k, case, sigma, slice_dim}]}.  Rationals travel as "p/q" strings;
 CSV is the flattened table with the same headers.  The Fock generator
-export (`genmap_to_json`) is the one place with irrational numbers: it
+export (`write_genmap`) is the one place with irrational numbers: it
 writes the conventional entries c * sqrt2^k as {"a": "p/q", "b": "r/s"}
-meaning a + b sqrt2.
+meaning a + b sqrt2, one dense matrix per generator, streamed from the
+sparse operators row by row in the layout of
+json.dumps(indent=2, sort_keys=True).
 """
 
 from __future__ import annotations
@@ -170,24 +172,47 @@ def parse_table(payload) -> dict:
 
 def format_sqrt2_power(c: Fraction, k: int) -> dict:
     """c * sqrt2^k in the wire form {"a", "b"} of a + b sqrt2."""
-    if not c:
-        return {"a": "0", "b": "0"}  # most export entries; skip the power
     x = format_rational(c * Fraction(2) ** (k // 2))
     return {"a": "0", "b": x} if k % 2 else {"a": x, "b": "0"}
 
 
-def genmap_to_json(genmap: dict) -> dict:
-    """Fock generator map, rescaled basis (see `fock`), as the artifact's
+def _entry_text(c: Fraction, k: int) -> str:
+    w = format_sqrt2_power(c, k)
+    return (f'        {{\n          "a": {json.dumps(w["a"])},\n'
+            f'          "b": {json.dumps(w["b"])}\n        }}')
+
+
+def write_genmap(path, genmap: dict) -> None:
+    """Write the Fock generator map, rescaled basis (see `fock`), as the
     JSON matrices of the conventional generators: entry v of F_g is
-    written as v * sqrt2^-s(g)."""
-    out = {}
-    for g, op in genmap.items():
-        k = -rescale_exponent(g)
-        out[f"F[{g.i},{g.j}]"] = {
-            "rows": op.dim, "cols": op.dim,
-            "entries": [[format_sqrt2_power(v, k) for v in row]
-                        for row in op.to_matrix().data]}
-    return out
+    written as v * sqrt2^-s(g).
+
+    The file is byte for byte json.dumps(payload, indent=2,
+    sort_keys=True) of the dense payload {"F[i,j]": {"cols", "entries",
+    "rows"}}, but written one row at a time from the sparse columns:
+    only nonzero entries are formatted, and no dense matrix or whole-file
+    string is built.
+    """
+    names = sorted((f"F[{g.i},{g.j}]", g) for g in genmap)
+    zero = _entry_text(Fraction(0), 0)
+    with open(path, "w") as fh:
+        fh.write("{")
+        for n, (name, g) in enumerate(names):
+            op, k = genmap[g], -rescale_exponent(g)
+            rows: dict = {}
+            for c, col in op.cols.items():
+                for r, v in col.items():
+                    rows.setdefault(r, {})[c] = _entry_text(v, k)
+            fh.write(f'{"," if n else ""}\n  {json.dumps(name)}: {{\n'
+                     f'    "cols": {op.dim},\n    "entries": [')
+            for r in range(op.dim):
+                cells = [zero] * op.dim
+                for c, text in rows.pop(r, {}).items():
+                    cells[c] = text
+                fh.write(f'{"," if r else ""}\n      [\n'
+                         + ",\n".join(cells) + "\n      ]")
+            fh.write(f'\n    ],\n    "rows": {op.dim}\n  }}')
+        fh.write("\n}")
 
 
 def write_output(path, payload, fmt: str):

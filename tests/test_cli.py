@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quasispin import replab
+from quasispin import cli, replab
 from quasispin.cli import main, suite_identities
 from quasispin.tableaux import ClassificationError
 
@@ -33,6 +33,34 @@ def test_classify_csv(tmp_path):
     assert run(["classify", "--weight", "0,0", "--out", str(out),
                 "--format", "csv"]) == 0
     assert out.read_text().splitlines()[0] == "T,tau0,N,k,slice_dim,case,sigma"
+
+
+def test_csv_for_a_report_is_usage_error(monkeypatch, tmp_path):
+    def never(*args, **kwargs):
+        raise AssertionError("the suite ran before the usage check")
+
+    monkeypatch.setattr(cli, "suite_identities", never)
+    monkeypatch.setattr(cli, "suite_fock", never)
+    for argv in (["verify", "identities", "--n", "1"],
+                 ["fock", "build", "--j", "1/2"]):
+        with pytest.raises(SystemExit) as ex:
+            run(argv + ["--out", str(tmp_path / "x.csv"), "--format", "csv"])
+        assert ex.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_csv_without_a_table_is_an_error(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run(["classify", "--weight=-4,-4", "--out", str(out),
+                "--format", "csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_unwritable_out_is_an_error(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "t.json"
+    assert run(["classify", "--weight", "0,-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 def test_classify_unrealizable_weight_fails(capsys):

@@ -1,14 +1,16 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from quasispin.fock import build_o5_on_fock, rescale_exponent
 from quasispin.linalg import ExactMatrix
 from quasispin.report import (ANOMALY, FAIL, PASS, Check, VerificationReport,
                               classification_table, format_sqrt2_power,
-                              genmap_to_json, parse_report, parse_table,
-                              serialize_value, table_to_csv, write_output)
+                              parse_report, parse_table, serialize_value,
+                              table_to_csv, write_genmap, write_output)
 from quasispin.tableaux import ClassifiedState
 
 
@@ -96,10 +98,10 @@ def test_write_output_json_and_csv(tmp_path):
         write_output(str(p), table, "xml")
 
 
-def test_genmap_export():
-    from quasispin.fock import build_o5_on_fock
-    _, _, genmap = build_o5_on_fock(Fraction(1, 2))
-    payload = genmap_to_json(genmap)
+def test_genmap_export(tmp_path):
+    path = tmp_path / "gens.json"
+    write_genmap(str(path), build_o5_on_fock(Fraction(1, 2))[2])
+    payload = json.loads(path.read_text())
     assert len(payload) == 10
     entry = payload["F[-2,-2]"]
     assert entry["rows"] == entry["cols"] == 16
@@ -109,3 +111,33 @@ def test_genmap_export():
            for row in payload["F[0,-1]"]["entries"] for v in row}
     assert tau == {'{"a": "0", "b": "0"}', '{"a": "0", "b": "1/2"}',
                    '{"a": "0", "b": "-1/2"}'}
+
+
+def test_genmap_export_is_dense_json_dump(tmp_path):
+    genmap = build_o5_on_fock(Fraction(1, 2))[2]
+    # the reference: the dense payload, pretty-printed by json.dumps
+    payload = {
+        f"F[{g.i},{g.j}]": {
+            "rows": op.dim, "cols": op.dim,
+            "entries": [[format_sqrt2_power(op.entry(r, c),
+                                            -rescale_exponent(g))
+                         for c in range(op.dim)] for r in range(op.dim)]}
+        for g, op in genmap.items()}
+    path = tmp_path / "gens.json"
+    write_genmap(str(path), genmap)
+    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_genmap_export_memory_is_bounded(tmp_path):
+    # j=3/2: ten 256x256 generators, a 39 MB file from 1908 nonzero
+    # entries; the writer holds one row of text at a time
+    genmap = build_o5_on_fock(Fraction(3, 2))[2]
+    path = tmp_path / "gens.json"
+    tracemalloc.start()
+    try:
+        write_genmap(str(path), genmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    assert path.stat().st_size > 30 * 2 ** 20
