@@ -38,14 +38,6 @@ from .uea import (CheckResult, IndexSet, UEAElement, capelli,
 DEFAULT_SEED = 20120521
 
 
-def _timed(report, check_id, fn, anomaly=False):
-    t0 = time.perf_counter()
-    ok, witness = fn()
-    report.add(check_id, ok, witness, round(time.perf_counter() - t0, 6),
-               anomaly=anomaly)
-    return ok
-
-
 def _sym_check(report, check, oracle=None):
     """Record a symbolic identity check plus its matrix-oracle shadow.
 
@@ -242,10 +234,11 @@ def suite_fock(j) -> VerificationReport:
                                        for (i, j), (name, c, k)
                                        in fock.DICTIONARY.items()}})
     # represented Pfaffians match the star-product expressions
+    pf_ops = {}
     for sign, label in ((1, "2hat"), (-1, "-2hat")):
         t0 = time.perf_counter()
-        lhs = evaluate_in_representation(pfaffian(hat_set(2, sign)), genmap,
-                                         space.dim)
+        lhs = pf_ops[sign] = evaluate_in_representation(
+            pfaffian(hat_set(2, sign)), genmap, space.dim)
         rhs = evaluate_in_representation(pf_hat_star_expression(2, sign),
                                          genmap, space.dim)
         report.add(f"fock/star-expression-{label}", lhs == rhs,
@@ -254,10 +247,8 @@ def suite_fock(j) -> VerificationReport:
     # matrix-level o3 commutation of the hat Pfaffians
     sub = o3_subalgebra_generators(2)
     for sign, label in ((1, "2hat"), (-1, "-2hat")):
-        pf_op = evaluate_in_representation(pfaffian(hat_set(2, sign)), genmap,
-                                           space.dim)
         bad = [repr(g) for g in sub
-               if not pf_op.commutator(genmap[g]).is_zero()]
+               if not pf_ops[sign].commutator(genmap[g]).is_zero()]
         report.add(f"fock/pf-{label}-commutes-with-o3", not bad,
                    None if not bad else {"noncommuting": bad})
     return report, genmap
@@ -355,12 +346,14 @@ STANDARD_SOURCES = (
 
 
 def find_irrep(lam1, lam2):
-    """Locate an irrep with the given highest weight in the standard sources."""
+    """The irrep of highest weight (lam1, lam2) from the first standard
+    source that has one, or None.  Only that irrep is extracted; the
+    other irreps of the sources are never built."""
     for source, j, power in STANDARD_SOURCES:
         rep = build_source(source, j=j, power=power)
-        for irr in replab.extract_irreps(rep):
-            if irr.highest_weight == (Fraction(lam1), Fraction(lam2)):
-                return irr
+        irr = replab.irrep_with_highest_weight(rep, (lam1, lam2))
+        if irr is not None:
+            return irr
     return None
 
 

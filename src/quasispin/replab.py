@@ -3,7 +3,10 @@
 Sources of representations (all with diagonal Cartan action in the
 computational basis): fermionic Fock spaces, tensor powers of the
 defining 5-dimensional representation, and the trivial representation.
-`extract_irreps` splits a source into highest-weight irreducibles; each
+`extract_irreps` splits a source into highest-weight irreducibles in two
+steps per weight: the kernel of the raising operators there, then the
+lowering orbit of each kernel vector.  `irrep_with_highest_weight` runs
+the same two steps for the one irrep of a given highest weight.  Each
 irrep is re-coordinatized so that every later computation (multiplicity
 slices, Pfaffian slice maps, extremal projector, the reflection
 intertwiner) runs on small dense matrices.
@@ -164,75 +167,106 @@ def _weight_sort_key(w: Weight):
 def extract_irreps(rep: Representation):
     """Split into irreducibles by highest-weight theory.
 
-    Finds all vectors killed by every raising operator, generates each
-    subrepresentation downward, checks the dimension bookkeeping twice
-    (per irrep against the Weyl formula, and in total).
+    Two steps per weight, highest first: the vectors killed by every
+    raising operator (`_highest_weight_kernel`), then the lowering orbit
+    of each (`_lowering_orbit`, which checks its dimension against the
+    Weyl formula).  The irrep dimensions must also add up to the ambient
+    one.  `irrep_with_highest_weight` runs the same steps for one irrep.
     """
     buckets = weight_decompose(rep)
     order = sorted(buckets, key=_weight_sort_key)
-    gens = canonical_generators(N_RANK)
-    raising = [g for g in gens if is_raising(g)]
-    lowering = [(g, root_of(g)) for g in gens if is_lowering(g)]
-
-    irreps = []
-    total = 0
-    for at, mu in enumerate(order):
-        members = buckets[mu]
-        # kernel of the stacked raising operators restricted to V_mu
-        support = sorted({r for g in raising for c in members
-                          for r in rep.genmap[g].cols.get(c, {})})
-        pos = {s: t for t, s in enumerate(support)}
-        stacked = []
-        for g in raising:
-            op = rep.genmap[g]
-            block = ExactMatrix(len(support), len(members))
-            for ci, c in enumerate(members):
-                for r, x in op.cols.get(c, {}).items():
-                    block.data[pos[r]][ci] = x
-            stacked.extend(block.data)
-        if stacked:
-            _, kernel = rank_and_kernel(ExactMatrix.from_rows(stacked))
-        else:
-            kernel = ExactMatrix.identity(len(members)).data
-        for kv in kernel:
-            lam = (mu.comps[0], mu.comps[1])
-            if not (0 >= lam[0] >= lam[1]):
-                raise AssertionError(
-                    f"highest weight {lam} violates 0 >= lam1 >= lam2; "
-                    "polarity convention broken")
-            blocks = {mu: [{members[t]: x for t, x in enumerate(kv) if x}]}
-            # V_nu = sum over lowering f_alpha of f_alpha V_{nu - alpha}:
-            # every nu - alpha is higher than nu, so its block is built
-            for nu in order[at + 1:]:
-                pos = {k: t for t, k in enumerate(buckets[nu])}
-                images = []
-                for g, alpha in lowering:
-                    for v in blocks.get(nu - alpha, ()):
-                        img = rep.genmap[g].apply(v)
-                        if img:
-                            row = [Fraction(0)] * len(pos)
-                            for k, x in img.items():
-                                row[pos[k]] = x
-                            images.append(row)
-                if images:
-                    blocks[nu] = [
-                        {buckets[nu][t]: x for t, x in enumerate(row) if x}
-                        for row in row_basis(images, len(pos))]
-            basis = [v for nu in order if nu in blocks for v in blocks[nu]]
-            weights = [nu for nu in order if nu in blocks
-                       for _ in blocks[nu]]
-            expected = weyl_dimension(lam[0], lam[1])
-            if len(basis) != expected:
-                raise AssertionError(
-                    f"irrep {lam} in {rep.label}: span dim {len(basis)} != "
-                    f"Weyl dimension {expected}")
-            irreps.append(Irrep(rep.label, lam, basis, weights))
-            total += len(basis)
+    raising, lowering = _root_generators()
+    irreps = [_lowering_orbit(rep, buckets, order, at, kv, lowering)
+              for at, mu in enumerate(order)
+              for kv in _highest_weight_kernel(rep, buckets[mu], raising)]
+    total = sum(irr.dim for irr in irreps)
     if total != rep.dim:
         raise AssertionError(
             f"irrep dimensions sum to {total}, ambient is {rep.dim}")
     _fill_generator_matrices(rep, irreps)
     return irreps
+
+
+def irrep_with_highest_weight(rep: Representation, lam):
+    """The first irrep of highest weight lam that `extract_irreps(rep)`
+    yields (same basis, weights and genmats), built without the others;
+    None when rep has no such irrep."""
+    buckets = weight_decompose(rep)
+    mu = Weight(lam)
+    if mu not in buckets:
+        return None
+    raising, lowering = _root_generators()
+    kernel = _highest_weight_kernel(rep, buckets[mu], raising)
+    if not kernel:
+        return None
+    order = sorted(buckets, key=_weight_sort_key)
+    irr = _lowering_orbit(rep, buckets, order, order.index(mu), kernel[0],
+                          lowering)
+    _fill_generator_matrices(rep, [irr])
+    return irr
+
+
+def _root_generators():
+    """(raising generators, [(lowering generator, its root)])."""
+    gens = canonical_generators(N_RANK)
+    return ([g for g in gens if is_raising(g)],
+            [(g, root_of(g)) for g in gens if is_lowering(g)])
+
+
+def _highest_weight_kernel(rep: Representation, members, raising):
+    """Kernel of the stacked raising operators restricted to the weight
+    space spanned by the basis indices members: coordinate rows."""
+    support = sorted({r for g in raising for c in members
+                      for r in rep.genmap[g].cols.get(c, {})})
+    pos = {s: t for t, s in enumerate(support)}
+    stacked = []
+    for g in raising:
+        op = rep.genmap[g]
+        block = ExactMatrix(len(support), len(members))
+        for ci, c in enumerate(members):
+            for r, x in op.cols.get(c, {}).items():
+                block.data[pos[r]][ci] = x
+        stacked.extend(block.data)
+    if not stacked:
+        return ExactMatrix.identity(len(members)).data
+    return rank_and_kernel(ExactMatrix.from_rows(stacked))[1]
+
+
+def _lowering_orbit(rep: Representation, buckets, order, at, kv, lowering):
+    """The irrep generated by the highest-weight vector with coordinates
+    kv in the weight space order[at], one RREF per lower weight."""
+    mu = order[at]
+    lam = (mu.comps[0], mu.comps[1])
+    if not (0 >= lam[0] >= lam[1]):
+        raise AssertionError(
+            f"highest weight {lam} violates 0 >= lam1 >= lam2; "
+            "polarity convention broken")
+    blocks = {mu: [{buckets[mu][t]: x for t, x in enumerate(kv) if x}]}
+    # V_nu = sum over lowering f_alpha of f_alpha V_{nu - alpha}:
+    # every nu - alpha is higher than nu, so its block is built
+    for nu in order[at + 1:]:
+        pos = {k: t for t, k in enumerate(buckets[nu])}
+        images = []
+        for g, alpha in lowering:
+            for v in blocks.get(nu - alpha, ()):
+                img = rep.genmap[g].apply(v)
+                if img:
+                    row = [Fraction(0)] * len(pos)
+                    for k, x in img.items():
+                        row[pos[k]] = x
+                    images.append(row)
+        if images:
+            blocks[nu] = [
+                {buckets[nu][t]: x for t, x in enumerate(row) if x}
+                for row in row_basis(images, len(pos))]
+    basis = [v for nu in order if nu in blocks for v in blocks[nu]]
+    weights = [nu for nu in order if nu in blocks for _ in blocks[nu]]
+    expected = weyl_dimension(lam[0], lam[1])
+    if len(basis) != expected:
+        raise AssertionError(
+            f"irrep {lam} in {rep.label}: span dim {len(basis)} != "
+            f"Weyl dimension {expected}")
+    return Irrep(rep.label, lam, basis, weights)
 
 
 def _fill_generator_matrices(rep: Representation, irreps):

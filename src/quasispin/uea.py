@@ -314,7 +314,7 @@ def pfaffian(I: IndexSet) -> UEAElement:
         _pf_cache[key] = result
         return result
     coeff = Fraction(1, factorial(k // 2) * 2 ** (k // 2))
-    acc = UEAElement.zero(n)
+    terms: dict = {}
     elems = I.elems
     for perm in permutations(range(k)):
         sgn = _perm_sign_to_sorted(perm)
@@ -330,8 +330,9 @@ def pfaffian(I: IndexSet) -> UEAElement:
             word.append(g)
         if dead:
             continue
-        acc = acc + UEAElement(n, {tuple(word): Fraction(sgn)})
-    result = acc.scale(coeff).normal_order()
+        word = tuple(word)
+        terms[word] = terms.get(word, 0) + sgn
+    result = UEAElement(n, terms).scale(coeff).normal_order()
     _pf_cache[key] = result
     return result
 

@@ -28,6 +28,22 @@ def test_classify_five_dim(tmp_path, capsys):
     assert "classify/labels-distinct-complete" in printed
 
 
+def test_classify_extracts_only_the_target_irrep(monkeypatch, tmp_path):
+    def never(rep):
+        raise AssertionError("classify decomposed a whole source")
+
+    for weight in ("0,-1", "-1,-2"):
+        with monkeypatch.context() as m:
+            m.setattr(replab, "extract_irreps", never)
+            targeted = tmp_path / "targeted.json"
+            assert run(["classify", f"--weight={weight}",
+                        "--out", str(targeted)]) == 0
+        full = tmp_path / "full.json"
+        assert run(["classify", f"--weight={weight}", "--out",
+                    str(full)]) == 0
+        assert targeted.read_bytes() == full.read_bytes()
+
+
 def test_classify_csv(tmp_path):
     out = tmp_path / "table.csv"
     assert run(["classify", "--weight", "0,0", "--out", str(out),

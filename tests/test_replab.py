@@ -8,9 +8,10 @@ from quasispin.replab import (O3_LOWERING, O3_RAISING,
                               NonDiagonalCartan, Representation,
                               defining_representation, extract_irreps,
                               extremal_projector_o3, fock_representation,
-                              multiplicity_slices, omega_operator,
-                              pf_slice_maps, tensor_power_representation,
-                              theta_transport, tps_scalar_probe,
+                              irrep_with_highest_weight, multiplicity_slices,
+                              omega_operator, pf_slice_maps,
+                              tensor_power_representation, theta_transport,
+                              tps_scalar_probe,
                               trivial_representation, weight_decompose)
 
 HALF = Fraction(1, 2)
@@ -62,6 +63,38 @@ def test_extract_tensor_square():
     weights = sorted((str(a), str(b)) for a, b in
                      (i.highest_weight for i in irs))
     assert weights == [("-1", "-1"), ("0", "-2"), ("0", "0")]
+
+
+def test_targeted_irrep_matches_first_extracted():
+    # for every standard source and dominant weight: None exactly when
+    # extraction finds no irrep of that highest weight, otherwise the
+    # first such irrep, with the same basis, weights and genmats
+    from quasispin.cli import STANDARD_SOURCES, build_source
+    found = missing = 0
+    for source, j, power in STANDARD_SOURCES:
+        rep = build_source(source, j=j, power=power)
+        irreps = extract_irreps(rep)
+        for mu in weight_decompose(rep):
+            lam = mu.comps
+            if not 0 >= lam[0] >= lam[1]:
+                continue
+            want = next((i for i in irreps if i.highest_weight == lam), None)
+            got = irrep_with_highest_weight(rep, lam)
+            if want is None:
+                assert got is None, (rep, lam)
+                missing += 1
+                continue
+            assert got.highest_weight == lam
+            assert got.basis == want.basis, (rep, lam)
+            assert got.weights == want.weights, (rep, lam)
+            assert got.genmats == want.genmats, (rep, lam)
+            found += 1
+    assert (found, missing) == (18, 4)
+
+
+def test_targeted_irrep_of_a_weight_the_source_lacks():
+    rep = defining_representation()
+    assert irrep_with_highest_weight(rep, (Fraction(-1), Fraction(-1))) is None
 
 
 def test_irrep_weight_blocks_are_rref():
