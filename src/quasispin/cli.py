@@ -120,12 +120,10 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
         c = capelli(k, n)
         bad = []
         for g in gens:
-            d = c.commutator(UEAElement.gen(g)).normal_order()
-            if not d.is_zero():
+            comm = c.commutator(UEAElement.gen(g))
+            if not comm.normal_order().is_zero():
                 bad.append(repr(g))
-            m = evaluate_in_representation(
-                c.commutator(UEAElement.gen(g)), *oracle)
-            if not m.is_zero():
+            if not evaluate_in_representation(comm, *oracle).is_zero():
                 bad.append(f"oracle:{g!r}")
         report.add(f"capelli/C{k}-central", not bad,
                    None if not bad else {"noncommuting": bad},

@@ -130,9 +130,19 @@ class Weight:
         return "(" + ", ".join(str(c) for c in self.comps) + ")"
 
 
+# Per-generator memos of root_of and pbw_sort_key, keyed by (i, j, n).
+# Both values are immutable, so every caller may share them.
+_root_memo: dict = {}
+_sort_key_memo: dict = {}
+
+
 def root_of(g: GenIndex) -> Weight:
     """Root e_i - e_j of a generator; zero weight for Cartan elements."""
-    return Weight.e(g.i, g.n) - Weight.e(g.j, g.n)
+    key = (g.i, g.j, g.n)
+    hit = _root_memo.get(key)
+    if hit is None:
+        hit = _root_memo[key] = Weight.e(g.i, g.n) - Weight.e(g.j, g.n)
+    return hit
 
 
 def is_raising(g: GenIndex) -> bool:
@@ -162,13 +172,15 @@ def pbw_sort_key(g: GenIndex):
     F_{-1,-1}, then raising generators; within a class ordered by root
     coordinates, then by index pair.
     """
-    if g.is_cartan():
-        cls = 1
-        sub = (g.i, g.j)
-    else:
-        cls = 2 if is_raising(g) else 0
-        sub = tuple(root_of(g).comps) + (g.i, g.j)
-    return (cls, sub)
+    key = (g.i, g.j, g.n)
+    hit = _sort_key_memo.get(key)
+    if hit is None:
+        if g.is_cartan():
+            hit = (1, (g.i, g.j))
+        else:
+            hit = (2 if is_raising(g) else 0, root_of(g).comps + (g.i, g.j))
+        _sort_key_memo[key] = hit
+    return hit
 
 
 def bracket(a: GenIndex, b: GenIndex):

@@ -12,6 +12,12 @@ The module also builds the noncommutative Pfaffians PfF_I, the Capelli
 sums C_k, and the symbolic identity checkers used by the verification
 suites.  Every checker returns the normally ordered difference as a
 witness instead of a bare boolean.
+
+`evaluate_in_representation` is the one evaluator in a matrix
+representation, for `ExactMatrix` and `LinOp` generator maps alike: it
+pushes every basis vector through every word as a sparse column and
+forms no dense product.  The rewriter compares letters by
+`pbw_sort_key`, which liealg memoises per generator.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from math import factorial
 
 from .liealg import (GenIndex, Weight, bracket, canonicalize, index_range,
                      pbw_sort_key, root_of)
-from .scalars import Rational
+from .linalg import ExactMatrix, LinOp
+from .scalars import Rational, rat
 
 Word = tuple  # a word is a tuple of GenIndex, () is the scalar word
 
@@ -49,7 +56,7 @@ class UEAElement:
         self.terms: dict = {}
         if terms:
             for w, c in terms.items():
-                c = Fraction(c)
+                c = rat(c)
                 if c:
                     self.terms[w] = c
 
@@ -65,7 +72,7 @@ class UEAElement:
 
     @staticmethod
     def scalar(n: int, c) -> "UEAElement":
-        return UEAElement(n, {(): Fraction(c)})
+        return UEAElement(n, {(): c})
 
     @staticmethod
     def gen(g: GenIndex) -> "UEAElement":
@@ -104,7 +111,7 @@ class UEAElement:
         return UEAElement(self.n, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "UEAElement":
-        c = Fraction(c)
+        c = rat(c)
         if not c:
             return UEAElement.zero(self.n)
         return UEAElement(self.n, {w: c * x for w, x in self.terms.items()})
@@ -493,14 +500,15 @@ def weight_shift_of(x: UEAElement):
     """
     shift = None
     for w in x.terms:
-        s = Weight.zero(x.n)
+        s = [0] * x.n
         for g in w:
-            s = s + root_of(g)
+            for t, c in enumerate(root_of(g).comps):
+                s[t] += c
         if shift is None:
             shift = s
         elif shift != s:
             return None
-    return shift if shift is not None else Weight.zero(x.n)
+    return Weight(shift) if shift is not None else Weight.zero(x.n)
 
 
 # -- the quasi-spin star-product expressions ---------------------------
@@ -537,18 +545,70 @@ def pf_hat_star_expression(n: int, sign: int) -> UEAElement:
 def evaluate_in_representation(x: UEAElement, genmap: dict, dim: int):
     """Substitute matrices for generators: words become matrix products.
 
-    The genmap values are all `ExactMatrix` or all `LinOp`; the result
-    has the same type.
+    The genmap values are all `ExactMatrix` or all `LinOp`, each dim x dim;
+    the result has the same type.  Each letter of x is read once as sparse
+    columns {col: {row: value}}.  Then every basis vector e_c is pushed
+    through every word as a sparse vector, letters right to left, stopping
+    when it dies, and coeff * image is summed into column c.  A letter
+    costs at most nnz(vector) * nnz(column) steps, so a dense irrep costs
+    no more than a matrix product per letter, and the defining, Fock and
+    weight-basis generators, with one or a few entries per column, cost
+    about dim * len(w) dict steps per word.
     """
-    ident = type(next(iter(genmap.values()))).identity(dim)
-    out = None
-    for w, c in x.terms.items():
-        m = ident
-        for g in w:
-            m = m @ genmap[g]
-        term = m.scale(Fraction(c))
-        out = term if out is None else out + term
-    return ident.scale(0) if out is None else out
+    if not genmap:
+        raise ValueError("empty generator map")
+    kind = type(next(iter(genmap.values())))
+    letters: dict = {}
+
+    def columns(g):
+        cols = letters.get(g)
+        if cols is None:
+            m = genmap.get(g)
+            if m is None:
+                raise ValueError(f"generator map has no matrix for {g!r}")
+            if kind is LinOp:
+                if m.dim != dim:
+                    raise ValueError(f"{g!r} acts on dimension {m.dim}, "
+                                     f"not {dim}")
+                cols = m.cols
+            else:
+                if (m.rows, m.cols) != (dim, dim):
+                    raise ValueError(f"{g!r} is {m.rows}x{m.cols}, "
+                                     f"not {dim}x{dim}")
+                cols = {}
+                for r, row in enumerate(m.data):
+                    for c, y in enumerate(row):
+                        if y:
+                            cols.setdefault(c, {})[r] = y
+            letters[g] = cols
+        return cols
+
+    out: dict = {}
+    for w, coeff in x.terms.items():
+        word = [columns(g) for g in reversed(w)]
+        for c in range(dim):
+            vec = {c: coeff}
+            for cols in word:
+                img: dict = {}
+                for k, v in vec.items():
+                    col = cols.get(k)
+                    if col:
+                        for r, y in col.items():
+                            img[r] = img.get(r, 0) + v * y
+                vec = img
+                if not vec:
+                    break
+            else:
+                acc = out.setdefault(c, {})
+                for r, v in vec.items():
+                    acc[r] = acc.get(r, 0) + v
+    if kind is LinOp:
+        return LinOp(dim, out)
+    m = ExactMatrix(dim, dim)
+    for c, col in out.items():
+        for r, v in col.items():
+            m.data[r][c] = v
+    return m
 
 
 def omega_image(x: UEAElement) -> UEAElement:

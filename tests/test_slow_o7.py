@@ -1,6 +1,6 @@
 """Optional o_7 spot checks (acceptance criterion 2's --slow clause).
 
-Run with QUASISPIN_SLOW=1; budget is five minutes, measured ~35s.
+Run with QUASISPIN_SLOW=1; budget is five minutes, measured ~1.6 s.
 """
 
 import os

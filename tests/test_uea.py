@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quasispin.liealg import (GenIndex, Weight, canonical_generators,
-                              defining_matrices, o3_subalgebra_generators)
+from quasispin.liealg import (GenIndex, Weight, bracket, canonical_generators,
+                              defining_matrices, o3_subalgebra_generators,
+                              pbw_sort_key, root_of)
+from quasispin.linalg import ExactMatrix, LinOp
 from quasispin.uea import (IndexSet, UEAElement, capelli,
                            check_corollary_split, check_lemma_l2,
                            check_minorn, check_split_formula,
@@ -234,3 +238,129 @@ def test_star_is_symmetrization():
     s = star(x, y)
     assert (s - star(y, x)).normal_order().is_zero()
     assert (s + s - (x * y + y * x)).normal_order().is_zero()
+
+
+def test_floats_are_refused():
+    g = canonical_generators(N5)[0]
+    with pytest.raises(TypeError):
+        UEAElement.gen(g).scale(0.1)
+    with pytest.raises(TypeError):
+        UEAElement.scalar(N5, 0.5)
+    with pytest.raises(TypeError):
+        UEAElement(N5, {(g,): 0.25})
+
+
+def test_sort_key_and_root_memos_match_fresh_computation():
+    for n in range(1, 5):
+        fresh = {}
+        for g in canonical_generators(n):
+            root = Weight.e(g.i, n) - Weight.e(g.j, n)
+            if g.is_cartan():
+                key = (1, (g.i, g.j))
+            else:
+                lead = next(c for c in reversed(root.comps) if c)
+                key = (2 if lead < 0 else 0, root.comps + (g.i, g.j))
+            assert root_of(g) == root
+            assert pbw_sort_key(g) == key
+            fresh[g] = key
+        assert canonical_generators(n) == sorted(canonical_generators(n),
+                                                 key=fresh.__getitem__)
+    assert [g.key() for g in canonical_generators(1)] == \
+        [(0, -1), (-1, -1), (-1, 0)]
+    assert [g.key() for g in canonical_generators(2)] == \
+        [(-1, -2), (0, -2), (0, -1), (1, -2), (-2, -2), (-1, -1), (-2, 1),
+         (-1, 0), (-2, 0), (-2, -1)]
+
+
+# -- the evaluator against a dense word-product reference ---------------
+
+
+def _dense(m, dim) -> ExactMatrix:
+    if isinstance(m, LinOp):
+        return ExactMatrix(dim, dim, [[m.entry(r, c) for c in range(dim)]
+                                      for r in range(dim)])
+    return m
+
+
+def _reference(x, genmap, dim) -> ExactMatrix:
+    """Sum over the words of coeff times the dense product of the letters."""
+    out = ExactMatrix(dim, dim)
+    for w, c in x.terms.items():
+        m = ExactMatrix.identity(dim)
+        for g in w:
+            m = m @ _dense(genmap[g], dim)
+        out = out + m.scale(c)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _oracle(label):
+    """(genmap, dim, rank n) of a representation of the differential test."""
+    from quasispin.replab import (fock_representation,
+                                  irrep_with_highest_weight)
+    if label.startswith("defining"):
+        n = int(label[-1])
+        return defining_matrices(n), 2 * n + 1, n
+    if label == "fock(1/2)":
+        rep = fock_representation(Fraction(1, 2))
+        return rep.genmap, rep.dim, N5
+    irr = irrep_with_highest_weight(fock_representation(Fraction(3, 2)),
+                                    (Fraction(-1, 2), Fraction(-3, 2)))
+    return irr.genmats, irr.dim, N5
+
+
+ORACLE_LABELS = ("defining-1", "defining-2", "defining-3", "fock(1/2)",
+                 "fock(3/2)-irrep")
+
+
+@st.composite
+def elements(draw, n):
+    words = st.lists(st.sampled_from(canonical_generators(n)),
+                     max_size=4).map(tuple)
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return UEAElement(n, draw(st.dictionaries(words, coeffs, max_size=4)))
+
+
+def _assert_matches_reference(x, genmap, dim):
+    got = evaluate_in_representation(x, genmap, dim)
+    kind = type(next(iter(genmap.values())))
+    assert type(got) is kind
+    assert _dense(got, dim) == _reference(x, genmap, dim)
+    return got
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evaluator_matches_dense_reference(label, data):
+    genmap, dim, n = _oracle(label)
+    _assert_matches_reference(data.draw(elements(n)), genmap, dim)
+
+
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+def test_evaluator_zero_and_cancelling_elements(label):
+    genmap, dim, n = _oracle(label)
+    assert _assert_matches_reference(UEAElement.zero(n), genmap, dim).is_zero()
+    # a b - b a - [a, b] is nonzero as a dict of words but zero in every
+    # representation
+    a, b = canonical_generators(n)[0], canonical_generators(n)[-1]
+    x = UEAElement.gen(a).commutator(UEAElement.gen(b))
+    for c, g in bracket(a, b):
+        x = x - UEAElement.gen(g).scale(c)
+    assert x.terms
+    assert _assert_matches_reference(x, genmap, dim).is_zero()
+
+
+def test_evaluator_input_errors():
+    x = F(0, -1) * F(-1, -2)
+    with pytest.raises(ValueError):
+        evaluate_in_representation(x, {}, 5)
+    partial = dict(ORACLE5[0])
+    del partial[GenIndex(-1, -2, N5)]
+    with pytest.raises(ValueError):
+        evaluate_in_representation(x, partial, 5)
+    with pytest.raises(ValueError):
+        evaluate_in_representation(x, ORACLE5[0], 4)
+    fock_map, fock_dim, _ = _oracle("fock(1/2)")
+    with pytest.raises(ValueError):
+        evaluate_in_representation(x, fock_map, fock_dim + 1)
