@@ -4,7 +4,7 @@ Subcommands:
   verify identities --n {1,2,3} [--slow] [--seed S]
   fock build --j {1/2,3/2,5/2}
   repr analyze --source {fock,defining-power} [--j J] [--power P]
-  classify --weight L1,L2
+  classify --weight L1,L2    (any o5 highest weight, 0 >= L1 >= L2)
   probe conventions
 
 Exit codes: 0 all checks pass (anomalies allowed), 1 some check failed
@@ -333,28 +333,6 @@ def suite_repr(rep: replab.Representation) -> VerificationReport:
 
 # -- classify -------------------------------------------------------------
 
-STANDARD_SOURCES = (
-    ("fock", Fraction(1, 2), None),
-    ("fock", Fraction(3, 2), None),
-    ("defining-power", None, 1),
-    ("defining-power", None, 2),
-    ("defining-power", None, 3),
-    ("defining-power", None, 0),
-)
-
-
-def find_irrep(lam1, lam2):
-    """The irrep of highest weight (lam1, lam2) from the first standard
-    source that has one, or None.  Only that irrep is extracted; the
-    other irreps of the sources are never built."""
-    for source, j, power in STANDARD_SOURCES:
-        rep = build_source(source, j=j, power=power)
-        irr = replab.irrep_with_highest_weight(rep, (lam1, lam2))
-        if irr is not None:
-            return irr
-    return None
-
-
 def suite_classify(lam1, lam2):
     report = VerificationReport(f"classify({lam1},{lam2})")
     t0 = time.perf_counter()
@@ -363,11 +341,7 @@ def suite_classify(lam1, lam2):
     report.add("classify/tableau-count", ntab == wd,
                None if ntab == wd else {"tableaux": ntab, "weyl": wd},
                round(time.perf_counter() - t0, 3))
-    irr = find_irrep(lam1, lam2)
-    if irr is None:
-        report.add("classify/realization", False,
-                   {"error": f"no standard source realizes ({lam1},{lam2})"})
-        return report, None
+    irr = replab.irrep_of_weight((lam1, lam2))
     t0 = time.perf_counter()
     try:
         result = tableaux.validate_against_representation(irr)
@@ -397,44 +371,43 @@ def suite_classify(lam1, lam2):
 
 # -- probes ---------------------------------------------------------------
 
+# the weights probed; their order is that of the gamma-winner witness lists
+PROBE_WEIGHTS = ("0,-1", "-1/2,-1/2", "0,0", "0,-2", "-1/2,-3/2", "-1,-1",
+                 "0,-3", "-1,-2")
+
 
 def suite_probe():
     report = VerificationReport("probe(conventions)")
     winners = {}
-    seen = set()
-    for source, j, power in STANDARD_SOURCES:
-        rep = build_source(source, j=j, power=power)
-        for irr in replab.extract_irreps(rep):
-            if irr.highest_weight in seen:
-                continue
-            seen.add(irr.highest_weight)
-            key = f"{irr.highest_weight[0]},{irr.highest_weight[1]}"
-            probe = replab.tps_scalar_probe(irr)
-            sym_rows = probe["pf_sym_scalar"]
-            all_match_f11 = all(r["matches_F11_eigenvalue"] for r in sym_rows)
-            any_match_d1 = any(r["matches_D1"] for r in sym_rows)
-            report.add(f"probe/{key}/pf-sym-acts-as-F11", all_match_f11,
-                       None if all_match_f11 else serialize_value(sym_rows))
-            if sym_rows and not any_match_d1:
-                report.add_anomaly(
-                    f"probe/{key}/D1-convention-shift",
-                    {"note": "PfF_{-1,1} acts as F_11, not as "
-                             "D_1(F_11) = F_11 + 1/2",
-                     "rows": serialize_value(sym_rows)})
-            if probe["c_constant"]:
-                report.add_anomaly(
-                    f"probe/{key}/c-constant-measured",
-                    {"note": "scalar c(T) with p.PfF_2hat = c(T) p.F_20 "
-                             "on o3-highest vectors; measured, since the "
-                             "received closed forms are ambiguous",
-                     "fits_c(T)=1-T": probe["c_fits_one_minus_T"],
-                     "rows": serialize_value(probe["c_constant"])})
-            val = tableaux.validate_against_representation(irr)
-            winners.setdefault(val["gamma_winner"], []).append(key)
+    for weight in PROBE_WEIGHTS:
+        irr = replab.irrep_of_weight(_parse_weight(weight))
+        key = f"{irr.highest_weight[0]},{irr.highest_weight[1]}"
+        probe = replab.tps_scalar_probe(irr)
+        sym_rows = probe["pf_sym_scalar"]
+        all_match_f11 = all(r["matches_F11_eigenvalue"] for r in sym_rows)
+        any_match_d1 = any(r["matches_D1"] for r in sym_rows)
+        report.add(f"probe/{key}/pf-sym-acts-as-F11", all_match_f11,
+                   None if all_match_f11 else serialize_value(sym_rows))
+        if sym_rows and not any_match_d1:
             report.add_anomaly(
-                f"probe/{key}/roundtrip-charpolys",
-                {f"T={t},N={nn}": [serialize_value(c) for c in cp]
-                 for (t, nn), cp in val["roundtrip_charpolys"].items()})
+                f"probe/{key}/D1-convention-shift",
+                {"note": "PfF_{-1,1} acts as F_11, not as "
+                         "D_1(F_11) = F_11 + 1/2",
+                 "rows": serialize_value(sym_rows)})
+        if probe["c_constant"]:
+            report.add_anomaly(
+                f"probe/{key}/c-constant-measured",
+                {"note": "scalar c(T) with p.PfF_2hat = c(T) p.F_20 "
+                         "on o3-highest vectors; measured, since the "
+                         "received closed forms are ambiguous",
+                 "fits_c(T)=1-T": probe["c_fits_one_minus_T"],
+                 "rows": serialize_value(probe["c_constant"])})
+        val = tableaux.validate_against_representation(irr)
+        winners.setdefault(val["gamma_winner"], []).append(key)
+        report.add_anomaly(
+            f"probe/{key}/roundtrip-charpolys",
+            {f"T={t},N={nn}": [serialize_value(c) for c in cp]
+             for (t, nn), cp in val["roundtrip_charpolys"].items()})
     decisive = [w for w in winners if w not in ("tie",)]
     report.add("probe/gamma-winner-unique",
                len(decisive) == 1 and decisive[0] != "none",

@@ -249,9 +249,10 @@ def characteristic_polynomial(mat: ExactMatrix):
     n = mat.rows
     coeffs = [_ONE]
     m = ExactMatrix(n, n)  # running M_k, starts at 0 so M_1 = A
-    ident = ExactMatrix.identity(n)
     for k in range(1, n + 1):
-        m = mat @ (m + ident.scale(coeffs[-1]))
+        for i in range(n):  # M_{k-1} + c_{n-k+1} I, in place
+            m.data[i][i] += coeffs[-1]
+        m = mat @ m
         c = -(m.trace() / Fraction(k))
         coeffs.append(c)
     return coeffs
@@ -293,6 +294,12 @@ class LinOp:
     @staticmethod
     def identity(dim: int) -> "LinOp":
         return LinOp(dim, {c: {c: _ONE} for c in range(dim)})
+
+    @staticmethod
+    def from_matrix(m: ExactMatrix) -> "LinOp":
+        """The sparse operator of a square dense matrix."""
+        return LinOp(m.rows, {c: {r: row[c] for r, row in enumerate(m.data)}
+                              for c in range(m.cols)})
 
     def apply(self, vec: dict) -> dict:
         out: dict = {}

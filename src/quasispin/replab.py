@@ -1,15 +1,16 @@
 """Representation analysis for o_5.
 
 Sources of representations (all with diagonal Cartan action in the
-computational basis): fermionic Fock spaces, tensor powers of the
-defining 5-dimensional representation, and the trivial representation.
+computational basis): fermionic Fock spaces, the trivial and defining
+representations, irreps, and tensor products of sources.
 `extract_irreps` splits a source into highest-weight irreducibles in two
 steps per weight: the kernel of the raising operators there, then the
 lowering orbit of each kernel vector.  `irrep_with_highest_weight` runs
-the same two steps for the one irrep of a given highest weight.  Each
-irrep is re-coordinatized so that every later computation (multiplicity
-slices, Pfaffian slice maps, extremal projector, the reflection
-intertwiner) runs on small dense matrices.
+the same two steps for the one irrep of a given highest weight, and
+`irrep_of_weight` uses it to build V(lam) for any valid lam as a Cartan
+product.  Each irrep is re-coordinatized so that every later computation
+(multiplicity slices, Pfaffian slice maps, extremal projector, the
+reflection intertwiner) runs on small dense matrices.
 
 Conventions: the weight of a vector is (F_11-eigenvalue, F_22-eigenvalue)
 = (tau_0, N); o3-highest means killed by the o3 raising operator
@@ -19,6 +20,7 @@ F_{-1,0}; slices V+_{T,N} collect o3-highest vectors of weight (T, N).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .liealg import (GenIndex, Weight, canonical_generators,
                      defining_matrices, is_lowering, is_raising, root_of,
@@ -47,16 +49,27 @@ def trivial_representation() -> Representation:
 
 
 def defining_representation() -> Representation:
-    mats = defining_matrices(N_RANK)
-    genmap = {}
-    for g, m in mats.items():
-        op = LinOp(5)
-        for c in range(5):
-            col = {r: m.data[r][c] for r in range(5) if m.data[r][c]}
-            if col:
-                op.cols[c] = col
-        genmap[g] = op
+    genmap = {g: LinOp.from_matrix(m)
+              for g, m in defining_matrices(N_RANK).items()}
     return Representation("defining", 5, genmap)
+
+
+def tensor_product(a: Representation, b: Representation) -> Representation:
+    """a (x) b, with e_i (x) e_j at index i * b.dim + j: each generator
+    acts as g (x) 1 + 1 (x) g."""
+    dim = a.dim * b.dim
+    genmap = {}
+    for g in canonical_generators(N_RANK):
+        cols = {}
+        for i in range(a.dim):
+            for j in range(b.dim):
+                col = {r * b.dim + j: x
+                       for r, x in a.genmap[g].cols.get(i, {}).items()}
+                for r, x in b.genmap[g].cols.get(j, {}).items():
+                    col[i * b.dim + r] = col.get(i * b.dim + r, 0) + x
+                cols[i * b.dim + j] = col
+        genmap[g] = LinOp(dim, cols)
+    return Representation(f"{a.label} x {b.label}", dim, genmap)
 
 
 def tensor_power_representation(power: int) -> Representation:
@@ -65,33 +78,8 @@ def tensor_power_representation(power: int) -> Representation:
         raise ValueError("power must be nonnegative")
     if power == 0:
         return trivial_representation()
-    base = defining_representation()
-    dim = 5 ** power
-    genmap = {}
-    for g, op in base.genmap.items():
-        big = LinOp(dim)
-        for idx in range(dim):
-            col: dict = {}
-            digits = []
-            t = idx
-            for _ in range(power):
-                digits.append(t % 5)
-                t //= 5
-            for slot in range(power):
-                src = op.cols.get(digits[slot])
-                if not src:
-                    continue
-                for r, x in src.items():
-                    tgt = idx + (r - digits[slot]) * 5 ** slot
-                    s = col.get(tgt, 0) + x
-                    if s:
-                        col[tgt] = s
-                    else:
-                        col.pop(tgt, None)
-            if col:
-                big.cols[idx] = col
-        genmap[g] = big
-    return Representation(f"defining^{power}", dim, genmap)
+    rep = reduce(tensor_product, [defining_representation()] * power)
+    return Representation(f"defining^{power}", rep.dim, rep.genmap)
 
 
 def fock_representation(j) -> Representation:
@@ -145,6 +133,13 @@ class Irrep:
 
     def __repr__(self):
         return f"<Irrep {self.highest_weight} dim {self.dim} from {self.source}>"
+
+    def representation(self) -> Representation:
+        """The irrep as a source, its generator matrices made sparse."""
+        lam1, lam2 = self.highest_weight
+        return Representation(f"V({lam1},{lam2})", self.dim,
+                              {g: LinOp.from_matrix(m)
+                               for g, m in self.genmats.items()})
 
     def matrix_of(self, x: UEAElement) -> ExactMatrix:
         """Matrix of a (normally ordered) U(o5) element in the irrep basis."""
@@ -204,6 +199,29 @@ def irrep_with_highest_weight(rep: Representation, lam):
                           lowering)
     _fill_generator_matrices(rep, [irr])
     return irr
+
+
+def irrep_of_weight(lam) -> Irrep:
+    """V(lam) for any valid highest weight, built as a Cartan product.
+
+    (0,0), (0,-1) and (-1/2,-1/2) are the trivial, defining and spinor
+    irreps (the last from Fock(1/2)).  Any other lam is (lam - mu) + mu
+    with mu = (0,-1) if lam1 != lam2, else (-1/2,-1/2): lam is the top
+    weight of V(lam - mu) (x) V(mu), of multiplicity one, so its irrep
+    there is V(lam).  The Weyl-dimension check guards every step.
+    """
+    lam = (Fraction(lam[0]), Fraction(lam[1]))
+    weyl_dimension(*lam)  # ValueError unless a valid highest weight
+    half = Fraction(1, 2)
+    base = {(0, 0): trivial_representation, (0, -1): defining_representation,
+            (-half, -half): lambda: fock_representation(half)}
+    if lam in base:
+        return irrep_with_highest_weight(base[lam](), lam)
+    mu = (0, -1) if lam[0] != lam[1] else (-half, -half)
+    rest = irrep_of_weight((lam[0] - mu[0], lam[1] - mu[1]))
+    return irrep_with_highest_weight(
+        tensor_product(rest.representation(),
+                       irrep_of_weight(mu).representation()), lam)
 
 
 def _root_generators():

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from quasispin import cli, replab
+from quasispin import cli, replab, tableaux
 from quasispin.cli import main, suite_identities
 from quasispin.tableaux import ClassificationError
 
@@ -65,9 +66,14 @@ def test_csv_for_a_report_is_usage_error(monkeypatch, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_csv_without_a_table_is_an_error(tmp_path, capsys):
+def test_csv_without_a_table_is_an_error(monkeypatch, tmp_path, capsys):
+    def contradiction(irrep):
+        raise ClassificationError("no labeling fits")
+
+    monkeypatch.setattr(tableaux, "validate_against_representation",
+                        contradiction)
     out = tmp_path / "t.csv"
-    assert run(["classify", "--weight=-4,-4", "--out", str(out),
+    assert run(["classify", "--weight", "0,-1", "--out", str(out),
                 "--format", "csv"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -79,11 +85,40 @@ def test_unwritable_out_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
-def test_classify_unrealizable_weight_fails(capsys):
+def test_classify_weight_outside_the_old_sources(tmp_path, capsys):
+    # (-3/2,-3/2) is in none of Fock(1/2), Fock(3/2), defining^0..3;
     # negative weights need the --weight=... spelling under argparse
-    code = run(["classify", "--weight=-4,-4"])
-    assert code == 1
-    assert "classify/realization" in capsys.readouterr().out
+    out = tmp_path / "table.json"
+    assert run(["classify", "--weight=-3/2,-3/2", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["states"]) == 20
+    assert ("PASS    classify/labels-distinct-complete"
+            in capsys.readouterr().out)
+
+
+def test_classify_builds_no_big_source(monkeypatch, tmp_path):
+    # every irrep is a Cartan product of the trivial, defining and
+    # Fock(1/2) spinor irreps: no tensor power and no larger Fock space
+    fock_representation = replab.fock_representation
+
+    def no_power(power):
+        raise AssertionError("classify built a tensor power")
+
+    def small_fock(j):
+        if j != Fraction(1, 2):
+            raise AssertionError(f"classify built Fock({j})")
+        return fock_representation(j)
+
+    monkeypatch.setattr(replab, "tensor_power_representation", no_power)
+    monkeypatch.setattr(replab, "fock_representation", small_fock)
+    for weight in ("0,0", "-1/2,-3/2", "0,-3", "-1,-2"):
+        assert run(["classify", f"--weight={weight}",
+                    "--out", str(tmp_path / "t.json")]) == 0
+
+
+def test_classify_invalid_weight_is_usage_error(capsys):
+    for weight in ("1,0", "0,-1/2"):
+        assert run(["classify", f"--weight={weight}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_errors_exit_two():

@@ -1,18 +1,23 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from quasispin.liealg import Weight, weyl_dimension
-from quasispin.linalg import ExactMatrix, rank_and_kernel, solve
+from quasispin.fock import verify_representation
+from quasispin.liealg import Weight, canonical_generators, weyl_dimension
+from quasispin.linalg import (ExactMatrix, LinOp, characteristic_polynomial,
+                              rank_and_kernel, solve)
 from quasispin.replab import (O3_LOWERING, O3_RAISING,
                               NonDiagonalCartan, Representation,
                               defining_representation, extract_irreps,
                               extremal_projector_o3, fock_representation,
-                              irrep_with_highest_weight, multiplicity_slices,
-                              omega_operator, pf_slice_maps,
-                              tensor_power_representation, theta_transport,
+                              irrep_of_weight, irrep_with_highest_weight,
+                              multiplicity_slices, omega_operator,
+                              pf_slice_maps, tensor_power_representation,
+                              tensor_product, theta_transport,
                               tps_scalar_probe,
                               trivial_representation, weight_decompose)
+from quasispin.tableaux import validate_against_representation
 
 HALF = Fraction(1, 2)
 
@@ -65,14 +70,22 @@ def test_extract_tensor_square():
     assert weights == [("-1", "-1"), ("0", "-2"), ("0", "0")]
 
 
+# the sources classify searched before irreps were Cartan products
+OLD_SOURCES = (lambda: fock_representation(HALF),
+               lambda: fock_representation(Fraction(3, 2)),
+               lambda: tensor_power_representation(1),
+               lambda: tensor_power_representation(2),
+               lambda: tensor_power_representation(3),
+               lambda: tensor_power_representation(0))
+
+
 def test_targeted_irrep_matches_first_extracted():
-    # for every standard source and dominant weight: None exactly when
+    # for every old source and dominant weight: None exactly when
     # extraction finds no irrep of that highest weight, otherwise the
     # first such irrep, with the same basis, weights and genmats
-    from quasispin.cli import STANDARD_SOURCES, build_source
     found = missing = 0
-    for source, j, power in STANDARD_SOURCES:
-        rep = build_source(source, j=j, power=power)
+    for make in OLD_SOURCES:
+        rep = make()
         irreps = extract_irreps(rep)
         for mu in weight_decompose(rep):
             lam = mu.comps
@@ -95,6 +108,86 @@ def test_targeted_irrep_matches_first_extracted():
 def test_targeted_irrep_of_a_weight_the_source_lacks():
     rep = defining_representation()
     assert irrep_with_highest_weight(rep, (Fraction(-1), Fraction(-1))) is None
+
+
+CORPUS = ((0, 0), (0, -1), (-HALF, -HALF), (0, -2), (-1, -1),
+          (-HALF, -Fraction(3, 2)), (0, -3), (-1, -2))
+
+
+def _classified(irr):
+    val = validate_against_representation(irr)
+    return (sorted(s.label() for s in val["states"]), val["case_mismatches"],
+            val["gamma_winner"])
+
+
+def test_cartan_product_matches_the_old_sources():
+    # V(lam) built as a Cartan product agrees with the first irrep of
+    # highest weight lam that extraction finds in the old sources, on
+    # every basis-independent datum
+    gens = canonical_generators(2)
+    old = {}
+    for make in OLD_SOURCES:
+        for irr in extract_irreps(make()):
+            old.setdefault(irr.highest_weight, irr)
+    assert set(old) == set(CORPUS)
+    for lam in CORPUS:
+        got, want = irrep_of_weight(lam), old[lam]
+        assert got.highest_weight == want.highest_weight
+        assert (got.dim, got.weights) == (want.dim, want.weights), lam
+        for g in gens:
+            assert (characteristic_polynomial(got.genmats[g])
+                    == characteristic_polynomial(want.genmats[g])), (lam, g)
+        assert _classified(got) == _classified(want), lam
+
+
+def test_irrep_of_weight_rejects_invalid_weights():
+    for lam in ((1, 0), (0, -HALF), (-1, 0)):
+        with pytest.raises(ValueError):
+            irrep_of_weight(lam)
+
+
+def test_tensor_product_is_a_representation():
+    spinor = irrep_of_weight((-HALF, -HALF)).representation()
+    for a, b in ((spinor, defining_representation()),
+                 (defining_representation(), defining_representation())):
+        prod = tensor_product(a, b)
+        assert prod.dim == a.dim * b.dim
+        assert verify_representation(prod.genmap) == []
+        sums = Counter(wa + wb
+                       for wa, ia in weight_decompose(a).items()
+                       for wb, ib in weight_decompose(b).items()
+                       for _ in range(len(ia) * len(ib)))
+        got = Counter({w: len(idx)
+                       for w, idx in weight_decompose(prod).items()})
+        assert got == sums
+
+
+def _digit_loop_power(power):
+    # reference: each generator acts on every tensor slot of the index
+    # written in base 5, slot 0 the least significant digit
+    base = defining_representation()
+    dim = 5 ** power
+    genmap = {}
+    for g, op in base.genmap.items():
+        cols = {}
+        for idx in range(dim):
+            col = {}
+            for slot in range(power):
+                digit = idx // 5 ** slot % 5
+                for r, x in op.cols.get(digit, {}).items():
+                    tgt = idx + (r - digit) * 5 ** slot
+                    col[tgt] = col.get(tgt, 0) + x
+            cols[idx] = col
+        genmap[g] = LinOp(dim, cols)
+    return genmap
+
+
+def test_tensor_power_is_a_fold_of_tensor_products():
+    for power in (1, 2, 3):
+        rep = tensor_power_representation(power)
+        assert (rep.label, rep.dim) == (f"defining^{power}", 5 ** power)
+        assert rep.genmap == _digit_loop_power(power)
+    assert tensor_power_representation(0).label == "trivial"
 
 
 def test_irrep_weight_blocks_are_rref():
