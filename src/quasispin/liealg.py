@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import ExactMatrix
+from .linalg import LinOp
 from .scalars import Rational, rat
 
 
@@ -30,7 +30,7 @@ def index_range(n: int):
 class GenIndex:
     """A canonical generator F_ij of o_N (split realization)."""
 
-    __slots__ = ("i", "j", "n")
+    __slots__ = ("i", "j", "n", "_hash")
 
     def __init__(self, i: int, j: int, n: int):
         if not (-n <= i <= n and -n <= j <= n):
@@ -42,6 +42,9 @@ class GenIndex:
         self.i = i
         self.j = j
         self.n = n
+        # words of generators are dict keys in the rewriter: every lookup
+        # hashes each letter, so the hash is computed once
+        self._hash = hash((i, j, n))
 
     def key(self):
         return (self.i, self.j)
@@ -53,7 +56,7 @@ class GenIndex:
         return isinstance(other, GenIndex) and (self.i, self.j, self.n) == (other.i, other.j, other.n)
 
     def __hash__(self):
-        return hash((self.i, self.j, self.n))
+        return self._hash
 
     def __lt__(self, other):
         return pbw_sort_key(self) < pbw_sort_key(other)
@@ -210,20 +213,17 @@ def bracket(a: GenIndex, b: GenIndex):
 
 
 def defining_matrices(n: int):
-    """The defining N x N representation: GenIndex -> ExactMatrix.
+    """The defining N x N representation: GenIndex -> LinOp.
 
     Basis ordered by index (-n, ..., n); entry convention
-    F_ij = E_ij - E_{-j,-i}.
+    F_ij = E_ij - E_{-j,-i}.  The two entries lie in different columns,
+    since j != -i for a generator.
     """
     idx = index_range(n)
     pos = {v: t for t, v in enumerate(idx)}
-    out = {}
-    for g in canonical_generators(n):
-        m = ExactMatrix(len(idx), len(idx))
-        m.data[pos[g.i]][pos[g.j]] = m.data[pos[g.i]][pos[g.j]] + 1
-        m.data[pos[-g.j]][pos[-g.i]] = m.data[pos[-g.j]][pos[-g.i]] - 1
-        out[g] = m
-    return out
+    return {g: LinOp(len(idx), {pos[g.j]: {pos[g.i]: 1},
+                                pos[-g.i]: {pos[-g.j]: -1}})
+            for g in canonical_generators(n)}
 
 
 def weyl_dimension(lam1, lam2) -> int:

@@ -10,9 +10,13 @@ built on it:
 - `row_basis`, a span stored as the nonzero rows of an RREF.  That form
   is canonical: equal spans have equal rows, whatever order their
   vectors came in.
-`LinOp` holds sparse operators, columns given as {index: Fraction}
-dicts.  Both classes coerce every entry with `scalars.rat`, so a float
-or any other non-rational entry raises `TypeError`.
+`LinOp` is the one operator type: every representation operator
+(generators, Pfaffians, Omega, theta, the o3 projector) is a sparse
+`LinOp`, its columns given as {index: Fraction} dicts.  `ExactMatrix`
+holds what elimination reads and writes: RREF inputs and outputs, small
+weight-block and slice-coordinate matrices, and characteristic
+polynomials.  Both classes coerce every entry with `scalars.rat`, so a
+float or any other non-rational entry raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -75,27 +79,6 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def _check_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs "
-                             f"{other.rows}x{other.cols}")
-
-    def __add__(self, other):
-        self._check_shape(other)
-        return ExactMatrix(self.rows, self.cols,
-                           [[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        self._check_shape(other)
-        return ExactMatrix(self.rows, self.cols,
-                           [[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.data, other.data)])
-
-    def __neg__(self):
-        return ExactMatrix(self.rows, self.cols,
-                           [[-a for a in row] for row in self.data])
-
     def scale(self, c) -> "ExactMatrix":
         c = rat(c)
         return ExactMatrix(self.rows, self.cols,
@@ -143,9 +126,6 @@ class ExactMatrix:
         for i in range(self.rows):
             s = s + self.data[i][i]
         return s
-
-    def commutator(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self @ other - other @ self
 
     def __repr__(self):
         body = "\n".join("[" + ", ".join(map(str, row)) + "]" for row in self.data)
@@ -278,6 +258,12 @@ class LinOp:
     Stored column-wise: cols[c] is the sparse image of basis vector c.
     Suits second-quantized operators, whose columns have a handful of
     entries; products and commutators stay cheap even at dim 256+.
+
+    Normal form: no column stores a zero entry and no column is empty.
+    The constructor, `+`, `-`, `@`, `scale` and `transpose` keep it, and
+    so must any code that writes `cols` directly; `==` and `is_zero`
+    compare the stored dicts and rely on it.  A broken form can only make
+    equal operators compare unequal, never the reverse.
     """
 
     __slots__ = ("dim", "cols")
@@ -294,12 +280,6 @@ class LinOp:
     @staticmethod
     def identity(dim: int) -> "LinOp":
         return LinOp(dim, {c: {c: _ONE} for c in range(dim)})
-
-    @staticmethod
-    def from_matrix(m: ExactMatrix) -> "LinOp":
-        """The sparse operator of a square dense matrix."""
-        return LinOp(m.rows, {c: {r: row[c] for r, row in enumerate(m.data)}
-                              for c in range(m.cols)})
 
     def apply(self, vec: dict) -> dict:
         out: dict = {}
@@ -371,10 +351,20 @@ class LinOp:
     def __eq__(self, other):
         if not isinstance(other, LinOp):
             return NotImplemented
-        return self.dim == other.dim and (self - other).is_zero()
+        return self.dim == other.dim and self.cols == other.cols
 
     def entry(self, r: int, c: int):
         return self.cols.get(c, {}).get(r, _ZERO)
+
+    @property
+    def data(self):
+        """The entries as dense rows, laid out like `ExactMatrix.data`.
+
+        No computation here uses it; `benchmarks/tracer.py` reads it to
+        measure the entry sizes of extracted irreps.
+        """
+        return [[self.entry(r, c) for c in range(self.dim)]
+                for r in range(self.dim)]
 
     def is_diagonal(self) -> bool:
         return all(set(col) <= {c} for c, col in self.cols.items())

@@ -8,9 +8,13 @@ steps per weight: the kernel of the raising operators there, then the
 lowering orbit of each kernel vector.  `irrep_with_highest_weight` runs
 the same two steps for the one irrep of a given highest weight, and
 `irrep_of_weight` uses it to build V(lam) for any valid lam as a Cartan
-product.  Each irrep is re-coordinatized so that every later computation
-(multiplicity slices, Pfaffian slice maps, extremal projector, the
-reflection intertwiner) runs on small dense matrices.
+product.  Each irrep is re-coordinatized on its own basis, where every
+operator (generators, Pfaffians, the extremal projector, the reflection
+intertwiner) is a sparse `LinOp`.  Dense `ExactMatrix` blocks appear
+only where elimination runs, through three helpers: `_block` reads a
+rows x cols block of an operator, `_put_block` writes one back, and
+`_coordinates` expresses sparse vectors in a sparse basis by one solve
+over their joint support.
 
 Conventions: the weight of a vector is (F_11-eigenvalue, F_22-eigenvalue)
 = (tau_0, N); o3-highest means killed by the o3 raising operator
@@ -25,7 +29,8 @@ from functools import reduce
 from .liealg import (GenIndex, Weight, canonical_generators,
                      defining_matrices, is_lowering, is_raising, root_of,
                      weyl_dimension)
-from .linalg import ExactMatrix, LinOp, rank_and_kernel, row_basis, solve
+from .linalg import (ExactMatrix, LinOp, rank_and_kernel, row_basis, solve,
+                     svec_add)
 from .uea import UEAElement, evaluate_in_representation, hat_set, pfaffian
 
 N_RANK = 2  # everything here is o_5
@@ -49,9 +54,7 @@ def trivial_representation() -> Representation:
 
 
 def defining_representation() -> Representation:
-    genmap = {g: LinOp.from_matrix(m)
-              for g, m in defining_matrices(N_RANK).items()}
-    return Representation("defining", 5, genmap)
+    return Representation("defining", 5, defining_matrices(N_RANK))
 
 
 def tensor_product(a: Representation, b: Representation) -> Representation:
@@ -112,8 +115,8 @@ def weight_decompose(rep: Representation) -> dict:
 class Irrep:
     """An extracted irreducible, re-coordinatized on its own basis.
 
-    basis[i] is a sparse ambient vector; genmats[g] is the dim x dim
-    matrix of generator g in that basis.  Basis vectors are grouped by
+    basis[i] is a sparse ambient vector; genmats[g] is the `LinOp` of
+    generator g in that basis.  Basis vectors are grouped by
     weight, highest weight first; each weight block is the nonzero rows
     of its RREF in ambient coordinates, so the basis is canonical.
     """
@@ -135,18 +138,16 @@ class Irrep:
         return f"<Irrep {self.highest_weight} dim {self.dim} from {self.source}>"
 
     def representation(self) -> Representation:
-        """The irrep as a source, its generator matrices made sparse."""
+        """The irrep as a source, sharing its generator operators."""
         lam1, lam2 = self.highest_weight
-        return Representation(f"V({lam1},{lam2})", self.dim,
-                              {g: LinOp.from_matrix(m)
-                               for g, m in self.genmats.items()})
+        return Representation(f"V({lam1},{lam2})", self.dim, self.genmats)
 
-    def matrix_of(self, x: UEAElement) -> ExactMatrix:
-        """Matrix of a (normally ordered) U(o5) element in the irrep basis."""
+    def matrix_of(self, x: UEAElement) -> LinOp:
+        """Operator of a (normally ordered) U(o5) element, irrep basis."""
         return evaluate_in_representation(x, self.genmats, self.dim)
 
-    def pf_matrix(self, sign: int) -> ExactMatrix:
-        """Matrix of PfF_{2-hat} (sign=+1) or PfF_{-2-hat} (sign=-1)."""
+    def pf_matrix(self, sign: int) -> LinOp:
+        """Operator of PfF_{2-hat} (sign=+1) or PfF_{-2-hat} (sign=-1)."""
         if sign not in self._pf_cache:
             self._pf_cache[sign] = self.matrix_of(pfaffian(hat_set(N_RANK, sign)))
         return self._pf_cache[sign]
@@ -236,15 +237,8 @@ def _highest_weight_kernel(rep: Representation, members, raising):
     space spanned by the basis indices members: coordinate rows."""
     support = sorted({r for g in raising for c in members
                       for r in rep.genmap[g].cols.get(c, {})})
-    pos = {s: t for t, s in enumerate(support)}
-    stacked = []
-    for g in raising:
-        op = rep.genmap[g]
-        block = ExactMatrix(len(support), len(members))
-        for ci, c in enumerate(members):
-            for r, x in op.cols.get(c, {}).items():
-                block.data[pos[r]][ci] = x
-        stacked.extend(block.data)
+    stacked = [row for g in raising
+               for row in _block(rep.genmap[g], support, members).data]
     if not stacked:
         return ExactMatrix.identity(len(members)).data
     return rank_and_kernel(ExactMatrix.from_rows(stacked))[1]
@@ -293,34 +287,53 @@ def _fill_generator_matrices(rep: Representation, irreps):
     for irr in irreps:
         for g, alpha in gens:
             op = rep.genmap[g]
-            m = ExactMatrix(irr.dim, irr.dim)
+            m = LinOp(irr.dim)
             for w, cols in irr.weight_positions.items():
                 images = [op.apply(irr.basis[c]) for c in cols]
                 if not any(images):
                     continue
                 rows = irr.weight_positions.get(w + alpha, [])
-                targets = [irr.basis[r] for r in rows]
-                support = sorted({k for v in targets + images for k in v})
-                coords = solve(_sparse_columns(targets, support),
-                               _sparse_columns(images, support))
+                coords = _coordinates([irr.basis[r] for r in rows], images)
                 if coords is None:
                     raise AssertionError(
                         f"{g} image leaves the irrep span in {irr}")
-                for r, crow in zip(rows, coords.data):
-                    for c, x in zip(cols, crow):
-                        m.data[r][c] = x
+                _put_block(m, rows, cols, coords)
             irr.genmats[g] = m
 
 
-def _sparse_columns(vectors, support) -> ExactMatrix:
-    """Matrix whose columns are sparse vectors, rows indexed by support."""
-    return ExactMatrix(len(support), len(vectors),
-                       [[v.get(k, 0) for v in vectors] for k in support])
+def _block(op: LinOp, rows, cols) -> ExactMatrix:
+    """The rows x cols block of op, dense."""
+    pos = {r: i for i, r in enumerate(rows)}
+    out = ExactMatrix(len(rows), len(cols))
+    for j, c in enumerate(cols):
+        for r, x in op.cols.get(c, {}).items():
+            i = pos.get(r)
+            if i is not None:
+                out.data[i][j] = x
+    return out
 
 
-def _submatrix(m: ExactMatrix, rows, cols) -> ExactMatrix:
-    return ExactMatrix(len(rows), len(cols),
-                       [[m.data[r][c] for c in cols] for r in rows])
+def _put_block(op: LinOp, rows, cols, block: ExactMatrix):
+    """Write block into the rows x cols block of op, which must be zero
+    there; only nonzero entries are stored, so op keeps its normal form."""
+    for r, brow in zip(rows, block.data):
+        for c, x in zip(cols, brow):
+            if x:
+                op.cols.setdefault(c, {})[r] = x
+
+
+def _coordinates(targets, images):
+    """Coordinates of the sparse vectors images in the independent sparse
+    vectors targets, one column per image, or None when some image is
+    outside their span.  One solve over the joint support: a row that is
+    zero in every vector changes no RREF, so no solution either."""
+    support = sorted({k for v in targets + images for k in v})
+
+    def columns(vectors):
+        return ExactMatrix(len(support), len(vectors),
+                           [[v.get(k, 0) for v in vectors] for k in support])
+
+    return solve(columns(targets), columns(images))
 
 
 # -- o3 structure -----------------------------------------------------
@@ -333,15 +346,15 @@ O3_CARTAN = GenIndex(-1, -1, N_RANK)
 class MultiplicitySlice:
     """V+_{T,N}: o3-highest vectors of weight (T, N) inside an irrep.
 
-    basis vectors are dense coordinate columns (length irrep.dim),
-    echelon-canonical, so every slice is deterministic.
+    basis vectors are sparse {index: value} vectors in irrep coordinates,
+    like `Irrep.basis`, echelon-canonical, so every slice is deterministic.
     """
 
     def __init__(self, irrep: Irrep, T, N, basis):
         self.irrep = irrep
         self.T = T
         self.N = N
-        self.basis = basis  # list of dense vectors in irrep coordinates
+        self.basis = basis
 
     @property
     def dim(self):
@@ -367,15 +380,10 @@ def multiplicity_slices(irrep: Irrep):
             continue  # o3-highest vectors sit at tau0 = T <= 0
         cols = irrep.weight_positions[w]
         target = irrep.weight_positions.get(Weight((T - 1, N)), [])
-        _, kernel = rank_and_kernel(_submatrix(e, target, cols))
+        _, kernel = rank_and_kernel(_block(e, target, cols))
         if not kernel:
             continue
-        basis = []
-        for kv in kernel:
-            v = [Fraction(0)] * irrep.dim
-            for t, x in zip(cols, kv):
-                v[t] = x
-            basis.append(v)
+        basis = [{t: x for t, x in zip(cols, kv) if x} for kv in kernel]
         slices[(T, N)] = MultiplicitySlice(irrep, T, N, basis)
         covered += len(basis) * int(-2 * T + 1)
     if covered != irrep.dim:
@@ -414,15 +422,13 @@ class SliceMap:
         return self._factor()[1]
 
 
-def _restrict_to_slices(op: ExactMatrix, source: MultiplicitySlice,
+def _restrict_to_slices(op: LinOp, source: MultiplicitySlice,
                         target) -> SliceMap:
     """Express op: span(source) -> span(target) by one solve; image
     containment is an assertion (weight shift + o3-commutation guarantee
     it).  An empty target (None) admits only zero images."""
     tbasis = target.basis if target is not None else []
-    images = [op.apply(v) for v in source.basis]
-    coords = solve(ExactMatrix.from_columns(tbasis, op.rows),
-                   ExactMatrix.from_columns(images, op.rows))
+    coords = _coordinates(tbasis, [op.apply(v) for v in source.basis])
     if coords is None:
         where = (f"({target.T},{target.N})" if target is not None
                  else "(empty)")
@@ -453,7 +459,7 @@ def pf_slice_maps(irrep: Irrep, T):
 
 
 class ProjectorResult:
-    def __init__(self, matrix: ExactMatrix, singular_weights, series_checked):
+    def __init__(self, matrix: LinOp, singular_weights, series_checked):
         self.matrix = matrix
         self.singular_weights = singular_weights  # weights where the series
         # evaluation hits a vanishing denominator (reported, not fatal)
@@ -461,7 +467,7 @@ class ProjectorResult:
 
 
 def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
-    """The o3 extremal projector p on the irrep, as an exact matrix.
+    """The o3 extremal projector p on the irrep, as an exact operator.
 
     p is realized as the unique projector with image ker(e) and kernel
     im(f) (the algebraic characterization p^2 = p, e p = p f = 0).  The
@@ -471,11 +477,9 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
     are recorded as diagnostics (the R(h) localization of the series is
     not defined there).
     """
-    d = irrep.dim
     e = irrep.genmats[O3_RAISING]
     f = irrep.genmats[O3_LOWERING]
-    proj = ExactMatrix(d, d)
-    unit = ExactMatrix.identity(d).data
+    proj = LinOp(irrep.dim)
     singular = []
     checked = []
     for w in sorted(irrep.weight_positions, key=_weight_sort_key):
@@ -484,9 +488,9 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
         # has root +e_1, so f-images landing here come from tau0 - 1 too.
         up = irrep.weight_positions.get(Weight((w.comps[0] - 1, w.comps[1])), [])
         # ker(e) restricted to the block, and im(f) from the tau0-1 block
-        _, kern = rank_and_kernel(_submatrix(e, up, cols))
+        _, kern = rank_and_kernel(_block(e, up, cols))
         kmat = ExactMatrix.from_columns(kern, len(cols))
-        fmat = _submatrix(f, cols, up)
+        fmat = _block(f, cols, up)
         # one solve for all projector columns: each block basis vector
         # splits uniquely as (kernel part) + (image part)
         sol = solve(ExactMatrix(len(cols), len(kern) + len(up),
@@ -494,45 +498,37 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
                     ExactMatrix.identity(len(cols)))
         if sol is None:
             raise AssertionError("ker(e) + im(f) fails to span a weight block")
-        pblock = kmat @ ExactMatrix(len(kern), len(cols), sol.data[:len(kern)])
-        for i, r in enumerate(cols):
-            for t, c in enumerate(cols):
-                proj.data[r][c] = pblock.data[i][t]
+        _put_block(proj, cols, cols, kmat @ ExactMatrix(
+            len(kern), len(cols), sol.data[:len(kern)]))
         # series cross-check on this block: h = 2 F_{-1,-1}, rho(h) = 1,
         # f normalized to 2 F_{0,-1} so that [e, f] = h
         mu_h = -2 * w.comps[0]
-        block_vecs = [unit[c] for c in cols]
-        # e-powers of the block basis, up to nilpotency
+        # e-powers of the block basis vectors, up to nilpotency
         towers = []
-        for v in block_vecs:
-            tower = [v]
-            while any(tower[-1]):
+        for c in cols:
+            tower = [{c: Fraction(1)}]
+            while tower[-1]:
                 tower.append(e.apply(tower[-1]))
             towers.append(tower[:-1])
         kmax = max(len(t) - 1 for t in towers)
         if any(mu_h + 1 + t == 0 for t in range(1, kmax + 1)):
             singular.append(w)
             continue
-        agree = True
-        for v, tower in zip(block_vecs, towers):
-            acc = list(v)
+        for tower in towers:
+            acc = tower[0]
             coeff = Fraction(1)
             for k in range(1, len(tower)):
                 coeff = coeff * Fraction(-1, k) / (mu_h + 1 + k)
                 term = tower[k]
                 for _ in range(k):
                     term = f.apply(term)
-                    term = [2 * x for x in term]
-                acc = [a + coeff * t for a, t in zip(acc, term)]
-            want = proj.apply(v)
-            if acc != want:
-                agree = False
-        if agree:
-            checked.append(w)
-        else:
-            raise AssertionError(
-                f"extremal projector series disagrees with the algebraic "
-                f"projector on weight {w} of {irrep}")
+                acc = svec_add(acc, {r: 2 ** k * coeff * x
+                                     for r, x in term.items()})
+            if acc != proj.apply(tower[0]):
+                raise AssertionError(
+                    f"extremal projector series disagrees with the "
+                    f"algebraic projector on weight {w} of {irrep}")
+        checked.append(w)
     return ProjectorResult(proj, singular, checked)
 
 
@@ -560,7 +556,7 @@ def omega_genindex(g: GenIndex):
     return (-Fraction(s * twist), h)
 
 
-def omega_operator(irrep: Irrep) -> ExactMatrix:
+def omega_operator(irrep: Irrep) -> LinOp:
     """Intertwiner with Omega M(g) = M(omega(g)) Omega, unique up to scale.
 
     Fixed by sending the highest-weight vector to the lowest-weight one,
@@ -578,15 +574,13 @@ def omega_operator(irrep: Irrep) -> ExactMatrix:
     coefficient of x^(d-i) in its characteristic polynomial is therefore
     2^(i (lam1 + lam2)) times the one of the conventional basis.
     """
-    d = irrep.dim
     lowering = [(g, root_of(g)) + omega_genindex(g)
                 for g in canonical_generators(N_RANK) if is_lowering(g)]
     lam = irrep.weights[0]  # basis[0] is the highest-weight vector
     low_positions = irrep.weight_positions.get(-lam)
     if not low_positions or len(low_positions) != 1:
         raise AssertionError("lowest weight space is not a line")
-    omega = ExactMatrix(d, d)
-    omega.data[low_positions[0]][0] = Fraction(1)
+    omega = LinOp(irrep.dim, {0: {low_positions[0]: 1}})
     positions = irrep.weight_positions
     for nu in sorted(positions, key=_weight_sort_key)[1:]:
         pos, mirror = positions[nu], positions.get(-nu, [])
@@ -596,9 +590,9 @@ def omega_operator(irrep: Irrep) -> ExactMatrix:
             if not src:
                 continue
             src_mirror = positions.get(alpha - nu, [])
-            down = _submatrix(irrep.genmats[g], pos, src)
-            image = (_submatrix(irrep.genmats[h], mirror, src_mirror)
-                     @ _submatrix(omega, src_mirror, src)).scale(Fraction(c))
+            down = _block(irrep.genmats[g], pos, src)
+            image = (_block(irrep.genmats[h], mirror, src_mirror)
+                     @ _block(omega, src_mirror, src)).scale(Fraction(c))
             rows.extend(a + b for a, b in zip(down.transpose().data,
                                               image.transpose().data))
         red, pivots = ExactMatrix(len(rows), len(pos) + len(mirror),
@@ -607,9 +601,11 @@ def omega_operator(irrep: Irrep) -> ExactMatrix:
             raise AssertionError(
                 f"lowering images fail to span V_{nu} or give inconsistent "
                 f"Omega images on {irrep}")
-        for i, p in enumerate(pos):
-            for k, q in enumerate(mirror):
-                omega.data[q][p] = red.data[i][len(pos) + k]
+        # row i of the reduced system is [e_i | Omega of basis vector pos[i]]
+        for p, row in zip(pos, red.data):
+            col = {q: x for q, x in zip(mirror, row[len(pos):]) if x}
+            if col:
+                omega.cols[p] = col
     # posterior verification: the defining intertwining property
     for g in canonical_generators(N_RANK):
         c, h = omega_genindex(g)
@@ -620,7 +616,7 @@ def omega_operator(irrep: Irrep) -> ExactMatrix:
     return omega
 
 
-def theta_transport(irrep: Irrep, omega: ExactMatrix, T) -> ExactMatrix:
+def theta_transport(irrep: Irrep, omega: LinOp, T) -> LinOp:
     """Theta = M(e)^{2|T|} . Omega : maps V+_{T,N} bijectively to V+_{T,-N}.
 
     Omega carries an o3-highest vector (tau0 = T) to an o3-lowest one
@@ -671,7 +667,7 @@ def tps_scalar_probe(irrep: Irrep):
             })
             x = m_pf2.apply(v)
             y = m_f20.apply(v)
-            if all(not t for t in y):
+            if not y:
                 continue
             c = _ratio(x, y)
             report["c_constant"].append({
@@ -691,18 +687,10 @@ def _index_set_sym():
 
 
 def _ratio(x, y):
-    """x = c*y for dense vectors: the scalar c, or None."""
-    c = None
-    for a, b in zip(x, y):
-        if not b:
-            if a:
-                return None
-            continue
-        r = a / b
-        if c is None:
-            c = r
-        elif c != r:
-            return None
-    if c is None:
-        c = Fraction(0) if all(not a for a in x) else None
-    return c
+    """x = c*y for sparse vectors: the scalar c, or None."""
+    if x.keys() - y.keys():
+        return None
+    ratios = {x.get(k, 0) / b for k, b in y.items()}
+    if not ratios:
+        return Fraction(0)  # x = y = 0
+    return ratios.pop() if len(ratios) == 1 else None

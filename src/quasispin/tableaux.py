@@ -542,8 +542,7 @@ def validate_against_representation(irrep: Irrep):
     report = {"slices": [], "gamma_mismatches": {c: [] for c in GAMMA_CONVENTIONS},
               "case_mismatches": [], "roundtrip_charpolys": {},
               "states": states, "anomalies": data["anomalies"]}
-    up_mat = irrep.pf_matrix(+1)
-    down_mat = irrep.pf_matrix(-1)
+    roundtrip = irrep.pf_matrix(-1) @ irrep.pf_matrix(+1)
     for (T, N), s in sorted(slices.items()):
         rect = Rectangle(lam1, lam2, T)
         info = rect.slice_points(N)
@@ -604,7 +603,7 @@ def validate_against_representation(irrep: Irrep):
                     entry["compose_rank"] = {"actual": ra, "model": rm}
                     report["gamma_mismatches"][conv].append(entry)
         # round-trip endomorphism spectra (probe content)
-        rt = _restrict_to_slices(down_mat @ up_mat, s, s)
+        rt = _restrict_to_slices(roundtrip, s, s)
         report["roundtrip_charpolys"][(T, N)] = characteristic_polynomial(rt.matrix)
         report["slices"].append(row)
     # flag-level comparison: push the model maps into their own image

@@ -14,7 +14,7 @@ suites.  Every checker returns the normally ordered difference as a
 witness instead of a bare boolean.
 
 `evaluate_in_representation` is the one evaluator in a matrix
-representation, for `ExactMatrix` and `LinOp` generator maps alike: it
+representation; generator maps are `LinOp`s, and so is the result.  It
 pushes every basis vector through every word as a sparse column and
 forms no dense product.  The rewriter compares letters by
 `pbw_sort_key`, which liealg memoises per generator.
@@ -28,7 +28,7 @@ from math import factorial
 
 from .liealg import (GenIndex, Weight, bracket, canonicalize, index_range,
                      pbw_sort_key, root_of)
-from .linalg import ExactMatrix, LinOp
+from .linalg import LinOp
 from .scalars import Rational, rat
 
 Word = tuple  # a word is a tuple of GenIndex, () is the scalar word
@@ -542,22 +542,21 @@ def pf_hat_star_expression(n: int, sign: int) -> UEAElement:
 # -- evaluation in a matrix representation -----------------------------
 
 
-def evaluate_in_representation(x: UEAElement, genmap: dict, dim: int):
-    """Substitute matrices for generators: words become matrix products.
+def evaluate_in_representation(x: UEAElement, genmap: dict,
+                               dim: int) -> LinOp:
+    """Substitute operators for generators: words become products.
 
-    The genmap values are all `ExactMatrix` or all `LinOp`, each dim x dim;
-    the result has the same type.  Each letter of x is read once as sparse
-    columns {col: {row: value}}.  Then every basis vector e_c is pushed
-    through every word as a sparse vector, letters right to left, stopping
-    when it dies, and coeff * image is summed into column c.  A letter
-    costs at most nnz(vector) * nnz(column) steps, so a dense irrep costs
+    The genmap values are `LinOp`s on dim dimensions, and the result is
+    one too.  Every basis vector e_c is pushed through every word as a
+    sparse vector, letters right to left, stopping when it dies, and
+    coeff * image is summed into column c.  A letter costs at most
+    nnz(vector) * nnz(column) steps, so operators with full columns cost
     no more than a matrix product per letter, and the defining, Fock and
-    weight-basis generators, with one or a few entries per column, cost
-    about dim * len(w) dict steps per word.
+    irrep generators, with one or a few entries per column, cost about
+    dim * len(w) dict steps per word.
     """
     if not genmap:
         raise ValueError("empty generator map")
-    kind = type(next(iter(genmap.values())))
     letters: dict = {}
 
     def columns(g):
@@ -566,21 +565,13 @@ def evaluate_in_representation(x: UEAElement, genmap: dict, dim: int):
             m = genmap.get(g)
             if m is None:
                 raise ValueError(f"generator map has no matrix for {g!r}")
-            if kind is LinOp:
-                if m.dim != dim:
-                    raise ValueError(f"{g!r} acts on dimension {m.dim}, "
-                                     f"not {dim}")
-                cols = m.cols
-            else:
-                if (m.rows, m.cols) != (dim, dim):
-                    raise ValueError(f"{g!r} is {m.rows}x{m.cols}, "
-                                     f"not {dim}x{dim}")
-                cols = {}
-                for r, row in enumerate(m.data):
-                    for c, y in enumerate(row):
-                        if y:
-                            cols.setdefault(c, {})[r] = y
-            letters[g] = cols
+            if not isinstance(m, LinOp):
+                raise TypeError(f"{g!r} maps to a {type(m).__name__}, "
+                                "not a LinOp")
+            if m.dim != dim:
+                raise ValueError(f"{g!r} acts on dimension {m.dim}, "
+                                 f"not {dim}")
+            cols = letters[g] = m.cols
         return cols
 
     out: dict = {}
@@ -602,13 +593,7 @@ def evaluate_in_representation(x: UEAElement, genmap: dict, dim: int):
                 acc = out.setdefault(c, {})
                 for r, v in vec.items():
                     acc[r] = acc.get(r, 0) + v
-    if kind is LinOp:
-        return LinOp(dim, out)
-    m = ExactMatrix(dim, dim)
-    for c, col in out.items():
-        for r, v in col.items():
-            m.data[r][c] = v
-    return m
+    return LinOp(dim, out)
 
 
 def omega_image(x: UEAElement) -> UEAElement:

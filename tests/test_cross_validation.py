@@ -66,8 +66,8 @@ def test_capelli_scalars_match_across_sources():
         scalars = []
         for irr in (a, b):
             m = irr.matrix_of(ck)
-            diag = m.data[0][0]
-            off_ok = all(m.data[i][j] == (diag if i == j else 0)
+            diag = m.entry(0, 0)
+            off_ok = all(m.entry(i, j) == (diag if i == j else 0)
                          for i in range(irr.dim) for j in range(irr.dim))
             assert off_ok, f"C_{k} not scalar on {irr}"
             scalars.append(diag)
@@ -80,6 +80,6 @@ def test_capelli_separates_some_irreps():
     five = find(tensor_power_representation(1), (F(0), F(-1)))
     adj = find(tensor_power_representation(2), (F(-1), F(-1)))
     c2 = capelli(2, 2)
-    s_five = five.matrix_of(c2).data[0][0]
-    s_adj = adj.matrix_of(c2).data[0][0]
+    s_five = five.matrix_of(c2).entry(0, 0)
+    s_adj = adj.matrix_of(c2).entry(0, 0)
     assert s_five != s_adj

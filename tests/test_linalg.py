@@ -174,6 +174,56 @@ def test_linop_roundtrip_and_products():
     assert (a - a).is_zero()
 
 
+@st.composite
+def linop_cases(draw):
+    """Two operators on 1..4 dimensions, with explicit zeros in their input
+    columns, plus a scalar, a block position and a block."""
+    n = draw(st.integers(1, 4))
+    idx = st.integers(0, n - 1)
+    cols = st.dictionaries(idx, st.dictionaries(idx, entries, max_size=n),
+                           max_size=n)
+    rows = draw(st.lists(idx, unique=True, max_size=n))
+    bcols = draw(st.lists(idx, unique=True, max_size=n))
+    block = draw(matrices(len(rows), len(bcols)))
+    return (LinOp(n, draw(cols)), LinOp(n, draw(cols)), draw(entries),
+            rows, bcols, block)
+
+
+def in_normal_form(op):
+    return all(col and all(col.values()) for col in op.cols.values())
+
+
+def dense(op):
+    return [[op.entry(r, c) for c in range(op.dim)] for r in range(op.dim)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(linop_cases())
+def test_linop_operations_keep_normal_form(case):
+    # LinOp.__eq__ compares the stored columns, which is entrywise
+    # equality only while no zero entry and no empty column is stored
+    from quasispin.liealg import canonical_generators
+    from quasispin.replab import _put_block
+    from quasispin.uea import UEAElement, evaluate_in_representation
+    a, b, c, rows, cols, block = case
+    n = a.dim
+    gens = canonical_generators(1)
+    genmap = dict(zip(gens, (a, b, a @ b)))
+    x = UEAElement(1, {(gens[0], gens[1]): 1, (gens[1], gens[0]): -1,
+                       (gens[2],): c})
+    put = LinOp(n)
+    _put_block(put, rows, cols, block)
+    assert dense(put) == [[block.data[rows.index(r)][cols.index(k)]
+                           if r in rows and k in cols else 0
+                           for k in range(n)] for r in range(n)]
+    for op in (a, b, a + b, a - b, a - a, a @ b, a.scale(c), a.transpose(),
+               evaluate_in_representation(x, genmap, n), put):
+        assert in_normal_form(op)
+    assert (a - a).is_zero() and a - a == LinOp(n)
+    assert (a == b) == (dense(a) == dense(b))
+    assert a + b == b + a
+
+
 def test_float_entries_rejected():
     with pytest.raises(TypeError):
         ExactMatrix(1, 2, [[1, 0.5]])

@@ -275,11 +275,9 @@ def test_sort_key_and_root_memos_match_fresh_computation():
 # -- the evaluator against a dense word-product reference ---------------
 
 
-def _dense(m, dim) -> ExactMatrix:
-    if isinstance(m, LinOp):
-        return ExactMatrix(dim, dim, [[m.entry(r, c) for c in range(dim)]
-                                      for r in range(dim)])
-    return m
+def _dense(m: LinOp, dim) -> ExactMatrix:
+    return ExactMatrix(dim, dim, [[m.entry(r, c) for c in range(dim)]
+                                  for r in range(dim)])
 
 
 def _reference(x, genmap, dim) -> ExactMatrix:
@@ -289,7 +287,8 @@ def _reference(x, genmap, dim) -> ExactMatrix:
         m = ExactMatrix.identity(dim)
         for g in w:
             m = m @ _dense(genmap[g], dim)
-        out = out + m.scale(c)
+        out = ExactMatrix(dim, dim, [[a + c * b for a, b in zip(ra, rb)]
+                                     for ra, rb in zip(out.data, m.data)])
     return out
 
 
@@ -323,8 +322,7 @@ def elements(draw, n):
 
 def _assert_matches_reference(x, genmap, dim):
     got = evaluate_in_representation(x, genmap, dim)
-    kind = type(next(iter(genmap.values())))
-    assert type(got) is kind
+    assert type(got) is LinOp
     assert _dense(got, dim) == _reference(x, genmap, dim)
     return got
 
@@ -364,3 +362,7 @@ def test_evaluator_input_errors():
     fock_map, fock_dim, _ = _oracle("fock(1/2)")
     with pytest.raises(ValueError):
         evaluate_in_representation(x, fock_map, fock_dim + 1)
+    # a dense generator map is refused, naming the first letter read
+    dense = {g: _dense(m, 5) for g, m in ORACLE5[0].items()}
+    with pytest.raises(TypeError, match=r"F\[-1,-2\] maps to a ExactMatrix"):
+        evaluate_in_representation(x, dense, 5)
