@@ -4,6 +4,9 @@ Modes are enumerated protons first (ascending m), then neutrons
 (ascending m); a basis state is the occupation bitmask over that order.
 Creation operators follow the Jordan-Wigner convention: applying
 a+_k to a mask picks up (-1)^(number of occupied modes below k).
+a+_k and a_k are kept as integer columns {col: {row: +-1}}: the CAR
+check, the operator sums and the bracket table run in integers
+(`_isum`), and an operator becomes a `LinOp` only when it leaves here.
 
 The quasi-spin operators are built on top, together with the dictionary
 assigning them to the ten canonical generators of o_5.  The operator
@@ -30,6 +33,8 @@ matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 from .liealg import bracket, canonical_generators, root_of
 from .linalg import LinOp
@@ -51,8 +56,31 @@ CORRECTED_FORMULAS = {
 }
 
 
+def _isum(terms) -> dict:
+    """The sum of s * x @ y over terms (s, x, y) of integer columns
+    {col: {row: int}}, with no zero entry and no empty column."""
+    out = {}
+    for s, x, y in terms:
+        for c, ycol in y.items():
+            acc = out.setdefault(c, {})
+            for k, b in ycol.items():
+                for r, a in x.get(k, {}).items():
+                    acc[r] = acc.get(r, 0) + s * a * b
+    return {c: nz for c, col in out.items()
+            if (nz := {r: v for r, v in col.items() if v})}
+
+
+def _ident(dim: int) -> dict:
+    return {c: {c: 1} for c in range(dim)}
+
+
+def _to_linop(dim: int, cols: dict, den: int = 1) -> LinOp:
+    return LinOp(dim, {c: {r: Fraction(v, den) for r, v in col.items()}
+                       for c, col in cols.items()})
+
+
 class FockSpace:
-    """All creation/annihilation matrices for a single-j two-species shell."""
+    """All creation/annihilation operators for a single-j two-species shell."""
 
     def __init__(self, j, max_j=MAX_J_DEFAULT):
         j = rat(j)
@@ -67,43 +95,45 @@ class FockSpace:
         self.nmodes = len(self.modes)
         self.dim = 1 << self.nmodes
         self.mode_pos = {mode: k for k, mode in enumerate(self.modes)}
-        self._adag = [self._build_adag(k) for k in range(self.nmodes)]
-        self._a = [op.transpose() for op in self._adag]
+        self._adag, self._a = zip(*map(self._build_mode, range(self.nmodes)))
 
-    def _build_adag(self, k: int) -> LinOp:
-        op = LinOp(self.dim)
+    def _build_mode(self, k: int):
+        adag, a = {}, {}
         bit = 1 << k
-        below = bit - 1
         for mask in range(self.dim):
             if mask & bit:
                 continue
-            sign = -1 if bin(mask & below).count("1") % 2 else 1
-            op.cols[mask] = {mask | bit: Fraction(sign)}
-        return op
+            sign = -1 if bin(mask & (bit - 1)).count("1") % 2 else 1
+            adag[mask] = {mask | bit: sign}
+            a[mask | bit] = {mask: sign}
+        return adag, a
 
     def adag(self, species: str, m) -> LinOp:
-        return self._adag[self.mode_pos[(species, rat(m))]]
+        return _to_linop(self.dim, self._adag[self.mode_pos[(species, rat(m))]])
 
     def a(self, species: str, m) -> LinOp:
-        return self._a[self.mode_pos[(species, rat(m))]]
+        return _to_linop(self.dim, self._a[self.mode_pos[(species, rat(m))]])
 
     def vacuum(self) -> dict:
         return {0: Fraction(1)}
 
     def car_violations(self):
         """Exhaustive CAR check; returns offending (relation, i, j) triples."""
+        def anti(x, y):
+            return _isum([(1, x, y), (1, y, x)])
+
         bad = []
-        ident = LinOp.identity(self.dim)
+        ident = _ident(self.dim)
+        a, adag = self._a, self._adag
         for i in range(self.nmodes):
             for k in range(i, self.nmodes):
-                if not self._a[i].anticommutator(self._a[k]).is_zero():
+                if anti(a[i], a[k]):
                     bad.append(("{a,a}", i, k))
-                if not self._adag[i].anticommutator(self._adag[k]).is_zero():
+                if anti(adag[i], adag[k]):
                     bad.append(("{a+,a+}", i, k))
-                want = ident if i == k else LinOp(self.dim)
-                if self._a[i].anticommutator(self._adag[k]) != want:
+                if anti(a[i], adag[k]) != (ident if i == k else {}):
                     bad.append(("{a,a+}", i, k))
-                if i != k and not self._a[k].anticommutator(self._adag[i]).is_zero():
+                if i != k and anti(a[k], adag[i]):
                     bad.append(("{a,a+}", k, i))
         return bad
 
@@ -112,43 +142,32 @@ def quasispin_operators(space: FockSpace) -> dict:
     """The ten quasi-spin operators as exact matrices (corrected forms).
 
     A(0) and B(0) come without their 1/sqrt2 prefactor, which sits in
-    `DICTIONARY`; every entry is an integer or a half-integer.
+    `DICTIONARY`; every entry is an integer or a half-integer: tau0 and
+    N are summed in integers as 2 tau0 and 2N.
     """
-    j = space.j
-    dim = space.dim
-    half = Fraction(1, 2)
-
-    def sum_ops(terms) -> LinOp:
-        acc = LinOp(dim)
-        for t in terms:
-            acc = acc + t
-        return acc
-
-    ap = {m: space.adag("p", m) for m in space.m_values}
-    an = {m: space.adag("n", m) for m in space.m_values}
-    bp = {m: space.a("p", m) for m in space.m_values}
-    bn = {m: space.a("n", m) for m in space.m_values}
-    pos_m = [m for m in space.m_values if m > 0]
-
-    def phase(m) -> int:
-        e = j - m
-        if e.denominator != 1:
-            raise AssertionError(f"j-m = {e} must be integral for m>0 sums")
-        return -1 if int(e) % 2 else 1
+    j, ms = space.j, space.m_values
+    ap = {m: space._adag[space.mode_pos["p", m]] for m in ms}
+    an = {m: space._adag[space.mode_pos["n", m]] for m in ms}
+    bp = {m: space._a[space.mode_pos["p", m]] for m in ms}
+    bn = {m: space._a[space.mode_pos["n", m]] for m in ms}
+    # j - m is the integer k of m = j - k
+    pos_m = [(m, -1 if (j - m) % 2 else 1) for m in ms if m > 0]
 
     ops = {}
-    ops["tau+"] = sum_ops(ap[m] @ bn[m] for m in space.m_values)
-    ops["tau-"] = sum_ops(an[m] @ bp[m] for m in space.m_values)
-    ops["tau0"] = sum_ops([(ap[m] @ bp[m]).scale(half) for m in space.m_values]
-                          + [(an[m] @ bn[m]).scale(-half) for m in space.m_values])
-    num = sum_ops([(ap[m] @ bp[m]).scale(half) for m in space.m_values]
-                  + [(an[m] @ bn[m]).scale(half) for m in space.m_values])
-    ops["N"] = num - LinOp.identity(dim).scale(Fraction(2 * j + 1, 2))
-
-    ops["A(1)"] = sum_ops((ap[m] @ ap[-m]).scale(phase(m)) for m in pos_m)
-    ops["A(-1)"] = sum_ops((an[m] @ an[-m]).scale(phase(m)) for m in pos_m)
-    ops["A(0)"] = sum_ops(((ap[m] @ an[-m]) + (an[m] @ ap[-m])).scale(phase(m))
-                          for m in pos_m)
+    ops["tau+"] = _isum((1, ap[m], bn[m]) for m in ms)
+    ops["tau-"] = _isum((1, an[m], bp[m]) for m in ms)
+    ops["tau0"] = _isum([(1, ap[m], bp[m]) for m in ms]
+                        + [(-1, an[m], bn[m]) for m in ms])
+    ident = _ident(space.dim)
+    ops["N"] = _isum([(1, ap[m], bp[m]) for m in ms]
+                     + [(1, an[m], bn[m]) for m in ms]
+                     + [(-int(2 * j + 1), ident, ident)])
+    ops["A(1)"] = _isum((s, ap[m], ap[-m]) for m, s in pos_m)
+    ops["A(-1)"] = _isum((s, an[m], an[-m]) for m, s in pos_m)
+    ops["A(0)"] = _isum(t for m, s in pos_m
+                        for t in ((s, ap[m], an[-m]), (s, an[m], ap[-m])))
+    ops = {name: _to_linop(space.dim, cols, 2 if name in ("tau0", "N") else 1)
+           for name, cols in ops.items()}
     # B(X) is the adjoint (real transpose) of A(X)
     ops["B(1)"] = ops["A(1)"].transpose()
     ops["B(-1)"] = ops["A(-1)"].transpose()
@@ -196,23 +215,29 @@ def dictionary_to_o5(ops: dict) -> dict:
     return out
 
 
-def verify_representation(genmap: dict, n: int = 2):
-    """Check [M_a, M_b] = M(bracket(a,b)) for every unordered pair.
-
+def verify_representation(genmap: dict):
+    """Check [M_a, M_b] = M(bracket(a,b)) for every pair a != b, in
+    integers: D_g M_g clears the denominators of M_g, and both sides are
+    scaled by D_a D_b and the lcm of the denominators of c D_a D_b / D_g.
     Returns the list of violating pairs (empty = exact representation).
     """
-    gens = list(genmap)
+    cleared = {}
+    for g, op in genmap.items():
+        d = lcm(1, *[x.denominator for col in op.cols.values()
+                     for x in col.values()])
+        cleared[g] = d, {c: {r: x.numerator * (d // x.denominator)
+                             for r, x in col.items()}
+                         for c, col in op.cols.items()}
+    ident = _ident(next(iter(genmap.values())).dim)
     violations = []
-    dim = next(iter(genmap.values())).dim
-    for x in range(len(gens)):
-        for y in range(x, len(gens)):
-            a, b = gens[x], gens[y]
-            lhs = genmap[a].commutator(genmap[b])
-            rhs = LinOp(dim)
-            for c, g in bracket(a, b):
-                rhs = rhs + genmap[g].scale(Fraction(c))
-            if lhs != rhs:
-                violations.append((a, b))
+    for a, b in combinations(genmap, 2):
+        (da, ma), (db, mb) = cleared[a], cleared[b]
+        terms = [(c * da * db / cleared[g][0], cleared[g][1])
+                 for c, g in bracket(a, b)]
+        big = lcm(1, *(q.denominator for q, _ in terms))
+        if (_isum([(big, ma, mb), (-big, mb, ma)])
+                != _isum((int(q * big), ident, m) for q, m in terms)):
+            violations.append((a, b))
     return violations
 
 

@@ -335,9 +335,6 @@ class LinOp:
     def commutator(self, other: "LinOp") -> "LinOp":
         return self @ other - other @ self
 
-    def anticommutator(self, other: "LinOp") -> "LinOp":
-        return self @ other + other @ self
-
     def transpose(self) -> "LinOp":
         out = LinOp(self.dim)
         for c, col in self.cols.items():

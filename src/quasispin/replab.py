@@ -622,7 +622,8 @@ def theta_transport(irrep: Irrep, omega: LinOp, T) -> LinOp:
     Omega carries an o3-highest vector (tau0 = T) to an o3-lowest one
     (tau0 = -T); climbing back with the o3 raising operator returns to
     the o3-highest line of the same o3-irrep, with a T-dependent overall
-    scale that drops out of every flag-level use.
+    scale that drops out of every flag-level use.  Passed Theta_{T'} in
+    place of Omega and T - T', it returns Theta_T.
     """
     steps = int(-2 * T)
     m = omega

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 from .liealg import weyl_dimension
 from .linalg import (ExactMatrix, characteristic_polynomial, rank,
@@ -358,7 +359,12 @@ def assign_k(irrep: Irrep):
     omega = omega_operator(irrep)
     states = []
     data = {"flags": {}, "ups": {}, "downs": {}, "theta": {}, "anomalies": []}
-    for T in sorted({t for (t, _) in slices}):
+    Ts = sorted({t for (t, _) in slices})
+    # theta(T) = e^{-2T} Omega, built from the theta of the T above
+    thetas = {0: omega}
+    for hi, T in pairwise([0] + Ts[::-1]):
+        thetas[T] = theta_transport(irrep, thetas[hi], T - hi)
+    for T in Ts:
         mine = {N: s for (t, N), s in slices.items() if t == T}
         ups, downs = pf_slice_maps(irrep, T)
         data["ups"].update({(T, N): m for N, m in ups.items()})
@@ -376,7 +382,7 @@ def assign_k(irrep: Irrep):
             else:
                 flags[N] = Flag(mine[N].dim)
         # reflection transport for N > 0
-        theta = theta_transport(irrep, omega, T)
+        theta = thetas[T]
         for N in ns:
             if N <= 0:
                 continue

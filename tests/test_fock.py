@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from quasispin.fock import (DICTIONARY, FockSpace, build_o5_on_fock,
                             dictionary_to_o5, quasispin_operators,
                             verify_representation)
-from quasispin.liealg import GenIndex, root_of
+from quasispin.liealg import GenIndex, bracket, root_of
 from quasispin.linalg import LinOp
 from quasispin.uea import hat_set, pf_hat_star_expression, pfaffian
 
@@ -37,7 +38,8 @@ def test_creation_nilpotent():
 
 def test_cross_species_car():
     sp = FockSpace(HALF)
-    assert sp.a("p", HALF).anticommutator(sp.adag("n", HALF)).is_zero()
+    x, y = sp.a("p", HALF), sp.adag("n", HALF)
+    assert (x @ y + y @ x).is_zero()
 
 
 def test_car_exhaustive():
@@ -130,3 +132,114 @@ def test_pf_matrices_commute_with_o3_on_fock():
             pf_op = rep_of(pfaffian(hat_set(2, sign)), genmap, sp.dim)
             for g in o3_subalgebra_generators(2):
                 assert pf_op.commutator(genmap[g]).is_zero()
+
+
+# -- reference: the LinOp-product construction of the three integer checks
+
+slow = pytest.mark.skipif(not os.environ.get("QUASISPIN_SLOW"),
+                          reason="set QUASISPIN_SLOW=1 to run the j=5/2 check")
+
+
+def ref_car_violations(sp):
+    adag = [sp.adag(*mode) for mode in sp.modes]
+    a = [sp.a(*mode) for mode in sp.modes]
+    ident = LinOp.identity(sp.dim)
+    bad = []
+    for i in range(sp.nmodes):
+        for k in range(i, sp.nmodes):
+            if not (a[i] @ a[k] + a[k] @ a[i]).is_zero():
+                bad.append(("{a,a}", i, k))
+            if not (adag[i] @ adag[k] + adag[k] @ adag[i]).is_zero():
+                bad.append(("{a+,a+}", i, k))
+            want = ident if i == k else LinOp(sp.dim)
+            if a[i] @ adag[k] + adag[k] @ a[i] != want:
+                bad.append(("{a,a+}", i, k))
+            if i != k and not (a[k] @ adag[i] + adag[i] @ a[k]).is_zero():
+                bad.append(("{a,a+}", k, i))
+    return bad
+
+
+def ref_quasispin_operators(sp):
+    half = Fraction(1, 2)
+
+    def sum_ops(terms):
+        acc = LinOp(sp.dim)
+        for t in terms:
+            acc = acc + t
+        return acc
+
+    ap = {m: sp.adag("p", m) for m in sp.m_values}
+    an = {m: sp.adag("n", m) for m in sp.m_values}
+    bp = {m: sp.a("p", m) for m in sp.m_values}
+    bn = {m: sp.a("n", m) for m in sp.m_values}
+    pos_m = [m for m in sp.m_values if m > 0]
+
+    def phase(m):
+        return -1 if int(sp.j - m) % 2 else 1
+
+    ops = {}
+    ops["tau+"] = sum_ops(ap[m] @ bn[m] for m in sp.m_values)
+    ops["tau-"] = sum_ops(an[m] @ bp[m] for m in sp.m_values)
+    ops["tau0"] = sum_ops([(ap[m] @ bp[m]).scale(half) for m in sp.m_values]
+                          + [(an[m] @ bn[m]).scale(-half) for m in sp.m_values])
+    num = sum_ops([(ap[m] @ bp[m]).scale(half) for m in sp.m_values]
+                  + [(an[m] @ bn[m]).scale(half) for m in sp.m_values])
+    ops["N"] = num - LinOp.identity(sp.dim).scale(Fraction(2 * sp.j + 1, 2))
+    ops["A(1)"] = sum_ops((ap[m] @ ap[-m]).scale(phase(m)) for m in pos_m)
+    ops["A(-1)"] = sum_ops((an[m] @ an[-m]).scale(phase(m)) for m in pos_m)
+    ops["A(0)"] = sum_ops(((ap[m] @ an[-m]) + (an[m] @ ap[-m])).scale(phase(m))
+                          for m in pos_m)
+    for x in ("1", "0", "-1"):
+        ops[f"B({x})"] = ops[f"A({x})"].transpose()
+    return ops
+
+
+def ref_verify_representation(genmap):
+    gens = list(genmap)
+    dim = next(iter(genmap.values())).dim
+    violations = []
+    for x in range(len(gens)):
+        for y in range(x, len(gens)):
+            a, b = gens[x], gens[y]
+            rhs = LinOp(dim)
+            for c, g in bracket(a, b):
+                rhs = rhs + genmap[g].scale(Fraction(c))
+            if genmap[a].commutator(genmap[b]) != rhs:
+                violations.append((a, b))
+    return violations
+
+
+@pytest.mark.parametrize("j", [HALF, Fraction(3, 2),
+                               pytest.param(Fraction(5, 2), marks=slow)],
+                         ids=str)
+def test_integer_checks_match_linop_reference(j):
+    sp = FockSpace(j)
+    ops = quasispin_operators(sp)
+    assert ops == ref_quasispin_operators(sp)
+    assert all(type(x) is Fraction for op in ops.values()
+               for col in op.cols.values() for x in col.values())
+    assert sp.car_violations() == ref_car_violations(sp) == []
+    genmap = dictionary_to_o5(ops)
+    assert verify_representation(genmap) == ref_verify_representation(genmap) == []
+
+
+def test_bracket_table_catches_a_flipped_entry():
+    _, _, genmap = build_o5_on_fock(Fraction(3, 2))
+    g = GenIndex(0, -1, 2)
+    c, col = next(iter(genmap[g].cols.items()))
+    r = next(iter(col))
+    broken = LinOp(genmap[g].dim, genmap[g].cols)
+    broken.cols[c] = {**col, r: -col[r]}
+    genmap[g] = broken
+    got = verify_representation(genmap)
+    assert got == ref_verify_representation(genmap)
+    assert len(got) == 9
+
+
+def test_car_check_catches_a_flipped_jordan_wigner_sign():
+    # a+_3 |0> = -|8> and, a_3 being its transpose, a_3 |8> = -|0>
+    sp = FockSpace(Fraction(3, 2))
+    sp._adag[3][0][8] = sp._a[3][8][0] = -1
+    got = sp.car_violations()
+    assert got == ref_car_violations(sp)
+    assert len(got) == 28
