@@ -7,6 +7,8 @@ a+_k to a mask picks up (-1)^(number of occupied modes below k).
 a+_k and a_k are kept as integer columns {col: {row: +-1}}: the CAR
 check, the operator sums and the bracket table run in integers
 (`_isum`), and an operator becomes a `LinOp` only when it leaves here.
+`commutes` clears the denominators of two `LinOp`s to decide [x, y] = 0
+in the same integers.
 
 The quasi-spin operators are built on top, together with the dictionary
 assigning them to the ten canonical generators of o_5.  The operator
@@ -215,19 +217,30 @@ def dictionary_to_o5(ops: dict) -> dict:
     return out
 
 
+def _cleared(op: LinOp):
+    """(d, cols): the least d > 0 making d * op integral, and the integer
+    columns of d * op."""
+    d = lcm(1, *[x.denominator for col in op.cols.values()
+                 for x in col.values()])
+    return d, {c: {r: x.numerator * (d // x.denominator)
+                   for r, x in col.items()}
+               for c, col in op.cols.items()}
+
+
+def commutes(x: LinOp, y: LinOp) -> bool:
+    """Whether [x, y] = 0, decided in integers: a zero test needs no
+    common scale, so each side is cleared on its own."""
+    (_, ix), (_, iy) = _cleared(x), _cleared(y)
+    return not _isum([(1, ix, iy), (-1, iy, ix)])
+
+
 def verify_representation(genmap: dict):
     """Check [M_a, M_b] = M(bracket(a,b)) for every pair a != b, in
     integers: D_g M_g clears the denominators of M_g, and both sides are
     scaled by D_a D_b and the lcm of the denominators of c D_a D_b / D_g.
     Returns the list of violating pairs (empty = exact representation).
     """
-    cleared = {}
-    for g, op in genmap.items():
-        d = lcm(1, *[x.denominator for col in op.cols.values()
-                     for x in col.values()])
-        cleared[g] = d, {c: {r: x.numerator * (d // x.denominator)
-                             for r, x in col.items()}
-                         for c, col in op.cols.items()}
+    cleared = {g: _cleared(op) for g, op in genmap.items()}
     ident = _ident(next(iter(genmap.values())).dim)
     violations = []
     for a, b in combinations(genmap, 2):

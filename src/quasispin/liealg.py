@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import LinOp
-from .scalars import Rational, rat
+from .scalars import rat
 
 
 def index_range(n: int):
@@ -250,17 +250,3 @@ def weyl_dimension(lam1, lam2) -> int:
 def o3_subalgebra_generators(n: int):
     """Canonical F_ij with -n < i,j < n: the embedded o_{2n-1}."""
     return [g for g in canonical_generators(n) if abs(g.i) < n and abs(g.j) < n]
-
-
-def jacobi_defect(a: GenIndex, b: GenIndex, c: GenIndex):
-    """[[a,b],c] + [[b,c],a] + [[c,a],b] as a coefficient map (empty if OK)."""
-    acc: dict = {}
-
-    def emit(coef: Rational, terms):
-        for c2, g in terms:
-            acc[g] = acc.get(g, Fraction(0)) + coef * c2
-
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        for c1, g in bracket(x, y):
-            emit(c1, bracket(g, z))
-    return {g: c for g, c in acc.items() if c}

@@ -11,14 +11,18 @@ cuts the rectangle with the line l21 + l22 = K and fixes the parity bit
 sigma.  The raising
 action of PfF_{2-hat} on the second row is modeled by an identity block
 (sigma = 0) or a bidiagonal block with gamma-dependent coefficients
-(sigma = 1); everything the model claims about actual representations
+(sigma = 1); `predicted_slice_matrix` is the one builder of these model
+maps, and its gamma-free skeleton (every coefficient 1) carries the A-D
+case pattern.  Everything the model claims about actual representations
 is compared through ranks, kernels and flag positions only, never
 through matrix entries in an uncomputable basis.
 
 `assign_k` builds the fourth quantum number as an image filtration over
 the computed Pfaffian slice maps: states at level k of V+_{T,N} are
 those in the image of the k-fold composed raising map, with labels for
-N > 0 transported through the reflection intertwiner.
+N > 0 transported through the reflection intertwiner.  One upward
+induction, `_upward_flags`, builds these filtrations from the computed
+maps and, in `validate_against_representation`, from the model maps.
 """
 
 from __future__ import annotations
@@ -187,28 +191,14 @@ class ModelMatrix:
         self.target_pts = target_pts
         self.sigma = sigma
         self.singular_points = singular_points
-
-    @property
-    def rank(self):
-        if self.matrix is None:
-            return None
-        return rank(self.matrix)
-
-    @property
-    def nullity(self):
-        if self.matrix is None:
-            return None
-        return len(self.source_pts) - self.rank
-
-    def kernel_point_strata(self):
-        """Indices (in source point order) supporting the kernel."""
-        if self.matrix is None:
-            return None
-        _, ker = rank_and_kernel(self.matrix)
-        return [[i for i, x in enumerate(v) if x] for v in ker]
+        self.rank = self.nullity = None
+        if matrix is not None:
+            self.rank = rank(matrix)
+            self.nullity = len(source_pts) - self.rank
 
 
-def predicted_slice_matrix(lam1, lam2, T, N, convention: str) -> ModelMatrix:
+def predicted_slice_matrix(lam1, lam2, T, N,
+                           convention: str | None) -> ModelMatrix:
     """Model of PfF_{2-hat}: V+_{T,N} -> V+_{T,N+1} in tableau coordinates.
 
     sigma = 0 rows act as the identity on surviving points; sigma = 1
@@ -216,6 +206,12 @@ def predicted_slice_matrix(lam1, lam2, T, N, convention: str) -> ModelMatrix:
     l21+1 and c_2 = -g1^2/(g2^2 - g1^2) on l22+1.  Points leaving the
     rectangle (or hitting the sigma-excluded edge) are replaced by zero.
     Vanishing gamma denominators are reported as singular points.
+
+    convention=None gives the gamma-free skeleton, every coefficient 1.
+    For subset-identity and two-diagonal staircase patterns the rank of
+    the all-ones filling equals the generic rank (no competing
+    permutation paths), so the skeleton is the case-pattern rank
+    prediction of the A-D analysis.
     """
     rect = Rectangle(lam1, lam2, T)
     src = rect.slice_points(N)
@@ -227,23 +223,21 @@ def predicted_slice_matrix(lam1, lam2, T, N, convention: str) -> ModelMatrix:
     tpos = {p: i for i, p in enumerate(tpts)}
     singular = []
     m = ExactMatrix(len(tpts), len(pts))
-    for j, p in enumerate(pts):
+    for j, (x, y) in enumerate(pts):
         if sigma == 0:
-            if p in tpos:
-                m.data[tpos[p]][j] = Fraction(1)
-            continue
-        g1, g2 = gammas(p[0], p[1], convention)
-        if g1 * g1 == g2 * g2:
-            singular.append(p)
-            continue
-        c1 = Fraction(-(g2 * g2), (g1 * g1 - g2 * g2))
-        c2 = Fraction(-(g1 * g1), (g2 * g2 - g1 * g1))
-        up1 = (p[0] + 1, p[1])
-        up2 = (p[0], p[1] + 1)
-        if up1 in tpos:
-            m.data[tpos[up1]][j] = c1
-        if up2 in tpos:
-            m.data[tpos[up2]][j] = c2
+            coeffs = {(x, y): Fraction(1)}
+        elif convention is None:
+            coeffs = {(x + 1, y): Fraction(1), (x, y + 1): Fraction(1)}
+        else:
+            g1, g2 = gammas(x, y, convention)
+            d = g1 * g1 - g2 * g2
+            if not d:
+                singular.append((x, y))
+                continue
+            coeffs = {(x + 1, y): -g2 * g2 / d, (x, y + 1): g1 * g1 / d}
+        for q, c in coeffs.items():
+            if q in tpos:
+                m.data[tpos[q]][j] = c
     return ModelMatrix(None if singular else m, pts, tpts, sigma, singular)
 
 
@@ -302,6 +296,21 @@ def _map_flag(flag: Flag, matrix: ExactMatrix, target_dim: int) -> Flag:
                              for lvl in flag.levels])
 
 
+def _upward_flags(ns, maps, dims) -> dict:
+    """Image flags of the N <= 0 slices of one T, induced upwards.
+
+    A slice with no slice at N - 1 carries the trivial flag; any other
+    carries the push of the flag at N - 1 through maps[N - 1] (the
+    raising map V_{N-1} -> V_N).  dims[N] is the dimension of slice N.
+    """
+    flags = {}
+    for N in ns:
+        if N <= 0:
+            flags[N] = (_push_flag(flags[N - 1], maps[N - 1], dims[N])
+                        if N - 1 in flags else Flag(dims[N]))
+    return flags
+
+
 class ClassifiedState:
     __slots__ = ("T", "tau0", "N", "k", "slice_dim", "case", "sigma")
 
@@ -311,11 +320,6 @@ class ClassifiedState:
 
     def label(self):
         return (self.T, self.tau0, self.N, self.k)
-
-    def as_dict(self):
-        return {"T": self.T, "tau0": self.tau0, "N": self.N, "k": self.k,
-                "slice_dim": self.slice_dim, "case": self.case,
-                "sigma": self.sigma}
 
 
 class ClassificationError(AssertionError):
@@ -370,17 +374,8 @@ def assign_k(irrep: Irrep):
         data["ups"].update({(T, N): m for N, m in ups.items()})
         data["downs"].update({(T, N): m for N, m in downs.items()})
         ns = sorted(mine)
-        flags = {}
-        # upward induction over N <= 0
-        for N in ns:
-            if N > 0:
-                continue
-            prev = N - 1
-            if prev in mine:
-                flags[N] = _push_flag(flags[prev], ups[prev].matrix,
-                                      mine[N].dim)
-            else:
-                flags[N] = Flag(mine[N].dim)
+        flags = _upward_flags(ns, {N: u.matrix for N, u in ups.items()},
+                              {N: s.dim for N, s in mine.items()})
         # reflection transport for N > 0
         theta = thetas[T]
         for N in ns:
@@ -450,8 +445,6 @@ def assign_k(irrep: Irrep):
                         f"(T={T},N={N}) level {bad}")
         # kernel transversality (case D sigma=0 bookkeeping)
         for N in ns:
-            if N not in mine:
-                continue
             if N <= 0 and flags[N].depth() > 1 and _meet_dim(
                     ups[N].kernel(), flags[N].levels[1], flags[N].dim):
                 raise ClassificationError(
@@ -466,16 +459,10 @@ def assign_k(irrep: Irrep):
                     f"stratum of dimension > 1 at (T={T},N={N}): labels "
                     "would collide")
             tag, sigma = case_of(lam1, lam2, T, N)
-            tau0 = T
-            tau_values = []
-            v = T
-            while v <= -T:
-                tau_values.append(v)
-                v = v + 1
             for m, d in enumerate(dims):
                 if d == 0:
                     continue
-                for tau0 in tau_values:
+                for tau0 in _grid(T, -T):
                     states.append(ClassifiedState(
                         T, tau0, N, m, mine[N].dim, tag, sigma))
     labels = [s.label() for s in states]
@@ -505,37 +492,12 @@ def _kernel_level_dims(kernel_basis, flag: Flag):
                                   for m in range(1, flag.depth())]
 
 
-def structural_slice_matrix(lam1, lam2, T, N) -> ModelMatrix:
-    """The gamma-free skeleton of the model map out of (T, N).
-
-    All nonzero coefficients replaced by 1.  For subset-identity and
-    two-diagonal staircase patterns the rank of the all-ones filling
-    equals the generic rank (no competing permutation paths), so this is
-    the case-pattern rank prediction of the A-D analysis.
-    """
-    rect = Rectangle(lam1, lam2, T)
-    src = rect.slice_points(N)
-    if src is None:
-        raise ValueError(f"empty source slice (T={T}, N={N})")
-    sigma, K, pts = src
-    tgt = rect.slice_points(rat(N) + 1)
-    tpts = tgt[2] if tgt is not None else []
-    tpos = {p: i for i, p in enumerate(tpts)}
-    m = ExactMatrix(len(tpts), len(pts))
-    for j, p in enumerate(pts):
-        targets = [p] if sigma == 0 else [(p[0] + 1, p[1]), (p[0], p[1] + 1)]
-        for q in targets:
-            if q in tpos:
-                m.data[tpos[q]][j] = Fraction(1)
-    return ModelMatrix(m, pts, tpts, sigma, [])
-
-
 def validate_against_representation(irrep: Irrep):
     """Compare tableau-model predictions with the computed slice maps.
 
     Per (T, N): slice dimension vs tableau point count; rank/nullity and
     kernel flag-position of the actual raising map vs both gamma-model
-    matrices and vs the A-D case pattern (via the structural skeleton,
+    matrices and vs the A-D case pattern (via the gamma-free skeleton,
     checked on the upward maps for N < 0 and the mirrored downward maps
     for N > 0); two-step composed kernels; the round-trip endomorphism
     characteristic polynomials are recorded as probe data.  Returns a
@@ -545,14 +507,17 @@ def validate_against_representation(irrep: Irrep):
     lam1, lam2 = irrep.highest_weight
     states, data = assign_k(irrep)
     slices = multiplicity_slices(irrep)
+    # every model map once: each gamma convention on every slice, and the
+    # skeleton (None) on N < 0, where it also serves the mirrored N > 0
+    models = {(T, N, conv): predicted_slice_matrix(lam1, lam2, T, N, conv)
+              for (T, N) in slices
+              for conv in GAMMA_CONVENTIONS + ((None,) if N < 0 else ())}
     report = {"slices": [], "gamma_mismatches": {c: [] for c in GAMMA_CONVENTIONS},
               "case_mismatches": [], "roundtrip_charpolys": {},
               "states": states, "anomalies": data["anomalies"]}
     roundtrip = irrep.pf_matrix(-1) @ irrep.pf_matrix(+1)
     for (T, N), s in sorted(slices.items()):
-        rect = Rectangle(lam1, lam2, T)
-        info = rect.slice_points(N)
-        pts = info[2] if info else []
+        pts = models[T, N, GAMMA_CONVENTIONS[0]].source_pts
         row = {"T": T, "N": N, "dim": s.dim, "model_dim": len(pts)}
         if s.dim != len(pts):
             row["dim_mismatch"] = True
@@ -562,25 +527,17 @@ def validate_against_representation(irrep: Irrep):
         row["rank"], row["nullity"] = up.rank, up.nullity
         # A-D case pattern: up-steps out of N < 0, mirrored down-steps
         # out of N > 0 (sharing the mirror slice's structure)
-        if rat(N) < 0:
-            skel = structural_slice_matrix(lam1, lam2, T, N)
-            if (up.rank, up.nullity) != (skel.rank, skel.nullity):
+        if N:
+            skel = models[T, -abs(N), None]
+            step = up if N < 0 else data["downs"][(T, N)]
+            if (step.rank, step.nullity) != (skel.rank, skel.nullity):
                 report["case_mismatches"].append(
                     {"T": T, "N": N, "case": tag, "sigma": sigma,
-                     "direction": "up",
+                     "direction": "up" if N < 0 else "down",
                      "expected": (skel.rank, skel.nullity),
-                     "actual": (up.rank, up.nullity)})
-        elif rat(N) > 0:
-            skel = structural_slice_matrix(lam1, lam2, T, -rat(N))
-            down = data["downs"][(T, N)]
-            if (down.rank, down.nullity) != (skel.rank, skel.nullity):
-                report["case_mismatches"].append(
-                    {"T": T, "N": N, "case": tag, "sigma": sigma,
-                     "direction": "down",
-                     "expected": (skel.rank, skel.nullity),
-                     "actual": (down.rank, down.nullity)})
+                     "actual": (step.rank, step.nullity)})
         for conv in GAMMA_CONVENTIONS:
-            model = predicted_slice_matrix(lam1, lam2, T, N, conv)
+            model = models[T, N, conv]
             entry = {"T": T, "N": N}
             if model.matrix is None:
                 entry["singular"] = [tuple(map(str, p))
@@ -593,18 +550,16 @@ def validate_against_representation(irrep: Irrep):
                 report["gamma_mismatches"][conv].append(entry)
                 continue
             # two-step composition from sigma=0 starts
-            if sigma == 0 and (T, rat(N) + 1) in data["ups"]:
-                nxt = data["ups"][(T, rat(N) + 1)]
-                comp_actual = nxt.matrix @ up.matrix
-                nmodel = predicted_slice_matrix(lam1, lam2, T, rat(N) + 1, conv)
+            if sigma == 0 and (T, N + 1) in data["ups"]:
+                nmodel = models[T, N + 1, conv]
                 if nmodel.matrix is None:
                     entry["singular_step2"] = [tuple(map(str, p))
                                                for p in nmodel.singular_points]
                     report["gamma_mismatches"][conv].append(entry)
                     continue
-                comp_model = nmodel.matrix @ model.matrix
+                comp_actual = data["ups"][(T, N + 1)].matrix @ up.matrix
                 ra, ka = rank_and_kernel(comp_actual)
-                rm, km = rank_and_kernel(comp_model)
+                rm, km = rank_and_kernel(nmodel.matrix @ model.matrix)
                 if ra != rm or len(ka) != len(km):
                     entry["compose_rank"] = {"actual": ra, "model": rm}
                     report["gamma_mismatches"][conv].append(entry)
@@ -618,43 +573,26 @@ def validate_against_representation(irrep: Irrep):
     for T in sorted({t for (t, _) in slices}):
         ns = sorted(N for (t, N) in slices if t == T)
         for conv in GAMMA_CONVENTIONS:
-            models = {}
-            singular = False
-            for N in ns:
-                mm = predicted_slice_matrix(lam1, lam2, T, N, conv)
-                if mm.matrix is None:
-                    singular = True
-                    break
-                models[N] = mm
-            if singular:
+            ladder = {N: models[T, N, conv] for N in ns}
+            if any(mm.matrix is None for mm in ladder.values()):
                 continue  # already recorded as a mismatch entry
-            mflags = {}
-            for N in ns:
-                if N > 0:
-                    continue
-                prev = N - 1
-                if prev in models:
-                    mflags[N] = _push_flag(mflags[prev], models[prev].matrix,
-                                           len(models[N].source_pts))
-                else:
-                    mflags[N] = Flag(len(models[N].source_pts))
-            for N in ns:
-                if N > 0:
-                    continue
+            mflags = _upward_flags(
+                ns, {N: mm.matrix for N, mm in ladder.items()},
+                {N: len(mm.source_pts) for N, mm in ladder.items()})
+            for N, mflag in mflags.items():
                 actual_flag = data["flags"][(T, N)]
                 a_dims = [actual_flag.level_dim(m)
                           for m in range(actual_flag.depth())]
-                m_dims = [mflags[N].level_dim(m)
-                          for m in range(mflags[N].depth())]
+                m_dims = [mflag.level_dim(m) for m in range(mflag.depth())]
                 entry = {"T": T, "N": N}
                 if a_dims != m_dims:
                     entry["flag_dims"] = {"actual": a_dims, "model": m_dims}
                     report["gamma_mismatches"][conv].append(entry)
                     continue
                 a_ker = data["ups"][(T, N)].kernel()
-                m_ker = rank_and_kernel(models[N].matrix)[1]
+                m_ker = rank_and_kernel(ladder[N].matrix)[1]
                 a_pos = _kernel_level_dims(a_ker, actual_flag)
-                m_pos = _kernel_level_dims(m_ker, mflags[N])
+                m_pos = _kernel_level_dims(m_ker, mflag)
                 if a_pos != m_pos:
                     entry["kernel_position"] = {"actual": a_pos, "model": m_pos}
                     report["gamma_mismatches"][conv].append(entry)

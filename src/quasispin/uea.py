@@ -29,7 +29,7 @@ from math import factorial
 from .liealg import (GenIndex, Weight, bracket, canonicalize, index_range,
                      pbw_sort_key, root_of)
 from .linalg import LinOp
-from .scalars import Rational, rat
+from .scalars import rat
 
 Word = tuple  # a word is a tuple of GenIndex, () is the scalar word
 
@@ -69,10 +69,6 @@ class UEAElement:
     @staticmethod
     def one(n: int) -> "UEAElement":
         return UEAElement(n, {(): Fraction(1)})
-
-    @staticmethod
-    def scalar(n: int, c) -> "UEAElement":
-        return UEAElement(n, {(): c})
 
     @staticmethod
     def gen(g: GenIndex) -> "UEAElement":
@@ -140,9 +136,6 @@ class UEAElement:
 
     def __hash__(self):
         raise TypeError("UEAElement is unhashable; compare normal forms")
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def __repr__(self):
         if not self.terms:
@@ -594,24 +587,3 @@ def evaluate_in_representation(x: UEAElement, genmap: dict,
                 for r, v in vec.items():
                     acc[r] = acc.get(r, 0) + v
     return LinOp(dim, out)
-
-
-def omega_image(x: UEAElement) -> UEAElement:
-    """Image under the reflection automorphism F_ij -> -F_ji.
-
-    This is the Weyl reflection sending every weight to its negative; on
-    even-length words the signs cancel, so Pfaffians map to signed
-    Pfaffians of the negated index sets.
-    """
-    out = UEAElement.zero(x.n)
-    for w, c in x.terms.items():
-        word = []
-        sgn = (-1) ** len(w)
-        for g in w:
-            s, h = canonicalize(g.j, g.i, x.n)
-            if s == 0:
-                raise AssertionError(f"{g} has no transpose generator")
-            sgn *= s
-            word.append(h)
-        out = out + UEAElement(x.n, {tuple(word): Fraction(sgn * c)})
-    return out

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from quasispin.fock import (DICTIONARY, FockSpace, build_o5_on_fock,
-                            dictionary_to_o5, quasispin_operators,
+                            commutes, dictionary_to_o5, quasispin_operators,
                             verify_representation)
-from quasispin.liealg import GenIndex, bracket, root_of
+from quasispin.liealg import (GenIndex, bracket, o3_subalgebra_generators,
+                              root_of)
 from quasispin.linalg import LinOp
 from quasispin.uea import hat_set, pf_hat_star_expression, pfaffian
 
@@ -125,7 +126,6 @@ def test_represented_star_expressions():
 
 
 def test_pf_matrices_commute_with_o3_on_fock():
-    from quasispin.liealg import o3_subalgebra_generators
     for j in (HALF, Fraction(3, 2)):
         sp, _, genmap = build_o5_on_fock(j)
         for sign in (1, -1):
@@ -243,3 +243,18 @@ def test_car_check_catches_a_flipped_jordan_wigner_sign():
     got = sp.car_violations()
     assert got == ref_car_violations(sp)
     assert len(got) == 28
+
+
+def test_o3_commutation_catches_a_flipped_pfaffian_entry():
+    sp, _, genmap = build_o5_on_fock(Fraction(3, 2))
+    pf = rep_of(pfaffian(hat_set(2, 1)), genmap, sp.dim)
+    sub = o3_subalgebra_generators(2)
+    assert [commutes(pf, genmap[g]) for g in sub] == [True] * 3
+    c, col = next(iter(pf.cols.items()))
+    r = next(iter(col))
+    broken = LinOp(pf.dim, pf.cols)
+    broken.cols[c] = {**col, r: -col[r]}
+    got = [commutes(broken, genmap[g]) for g in sub]
+    assert got == [broken.commutator(genmap[g]).is_zero() for g in sub]
+    # the flip keeps the weight shift, so only the Cartan F[-1,-1] commutes
+    assert got == [False, True, False]

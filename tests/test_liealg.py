@@ -6,10 +6,19 @@ import pytest
 
 from quasispin.liealg import (GenIndex, Weight, bracket, canonical_generators,
                               canonicalize, defining_matrices, is_lowering,
-                              is_raising, jacobi_defect,
-                              o3_subalgebra_generators, root_of,
+                              is_raising, o3_subalgebra_generators, root_of,
                               weyl_dimension)
 from quasispin.linalg import ExactMatrix, LinOp
+
+
+def jacobi_defect(a, b, c):
+    """[[a,b],c] + [[b,c],a] + [[c,a],b] as a coefficient map (empty if OK)."""
+    acc = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for c1, g in bracket(x, y):
+            for c2, h in bracket(g, z):
+                acc[h] = acc.get(h, 0) + c1 * c2
+    return {g: c for g, c in acc.items() if c}
 
 
 def test_canonicalize_zero_generator():

@@ -3,15 +3,16 @@ from fractions import Fraction
 import pytest
 
 from quasispin.liealg import weyl_dimension
+from quasispin.linalg import rank_and_kernel
 from quasispin.replab import (defining_representation, extract_irreps,
-                              fock_representation,
+                              fock_representation, irrep_of_weight,
+                              multiplicity_slices,
                               tensor_power_representation,
                               trivial_representation)
-from quasispin.tableaux import (GTMolevTableau,
+from quasispin.tableaux import (GAMMA_CONVENTIONS, GTMolevTableau,
                                 Rectangle, assign_k, case_of,
                                 enumerate_tableaux, gammas,
                                 predicted_slice_matrix, quantum_numbers,
-                                structural_slice_matrix,
                                 validate_against_representation)
 
 F = Fraction
@@ -139,13 +140,41 @@ def test_predicted_matrix_zero_row_replacement():
     assert m.sigma == 0
     assert m.matrix.cols == 2 and m.matrix.rows == 1
     assert m.rank == 1 and m.nullity == 1
-    strata = m.kernel_point_strata()
+    _, ker = rank_and_kernel(m.matrix)
+    strata = [[i for i, x in enumerate(v) if x] for v in ker]
     assert strata == [[0]]  # the kernel sits on the "lower" point
 
 
 def test_structural_matrix_matches_generic_rank():
-    s = structural_slice_matrix(F(-1), F(-2), F(-1), F(-1))
+    s = predicted_slice_matrix(F(-1), F(-2), F(-1), F(-1), None)
     assert s.rank == 1 and s.nullity == 0
+
+
+def small_weights():
+    """The 16 dominant weights with |lam2| <= 3."""
+    return [(l1, l2) for l1, l2 in lam_grid() if l2 >= -3]
+
+
+def support(matrix):
+    return {(r, c) for r, row in enumerate(matrix.data)
+            for c, x in enumerate(row) if x}
+
+
+def test_gamma_models_live_on_the_skeleton():
+    # each gamma model fills the skeleton's positions (or fewer, where a
+    # coefficient vanishes), on every slice of every small weight
+    checked = 0
+    for lam in small_weights():
+        for T, N in multiplicity_slices(irrep_of_weight(lam)):
+            skel = predicted_slice_matrix(*lam, T, N, None)
+            for conv in GAMMA_CONVENTIONS:
+                model = predicted_slice_matrix(*lam, T, N, conv)
+                assert (model.source_pts, model.target_pts) == \
+                    (skel.source_pts, skel.target_pts)
+                if model.matrix is not None:
+                    assert support(model.matrix) <= support(skel.matrix)
+                    checked += 1
+    assert len(small_weights()) == 16 and checked > 100
 
 
 def test_assign_k_five_dim_all_zero():

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasispin.liealg import (GenIndex, Weight, bracket, canonical_generators,
-                              defining_matrices, o3_subalgebra_generators,
-                              pbw_sort_key, root_of)
+                              canonicalize, defining_matrices,
+                              o3_subalgebra_generators, pbw_sort_key, root_of)
 from quasispin.linalg import ExactMatrix, LinOp
 from quasispin.uea import (IndexSet, UEAElement, capelli,
                            check_corollary_split, check_lemma_l2,
                            check_minorn, check_split_formula,
                            evaluate_in_representation, hat_set,
-                           normal_order_rightmost, omega_image,
-                           pf_hat_star_expression, pf_of_tuple, pfaffian,
-                           star, weight_shift_of)
+                           normal_order_rightmost, pf_hat_star_expression,
+                           pf_of_tuple, pfaffian, star, weight_shift_of)
 
 N5 = 2
 IDX5 = [-2, -1, 0, 1, 2]
@@ -226,6 +225,26 @@ def test_pf_commutes_with_o3():
             assert pf.commutator(UEAElement.gen(g)).normal_order().is_zero()
 
 
+def omega_image(x):
+    """Image under the reflection automorphism F_ij -> -F_ji.
+
+    This is the Weyl reflection sending every weight to its negative; on
+    even-length words the signs cancel, so Pfaffians map to signed
+    Pfaffians of the negated index sets.
+    """
+    out = UEAElement.zero(x.n)
+    for w, c in x.terms.items():
+        word = []
+        sgn = (-1) ** len(w)
+        for g in w:
+            s, h = canonicalize(g.j, g.i, x.n)
+            assert s != 0, f"{g} has no transpose generator"
+            sgn *= s
+            word.append(h)
+        out = out + UEAElement(x.n, {tuple(word): Fraction(sgn * c)})
+    return out
+
+
 def test_omega_image_of_hat_pfaffians():
     # with the bare letterwise reflection, PfF_{-2hat} maps to +PfF_{2hat}
     pf_m = pfaffian(hat_set(N5, -1))
@@ -245,7 +264,7 @@ def test_floats_are_refused():
     with pytest.raises(TypeError):
         UEAElement.gen(g).scale(0.1)
     with pytest.raises(TypeError):
-        UEAElement.scalar(N5, 0.5)
+        UEAElement(N5, {(): 0.5})
     with pytest.raises(TypeError):
         UEAElement(N5, {(g,): 0.25})
 
