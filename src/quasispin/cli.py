@@ -26,7 +26,7 @@ from itertools import combinations
 from . import fock, replab, tableaux
 from .liealg import (canonical_generators, defining_matrices, index_range,
                      o3_subalgebra_generators, weyl_dimension, Weight)
-from .report import (VerificationReport, classification_table,
+from .report import (Check, VerificationReport, classification_table,
                      format_sqrt2_power, serialize_value, write_genmap,
                      write_output)
 from .uea import (CheckResult, IndexSet, UEAElement, capelli,
@@ -263,6 +263,64 @@ def build_source(source: str, j=None, power=None) -> replab.Representation:
     raise ValueError(f"unknown source {source!r}")
 
 
+def irrep_checks(irr: replab.Irrep) -> list:
+    """The per-irrep checks of `repr analyze`.  They read the genmats,
+    weights and highest weight of irr, never its basis."""
+    report = VerificationReport(repr(irr))
+    key = f"{irr.highest_weight[0]},{irr.highest_weight[1]}"
+    slices = replab.multiplicity_slices(irr)
+    counts_ok = True
+    for (T, N), s in slices.items():
+        rect = tableaux.Rectangle(irr.highest_weight[0],
+                                  irr.highest_weight[1], T)
+        info = rect.slice_points(N)
+        model_dim = len(info[2]) if info else 0
+        if model_dim != s.dim:
+            counts_ok = False
+    report.add(f"repr/{key}/slice-tableau-counts", counts_ok,
+               None if counts_ok else {"irrep": key})
+    t0 = time.perf_counter()
+    pr = replab.extremal_projector_o3(irr)
+    P = pr.matrix
+    e = irr.genmats[replab.O3_RAISING]
+    f = irr.genmats[replab.O3_LOWERING]
+    ok = (P @ P) == P and (e @ P).is_zero() and (P @ f).is_zero()
+    report.add(f"repr/{key}/extremal-projector", ok,
+               None if ok else {"irrep": key},
+               round(time.perf_counter() - t0, 3))
+    if pr.singular_weights:
+        report.add_anomaly(
+            f"repr/{key}/projector-series-singular",
+            {"weights": [str(tuple(map(str, w.comps)))
+                         for w in pr.singular_weights],
+             "note": "series denominators vanish there; the algebraic "
+                     "projector is used and cross-checked on the "
+                     "nonsingular blocks"})
+    t0 = time.perf_counter()
+    om = replab.omega_operator(irr)
+    conj = (om @ irr.pf_matrix(-1)) == (irr.pf_matrix(+1) @ om).scale(-1)
+    report.add(f"repr/{key}/omega-conjugates-pfaffians", conj,
+               None if conj else {"irrep": key},
+               round(time.perf_counter() - t0, 3))
+    om2 = om @ om
+    central = all((om2 @ irr.genmats[g]) == (irr.genmats[g] @ om2)
+                  for g in irr.genmats)
+    report.add(f"repr/{key}/omega-squared-central", central,
+               None if central else {"irrep": key})
+    # machine-readable slice data: dimensions and Pfaffian map ranks
+    slice_data = {}
+    for T in sorted({t for (t, _) in slices}):
+        ups, downs = replab.pf_slice_maps(irr, T)
+        for N in sorted(ups):
+            slice_data[f"T={T},N={N}"] = {
+                "dim": slices[(T, N)].dim,
+                "up_rank": ups[N].rank,
+                "down_rank": downs[N].rank,
+            }
+    report.add(f"repr/{key}/slice-data", True, slice_data)
+    return report.checks
+
+
 def suite_repr(rep: replab.Representation) -> VerificationReport:
     report = VerificationReport(f"repr({rep.label})")
     t0 = time.perf_counter()
@@ -276,58 +334,18 @@ def suite_repr(rep: replab.Representation) -> VerificationReport:
            if i.dim != weyl_dimension(*i.highest_weight)]
     report.add("repr/weyl-dimensions", not bad,
                None if not bad else {"irreps": bad})
+    # an irrep with the genmats of one analysed repeats its checks, untimed
+    analysed: dict = {}  # highest weight -> [(genmats, checks)]
     for irr in irreps:
-        key = f"{irr.highest_weight[0]},{irr.highest_weight[1]}"
-        slices = replab.multiplicity_slices(irr)
-        counts_ok = True
-        for (T, N), s in slices.items():
-            rect = tableaux.Rectangle(irr.highest_weight[0],
-                                      irr.highest_weight[1], T)
-            info = rect.slice_points(N)
-            model_dim = len(info[2]) if info else 0
-            if model_dim != s.dim:
-                counts_ok = False
-        report.add(f"repr/{key}/slice-tableau-counts", counts_ok,
-                   None if counts_ok else {"irrep": key})
-        t0 = time.perf_counter()
-        pr = replab.extremal_projector_o3(irr)
-        P = pr.matrix
-        e = irr.genmats[replab.O3_RAISING]
-        f = irr.genmats[replab.O3_LOWERING]
-        ok = (P @ P) == P and (e @ P).is_zero() and (P @ f).is_zero()
-        report.add(f"repr/{key}/extremal-projector", ok,
-                   None if ok else {"irrep": key},
-                   round(time.perf_counter() - t0, 3))
-        if pr.singular_weights:
-            report.add_anomaly(
-                f"repr/{key}/projector-series-singular",
-                {"weights": [str(tuple(map(str, w.comps)))
-                             for w in pr.singular_weights],
-                 "note": "series denominators vanish there; the algebraic "
-                         "projector is used and cross-checked on the "
-                         "nonsingular blocks"})
-        t0 = time.perf_counter()
-        om = replab.omega_operator(irr)
-        conj = (om @ irr.pf_matrix(-1)) == (irr.pf_matrix(+1) @ om).scale(-1)
-        report.add(f"repr/{key}/omega-conjugates-pfaffians", conj,
-                   None if conj else {"irrep": key},
-                   round(time.perf_counter() - t0, 3))
-        om2 = om @ om
-        central = all((om2 @ irr.genmats[g]) == (irr.genmats[g] @ om2)
-                      for g in irr.genmats)
-        report.add(f"repr/{key}/omega-squared-central", central,
-                   None if central else {"irrep": key})
-        # machine-readable slice data: dimensions and Pfaffian map ranks
-        slice_data = {}
-        for T in sorted({t for (t, _) in slices}):
-            ups, downs = replab.pf_slice_maps(irr, T)
-            for N in sorted(ups):
-                slice_data[f"T={T},N={N}"] = {
-                    "dim": slices[(T, N)].dim,
-                    "up_rank": ups[N].rank,
-                    "down_rank": downs[N].rank,
-                }
-        report.add(f"repr/{key}/slice-data", True, slice_data)
+        seen = analysed.setdefault(irr.highest_weight, [])
+        checks = next((c for g, c in seen if g == irr.genmats), None)
+        if checks is None:
+            checks = irrep_checks(irr)
+            seen.append((irr.genmats, checks))
+            report.checks.extend(checks)
+        else:
+            report.checks.extend(Check(c.id, c.status, c.witness)
+                                 for c in checks)
     return report, irreps
 
 

@@ -92,10 +92,12 @@ def canonical_generators(n: int):
 class Weight:
     """A vector in the e_1..e_n weight coordinates, Rational entries."""
 
-    __slots__ = ("comps",)
+    __slots__ = ("comps", "_hash")
 
     def __init__(self, comps):
         self.comps = tuple(rat(c) for c in comps)
+        # weights key many dicts, and a Fraction hash is a modular inverse
+        self._hash = hash(self.comps)
 
     @staticmethod
     def zero(n: int) -> "Weight":
@@ -127,7 +129,7 @@ class Weight:
         return isinstance(other, Weight) and self.comps == other.comps
 
     def __hash__(self):
-        return hash(self.comps)
+        return self._hash
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.comps) + ")"

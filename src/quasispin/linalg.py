@@ -6,7 +6,8 @@ rule "first nonzero column, first nonzero row".  Everything else is
 built on it:
 - `rank_and_kernel` and `rank`;
 - `solve`, which eliminates `[mat | rhs]` once for a whole matrix of
-  right-hand sides;
+  right-hand sides (the o3 projector and `tableaux` flag membership;
+  `replab._coordinates` reads an RREF basis at its pivots instead);
 - `row_basis`, a span stored as the nonzero rows of an RREF.  That form
   is canonical: equal spans have equal rows, whatever order their
   vectors came in.

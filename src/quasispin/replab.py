@@ -13,8 +13,8 @@ operator (generators, Pfaffians, the extremal projector, the reflection
 intertwiner) is a sparse `LinOp`.  Dense `ExactMatrix` blocks appear
 only where elimination runs, through three helpers: `_block` reads a
 rows x cols block of an operator, `_put_block` writes one back, and
-`_coordinates` expresses sparse vectors in a sparse basis by one solve
-over their joint support.
+`_coordinates` expresses sparse vectors in an RREF basis by reading
+them at its pivots, with no elimination.
 
 Conventions: the weight of a vector is (F_11-eigenvalue, F_22-eigenvalue)
 = (tau_0, N); o3-highest means killed by the o3 raising operator
@@ -282,7 +282,7 @@ def _lowering_orbit(rep: Representation, buckets, order, at, kv, lowering):
 
 
 def _fill_generator_matrices(rep: Representation, irreps):
-    """genmats[g] from one solve per (generator, source weight block)."""
+    """genmats[g], each block read at target pivots (`_coordinates`)."""
     gens = [(g, root_of(g)) for g in canonical_generators(N_RANK)]
     for irr in irreps:
         for g, alpha in gens:
@@ -323,17 +323,26 @@ def _put_block(op: LinOp, rows, cols, block: ExactMatrix):
 
 
 def _coordinates(targets, images):
-    """Coordinates of the sparse vectors images in the independent sparse
-    vectors targets, one column per image, or None when some image is
-    outside their span.  One solve over the joint support: a row that is
-    zero in every vector changes no RREF, so no solution either."""
-    support = sorted({k for v in targets + images for k in v})
-
-    def columns(vectors):
-        return ExactMatrix(len(support), len(vectors),
-                           [[v.get(k, 0) for v in vectors] for k in support])
-
-    return solve(columns(targets), columns(images))
+    """Coordinates of the sparse vectors images in the RREF rows targets,
+    one column per image, or None when some image is outside their span.
+    Each target's pivot is its smallest key (else `AssertionError`): w has
+    coordinates w[pivot], and is in the span iff they give back w."""
+    pivots = [min(t, default=None) for t in targets]
+    if any(p is None or t[p] != 1 or sum(p in u for u in targets) > 1
+           for t, p in zip(targets, pivots)):
+        raise AssertionError("coordinate basis is not in reduced echelon form")
+    out = ExactMatrix(len(targets), len(images))
+    for c, w in enumerate(images):
+        span: dict = {}
+        for r, (t, p) in enumerate(zip(targets, pivots)):
+            x = w.get(p)
+            if x:
+                out.data[r][c] = x
+                for k, y in t.items():
+                    span[k] = span.get(k, 0) + x * y
+        if {k: x for k, x in span.items() if x} != w:
+            return None
+    return out
 
 
 # -- o3 structure -----------------------------------------------------
@@ -424,9 +433,9 @@ class SliceMap:
 
 def _restrict_to_slices(op: LinOp, source: MultiplicitySlice,
                         target) -> SliceMap:
-    """Express op: span(source) -> span(target) by one solve; image
-    containment is an assertion (weight shift + o3-commutation guarantee
-    it).  An empty target (None) admits only zero images."""
+    """Express op: span(source) -> span(target) at the target's pivots;
+    image containment is an assertion (weight shift + o3-commutation
+    guarantee it).  An empty target (None) admits only zero images."""
     tbasis = target.basis if target is not None else []
     coords = _coordinates(tbasis, [op.apply(v) for v in source.basis])
     if coords is None:

@@ -5,6 +5,7 @@ import pytest
 
 from quasispin import cli, replab, tableaux
 from quasispin.cli import main, suite_identities
+from quasispin.liealg import GenIndex
 from quasispin.tableaux import ClassificationError
 
 
@@ -169,3 +170,91 @@ def test_internal_error_is_a_failed_check(monkeypatch, tmp_path, capsys,
     assert report["checks"] == [{
         "id": "repr/internal-error", "status": "fail",
         "witness": {"error": f"{error.__name__}: dimensions do not add up"}}]
+
+
+def _untimed(checks):
+    return [(c.id, c.status, c.witness) for c in checks]
+
+
+@pytest.mark.parametrize("source, arg, analyses", [
+    ("fock", "1/2", 3), ("fock", "3/2", 12), ("defining-power", "0", 1),
+    ("defining-power", "1", 1), ("defining-power", "2", 3),
+    ("defining-power", "3", 6)])
+def test_repr_shares_the_analysis_of_equal_irreps(monkeypatch, source, arg,
+                                                  analyses):
+    # the shared report equals one that analyses every irrep on its own
+    rep = cli.build_source(source, j=arg, power=arg)
+    unshared = [c for irr in replab.extract_irreps(rep)
+                for c in cli.irrep_checks(irr)]
+    analysed = []
+    irrep_checks = cli.irrep_checks
+
+    def counting(irr):
+        analysed.append(irr)
+        return irrep_checks(irr)
+
+    monkeypatch.setattr(cli, "irrep_checks", counting)
+    report, _ = cli.suite_repr(rep)
+    assert _untimed(report.checks[2:]) == _untimed(unshared)
+    assert len(analysed) == analyses
+    # a shared copy carries no wall time: nothing was timed for it
+    timed = [c for c in report.checks[2:] if c.wall_time is not None]
+    assert len(timed) == 2 * analyses
+
+
+def test_repr_analyses_a_copy_with_other_matrices(monkeypatch, tmp_path,
+                                                  capsys):
+    # Fock(1/2) holds two copies of the spinor V(-1/2,-1/2); one flipped
+    # entry in the second copy's F[-2,-2] is its own analysis's failure
+    extract_irreps = replab.extract_irreps
+    analysed = []
+    irrep_checks = cli.irrep_checks
+
+    def flipped(rep):
+        irreps = extract_irreps(rep)
+        spinors = [irr for irr in irreps if irr.dim == 4]
+        assert len(spinors) == 2
+        cartan = spinors[1].genmats[GenIndex(-2, -2, 2)].cols
+        cartan[0][0] = -cartan[0][0]
+        return irreps
+
+    def counting(irr):
+        analysed.append(irr)
+        return irrep_checks(irr)
+
+    monkeypatch.setattr(cli, "irrep_checks", counting)
+    out = tmp_path / "report.json"
+    argv = ["repr", "analyze", "--source", "fock", "--j", "1/2",
+            "--out", str(out)]
+    assert run(argv) == 0
+    assert [irr.dim for irr in analysed] == [5, 4, 1]
+    analysed.clear()
+    monkeypatch.setattr(replab, "extract_irreps", flipped)
+    assert run(argv) == 1
+    assert [irr.dim for irr in analysed] == [5, 4, 4]
+    assert "FAIL    repr/internal-error" in capsys.readouterr().out
+    [check] = json.loads(out.read_text())["checks"]
+    assert check["witness"]["error"].startswith(
+        "AssertionError: omega fails to intertwine F[-2,-2]")
+
+
+def test_repr_reports_a_non_echelon_irrep_basis(monkeypatch, tmp_path,
+                                                capsys):
+    # generator matrices are read at the pivots of each weight block: a
+    # basis vector scaled off its unit pivot is an internal error
+    lowering_orbit = replab._lowering_orbit
+
+    def scaled(*args):
+        irr = lowering_orbit(*args)
+        irr.basis[0] = {k: 2 * x for k, x in irr.basis[0].items()}
+        return irr
+
+    monkeypatch.setattr(replab, "_lowering_orbit", scaled)
+    out = tmp_path / "report.json"
+    assert run(["repr", "analyze", "--source", "defining-power",
+                "--power", "2", "--out", str(out)]) == 1
+    assert "FAIL    repr/internal-error" in capsys.readouterr().out
+    assert json.loads(out.read_text())["checks"] == [{
+        "id": "repr/internal-error", "status": "fail",
+        "witness": {"error": "AssertionError: coordinate basis is not in "
+                             "reduced echelon form"}}]

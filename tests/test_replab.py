@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from quasispin.fock import verify_representation
-from quasispin.liealg import Weight, canonical_generators, weyl_dimension
+from quasispin.liealg import (Weight, canonical_generators, root_of,
+                              weyl_dimension)
 from quasispin.linalg import (ExactMatrix, LinOp, characteristic_polynomial,
-                              rank_and_kernel)
+                              rank_and_kernel, solve)
 from quasispin.replab import (O3_LOWERING, O3_RAISING, _coordinates,
                               NonDiagonalCartan, Representation,
                               defining_representation, extract_irreps,
@@ -222,6 +223,66 @@ def test_irrep_weight_blocks_are_rref():
                 red, pivots = ExactMatrix.from_rows(rows).rref()
                 assert len(pivots) == len(rows)
                 assert red.data == rows, (irr, w)
+
+
+def test_slice_bases_are_rref():
+    # each slice basis is the nonzero rows of its own RREF over its
+    # weight block: _coordinates reads slice maps at those pivots
+    for rep in (fock_representation(HALF), tensor_power_representation(3)):
+        for irr in extract_irreps(rep):
+            for (T, N), s in multiplicity_slices(irr).items():
+                block = irr.weight_positions[Weight((T, N))]
+                rows = [[v.get(k, 0) for k in block] for v in s.basis]
+                red, pivots = ExactMatrix.from_rows(rows).rref()
+                assert len(pivots) == len(rows)
+                assert red.data == rows, (irr, T, N)
+
+
+def _coordinates_by_solve(targets, images):
+    """The coordinates as one solve over the joint support."""
+    support = sorted({k for v in targets + images for k in v})
+
+    def columns(vectors):
+        return ExactMatrix(len(support), len(vectors),
+                           [[v.get(k, 0) for v in vectors] for k in support])
+
+    return solve(columns(targets), columns(images))
+
+
+def test_coordinates_match_solve_on_irreps_and_slices():
+    gens = [(g, root_of(g)) for g in canonical_generators(2)]
+    for rep in (fock_representation(Fraction(3, 2)),
+                tensor_power_representation(3)):
+        for irr in extract_irreps(rep):
+            for g, alpha in gens:
+                for w, cols in irr.weight_positions.items():
+                    targets = [irr.basis[r] for r in
+                               irr.weight_positions.get(w + alpha, [])]
+                    images = [rep.genmap[g].apply(irr.basis[c])
+                              for c in cols]
+                    assert (_coordinates(targets, images)
+                            == _coordinates_by_solve(targets, images))
+            slices = multiplicity_slices(irr).values()
+            for op in (irr.pf_matrix(+1), irr.pf_matrix(-1)):
+                for s in slices:
+                    images = [op.apply(v) for v in s.basis]
+                    for t in slices:
+                        assert (_coordinates(t.basis, images)
+                                == _coordinates_by_solve(t.basis, images))
+
+
+def test_coordinates_outside_the_span_and_off_echelon():
+    one, two = Fraction(1), Fraction(2)
+    targets = [{0: one, 2: Fraction(3)}, {1: one}]
+    assert _coordinates(targets, [{0: two, 1: -one, 2: Fraction(6)}]) == \
+        ExactMatrix.from_rows([[2], [-1]])
+    assert _coordinates(targets, [{0: one}]) is None
+    assert _coordinates([], [{}]) == ExactMatrix(0, 1)
+    assert _coordinates([], [{0: one}]) is None
+    for bad in ([{0: two}], [{0: one}, {0: one, 1: one}],
+                [{0: one, 1: one}, {1: one}], [{}]):
+        with pytest.raises(AssertionError):
+            _coordinates(bad, [{0: one}])
 
 
 def test_generator_matrices_are_homomorphic():
