@@ -427,9 +427,9 @@ def suite_probe():
             {f"T={t},N={nn}": [serialize_value(c) for c in cp]
              for (t, nn), cp in val["roundtrip_charpolys"].items()})
     decisive = [w for w in winners if w not in ("tie",)]
-    report.add("probe/gamma-winner-unique",
-               len(decisive) == 1 and decisive[0] != "none",
-               None if len(decisive) == 1 else {"winners": winners})
+    unique = len(decisive) == 1 and decisive[0] != "none"
+    report.add("probe/gamma-winner-unique", unique,
+               None if unique else {"winners": winners})
     if len(decisive) == 1:
         report.add_anomaly("probe/gamma-winner",
                            {"convention": decisive[0],

@@ -86,8 +86,9 @@ class FockSpace:
 
     def __init__(self, j, max_j=MAX_J_DEFAULT):
         j = rat(j)
-        if (2 * j).denominator != 1 or j <= 0:
-            raise ValueError(f"j must be a positive half-integer, got {j}")
+        if j.denominator != 2 or j <= 0:  # 2j odd: a single-j fermion shell
+            raise ValueError(f"j must be a positive odd half-integer "
+                             f"(1/2, 3/2, ...), got {j}")
         if j > max_j:
             raise ValueError(f"j={j} exceeds the configured cap {max_j}")
         self.j = j

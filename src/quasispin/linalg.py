@@ -6,8 +6,11 @@ rule "first nonzero column, first nonzero row".  Everything else is
 built on it:
 - `rank_and_kernel` and `rank`;
 - `solve`, which eliminates `[mat | rhs]` once for a whole matrix of
-  right-hand sides (the o3 projector and `tableaux` flag membership;
-  `replab._coordinates` reads an RREF basis at its pivots instead);
+  right-hand sides.  No package code calls it: it is exported as the
+  reference the tests check the pivot readers against
+  (`replab._coordinates` reads an RREF basis at its pivots,
+  `replab._map_on_span` a map from one RREF of `[x | y]`, and
+  `tableaux` flag membership compares ranks);
 - `row_basis`, a span stored as the nonzero rows of an RREF.  That form
   is canonical: equal spans have equal rows, whatever order their
   vectors came in.
@@ -59,12 +62,6 @@ class ExactMatrix:
             return ExactMatrix(0, 0)
         return ExactMatrix(len(rows), len(rows[0]), rows)
 
-    @staticmethod
-    def from_columns(vectors, rows: int) -> "ExactMatrix":
-        """Matrix whose columns are the given dense vectors of length rows."""
-        return ExactMatrix(rows, len(vectors),
-                           [[v[i] for v in vectors] for i in range(rows)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -114,11 +111,6 @@ class ExactMatrix:
                     s = s + x * rat(v)
             out.append(s)
         return out
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           [[self.data[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
 
     def trace(self):
         if not self.is_square():

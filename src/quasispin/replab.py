@@ -11,10 +11,12 @@ the same two steps for the one irrep of a given highest weight, and
 product.  Each irrep is re-coordinatized on its own basis, where every
 operator (generators, Pfaffians, the extremal projector, the reflection
 intertwiner) is a sparse `LinOp`.  Dense `ExactMatrix` blocks appear
-only where elimination runs, through three helpers: `_block` reads a
-rows x cols block of an operator, `_put_block` writes one back, and
+only where elimination runs, through four helpers: `_block` reads a
+rows x cols block of an operator, `_put_block` writes one back,
 `_coordinates` expresses sparse vectors in an RREF basis by reading
-them at its pivots, with no elimination.
+them at its pivots, with no elimination, and `_map_on_span` reads a
+linear map fixed on a spanning set (the extremal projector and Omega)
+from one RREF of the rows [x | y].
 
 Conventions: the weight of a vector is (F_11-eigenvalue, F_22-eigenvalue)
 = (tau_0, N); o3-highest means killed by the o3 raising operator
@@ -29,8 +31,7 @@ from functools import reduce
 from .liealg import (GenIndex, Weight, canonical_generators,
                      defining_matrices, is_lowering, is_raising, root_of,
                      weyl_dimension)
-from .linalg import (ExactMatrix, LinOp, rank_and_kernel, row_basis, solve,
-                     svec_add)
+from .linalg import ExactMatrix, LinOp, rank_and_kernel, row_basis, svec_add
 from .uea import UEAElement, evaluate_in_representation, hat_set, pfaffian
 
 N_RANK = 2  # everything here is o_5
@@ -345,6 +346,21 @@ def _coordinates(targets, images):
     return out
 
 
+def _map_on_span(pairs, src, dst):
+    """The linear map x -> y fixed by pairs (x, y) of sparse vectors, x
+    read on the indices src and y on dst, as sparse columns {s: image of
+    s} (zero columns left out).  One RREF of the rows [x | y] gives
+    [identity | map]; None unless its pivots are exactly the src columns,
+    that is unless the xs span src and the ys agree with one map."""
+    rows = [[x.get(k, 0) for k in src] + [y.get(k, 0) for k in dst]
+            for x, y in pairs]
+    red, pivots = ExactMatrix(len(rows), len(src) + len(dst), rows).rref()
+    if pivots != list(range(len(src))):
+        return None
+    return {s: col for s, row in zip(src, red.data)
+            if (col := {d: x for d, x in zip(dst, row[len(src):]) if x})}
+
+
 # -- o3 structure -----------------------------------------------------
 
 O3_RAISING = GenIndex(-1, 0, N_RANK)
@@ -479,36 +495,34 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
     """The o3 extremal projector p on the irrep, as an exact operator.
 
     p is realized as the unique projector with image ker(e) and kernel
-    im(f) (the algebraic characterization p^2 = p, e p = p f = 0).  The
-    defining series with denominators (h + rho + t) is evaluated per
-    weight block wherever those denominators are nonzero and compared
-    against the algebraic projector; blocks with vanishing denominators
-    are recorded as diagnostics (the R(h) localization of the series is
-    not defined there).
+    im(f) (the algebraic characterization p^2 = p, e p = p f = 0): on
+    each weight block it fixes ker(e), spanned by the slice vectors there
+    (`multiplicity_slices`; blocks with tau0 > 0 have none), and kills
+    the f-images of the tau0 - 1 block.  The defining series with
+    denominators (h + rho + t) is evaluated per weight block wherever
+    those denominators are nonzero and compared against the algebraic
+    projector; blocks with vanishing denominators are recorded as
+    diagnostics (the R(h) localization of the series is not defined
+    there).
     """
     e = irrep.genmats[O3_RAISING]
     f = irrep.genmats[O3_LOWERING]
+    slices = multiplicity_slices(irrep)
     proj = LinOp(irrep.dim)
     singular = []
     checked = []
     for w in sorted(irrep.weight_positions, key=_weight_sort_key):
         cols = irrep.weight_positions[w]
-        # e = F_{-1,0} has root -e_1 (maps tau0 -> tau0 - 1); f = F_{0,-1}
-        # has root +e_1, so f-images landing here come from tau0 - 1 too.
+        # f = F_{0,-1} has root +e_1: its images here come from tau0 - 1
         up = irrep.weight_positions.get(Weight((w.comps[0] - 1, w.comps[1])), [])
-        # ker(e) restricted to the block, and im(f) from the tau0-1 block
-        _, kern = rank_and_kernel(_block(e, up, cols))
-        kmat = ExactMatrix.from_columns(kern, len(cols))
-        fmat = _block(f, cols, up)
-        # one solve for all projector columns: each block basis vector
-        # splits uniquely as (kernel part) + (image part)
-        sol = solve(ExactMatrix(len(cols), len(kern) + len(up),
-                                [a + b for a, b in zip(kmat.data, fmat.data)]),
-                    ExactMatrix.identity(len(cols)))
-        if sol is None:
-            raise AssertionError("ker(e) + im(f) fails to span a weight block")
-        _put_block(proj, cols, cols, kmat @ ExactMatrix(
-            len(kern), len(cols), sol.data[:len(kern)]))
+        kern = slices[w.comps].basis if w.comps in slices else []
+        block = _map_on_span([(v, v) for v in kern]
+                             + [(f.cols.get(u, {}), {}) for u in up],
+                             cols, cols)
+        if block is None:
+            raise AssertionError(
+                f"ker(e) and im(f) do not split weight {w} of {irrep}")
+        proj.cols.update(block)
         # series cross-check on this block: h = 2 F_{-1,-1}, rho(h) = 1,
         # f normalized to 2 F_{0,-1} so that [e, f] = h
         mu_h = -2 * w.comps[0]
@@ -571,10 +585,10 @@ def omega_operator(irrep: Irrep) -> LinOp:
     Fixed by sending the highest-weight vector to the lowest-weight one,
     then transported down one weight at a time, highest first: V_nu is
     spanned by the lowering images f v of the blocks already built, and
-    Omega(f v) = omega(f) Omega(v).  One RREF of the rows [f v | Omega f v]
-    per weight gives [identity | Omega on V_nu]; a pivot in the Omega part
-    means the images contradict each other.  Verified generator by
-    generator at the end.  Maps every weight space V_lam onto V_{-lam}.
+    Omega(f v) = omega(f) Omega(v): `_map_on_span` reads Omega on V_nu
+    from these pairs, and fails when the f v miss part of V_nu or the
+    images contradict each other.  Verified generator by generator at
+    the end.  Maps every weight space V_lam onto V_{-lam}.
 
     The normalisation refers to basis vectors, so Omega's scale depends on
     the basis: conjugating the generator matrices by D = diag(t_nu) turns
@@ -583,8 +597,10 @@ def omega_operator(irrep: Irrep) -> LinOp:
     coefficient of x^(d-i) in its characteristic polynomial is therefore
     2^(i (lam1 + lam2)) times the one of the conventional basis.
     """
-    lowering = [(g, root_of(g)) + omega_genindex(g)
-                for g in canonical_generators(N_RANK) if is_lowering(g)]
+    # (root of f, M(f), c M(h)) for omega(f) = c h
+    lowering = [(root_of(g), irrep.genmats[g], irrep.genmats[h].scale(c))
+                for g in canonical_generators(N_RANK) if is_lowering(g)
+                for c, h in [omega_genindex(g)]]
     lam = irrep.weights[0]  # basis[0] is the highest-weight vector
     low_positions = irrep.weight_positions.get(-lam)
     if not low_positions or len(low_positions) != 1:
@@ -592,29 +608,16 @@ def omega_operator(irrep: Irrep) -> LinOp:
     omega = LinOp(irrep.dim, {0: {low_positions[0]: 1}})
     positions = irrep.weight_positions
     for nu in sorted(positions, key=_weight_sort_key)[1:]:
-        pos, mirror = positions[nu], positions.get(-nu, [])
-        rows = []
-        for g, alpha, c, h in lowering:
-            src = positions.get(nu - alpha)
-            if not src:
-                continue
-            src_mirror = positions.get(alpha - nu, [])
-            down = _block(irrep.genmats[g], pos, src)
-            image = (_block(irrep.genmats[h], mirror, src_mirror)
-                     @ _block(omega, src_mirror, src)).scale(Fraction(c))
-            rows.extend(a + b for a, b in zip(down.transpose().data,
-                                              image.transpose().data))
-        red, pivots = ExactMatrix(len(rows), len(pos) + len(mirror),
-                                  rows).rref()
-        if pivots != list(range(len(pos))):
+        block = _map_on_span([(down.cols.get(v, {}),
+                               up.apply(omega.cols.get(v, {})))
+                              for alpha, down, up in lowering
+                              for v in positions.get(nu - alpha, ())],
+                             positions[nu], positions.get(-nu, []))
+        if block is None:
             raise AssertionError(
                 f"lowering images fail to span V_{nu} or give inconsistent "
                 f"Omega images on {irrep}")
-        # row i of the reduced system is [e_i | Omega of basis vector pos[i]]
-        for p, row in zip(pos, red.data):
-            col = {q: x for q, x in zip(mirror, row[len(pos):]) if x}
-            if col:
-                omega.cols[p] = col
+        omega.cols.update(block)
     # posterior verification: the defining intertwining property
     for g in canonical_generators(N_RANK):
         c, h = omega_genindex(g)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .fock import rescale_exponent
 from .linalg import ExactMatrix
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational
 
 SCHEMA_VERSION = 1
 
@@ -121,18 +121,6 @@ def serialize_value(x):
     return repr(x)
 
 
-def parse_report(payload) -> VerificationReport:
-    if isinstance(payload, (str, bytes)):
-        payload = json.loads(payload)
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError("unsupported report schema version")
-    rep = VerificationReport(payload["suite"])
-    for c in payload["checks"]:
-        rep.checks.append(Check(c["id"], c["status"], c.get("witness"),
-                                c.get("wall_time")))
-    return rep
-
-
 # -- classification tables ----------------------------------------------
 
 TABLE_HEADERS = ["T", "tau0", "N", "k", "slice_dim", "case", "sigma"]
@@ -160,14 +148,6 @@ def table_to_csv(table: dict) -> str:
     for s in table["states"]:
         writer.writerow([s[h] for h in TABLE_HEADERS])
     return buf.getvalue()
-
-
-def parse_table(payload) -> dict:
-    if isinstance(payload, (str, bytes)):
-        payload = json.loads(payload)
-    for s in payload["states"]:
-        parse_rational(s["T"]), parse_rational(s["tau0"]), parse_rational(s["N"])
-    return payload
 
 
 def format_sqrt2_power(c: Fraction, k: int) -> dict:

@@ -27,7 +27,3 @@ def rat(x) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)

@@ -33,7 +33,7 @@ from itertools import pairwise
 
 from .liealg import weyl_dimension
 from .linalg import (ExactMatrix, characteristic_polynomial, rank,
-                     rank_and_kernel, row_basis, solve)
+                     rank_and_kernel, row_basis)
 from .replab import (Irrep, multiplicity_slices, omega_operator,
                      pf_slice_maps, theta_transport, _restrict_to_slices)
 from .scalars import rat
@@ -277,10 +277,10 @@ class Flag:
         return out
 
     def contains_all(self, m, vectors) -> bool:
-        """Whether every vector lies in U_m (U_m = 0 beyond the depth)."""
+        """Whether every vector lies in U_m (U_m = 0 beyond the depth):
+        the level's rows are independent, so the vectors must add no rank."""
         level = self.levels[m] if m < self.depth() else []
-        return solve(ExactMatrix.from_columns(level, self.dim),
-                     ExactMatrix.from_columns(vectors, self.dim)) is not None
+        return rank(ExactMatrix.from_rows(level + vectors)) == len(level)
 
 
 def _push_flag(flag: Flag, matrix: ExactMatrix, target_dim: int) -> Flag:

@@ -5,7 +5,7 @@ import pytest
 
 from quasispin import cli, replab, tableaux
 from quasispin.cli import main, suite_identities
-from quasispin.liealg import GenIndex
+from quasispin.liealg import GenIndex, Weight
 from quasispin.tableaux import ClassificationError
 
 
@@ -136,6 +136,14 @@ def test_usage_errors_exit_two():
 
 def test_fock_invalid_j_is_usage_error(capsys):
     assert run(["fock", "build", "--j", "7/2"]) == 2
+    assert "exceeds the configured cap" in capsys.readouterr().err
+    # a single-j fermion shell has odd 2j
+    for j in ("1", "0", "-1/2"):
+        for argv in (["fock", "build"],
+                     ["repr", "analyze", "--source", "fock"]):
+            assert run(argv + [f"--j={j}"]) == 2
+            assert capsys.readouterr().err.startswith(
+                "error: j must be a positive odd half-integer")
 
 
 def test_seeded_suite_is_deterministic():
@@ -258,3 +266,42 @@ def test_repr_reports_a_non_echelon_irrep_basis(monkeypatch, tmp_path,
         "id": "repr/internal-error", "status": "fail",
         "witness": {"error": "AssertionError: coordinate basis is not in "
                              "reduced echelon form"}}]
+
+
+def test_repr_reports_a_projector_image_meeting_its_kernel(monkeypatch,
+                                                           tmp_path, capsys):
+    # f sending the tau0 = -1 vector of the adjoint in defining^2 onto its
+    # o3-singlet, which spans ker(e) at weight (0, 0)
+    extract_irreps = replab.extract_irreps
+
+    def broken(rep):
+        irreps = extract_irreps(rep)
+        [adj] = [irr for irr in irreps if irr.dim == 10]
+        [singlet] = replab.multiplicity_slices(adj)[(0, 0)].basis
+        [u] = adj.weight_positions[Weight((-1, 0))]
+        adj.genmats[replab.O3_LOWERING].cols[u] = dict(singlet)
+        return irreps
+
+    monkeypatch.setattr(replab, "extract_irreps", broken)
+    out = tmp_path / "report.json"
+    assert run(["repr", "analyze", "--source", "defining-power",
+                "--power", "2", "--out", str(out)]) == 1
+    assert "FAIL    repr/internal-error" in capsys.readouterr().out
+    [check] = json.loads(out.read_text())["checks"]
+    assert check["witness"]["error"].startswith(
+        "AssertionError: ker(e) and im(f) do not split weight (0, 0)")
+
+
+def test_failed_gamma_winner_probe_is_reported(monkeypatch, tmp_path,
+                                               capsys):
+    # no decisive gamma convention: a failed check with the winners as
+    # its witness, exit 1
+    validate = tableaux.validate_against_representation
+    monkeypatch.setattr(tableaux, "validate_against_representation",
+                        lambda irr: {**validate(irr), "gamma_winner": "none"})
+    out = tmp_path / "report.json"
+    assert run(["probe", "conventions", "--out", str(out)]) == 1
+    assert "FAIL    probe/gamma-winner-unique" in capsys.readouterr().out
+    [check] = [c for c in json.loads(out.read_text())["checks"]
+               if c["id"] == "probe/gamma-winner-unique"]
+    assert check["witness"] == {"winners": {"none": list(cli.PROBE_WEIGHTS)}}

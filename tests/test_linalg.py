@@ -153,7 +153,7 @@ def test_span_as_rref_rows():
     red, pivots = vecs.rref()
     assert pivots == [0, 1]
     assert red.data[:2] == mat([[1, 0], [0, 1]]).data
-    assert solve(vecs.transpose(), mat([[5], [-1]])) is not None
+    assert solve(mat([[1, 2, 0], [2, 4, 1]]), mat([[5], [-1]])) is not None
 
 
 def test_coordinates_by_solve():

@@ -16,12 +16,7 @@ import quasispin
 
 PACKAGE = Path(quasispin.__file__).parent
 
-ALLOWED = {
-    "report.parse_report": "reads reports back; kept for diffable "
-                           "benchmark output (ROADMAP item 5)",
-    "report.parse_table": "reads classification tables back; kept for "
-                          "diffable benchmark output (ROADMAP item 5)",
-}
+ALLOWED: dict = {}
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -3,18 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+from quasispin import replab
 from quasispin.fock import verify_representation
-from quasispin.liealg import (Weight, canonical_generators, root_of,
-                              weyl_dimension)
+from quasispin.liealg import (Weight, canonical_generators, is_lowering,
+                              root_of, weyl_dimension)
 from quasispin.linalg import (ExactMatrix, LinOp, characteristic_polynomial,
                               rank_and_kernel, solve)
-from quasispin.replab import (O3_LOWERING, O3_RAISING, _coordinates,
-                              NonDiagonalCartan, Representation,
+from quasispin.replab import (O3_LOWERING, O3_RAISING, _block,
+                              _coordinates, _map_on_span, _put_block,
+                              _weight_sort_key, NonDiagonalCartan,
+                              Representation,
                               defining_representation, extract_irreps,
                               extremal_projector_o3, fock_representation,
                               irrep_of_weight, irrep_with_highest_weight,
-                              multiplicity_slices, omega_operator,
-                              pf_slice_maps, tensor_power_representation,
+                              multiplicity_slices, omega_genindex,
+                              omega_operator, pf_slice_maps,
+                              tensor_power_representation,
                               tensor_product, theta_transport,
                               tps_scalar_probe,
                               trivial_representation, weight_decompose)
@@ -380,6 +384,124 @@ def test_projector_on_highest_and_lowest_triplet_vectors():
     # the series evaluation is singular exactly on the tau0 = +1 block
     assert [tuple(map(str, w.comps)) for w in pr.singular_weights] == \
         [("1", "0")]
+
+
+def test_map_on_span_reads_a_map_from_its_spanning_pairs():
+    x = {0: 1, 1: 1}
+    y = {0: 1, 1: -1}
+    # (1,1) -> (1,0) and (1,-1) -> (0,1), with a consistent extra pair
+    pairs = [(x, {5: 1}), (y, {6: 1}), ({0: 2}, {5: 1, 6: 1})]
+    assert _map_on_span(pairs, [0, 1], [5, 6]) == {
+        0: {5: HALF, 6: HALF}, 1: {5: HALF, 6: -HALF}}
+    # a zero column is left out
+    assert _map_on_span([(x, {5: 1}), (y, {5: 1})], [0, 1], [5, 6]) == {
+        0: {5: 1}}
+
+
+def test_map_on_span_refuses_contradictions_and_gaps():
+    x = {0: 1, 1: 1}
+    y = {0: 1, 1: -1}
+    # the same x with two images, and (2,0) = x + y with a third
+    assert _map_on_span([(x, {5: 1}), (x, {5: 2}), (y, {})],
+                        [0, 1], [5]) is None
+    assert _map_on_span([(x, {5: 1}), (y, {}), ({0: 2}, {})],
+                        [0, 1], [5]) is None
+    # x alone, or x twice, misses part of src
+    assert _map_on_span([(x, {5: 1})], [0, 1], [5]) is None
+    assert _map_on_span([(x, {5: 1}), ({0: 2, 1: 2}, {5: 2})],
+                        [0, 1], [5]) is None
+    assert _map_on_span([], [0], [5]) is None
+
+
+def test_map_on_span_into_an_empty_dst():
+    x = {0: 1, 1: 1}
+    y = {0: 1, 1: -1}
+    assert _map_on_span([(x, {}), (y, {})], [0, 1], []) == {}
+    assert _map_on_span([(x, {})], [0, 1], []) is None
+    assert _map_on_span([], [], []) == {}
+
+
+def _projector_by_solve(irr):
+    """The o3 projector built per weight block from its own ker(e) and
+    one solve of [ker(e) | im(f)] X = I, then p = ker(e) X_ker."""
+    e, f = irr.genmats[O3_RAISING], irr.genmats[O3_LOWERING]
+    proj = LinOp(irr.dim)
+    for w, cols in irr.weight_positions.items():
+        up = irr.weight_positions.get(Weight((w.comps[0] - 1, w.comps[1])),
+                                      [])
+        _, kern = rank_and_kernel(_block(e, up, cols))
+        kmat = ExactMatrix(len(cols), len(kern),
+                           [[v[i] for v in kern] for i in range(len(cols))])
+        sol = solve(ExactMatrix(len(cols), len(kern) + len(up),
+                                [a + b for a, b in
+                                 zip(kmat.data, _block(f, cols, up).data)]),
+                    ExactMatrix.identity(len(cols)))
+        assert sol is not None
+        _put_block(proj, cols, cols, kmat @ ExactMatrix(
+            len(kern), len(cols), sol.data[:len(kern)]))
+    return proj
+
+
+def _omega_by_dense_blocks(irr):
+    """Omega transported weight by weight from the dense rows
+    [f v | omega(f) Omega v] of the lowering blocks, one RREF each."""
+    lowering = [(g, root_of(g)) + omega_genindex(g)
+                for g in canonical_generators(2) if is_lowering(g)]
+    positions = irr.weight_positions
+    omega = LinOp(irr.dim, {0: {positions[-irr.weights[0]][0]: 1}})
+    for nu in sorted(positions, key=_weight_sort_key)[1:]:
+        pos, mirror = positions[nu], positions.get(-nu, [])
+        rows = []
+        for g, alpha, c, h in lowering:
+            src = positions.get(nu - alpha)
+            if not src:
+                continue
+            src_mirror = positions[alpha - nu]
+            down = _block(irr.genmats[g], pos, src)
+            image = (_block(irr.genmats[h], mirror, src_mirror)
+                     @ _block(omega, src_mirror, src)).scale(c)
+            rows.extend([down[i, j] for i in range(len(pos))]
+                        + [image[i, j] for i in range(len(mirror))]
+                        for j in range(len(src)))
+        red, pivots = ExactMatrix(len(rows), len(pos) + len(mirror),
+                                  rows).rref()
+        assert pivots == list(range(len(pos)))
+        for p, row in zip(pos, red.data):
+            col = {q: x for q, x in zip(mirror, row[len(pos):]) if x}
+            if col:
+                omega.cols[p] = col
+    return omega
+
+
+def _corpus_irreps():
+    """Fock(1/2), Fock(3/2), defining^0..3 and the irreps of the eight
+    corpus weights with (-1,-3) and (-2,-4): 78 irreps."""
+    irreps = [irr for rep in [fock_representation(HALF),
+                              fock_representation(Fraction(3, 2))]
+              + [tensor_power_representation(p) for p in range(4)]
+              for irr in extract_irreps(rep)]
+    weights = [(0, -1), (-HALF, -HALF), (0, 0), (0, -2), (-HALF, -3 * HALF),
+               (-1, -1), (0, -3), (-1, -2), (-1, -3), (-2, -4)]
+    return irreps + [irrep_of_weight(lam) for lam in weights]
+
+
+def test_projector_and_omega_match_their_dense_constructions():
+    irreps = _corpus_irreps()
+    assert len(irreps) == 78
+    for irr in irreps:
+        assert extremal_projector_o3(irr).matrix == _projector_by_solve(irr)
+        assert omega_operator(irr) == _omega_by_dense_blocks(irr)
+
+
+def test_projector_takes_ker_e_from_the_slices(monkeypatch):
+    # ker(e) is eliminated once per block, in multiplicity_slices
+    irr = irrep_of_weight((-1, -2))
+    multiplicity_slices(irr)
+    calls = []
+    monkeypatch.setattr(replab, "rank_and_kernel",
+                        lambda m: calls.append(m) or rank_and_kernel(m))
+    extremal_projector_o3(irr)
+    assert calls == []
 
 
 def test_omega_trivial_rep():

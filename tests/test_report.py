@@ -9,7 +9,7 @@ from quasispin.fock import build_o5_on_fock, rescale_exponent
 from quasispin.linalg import ExactMatrix
 from quasispin.report import (ANOMALY, FAIL, PASS, Check, VerificationReport,
                               classification_table, format_sqrt2_power,
-                              parse_report, parse_table, serialize_value,
+                              serialize_value,
                               table_to_csv, write_genmap, write_output)
 from quasispin.tableaux import ClassifiedState
 
@@ -26,11 +26,15 @@ def test_report_roundtrip():
     rep.add("a/two", False, {"difference": "3F[0,-1]"})
     rep.add_anomaly("a/three", {"note": "convention shift"})
     payload = rep.to_json()
-    back = parse_report(json.dumps(payload))
-    assert back.to_json() == payload
-    assert back.exit_code() == 1
-    assert [c.status for c in sorted(back.checks, key=lambda c: c.id)] == \
-        [PASS, ANOMALY, FAIL]
+    back = json.loads(json.dumps(payload))
+    assert back == payload
+    assert back["schema_version"] == 1 and back["suite"] == "demo"
+    assert back["checks"] == [
+        {"id": "a/one", "status": PASS, "wall_time": 0.25},
+        {"id": "a/three", "status": ANOMALY,
+         "witness": {"note": "convention shift"}},
+        {"id": "a/two", "status": FAIL, "witness": {"difference": "3F[0,-1]"}}]
+    assert rep.exit_code() == 1
 
 
 def test_exit_code_contract():
@@ -69,7 +73,7 @@ def test_table_serialization_and_roundtrip():
     assert table["weight"] == ["0", "0"]
     assert table["states"][0] == {"T": "0", "tau0": "0", "N": "0", "k": 0,
                                   "slice_dim": 1, "case": "A", "sigma": 0}
-    assert parse_table(json.dumps(table)) == table
+    assert json.loads(json.dumps(table)) == table
     csv_text = table_to_csv(table)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "T,tau0,N,k,slice_dim,case,sigma"
@@ -81,7 +85,10 @@ def test_table_roundtrip_property(rows):
     states = [ClassifiedState(Fraction(t), Fraction(t), Fraction(0), k,
                               1, "B", 0) for t, k in rows]
     table = classification_table((Fraction(0), Fraction(-1)), states)
-    assert parse_table(json.dumps(table)) == table
+    back = json.loads(json.dumps(table))
+    assert back == table
+    assert [(Fraction(s["T"]), Fraction(s["tau0"]), Fraction(s["N"]), s["k"])
+            for s in back["states"]] == [(t, t, 0, k) for t, k in rows]
 
 
 def test_write_output_json_and_csv(tmp_path):

@@ -1,15 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quasispin.liealg import weyl_dimension
-from quasispin.linalg import rank_and_kernel
+from quasispin.linalg import ExactMatrix, rank_and_kernel, row_basis, solve
 from quasispin.replab import (defining_representation, extract_irreps,
                               fock_representation, irrep_of_weight,
                               multiplicity_slices,
                               tensor_power_representation,
                               trivial_representation)
-from quasispin.tableaux import (GAMMA_CONVENTIONS, GTMolevTableau,
+from quasispin.tableaux import (GAMMA_CONVENTIONS, Flag, GTMolevTableau,
                                 Rectangle, assign_k, case_of,
                                 enumerate_tableaux, gammas,
                                 predicted_slice_matrix, quantum_numbers,
@@ -268,3 +269,29 @@ def test_sigma0_slices_map_isomorphically():
         assert row["nullity"] == 0 and row["rank"] == len(tgt[2])
         checked += 1
     assert checked > 0
+
+
+@given(st.data())
+def test_flag_membership_matches_solve(data):
+    # U_m contains the vectors iff [U_m as columns] X = [vectors] solves
+    dim = data.draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    gens = data.draw(st.lists(vec, max_size=5))
+    flag = Flag(dim, [ExactMatrix.identity(dim).data]
+                + [row_basis(gens[i:], dim) for i in range(len(gens))])
+    m = data.draw(st.integers(0, len(gens) + 1))
+    level = flag.levels[m] if m < flag.depth() else []
+    # combinations of the level's rows, and some free vectors
+    coeffs = data.draw(st.lists(st.lists(st.integers(-2, 2),
+                                         min_size=len(level),
+                                         max_size=len(level)), max_size=3))
+    vectors = [[sum(c * row[i] for c, row in zip(cs, level))
+                for i in range(dim)] for cs in coeffs]
+    vectors += data.draw(st.lists(vec, max_size=2))
+
+    def columns(vs):
+        return ExactMatrix(dim, len(vs), [[v[i] for v in vs]
+                                          for i in range(dim)])
+
+    assert flag.contains_all(m, vectors) == (
+        solve(columns(level), columns(vectors)) is not None)
