@@ -16,7 +16,6 @@ table, --format json|csv.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -430,7 +429,7 @@ def suite_probe():
     unique = len(decisive) == 1 and decisive[0] != "none"
     report.add("probe/gamma-winner-unique", unique,
                None if unique else {"winners": winners})
-    if len(decisive) == 1:
+    if unique:
         report.add_anomaly("probe/gamma-winner",
                            {"convention": decisive[0],
                             "support": winners.get(decisive[0], []),

@@ -1,26 +1,30 @@
-"""Exact dense linear algebra over Q.
+"""Exact linear algebra over Q.
 
 Matrices are small (desk scale, <= a few hundred rows).  There is one
-Gaussian elimination, `ExactMatrix.rref`, with the deterministic pivot
-rule "first nonzero column, first nonzero row".  Everything else is
+Gaussian elimination, `rref_rows`: Gauss-Jordan on sparse rows
+{column: Fraction}, with the columns ordered by key.  It returns the
+nonzero rows of the reduced row echelon form, which is unique, so the
+result does not depend on the order of the rows.  Everything else is
 built on it:
-- `rank_and_kernel` and `rank`;
+- `kernel_rows`, the RREF basis of a null space, as sparse rows;
+- the dense views `ExactMatrix.rref`, `rank_and_kernel`, `rank` and
+  `row_basis`, which convert dense rows (coercing with `scalars.rat`)
+  and call `rref_rows`.  `row_basis` stores a span as the nonzero rows
+  of an RREF.  That form is canonical: equal spans have equal rows,
+  whatever order their vectors came in;
 - `solve`, which eliminates `[mat | rhs]` once for a whole matrix of
   right-hand sides.  No package code calls it: it is exported as the
   reference the tests check the pivot readers against
   (`replab._coordinates` reads an RREF basis at its pivots,
   `replab._map_on_span` a map from one RREF of `[x | y]`, and
-  `tableaux` flag membership compares ranks);
-- `row_basis`, a span stored as the nonzero rows of an RREF.  That form
-  is canonical: equal spans have equal rows, whatever order their
-  vectors came in.
+  `tableaux` flag membership compares ranks).
 `LinOp` is the one operator type: every representation operator
 (generators, Pfaffians, Omega, theta, the o3 projector) is a sparse
 `LinOp`, its columns given as {index: Fraction} dicts.  `ExactMatrix`
-holds what elimination reads and writes: RREF inputs and outputs, small
-weight-block and slice-coordinate matrices, and characteristic
-polynomials.  Both classes coerce every entry with `scalars.rat`, so a
-float or any other non-rational entry raises `TypeError`.
+holds the dense matrices of `tableaux` and the slice maps, and their
+characteristic polynomials.  Both classes coerce every entry with
+`scalars.rat`, so a float or any other non-rational entry raises
+`TypeError`.
 """
 
 from __future__ import annotations
@@ -127,34 +131,64 @@ class ExactMatrix:
     # -- elimination --------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form; returns (rref_matrix, pivot_columns).
+        """Reduced row echelon form; returns (rref_matrix, pivot_columns),
+        the zero rows of the RREF kept at the bottom."""
+        red = rref_rows(_sparse_rows(self.data))
+        out = ExactMatrix(self.rows, self.cols)
+        out.data[:len(red)] = [_dense_row(r, self.cols) for r in red]
+        return out, [min(r) for r in red]
 
-        Pivot rule: scan columns left to right, pick the first row (top
-        to bottom) with a nonzero entry.  Fully deterministic.
-        """
-        m = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = 1 / m[r][c]
-            prow = m[r] = [inv * x if x else x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b if b else a for a, b in zip(m[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return ExactMatrix(self.rows, self.cols, m), pivots
+
+def rref_rows(rows):
+    """Gauss-Jordan elimination on sparse rows {column: Fraction}, the
+    columns ordered by key: the nonzero rows of the reduced row echelon
+    form, in pivot order.  Each row's pivot is its smallest key, with
+    entry 1.  The rows are taken one at a time: each is reduced by the
+    pivot rows so far, which are zero at every other pivot, so one pass
+    clears it; what is left becomes a pivot row and is eliminated from
+    the others.  The input rows are not modified."""
+    pivot_rows: dict = {}  # pivot column -> its row
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        for p in [c for c in row if c in pivot_rows]:
+            _axpy(row, -row[p], pivot_rows[p])
+        if not row:
+            continue
+        p = min(row)
+        inv = _ONE / row[p]
+        row = {c: x * inv for c, x in row.items()}
+        for other in pivot_rows.values():
+            if p in other:
+                _axpy(other, -other[p], row)
+        pivot_rows[p] = row
+    return [pivot_rows[p] for p in sorted(pivot_rows)]
+
+
+def _axpy(row: dict, f, other: dict):
+    """row += f * other in place, dropping the entries that cancel."""
+    for c, y in other.items():
+        s = row.get(c, _ZERO) + f * y
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+
+
+def kernel_rows(rows, cols):
+    """The RREF basis of the null space of the sparse rows, over the
+    column keys cols (every key of rows among them), as sparse rows."""
+    red = {min(r): r for r in rref_rows(rows)}  # pivot -> its row
+    return rref_rows({fc: _ONE} | {p: -r[fc] for p, r in red.items()
+                                   if fc in r}
+                     for fc in cols if fc not in red)
+
+
+def _sparse_rows(data):
+    return [{c: y for c, x in enumerate(row) if (y := rat(x))} for row in data]
+
+
+def _dense_row(row: dict, length: int):
+    return [row.get(c, _ZERO) for c in range(length)]
 
 
 def rank_and_kernel(mat: ExactMatrix):
@@ -163,31 +197,19 @@ def rank_and_kernel(mat: ExactMatrix):
     Returns (rank, kernel_basis) with rank + len(kernel_basis) == cols
     and mat @ v == 0 for every basis vector v.
     """
-    red, pivots = mat.rref()
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(mat.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [_ZERO] * mat.cols
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.data[r][fc]
-        basis.append(v)
-    return rank, row_basis(basis, mat.cols)
+    kernel = kernel_rows(_sparse_rows(mat.data), range(mat.cols))
+    return (mat.cols - len(kernel),
+            [_dense_row(v, mat.cols) for v in kernel])
 
 
 def rank(mat: ExactMatrix) -> int:
-    return len(mat.rref()[1])
+    return len(rref_rows(_sparse_rows(mat.data)))
 
 
 def row_basis(vectors, length: int):
     """Canonical basis of the span of dense vectors of the given length:
     the nonzero rows of the RREF of the stacked vectors."""
-    if not vectors:
-        return []
-    red, pivots = ExactMatrix(len(vectors), length, vectors).rref()
-    return red.data[:len(pivots)]
+    return [_dense_row(r, length) for r in rref_rows(_sparse_rows(vectors))]
 
 
 def solve(mat: ExactMatrix, rhs: ExactMatrix):

@@ -10,13 +10,14 @@ the same two steps for the one irrep of a given highest weight, and
 `irrep_of_weight` uses it to build V(lam) for any valid lam as a Cartan
 product.  Each irrep is re-coordinatized on its own basis, where every
 operator (generators, Pfaffians, the extremal projector, the reflection
-intertwiner) is a sparse `LinOp`.  Dense `ExactMatrix` blocks appear
-only where elimination runs, through four helpers: `_block` reads a
-rows x cols block of an operator, `_put_block` writes one back,
-`_coordinates` expresses sparse vectors in an RREF basis by reading
-them at its pivots, with no elimination, and `_map_on_span` reads a
-linear map fixed on a spanning set (the extremal projector and Omega)
-from one RREF of the rows [x | y].
+intertwiner) is a sparse `LinOp`.  Every elimination runs on sparse
+vectors, through `linalg.rref_rows` and `linalg.kernel_rows`: kernels
+are taken of the stacked operator rows of a weight block
+(`_stacked_rows`), `_coordinates` expresses sparse vectors in an RREF
+basis by reading them at its pivots, with no elimination, and
+`_map_on_span` reads a linear map fixed on a spanning set (the extremal
+projector and Omega) from one RREF of the rows [x | y].  The one dense
+`ExactMatrix` is `SliceMap.matrix`, which `tableaux` reads.
 
 Conventions: the weight of a vector is (F_11-eigenvalue, F_22-eigenvalue)
 = (tau_0, N); o3-highest means killed by the o3 raising operator
@@ -28,11 +29,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .liealg import (GenIndex, Weight, canonical_generators,
+from .fock import build_o5_on_fock
+from .liealg import (GenIndex, Weight, canonical_generators, canonicalize,
                      defining_matrices, is_lowering, is_raising, root_of,
                      weyl_dimension)
-from .linalg import ExactMatrix, LinOp, rank_and_kernel, row_basis, svec_add
-from .uea import UEAElement, evaluate_in_representation, hat_set, pfaffian
+from .linalg import (ExactMatrix, LinOp, kernel_rows, rank_and_kernel,
+                     rref_rows, svec_add)
+from .uea import (IndexSet, UEAElement, evaluate_in_representation, hat_set,
+                  pfaffian)
 
 N_RANK = 2  # everything here is o_5
 
@@ -87,7 +91,6 @@ def tensor_power_representation(power: int) -> Representation:
 
 
 def fock_representation(j) -> Representation:
-    from .fock import build_o5_on_fock
     space, _, genmap = build_o5_on_fock(j)
     return Representation(f"fock({j})", space.dim, genmap)
 
@@ -165,17 +168,19 @@ def extract_irreps(rep: Representation):
     """Split into irreducibles by highest-weight theory.
 
     Two steps per weight, highest first: the vectors killed by every
-    raising operator (`_highest_weight_kernel`), then the lowering orbit
-    of each (`_lowering_orbit`, which checks its dimension against the
-    Weyl formula).  The irrep dimensions must also add up to the ambient
-    one.  `irrep_with_highest_weight` runs the same steps for one irrep.
+    raising operator (the kernel of their `_stacked_rows`), then the
+    lowering orbit of each (`_lowering_orbit`, which checks its
+    dimension against the Weyl formula).  The irrep dimensions must also
+    add up to the ambient one.  `irrep_with_highest_weight` runs the same
+    steps for one irrep.
     """
     buckets = weight_decompose(rep)
     order = sorted(buckets, key=_weight_sort_key)
-    raising, lowering = _root_generators()
-    irreps = [_lowering_orbit(rep, buckets, order, at, kv, lowering)
+    raising, lowering = _root_generators(rep)
+    irreps = [_lowering_orbit(rep, order, at, kv, lowering)
               for at, mu in enumerate(order)
-              for kv in _highest_weight_kernel(rep, buckets[mu], raising)]
+              for kv in kernel_rows(_stacked_rows(raising, buckets[mu]),
+                                    buckets[mu])]
     total = sum(irr.dim for irr in irreps)
     if total != rep.dim:
         raise AssertionError(
@@ -192,13 +197,12 @@ def irrep_with_highest_weight(rep: Representation, lam):
     mu = Weight(lam)
     if mu not in buckets:
         return None
-    raising, lowering = _root_generators()
-    kernel = _highest_weight_kernel(rep, buckets[mu], raising)
+    raising, lowering = _root_generators(rep)
+    kernel = kernel_rows(_stacked_rows(raising, buckets[mu]), buckets[mu])
     if not kernel:
         return None
     order = sorted(buckets, key=_weight_sort_key)
-    irr = _lowering_orbit(rep, buckets, order, order.index(mu), kernel[0],
-                          lowering)
+    irr = _lowering_orbit(rep, order, order.index(mu), kernel[0], lowering)
     _fill_generator_matrices(rep, [irr])
     return irr
 
@@ -226,54 +230,45 @@ def irrep_of_weight(lam) -> Irrep:
                        irrep_of_weight(mu).representation()), lam)
 
 
-def _root_generators():
-    """(raising generators, [(lowering generator, its root)])."""
+def _root_generators(rep: Representation):
+    """(raising operators of rep, [(lowering operator, its root)])."""
     gens = canonical_generators(N_RANK)
-    return ([g for g in gens if is_raising(g)],
-            [(g, root_of(g)) for g in gens if is_lowering(g)])
+    return ([rep.genmap[g] for g in gens if is_raising(g)],
+            [(rep.genmap[g], root_of(g)) for g in gens if is_lowering(g)])
 
 
-def _highest_weight_kernel(rep: Representation, members, raising):
-    """Kernel of the stacked raising operators restricted to the weight
-    space spanned by the basis indices members: coordinate rows."""
-    support = sorted({r for g in raising for c in members
-                      for r in rep.genmap[g].cols.get(c, {})})
-    stacked = [row for g in raising
-               for row in _block(rep.genmap[g], support, members).data]
-    if not stacked:
-        return ExactMatrix.identity(len(members)).data
-    return rank_and_kernel(ExactMatrix.from_rows(stacked))[1]
+def _stacked_rows(ops, cols):
+    """The rows of the operators ops on the columns cols, stacked: one
+    sparse row {column: entry} per operator and row index it reaches.
+    Their kernel is the common kernel of ops on the span of cols."""
+    rows = []
+    for op in ops:
+        by_row: dict = {}
+        for c in cols:
+            for r, x in op.cols.get(c, {}).items():
+                by_row.setdefault(r, {})[c] = x
+        rows.extend(by_row.values())
+    return rows
 
 
-def _lowering_orbit(rep: Representation, buckets, order, at, kv, lowering):
-    """The irrep generated by the highest-weight vector with coordinates
-    kv in the weight space order[at], one RREF per lower weight."""
+def _lowering_orbit(rep: Representation, order, at, kv, lowering):
+    """The irrep generated by the highest-weight vector kv, a sparse
+    ambient vector in the weight space order[at], one RREF per lower
+    weight."""
     mu = order[at]
     lam = (mu.comps[0], mu.comps[1])
     if not (0 >= lam[0] >= lam[1]):
         raise AssertionError(
             f"highest weight {lam} violates 0 >= lam1 >= lam2; "
             "polarity convention broken")
-    blocks = {mu: [{buckets[mu][t]: x for t, x in enumerate(kv) if x}]}
+    blocks = {mu: [kv]}
     # V_nu = sum over lowering f_alpha of f_alpha V_{nu - alpha}:
     # every nu - alpha is higher than nu, so its block is built
     for nu in order[at + 1:]:
-        pos = {k: t for t, k in enumerate(buckets[nu])}
-        images = []
-        for g, alpha in lowering:
-            for v in blocks.get(nu - alpha, ()):
-                img = rep.genmap[g].apply(v)
-                if img:
-                    row = [Fraction(0)] * len(pos)
-                    for k, x in img.items():
-                        row[pos[k]] = x
-                    images.append(row)
-        if images:
-            blocks[nu] = [
-                {buckets[nu][t]: x for t, x in enumerate(row) if x}
-                for row in row_basis(images, len(pos))]
-    basis = [v for nu in order if nu in blocks for v in blocks[nu]]
-    weights = [nu for nu in order if nu in blocks for _ in blocks[nu]]
+        blocks[nu] = rref_rows(f.apply(v) for f, alpha in lowering
+                               for v in blocks.get(nu - alpha, ()))
+    basis = [v for nu in order[at:] for v in blocks[nu]]
+    weights = [nu for nu in order[at:] for _ in blocks[nu]]
     expected = weyl_dimension(lam[0], lam[1])
     if len(basis) != expected:
         raise AssertionError(
@@ -298,67 +293,50 @@ def _fill_generator_matrices(rep: Representation, irreps):
                 if coords is None:
                     raise AssertionError(
                         f"{g} image leaves the irrep span in {irr}")
-                _put_block(m, rows, cols, coords)
+                m.cols.update((c, {rows[t]: x for t, x in col.items()})
+                              for c, col in zip(cols, coords) if col)
             irr.genmats[g] = m
-
-
-def _block(op: LinOp, rows, cols) -> ExactMatrix:
-    """The rows x cols block of op, dense."""
-    pos = {r: i for i, r in enumerate(rows)}
-    out = ExactMatrix(len(rows), len(cols))
-    for j, c in enumerate(cols):
-        for r, x in op.cols.get(c, {}).items():
-            i = pos.get(r)
-            if i is not None:
-                out.data[i][j] = x
-    return out
-
-
-def _put_block(op: LinOp, rows, cols, block: ExactMatrix):
-    """Write block into the rows x cols block of op, which must be zero
-    there; only nonzero entries are stored, so op keeps its normal form."""
-    for r, brow in zip(rows, block.data):
-        for c, x in zip(cols, brow):
-            if x:
-                op.cols.setdefault(c, {})[r] = x
 
 
 def _coordinates(targets, images):
     """Coordinates of the sparse vectors images in the RREF rows targets,
-    one column per image, or None when some image is outside their span.
-    Each target's pivot is its smallest key (else `AssertionError`): w has
-    coordinates w[pivot], and is in the span iff they give back w."""
+    one sparse column {target position: coordinate} per image, or None
+    when some image is outside their span.  Each target's pivot is its
+    smallest key (else `AssertionError`): w has coordinates w[pivot], and
+    is in the span iff they give back w."""
     pivots = [min(t, default=None) for t in targets]
     if any(p is None or t[p] != 1 or sum(p in u for u in targets) > 1
            for t, p in zip(targets, pivots)):
         raise AssertionError("coordinate basis is not in reduced echelon form")
-    out = ExactMatrix(len(targets), len(images))
-    for c, w in enumerate(images):
+    out = []
+    for w in images:
+        col: dict = {}
         span: dict = {}
         for r, (t, p) in enumerate(zip(targets, pivots)):
             x = w.get(p)
             if x:
-                out.data[r][c] = x
+                col[r] = x
                 for k, y in t.items():
                     span[k] = span.get(k, 0) + x * y
         if {k: x for k, x in span.items() if x} != w:
             return None
+        out.append(col)
     return out
 
 
 def _map_on_span(pairs, src, dst):
     """The linear map x -> y fixed by pairs (x, y) of sparse vectors, x
-    read on the indices src and y on dst, as sparse columns {s: image of
-    s} (zero columns left out).  One RREF of the rows [x | y] gives
-    [identity | map]; None unless its pivots are exactly the src columns,
-    that is unless the xs span src and the ys agree with one map."""
-    rows = [[x.get(k, 0) for k in src] + [y.get(k, 0) for k in dst]
-            for x, y in pairs]
-    red, pivots = ExactMatrix(len(rows), len(src) + len(dst), rows).rref()
-    if pivots != list(range(len(src))):
+    on the ascending indices src and y on dst, as sparse columns
+    {s: image of s} (zero columns left out).  One RREF of the rows
+    [x | y], keyed (0, s) before (1, d), gives [identity | map]; None
+    unless its pivots are exactly the src columns, that is unless the xs
+    span src and the ys agree with one map."""
+    red = rref_rows({(0, k): v for k, v in x.items()}
+                    | {(1, k): v for k, v in y.items()} for x, y in pairs)
+    if [min(r) for r in red] != [(0, s) for s in src]:
         return None
-    return {s: col for s, row in zip(src, red.data)
-            if (col := {d: x for d, x in zip(dst, row[len(src):]) if x})}
+    return {s: col for s, r in zip(src, red)
+            if (col := {d: v for (side, d), v in r.items() if side})}
 
 
 # -- o3 structure -----------------------------------------------------
@@ -404,11 +382,9 @@ def multiplicity_slices(irrep: Irrep):
         if T > 0:
             continue  # o3-highest vectors sit at tau0 = T <= 0
         cols = irrep.weight_positions[w]
-        target = irrep.weight_positions.get(Weight((T - 1, N)), [])
-        _, kernel = rank_and_kernel(_block(e, target, cols))
-        if not kernel:
+        basis = kernel_rows(_stacked_rows([e], cols), cols)
+        if not basis:
             continue
-        basis = [{t: x for t, x in zip(cols, kv) if x} for kv in kernel]
         slices[(T, N)] = MultiplicitySlice(irrep, T, N, basis)
         covered += len(basis) * int(-2 * T + 1)
     if covered != irrep.dim:
@@ -460,7 +436,11 @@ def _restrict_to_slices(op: LinOp, source: MultiplicitySlice,
         raise AssertionError(
             f"image of slice ({source.T},{source.N}) not inside target "
             f"slice {where}")
-    return SliceMap(source, target, coords)
+    matrix = ExactMatrix(len(tbasis), len(coords))
+    for c, col in enumerate(coords):
+        for r, x in col.items():
+            matrix.data[r][c] = x
+    return SliceMap(source, target, matrix)
 
 
 def pf_slice_maps(irrep: Irrep, T):
@@ -570,7 +550,6 @@ def omega_genindex(g: GenIndex):
 
     Returns (coefficient, canonical generator).
     """
-    from .liealg import canonicalize
     s, h = canonicalize(g.j, g.i, g.n)
     b2 = root_of(g).comps[1]
     if b2.denominator != 1:
@@ -657,11 +636,9 @@ def tps_scalar_probe(irrep: Irrep):
         p F_{20} v != 0; the measured c values are reported rather than
         asserted (received closed forms for this scalar are ambiguous).
     """
-    from .uea import UEAElement
-
     report = {"pf_sym_scalar": [], "c_constant": [], "anomalies": []}
     slices = multiplicity_slices(irrep)
-    m_sym = irrep.matrix_of(pfaffian(_index_set_sym()))
+    m_sym = irrep.matrix_of(pfaffian(IndexSet([-1, 1], N_RANK)))
     proj = extremal_projector_o3(irrep).matrix
     m_pf2 = proj @ irrep.pf_matrix(+1)
     m_f20 = proj @ irrep.matrix_of(UEAElement.of(2, 0, N_RANK))
@@ -692,11 +669,6 @@ def tps_scalar_probe(irrep: Irrep):
     report["c_fits_one_minus_T"] = bool(rows) and all(
         r["c"] == 1 - r["T"] for r in rows)
     return report
-
-
-def _index_set_sym():
-    from .uea import IndexSet
-    return IndexSet([-1, 1], N_RANK)
 
 
 def _ratio(x, y):

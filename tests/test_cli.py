@@ -305,3 +305,6 @@ def test_failed_gamma_winner_probe_is_reported(monkeypatch, tmp_path,
     [check] = [c for c in json.loads(out.read_text())["checks"]
                if c["id"] == "probe/gamma-winner-unique"]
     assert check["witness"] == {"winners": {"none": list(cli.PROBE_WEIGHTS)}}
+    # "none" is no convention: no gamma-winner anomaly names it
+    assert not [c for c in json.loads(out.read_text())["checks"]
+                if c["id"] == "probe/gamma-winner"]

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import pytest
@@ -136,9 +135,6 @@ def test_pf_matrices_commute_with_o3_on_fock():
 
 # -- reference: the LinOp-product construction of the three integer checks
 
-slow = pytest.mark.skipif(not os.environ.get("QUASISPIN_SLOW"),
-                          reason="set QUASISPIN_SLOW=1 to run the j=5/2 check")
-
 
 def ref_car_violations(sp):
     adag = [sp.adag(*mode) for mode in sp.modes]
@@ -210,7 +206,8 @@ def ref_verify_representation(genmap):
 
 
 @pytest.mark.parametrize("j", [HALF, Fraction(3, 2),
-                               pytest.param(Fraction(5, 2), marks=slow)],
+                               pytest.param(Fraction(5, 2),
+                                            marks=pytest.mark.slow)],
                          ids=str)
 def test_integer_checks_match_linop_reference(j):
     sp = FockSpace(j)

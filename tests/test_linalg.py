@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasispin.liealg import canonical_generators
 from quasispin.linalg import (ExactMatrix, LinOp, characteristic_polynomial,
-                              rank, rank_and_kernel, row_basis, solve)
+                              kernel_rows, rank, rank_and_kernel, row_basis,
+                              rref_rows, solve)
+from quasispin.uea import UEAElement, evaluate_in_representation
 
 # small rational entries, zero-heavy so that singular matrices and
 # consistent systems with free variables come up often
@@ -39,6 +42,115 @@ def all_fractions(rows):
 
 def mat_apply_zero(m, vecs):
     return all(all(not x for x in m.apply(v)) for v in vecs)
+
+
+def dense_rref(data, cols):
+    """Reference Gauss-Jordan on dense rows: (rref rows, pivot columns).
+
+    Pivot rule: scan columns left to right, pick the first row (top to
+    bottom) with a nonzero entry.
+    """
+    m = [[Fraction(x) for x in row] for row in data]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        prow = m[r] = [inv * x if x else x for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def _block(op: LinOp, rows, cols) -> ExactMatrix:
+    """The rows x cols block of op, dense."""
+    pos = {r: i for i, r in enumerate(rows)}
+    out = ExactMatrix(len(rows), len(cols))
+    for j, c in enumerate(cols):
+        for r, x in op.cols.get(c, {}).items():
+            i = pos.get(r)
+            if i is not None:
+                out.data[i][j] = x
+    return out
+
+
+def _put_block(op: LinOp, rows, cols, block: ExactMatrix):
+    """Write block into the rows x cols block of op, which must be zero
+    there; only nonzero entries are stored, so op keeps its normal form."""
+    for r, brow in zip(rows, block.data):
+        for c, x in zip(cols, brow):
+            if x:
+                op.cols.setdefault(c, {})[r] = x
+
+
+# zero-heavy int or Fraction entries, so that all-zero rows and
+# matrices without rows or columns come up
+mixed_entries = st.one_of(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]),
+                          entries)
+
+
+@st.composite
+def zero_heavy_rows(draw):
+    cols = draw(st.integers(0, 6))
+    return draw(st.lists(st.lists(mixed_entries, min_size=cols,
+                                  max_size=cols), max_size=6)), cols
+
+
+def is_rref(rows):
+    pivots = [min(r) for r in rows]
+    return (pivots == sorted(set(pivots))
+            and all(r[p] == 1 for r, p in zip(rows, pivots))
+            and all(sum(p in r for r in rows) == 1 for p in pivots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_heavy_rows())
+def test_sparse_kernel_equals_the_dense_reference(case):
+    data, cols = case
+    red, pivots = dense_rref(data, cols)
+    rows = rref_rows(sparse(row) for row in data)
+    assert [sparse(row) for row in red[:len(pivots)]] == rows
+    assert [min(r) for r in rows] == pivots
+    assert all(type(x) is Fraction for r in rows for x in r.values())
+    m = ExactMatrix(len(data), cols, data)
+    view, view_pivots = m.rref()
+    assert (view.data, view_pivots) == (red, pivots)
+    assert all_fractions(view.data)
+    assert rank(m) == len(pivots)
+    assert row_basis(data, cols) == red[:len(pivots)]
+    kernel = kernel_rows([sparse(row) for row in data], range(cols))
+    assert len(pivots) + len(kernel) == cols
+    assert all(sum(x * v.get(c, 0) for c, x in enumerate(row)) == 0
+               for row in data for v in kernel)
+    assert is_rref(kernel)
+    assert all(type(x) is Fraction for v in kernel for x in v.values())
+    assert rank_and_kernel(m) == (len(pivots),
+                                  [[v.get(c, 0) for c in range(cols)]
+                                   for v in kernel])
+
+
+def test_rref_rows_on_sparse_keys():
+    # explicit zeros are dropped and the input rows are left as they were
+    rows = [{0: 2, 1: 4}, {0: 1, 2: 0}]
+    assert rref_rows(rows) == [{0: 1}, {1: 1}]
+    assert rows == [{0: 2, 1: 4}, {0: 1, 2: 0}]
+    # keys need not be consecutive; no rows leave every column free
+    assert rref_rows([{7: 3, 3: 1}, {7: 6, 3: 2}]) == [{3: 1, 7: 3}]
+    assert kernel_rows([{7: 3, 3: 1}], [3, 7]) == [{3: 1, 7: Fraction(-1, 3)}]
+    assert kernel_rows([], [3, 5]) == [{3: 1}, {5: 1}]
 
 
 def test_rank_kernel_identity():
@@ -202,9 +314,6 @@ def dense(op):
 def test_linop_operations_keep_normal_form(case):
     # LinOp.__eq__ compares the stored columns, which is entrywise
     # equality only while no zero entry and no empty column is stored
-    from quasispin.liealg import canonical_generators
-    from quasispin.replab import _put_block
-    from quasispin.uea import UEAElement, evaluate_in_representation
     a, b, c, rows, cols, block = case
     n = a.dim
     gens = canonical_generators(1)

@@ -9,10 +9,9 @@ from quasispin.liealg import (Weight, canonical_generators, is_lowering,
                               root_of, weyl_dimension)
 from quasispin.linalg import (ExactMatrix, LinOp, characteristic_polynomial,
                               rank_and_kernel, solve)
-from quasispin.replab import (O3_LOWERING, O3_RAISING, _block,
-                              _coordinates, _map_on_span, _put_block,
-                              _weight_sort_key, NonDiagonalCartan,
-                              Representation,
+from quasispin.replab import (O3_LOWERING, O3_RAISING, _coordinates,
+                              _map_on_span, _weight_sort_key,
+                              NonDiagonalCartan, Representation,
                               defining_representation, extract_irreps,
                               extremal_projector_o3, fock_representation,
                               irrep_of_weight, irrep_with_highest_weight,
@@ -24,6 +23,7 @@ from quasispin.replab import (O3_LOWERING, O3_RAISING, _block,
                               trivial_representation, weight_decompose)
 from quasispin.tableaux import validate_against_representation
 from quasispin.uea import UEAElement
+from test_linalg import _block, _put_block
 
 HALF = Fraction(1, 2)
 
@@ -208,6 +208,30 @@ def _digit_loop_power(power):
     return genmap
 
 
+# multiplicity of each highest weight in Fock(j): 6, 50 and 490 irreps,
+# pinned as literals so that a seniority (Howe duality) check computed
+# elsewhere stays an independent witness
+FOCK_MULTIPLICITIES = {
+    HALF: {(0, 0): 3, (-HALF, -HALF): 2, (0, -1): 1},
+    Fraction(3, 2): {(-HALF, -HALF): 16, (0, 0): 14, (0, -1): 10,
+                     (-1, -1): 5, (-HALF, -3 * HALF): 4, (0, -2): 1},
+    Fraction(5, 2): {(-HALF, -HALF): 126, (0, -1): 90, (0, 0): 84,
+                     (-1, -1): 70, (-HALF, -3 * HALF): 64, (0, -2): 21,
+                     (-1, -2): 14, (-3 * HALF, -3 * HALF): 14,
+                     (-HALF, -5 * HALF): 6, (0, -3): 1},
+}
+
+
+@pytest.mark.parametrize("j", [HALF, Fraction(3, 2),
+                               pytest.param(Fraction(5, 2),
+                                            marks=pytest.mark.slow)],
+                         ids=str)
+def test_fock_multiplicities(j):
+    got = Counter(irr.highest_weight
+                  for irr in extract_irreps(fock_representation(j)))
+    assert got == FOCK_MULTIPLICITIES[j]
+
+
 def test_tensor_power_is_a_fold_of_tensor_products():
     for power in (1, 2, 3):
         rep = tensor_power_representation(power)
@@ -243,14 +267,19 @@ def test_slice_bases_are_rref():
 
 
 def _coordinates_by_solve(targets, images):
-    """The coordinates as one solve over the joint support."""
+    """The coordinates as one solve over the joint support, as sparse
+    columns {target position: coordinate}."""
     support = sorted({k for v in targets + images for k in v})
 
     def columns(vectors):
         return ExactMatrix(len(support), len(vectors),
                            [[v.get(k, 0) for v in vectors] for k in support])
 
-    return solve(columns(targets), columns(images))
+    x = solve(columns(targets), columns(images))
+    if x is None:
+        return None
+    return [{r: x[r, c] for r in range(x.rows) if x[r, c]}
+            for c in range(x.cols)]
 
 
 def test_coordinates_match_solve_on_irreps_and_slices():
@@ -279,9 +308,9 @@ def test_coordinates_outside_the_span_and_off_echelon():
     one, two = Fraction(1), Fraction(2)
     targets = [{0: one, 2: Fraction(3)}, {1: one}]
     assert _coordinates(targets, [{0: two, 1: -one, 2: Fraction(6)}]) == \
-        ExactMatrix.from_rows([[2], [-1]])
+        [{0: 2, 1: -1}]
     assert _coordinates(targets, [{0: one}]) is None
-    assert _coordinates([], [{}]) == ExactMatrix(0, 1)
+    assert _coordinates([], [{}]) == [{}]
     assert _coordinates([], [{0: one}]) is None
     for bad in ([{0: two}], [{0: one}, {0: one, 1: one}],
                 [{0: one, 1: one}, {1: one}], [{}]):
@@ -332,9 +361,10 @@ def test_slices_computed_once(monkeypatch):
     irr = max(extract_irreps(tensor_power_representation(2)),
               key=lambda i: i.dim)
     calls = []
-    rref = ExactMatrix.rref
-    monkeypatch.setattr(ExactMatrix, "rref",
-                        lambda self: calls.append(1) or rref(self))
+    kernel_rows = replab.kernel_rows
+    monkeypatch.setattr(replab, "kernel_rows",
+                        lambda rows, cols: calls.append(1)
+                        or kernel_rows(rows, cols))
     first = multiplicity_slices(irr)
     assert calls  # the first call eliminates
     del calls[:]
@@ -498,8 +528,10 @@ def test_projector_takes_ker_e_from_the_slices(monkeypatch):
     irr = irrep_of_weight((-1, -2))
     multiplicity_slices(irr)
     calls = []
-    monkeypatch.setattr(replab, "rank_and_kernel",
-                        lambda m: calls.append(m) or rank_and_kernel(m))
+    kernel_rows = replab.kernel_rows
+    monkeypatch.setattr(replab, "kernel_rows",
+                        lambda rows, cols: calls.append(1)
+                        or kernel_rows(rows, cols))
     extremal_projector_o3(irr)
     assert calls == []
 

@@ -3,7 +3,6 @@
 Run with QUASISPIN_SLOW=1; budget is five minutes, measured ~1.6 s.
 """
 
-import os
 from itertools import combinations
 
 import pytest
@@ -12,14 +11,11 @@ from quasispin.liealg import defining_matrices
 from quasispin.uea import (IndexSet, check_lemma_l2, check_minorn,
                            check_split_formula)
 
-slow = pytest.mark.skipif(not os.environ.get("QUASISPIN_SLOW"),
-                          reason="set QUASISPIN_SLOW=1 to run o7 spot checks")
-
 IDX7 = [-3, -2, -1, 0, 1, 2, 3]
 ORACLE7 = (defining_matrices(3), 7)
 
 
-@slow
+@pytest.mark.slow
 def test_o7_split_and_minor_size6():
     big = IndexSet([-3, -2, -1, 0, 1, 2], 3)
     for p, q in ((2, 4), (4, 2), (6, 0), (0, 6)):
@@ -30,7 +26,7 @@ def test_o7_split_and_minor_size6():
     assert r and r.matrix_oracle(*ORACLE7)
 
 
-@slow
+@pytest.mark.slow
 def test_o7_lemma_l2_size6_spot():
     for combo in list(combinations(IDX7, 6))[:3]:
         I = IndexSet(combo, 3)
@@ -39,7 +35,7 @@ def test_o7_lemma_l2_size6_spot():
             assert r, f"{r.name}: {r.witness!r}"
 
 
-@slow
+@pytest.mark.slow
 def test_fock_five_halves_builds():
     from fractions import Fraction
     from quasispin.fock import FockSpace, quasispin_operators

@@ -8,7 +8,6 @@ the corpus, and a site this sweep finds beyond it is a finding to
 report, not a gate.
 """
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -17,9 +16,6 @@ from quasispin.liealg import weyl_dimension
 from quasispin.replab import irrep_of_weight
 from quasispin.tableaux import (enumerate_tableaux,
                                 validate_against_representation)
-
-slow = pytest.mark.skipif(not os.environ.get("QUASISPIN_SLOW"),
-                          reason="set QUASISPIN_SLOW=1 to run the sweep")
 
 ANOMALY_KINDS = {"n0-two-sided-disagreement", "seam-raising-up",
                  "seam-raising-down"}
@@ -43,7 +39,7 @@ def test_sweep_weights():
     assert sum(weyl_dimension(*lam) for lam in weights) == 1925
 
 
-@slow
+@pytest.mark.slow
 @pytest.mark.parametrize("lam", dominant_weights(4),
                          ids=lambda lam: f"{lam[0]},{lam[1]}")
 def test_sweep(lam):
