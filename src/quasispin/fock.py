@@ -246,7 +246,7 @@ def verify_representation(genmap: dict):
     violations = []
     for a, b in combinations(genmap, 2):
         (da, ma), (db, mb) = cleared[a], cleared[b]
-        terms = [(c * da * db / cleared[g][0], cleared[g][1])
+        terms = [(Fraction(c * da * db, cleared[g][0]), cleared[g][1])
                  for c, g in bracket(a, b)]
         big = lcm(1, *(q.denominator for q, _ in terms))
         if (_isum([(big, ma, mb), (-big, mb, ma)])

@@ -27,36 +27,43 @@ def index_range(n: int):
     return list(range(-n, n + 1))
 
 
+# (i, j, n) -> the one GenIndex with those indices
+_interned: dict = {}
+
+
 class GenIndex:
-    """A canonical generator F_ij of o_N (split realization)."""
+    """A canonical generator F_ij of o_N (split realization).
 
-    __slots__ = ("i", "j", "n", "_hash")
+    Interned: ``GenIndex(i, j, n)`` returns the one object for (i, j, n),
+    so equality and hashing are by identity, done in C.  Words of
+    generators are dict keys in the rewriter, and every lookup hashes and
+    compares each letter.  Invalid indices raise before anything is
+    stored.
+    """
 
-    def __init__(self, i: int, j: int, n: int):
+    __slots__ = ("i", "j", "n")
+
+    def __new__(cls, i: int, j: int, n: int):
+        key = (i, j, n)
+        g = _interned.get(key)
+        if g is not None:
+            return g
         if not (-n <= i <= n and -n <= j <= n):
             raise ValueError(f"index ({i},{j}) out of range for n={n}")
         if j == -i:
             raise ValueError("F_{i,-i} is identically zero")
         if (i, j) > (-j, -i):
             raise ValueError(f"({i},{j}) is not canonical; use canonicalize")
-        self.i = i
-        self.j = j
-        self.n = n
-        # words of generators are dict keys in the rewriter: every lookup
-        # hashes each letter, so the hash is computed once
-        self._hash = hash((i, j, n))
+        g = super().__new__(cls)
+        g.i, g.j, g.n = i, j, n
+        _interned[key] = g
+        return g
 
     def key(self):
         return (self.i, self.j)
 
     def is_cartan(self) -> bool:
         return self.i == self.j
-
-    def __eq__(self, other):
-        return isinstance(other, GenIndex) and (self.i, self.j, self.n) == (other.i, other.j, other.n)
-
-    def __hash__(self):
-        return self._hash
 
     def __lt__(self, other):
         return pbw_sort_key(self) < pbw_sort_key(other)
@@ -135,18 +142,17 @@ class Weight:
         return "(" + ", ".join(str(c) for c in self.comps) + ")"
 
 
-# Per-generator memos of root_of and pbw_sort_key, keyed by (i, j, n).
-# Both values are immutable, so every caller may share them.
+# Per-generator memos of root_of and pbw_sort_key, keyed by the interned
+# generator.  Both values are immutable, so every caller may share them.
 _root_memo: dict = {}
 _sort_key_memo: dict = {}
 
 
 def root_of(g: GenIndex) -> Weight:
     """Root e_i - e_j of a generator; zero weight for Cartan elements."""
-    key = (g.i, g.j, g.n)
-    hit = _root_memo.get(key)
+    hit = _root_memo.get(g)
     if hit is None:
-        hit = _root_memo[key] = Weight.e(g.i, g.n) - Weight.e(g.j, g.n)
+        hit = _root_memo[g] = Weight.e(g.i, g.n) - Weight.e(g.j, g.n)
     return hit
 
 
@@ -175,16 +181,17 @@ def pbw_sort_key(g: GenIndex):
 
     Lowering (negative-root) generators first, then Cartan F_{-n,-n}..
     F_{-1,-1}, then raising generators; within a class ordered by root
-    coordinates, then by index pair.
+    coordinates, then by index pair.  The root coordinates are integral
+    and stored as ints: the rewriter compares keys on every step.
     """
-    key = (g.i, g.j, g.n)
-    hit = _sort_key_memo.get(key)
+    hit = _sort_key_memo.get(g)
     if hit is None:
         if g.is_cartan():
             hit = (1, (g.i, g.j))
         else:
-            hit = (2 if is_raising(g) else 0, root_of(g).comps + (g.i, g.j))
-        _sort_key_memo[key] = hit
+            root = tuple(int(c) for c in root_of(g).comps)
+            hit = (2 if is_raising(g) else 0, root + (g.i, g.j))
+        _sort_key_memo[g] = hit
     return hit
 
 

@@ -1,10 +1,15 @@
-"""Exact scalars: every number in this package is a ``fractions.Fraction``.
+"""Exact scalars: every number in this package is a ``fractions.Fraction``,
+with one exception: the coefficients of ``uea`` elements, and the
+columns its evaluator pushes, are ``int`` when integral (a ``Fraction``
+product costs hundreds of times an ``int`` one, and the brackets of o_N
+are integral).  Every matrix that leaves ``uea`` is a ``LinOp`` built by
+its constructor, so it holds ``Fraction``s again.
 
 The quasi-spin dictionary carries factors 1/sqrt 2, but the Fock
 realization is used in a rescaled basis where all of them cancel (see
 ``fock``), so every matrix entry is rational.  Nothing is ever rounded;
 equality always means exact equality.  ``rat`` is the single coercion
-point and refuses floats.
+point and refuses floats; ``uea`` coerces through it too.
 """
 
 from __future__ import annotations

@@ -1,11 +1,15 @@
 """Noncommutative polynomial arithmetic in U(o_N).
 
 Elements are rational-linear combinations of words in the canonical
-generators.  Normal ordering rewrites a word into the fixed PBW order
-(lowering, Cartan, raising) by repeatedly swapping the leftmost
-out-of-order adjacent pair and spawning the bracket term; termination is
-guaranteed because (degree, inversion count) drops lexicographically at
-every step.  Two elements are equal in U(o_N) iff their normal forms
+generators.  A word is a tuple of interned `GenIndex` letters, so it
+hashes and compares by identity.  A coefficient is an `int` when it is
+integral and a `Fraction` otherwise: the brackets of o_N are integral, so
+the rewriter and the evaluator work almost entirely on ints.  Floats are
+refused through `scalars.rat`.  Normal ordering rewrites a word into the
+fixed PBW order (lowering, Cartan, raising) by repeatedly swapping the
+leftmost out-of-order adjacent pair and spawning the bracket term;
+termination is guaranteed because (degree, inversion count) drops
+lexicographically at every step.  Two elements are equal in U(o_N) iff their normal forms
 coincide (PBW theorem).
 
 The module also builds the noncommutative Pfaffians PfF_I, the Capelli
@@ -14,9 +18,10 @@ suites.  Every checker returns the normally ordered difference as a
 witness instead of a bare boolean.
 
 `evaluate_in_representation` is the one evaluator in a matrix
-representation; generator maps are `LinOp`s, and so is the result.  It
-pushes every basis vector through every word as a sparse column and
-forms no dense product.  The rewriter compares letters by
+representation; generator maps are `LinOp`s, and so is the result, built
+by the `LinOp` constructor, so its entries are `Fraction`s.  It pushes
+every basis vector through every word as a sparse column and forms no
+dense product.  The rewriter compares letters by
 `pbw_sort_key`, which liealg memoises per generator.
 """
 
@@ -37,17 +42,29 @@ _bracket_cache: dict = {}
 _normal_cache: dict = {}
 
 
+def _int(x):
+    """A coefficient as an int when integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = rat(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _cached_bracket(a: GenIndex, b: GenIndex):
-    key = (a.i, a.j, b.i, b.j, a.n)
+    key = (a, b)
     hit = _bracket_cache.get(key)
     if hit is None:
-        hit = tuple(bracket(a, b))
-        _bracket_cache[key] = hit
+        hit = _bracket_cache[key] = tuple((_int(c), g)
+                                          for c, g in bracket(a, b))
     return hit
 
 
 class UEAElement:
-    """Finite map Word -> Rational coefficient; zero coefficients dropped."""
+    """Finite map Word -> rational coefficient; zero coefficients dropped.
+
+    The constructor stores integral coefficients as `int`, others as
+    `Fraction`; every operation builds its result through it.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -56,7 +73,7 @@ class UEAElement:
         self.terms: dict = {}
         if terms:
             for w, c in terms.items():
-                c = rat(c)
+                c = _int(c)
                 if c:
                     self.terms[w] = c
 
@@ -67,12 +84,8 @@ class UEAElement:
         return UEAElement(n)
 
     @staticmethod
-    def one(n: int) -> "UEAElement":
-        return UEAElement(n, {(): Fraction(1)})
-
-    @staticmethod
     def gen(g: GenIndex) -> "UEAElement":
-        return UEAElement(g.n, {(g,): Fraction(1)})
+        return UEAElement(g.n, {(g,): 1})
 
     @staticmethod
     def of(i: int, j: int, n: int) -> "UEAElement":
@@ -80,7 +93,7 @@ class UEAElement:
         sgn, g = canonicalize(i, j, n)
         if sgn == 0:
             return UEAElement.zero(n)
-        return UEAElement(n, {(g,): Fraction(sgn)})
+        return UEAElement(n, {(g,): sgn})
 
     # -- linear structure ----------------------------------------------
 
@@ -93,7 +106,7 @@ class UEAElement:
         self._check_rank(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
+            s = out.get(w, 0) + c
             if s:
                 out[w] = s
             else:
@@ -107,7 +120,7 @@ class UEAElement:
         return UEAElement(self.n, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "UEAElement":
-        c = rat(c)
+        c = _int(c)
         if not c:
             return UEAElement.zero(self.n)
         return UEAElement(self.n, {w: c * x for w, x in self.terms.items()})
@@ -119,7 +132,7 @@ class UEAElement:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                s = out.get(w, Fraction(0)) + c1 * c2
+                s = out.get(w, 0) + c1 * c2
                 if s:
                     out[w] = s
                 else:
@@ -152,8 +165,8 @@ class UEAElement:
     def normal_order(self) -> "UEAElement":
         out: dict = {}
         for w, c in self.terms.items():
-            for w2, c2 in _normal_order_word(self.n, w).items():
-                s = out.get(w2, Fraction(0)) + c * c2
+            for w2, c2 in _normal_order_word(w).items():
+                s = out.get(w2, 0) + c * c2
                 if s:
                     out[w2] = s
                 else:
@@ -164,14 +177,13 @@ class UEAElement:
         return self * other - other * self
 
 
-def _word_key(w: Word):
-    return tuple((g.i, g.j) for g in w)
+def _normal_order_word(w: Word) -> dict:
+    """Normal form of a single word as {word: coefficient}, memoized.
 
-
-def _normal_order_word(n: int, w: Word) -> dict:
-    """Normal form of a single word as {word: coefficient}, memoized."""
-    key = (n, _word_key(w))
-    hit = _normal_cache.get(key)
+    The memo is keyed by the word itself: its letters are interned and
+    carry their rank, so equal words are equal tuples of the same objects.
+    """
+    hit = _normal_cache.get(w)
     if hit is not None:
         return hit
 
@@ -181,24 +193,20 @@ def _normal_order_word(n: int, w: Word) -> dict:
             bad = a
             break
     if bad < 0:
-        result = {w: Fraction(1)}
-        _normal_cache[key] = result
+        result = _normal_cache[w] = {w: 1}
         return result
 
-    out: dict = {}
     swapped = w[:bad] + (w[bad + 1], w[bad]) + w[bad + 2:]
-    for w2, c2 in _normal_order_word(n, swapped).items():
-        out[w2] = out.get(w2, Fraction(0)) + c2
+    out = dict(_normal_order_word(swapped))
     for c, g in _cached_bracket(w[bad], w[bad + 1]):
         sub = w[:bad] + (g,) + w[bad + 2:]
-        for w2, c2 in _normal_order_word(n, sub).items():
-            s = out.get(w2, Fraction(0)) + c * c2
+        for w2, c2 in _normal_order_word(sub).items():
+            s = out.get(w2, 0) + c * c2
             if s:
                 out[w2] = s
             else:
                 out.pop(w2, None)
-    out = {w2: c2 for w2, c2 in out.items() if c2}
-    _normal_cache[key] = out
+    _normal_cache[w] = out
     return out
 
 
@@ -215,13 +223,13 @@ def normal_order_rightmost(x: UEAElement) -> UEAElement:
     """
     out: dict = {}
 
-    def rec(w: Word, coeff: Fraction):
+    def rec(w: Word, coeff):
         bad = -1
         for a in range(len(w) - 1):
             if pbw_sort_key(w[a]) > pbw_sort_key(w[a + 1]):
                 bad = a
         if bad < 0:
-            s = out.get(w, Fraction(0)) + coeff
+            s = out.get(w, 0) + coeff
             if s:
                 out[w] = s
             else:
@@ -301,38 +309,46 @@ def _perm_sign_to_sorted(seq) -> int:
 _pf_cache: dict = {}
 
 
+def _matchings(elems):
+    """Perfect matchings of a tuple, each a list of pairs (a, b) with a
+    before b in elems, the pairs in elems order of their first entries."""
+    if not elems:
+        yield []
+        return
+    for t in range(1, len(elems)):
+        for rest in _matchings(elems[1:t] + elems[t + 1:]):
+            yield [(elems[0], elems[t])] + rest
+
+
 def pfaffian(I: IndexSet) -> UEAElement:
-    """PfF_I = Pf(F_{-i,j})_{-i,j in I}, normally ordered; PfF_{} = 1."""
+    """PfF_I = Pf(F_{-i,j})_{-i,j in I}, normally ordered; PfF_{} = 1.
+
+    The defining sum runs over all k! permutations with weight
+    1/((k/2)! 2^(k/2)).  Swapping the two entries of a pair flips both the
+    sign of the permutation and the letter (F_{-b,a} = -F_{-a,b}), so the
+    2^(k/2) orientations give equal terms: the sum runs over the ordered
+    matchings, the pairs (a < b) of each perfect matching in every order,
+    with weight 1/(k/2)!.  Reordering whole pairs is an even permutation,
+    so every order of one matching has that matching's sign.
+    """
     key = (I.n, I.elems)
     hit = _pf_cache.get(key)
     if hit is not None:
         return hit
     n = I.n
-    k = len(I)
-    if k == 0:
-        result = UEAElement.one(n)
-        _pf_cache[key] = result
-        return result
-    coeff = Fraction(1, factorial(k // 2) * 2 ** (k // 2))
+    weight = Fraction(1, factorial(len(I) // 2))
     terms: dict = {}
-    elems = I.elems
-    for perm in permutations(range(k)):
-        sgn = _perm_sign_to_sorted(perm)
-        word = []
-        dead = False
-        for t in range(0, k, 2):
-            a, b = elems[perm[t]], elems[perm[t + 1]]
+    for matching in _matchings(I.elems):
+        sgn = _perm_sign_to_sorted([e for pair in matching for e in pair])
+        letters = []
+        for a, b in matching:
             s, g = canonicalize(-a, b, n)
-            if s == 0:
-                dead = True
-                break
             sgn *= s
-            word.append(g)
-        if dead:
-            continue
-        word = tuple(word)
-        terms[word] = terms.get(word, 0) + sgn
-    result = UEAElement(n, terms).scale(coeff).normal_order()
+            letters.append(g)
+        # a letter determines its pair, so no word occurs twice
+        for word in permutations(letters):
+            terms[word] = sgn * weight
+    result = UEAElement(n, terms).normal_order()
     _pf_cache[key] = result
     return result
 
@@ -546,7 +562,8 @@ def evaluate_in_representation(x: UEAElement, genmap: dict,
     nnz(vector) * nnz(column) steps, so operators with full columns cost
     no more than a matrix product per letter, and the defining, Fock and
     irrep generators, with one or a few entries per column, cost about
-    dim * len(w) dict steps per word.
+    dim * len(w) dict steps per word.  Integral entries of the letters are
+    pushed as ints, and the result's constructor makes them `Fraction`s.
     """
     if not genmap:
         raise ValueError("empty generator map")
@@ -564,7 +581,10 @@ def evaluate_in_representation(x: UEAElement, genmap: dict,
             if m.dim != dim:
                 raise ValueError(f"{g!r} acts on dimension {m.dim}, "
                                  f"not {dim}")
-            cols = letters[g] = m.cols
+            cols = letters[g] = {
+                c: {r: y.numerator if y.denominator == 1 else y
+                    for r, y in col.items()}
+                for c, col in m.cols.items()}
         return cols
 
     out: dict = {}

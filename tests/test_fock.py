@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quasispin import fock
 from quasispin.fock import (DICTIONARY, FockSpace, build_o5_on_fock,
                             commutes, dictionary_to_o5, quasispin_operators,
                             verify_representation)
@@ -114,6 +115,14 @@ def test_representation_no_violations():
     for j in (HALF, Fraction(3, 2)):
         _, _, genmap = build_o5_on_fock(j)
         assert verify_representation(genmap) == []
+
+
+def test_bracket_table_takes_int_coefficients(monkeypatch):
+    # the table must not depend on the scalar type bracket returns
+    _, _, genmap = build_o5_on_fock(HALF)
+    monkeypatch.setattr(fock, "bracket",
+                        lambda a, b: [(int(c), g) for c, g in bracket(a, b)])
+    assert verify_representation(genmap) == []
 
 
 def test_represented_star_expressions():

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from quasispin import liealg
 from quasispin.liealg import (GenIndex, Weight, bracket, canonical_generators,
                               canonicalize, defining_matrices, is_lowering,
                               is_raising, o3_subalgebra_generators, root_of,
@@ -40,6 +41,31 @@ def test_canonicalize_antisymmetric_pair():
 def test_out_of_range_rejected():
     with pytest.raises(ValueError):
         canonicalize(3, 0, 2)
+
+
+def test_generators_are_interned():
+    for n in range(1, 5):
+        gens = canonical_generators(n)
+        assert all(a is b for a, b in zip(gens, canonical_generators(n)))
+        for g in gens:
+            assert GenIndex(g.i, g.j, n) is g
+            s, h = canonicalize(g.i, g.j, n)
+            assert s == 1 and h is g
+            s, h = canonicalize(-g.j, -g.i, n)
+            assert s == -1 and h is g
+    assert GenIndex(-1, -1, 1) is not GenIndex(-1, -1, 2)
+    assert GenIndex(-1, -1, 1) != GenIndex(-1, -1, 2)
+
+
+@pytest.mark.parametrize("i,j,n", [(3, 0, 2), (0, -3, 2), (-2, 5, 4),
+                                   (1, -1, 2), (0, 0, 3), (1, 2, 2),
+                                   (2, -1, 2), (1, 1, 1)])
+def test_invalid_generators_raise_and_are_not_interned(i, j, n):
+    before = dict(liealg._interned)
+    with pytest.raises(ValueError):
+        GenIndex(i, j, n)
+    assert liealg._interned == before
+    assert (i, j, n) not in liealg._interned
 
 
 def test_bracket_examples():

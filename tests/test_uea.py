@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasispin import uea
+from quasispin.fock import build_o5_on_fock
 from quasispin.liealg import (GenIndex, Weight, bracket, canonical_generators,
-                              canonicalize, defining_matrices,
+                              canonicalize, defining_matrices, index_range,
                               o3_subalgebra_generators, pbw_sort_key, root_of)
 from quasispin.linalg import ExactMatrix, LinOp
 from quasispin.uea import (IndexSet, UEAElement, capelli,
@@ -27,7 +30,7 @@ def F(i, j, n=N5):
 
 
 def test_multiply_unit_and_concatenation():
-    one = UEAElement.one(N5)
+    one = UEAElement(N5, {(): 1})
     x = F(0, -1)
     assert (one * x - x).normal_order().is_zero()
     y = F(-1, -2) * F(-2, -1)
@@ -99,6 +102,45 @@ def test_pfaffian_empty_and_errors():
         IndexSet([1], N5)
     with pytest.raises(ValueError):
         IndexSet([1, 1], N5)
+
+
+def pfaffian_by_permutations(I):
+    """PfF_I from its definition: the sum over all k! orders of I, each
+    read as k/2 consecutive pairs (-a, b), weight 1/((k/2)! 2^(k/2))."""
+    n, k = I.n, len(I)
+    terms = {}
+    for perm in permutations(I.elems):
+        sgn = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        word = []
+        for t in range(0, k, 2):
+            s, g = canonicalize(-perm[t], perm[t + 1], n)
+            sgn *= s
+            word.append(g)
+        word = tuple(word)
+        terms[word] = terms.get(word, 0) + sgn
+    weight = Fraction(1, factorial(k // 2) * 2 ** (k // 2))
+    return UEAElement(n, terms).scale(weight).normal_order()
+
+
+def _assert_same_terms(got, want):
+    assert got.terms == want.terms
+    assert all(type(c) is type(want.terms[w]) for w, c in got.terms.items())
+
+
+def test_pfaffian_equals_the_permutation_sum():
+    sets = [IndexSet(combo, n) for n in (1, 2, 3)
+            for k in range(0, 2 * n + 2, 2)
+            for combo in combinations(index_range(n), k)]
+    assert len(sets) == 84
+    for I in sets:
+        _assert_same_terms(pfaffian(I), pfaffian_by_permutations(I))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sign", [1, -1])
+def test_pfaffian_equals_the_permutation_sum_on_o9_hat_sets(sign):
+    I = hat_set(4, sign)
+    _assert_same_terms(pfaffian(I), pfaffian_by_permutations(I))
 
 
 def test_pf_of_tuple_antisymmetry():
@@ -267,6 +309,54 @@ def test_floats_are_refused():
         UEAElement(N5, {(): 0.5})
     with pytest.raises(TypeError):
         UEAElement(N5, {(g,): 0.25})
+
+
+def test_a_word_of_fresh_letters_hits_the_memo():
+    gens = canonical_generators(N5)
+    word = (gens[-1], gens[0], gens[5])
+    nf = UEAElement(N5, {word: 1}).normal_order()
+    assert len(nf.terms) > 1
+    size = len(uea._normal_cache)
+    fresh = tuple(GenIndex(g.i, g.j, N5) for g in word)
+    assert uea._normal_order_word(fresh) is uea._normal_cache[word]
+    assert UEAElement(N5, {fresh: 1}).normal_order().terms == nf.terms
+    assert len(uea._normal_cache) == size
+
+
+def _assert_int_when_integral(coeffs):
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def test_integral_coefficients_are_ints():
+    g = canonical_generators(N5)[0]
+    built = UEAElement(N5, {(): Fraction(6, 3), (g,): Fraction(1, 3)})
+    assert type(built.terms[()]) is int
+    elements = [built, pfaffian(hat_set(N5, 1)), pfaffian(hat_set(N5, -1)),
+                pfaffian(IndexSet([-2, -1, 0, 1], N5)), capelli(2, N5),
+                capelli(4, N5), pf_hat_star_expression(N5, 1),
+                F(0, -1).scale(Fraction(4, 2)), F(0, -1) * F(-1, -2)]
+    for x in elements:
+        _assert_int_when_integral(x.terms.values())
+    assert uea._normal_cache and uea._bracket_cache
+    for nf in uea._normal_cache.values():
+        _assert_int_when_integral(nf.values())
+    for terms in uea._bracket_cache.values():
+        assert all(type(c) is int for c, _ in terms)
+
+
+def test_evaluator_returns_fraction_entries():
+    _, _, fock_map = build_o5_on_fock(Fraction(1, 2))
+    for genmap, dim in (ORACLE5, (fock_map, 16)):
+        for x in (F(0, -1), F(0, -1).scale(Fraction(1, 3)) * F(-1, 0),
+                  capelli(2, N5), pfaffian(IndexSet([-2, 1], N5))):
+            m = evaluate_in_representation(x, genmap, dim)
+            assert type(m) is LinOp and not m.is_zero()
+            assert all(type(y) is Fraction for col in m.cols.values()
+                       for y in col.values())
+        # the evaluator pushes int copies of the columns, not the columns
+        assert all(type(y) is Fraction for op in genmap.values()
+                   for col in op.cols.values() for y in col.values())
 
 
 def test_sort_key_and_root_memos_match_fresh_computation():
