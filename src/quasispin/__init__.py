@@ -9,8 +9,7 @@ basis rescaled by sqrt2^(tau0 + N), where the dictionary's factors
 """
 
 from .scalars import Rational
-from .linalg import (ExactMatrix, LinOp, characteristic_polynomial,
-                     rank_and_kernel, solve)
+from .linalg import LinOp, characteristic_polynomial
 from .liealg import (GenIndex, Weight, bracket, canonical_generators,
                      canonicalize, defining_matrices, root_of, weyl_dimension)
 from .uea import (IndexSet, UEAElement, capelli, check_corollary_split,

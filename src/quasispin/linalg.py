@@ -7,22 +7,19 @@ nonzero rows of the reduced row echelon form, which is unique, so the
 result does not depend on the order of the rows.  Everything else is
 built on it:
 - `kernel_rows`, the RREF basis of a null space, as sparse rows;
-- the dense views `ExactMatrix.rref`, `rank_and_kernel`, `rank` and
-  `row_basis`, which convert dense rows (coercing with `scalars.rat`)
-  and call `rref_rows`.  `row_basis` stores a span as the nonzero rows
-  of an RREF.  That form is canonical: equal spans have equal rows,
-  whatever order their vectors came in;
-- `solve`, which eliminates `[mat | rhs]` once for a whole matrix of
-  right-hand sides.  No package code calls it: it is exported as the
-  reference the tests check the pivot readers against
-  (`replab._coordinates` reads an RREF basis at its pivots,
-  `replab._map_on_span` a map from one RREF of `[x | y]`, and
-  `tableaux` flag membership compares ranks).
-`LinOp` is the one operator type: every representation operator
-(generators, Pfaffians, Omega, theta, the o3 projector) is a sparse
-`LinOp`, its columns given as {index: Fraction} dicts.  `ExactMatrix`
-holds the dense matrices of `tableaux` and the slice maps, and their
-characteristic polynomials.  Both classes coerce every entry with
+- `rank_and_kernel`, the rank and kernel of a map stored as sparse
+  columns.
+A span is stored as the nonzero rows of its RREF.  That form is
+canonical: equal spans have equal rows, whatever order their vectors
+came in.
+
+A linear map has one representation: sparse columns
+{source index: {target index: x}}, applied to a sparse vector by
+`svec_map`.  `LinOp` is the operator type on one space: every
+representation operator (generators, Pfaffians, Omega, theta, the o3
+projector) is a `LinOp`, and `characteristic_polynomial` takes one.
+Maps between two spaces (the slice maps of `replab`, the model maps of
+`tableaux`) are bare sparse columns.  `LinOp` coerces every entry with
 `scalars.rat`, so a float or any other non-rational entry raises
 `TypeError`.
 """
@@ -35,108 +32,6 @@ from .scalars import rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class ExactMatrix:
-    """Dense matrix over Q; arithmetic is exact everywhere."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data=None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [[_ZERO] * cols for _ in range(rows)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("inconsistent matrix dimensions")
-            self.data = [[rat(x) for x in row] for row in data]
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        m = ExactMatrix(n, n)
-        for i in range(n):
-            m.data[i][i] = _ONE
-        return m
-
-    @staticmethod
-    def from_rows(rows) -> "ExactMatrix":
-        rows = [list(r) for r in rows]
-        if not rows:
-            return ExactMatrix(0, 0)
-        return ExactMatrix(len(rows), len(rows[0]), rows)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def scale(self, c) -> "ExactMatrix":
-        c = rat(c)
-        return ExactMatrix(self.rows, self.cols,
-                           [[c * a for a in row] for row in self.data])
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ "
-                             f"{other.rows}x{other.cols}")
-        out = ExactMatrix(self.rows, other.cols)
-        odata = other.data
-        for i, row in enumerate(self.data):
-            acc = out.data[i]
-            for k, x in enumerate(row):
-                if not x:
-                    continue  # skip structural zeros; most operands are sparse
-                orow = odata[k]
-                for j, y in enumerate(orow):
-                    if y:
-                        acc[j] = acc[j] + x * y
-        return out
-
-    def apply(self, vec):
-        """Matrix times a dense column vector (list of scalars)."""
-        if len(vec) != self.cols:
-            raise ValueError(f"vector of length {len(vec)} for {self.cols} columns")
-        out = []
-        for row in self.data:
-            s = _ZERO
-            for x, v in zip(row, vec):
-                if x and v:
-                    s = s + x * rat(v)
-            out.append(s)
-        return out
-
-    def trace(self):
-        if not self.is_square():
-            raise ValueError("trace needs a square matrix")
-        s = _ZERO
-        for i in range(self.rows):
-            s = s + self.data[i][i]
-        return s
-
-    def __repr__(self):
-        body = "\n".join("[" + ", ".join(map(str, row)) + "]" for row in self.data)
-        return f"ExactMatrix({self.rows}x{self.cols})\n{body}"
-
-    # -- elimination --------------------------------------------------
-
-    def rref(self):
-        """Reduced row echelon form; returns (rref_matrix, pivot_columns),
-        the zero rows of the RREF kept at the bottom."""
-        red = rref_rows(_sparse_rows(self.data))
-        out = ExactMatrix(self.rows, self.cols)
-        out.data[:len(red)] = [_dense_row(r, self.cols) for r in red]
-        return out, [min(r) for r in red]
 
 
 def rref_rows(rows):
@@ -183,73 +78,29 @@ def kernel_rows(rows, cols):
                      for fc in cols if fc not in red)
 
 
-def _sparse_rows(data):
-    return [{c: y for c, x in enumerate(row) if (y := rat(x))} for row in data]
+def rank_and_kernel(cols: dict, n: int):
+    """Rank and RREF kernel basis of the map with sparse columns cols
+    {source index: image}, on the source indices 0..n-1.
 
-
-def _dense_row(row: dict, length: int):
-    return [row.get(c, _ZERO) for c in range(length)]
-
-
-def rank_and_kernel(mat: ExactMatrix):
-    """Exact rank and a deterministic RREF-shaped kernel basis.
-
-    Returns (rank, kernel_basis) with rank + len(kernel_basis) == cols
-    and mat @ v == 0 for every basis vector v.
+    Returns (rank, kernel) with rank + len(kernel) == n, the kernel as
+    sparse rows, each mapped to zero.
     """
-    kernel = kernel_rows(_sparse_rows(mat.data), range(mat.cols))
-    return (mat.cols - len(kernel),
-            [_dense_row(v, mat.cols) for v in kernel])
+    kernel = kernel_rows(transpose_cols(cols).values(), range(n))
+    return n - len(kernel), kernel
 
 
-def rank(mat: ExactMatrix) -> int:
-    return len(rref_rows(_sparse_rows(mat.data)))
-
-
-def row_basis(vectors, length: int):
-    """Canonical basis of the span of dense vectors of the given length:
-    the nonzero rows of the RREF of the stacked vectors."""
-    return [_dense_row(r, length) for r in rref_rows(_sparse_rows(vectors))]
-
-
-def solve(mat: ExactMatrix, rhs: ExactMatrix):
-    """Solve mat @ X = rhs exactly, for all columns of rhs at once.
-
-    One elimination of [mat | rhs].  Returns X with mat @ X == rhs and
-    the rows of free variables zero, or None when some column of rhs is
-    outside the column space of mat (a pivot lands in the rhs block).
-    """
-    if rhs.rows != mat.rows:
-        raise ValueError(f"{rhs.rows} right-hand-side rows for a matrix "
-                         f"with {mat.rows} rows")
-    aug = ExactMatrix(mat.rows, mat.cols + rhs.cols,
-                      [a + b for a, b in zip(mat.data, rhs.data)])
-    red, pivots = aug.rref()
-    if pivots and pivots[-1] >= mat.cols:
-        return None
-    x = ExactMatrix(mat.cols, rhs.cols)
-    for r, pc in enumerate(pivots):
-        x.data[pc] = red.data[r][mat.cols:]
-    return x
-
-
-def characteristic_polynomial(mat: ExactMatrix):
-    """Coefficients [1, c_{n-1}, ..., c_0] of det(xI - M), exact.
+def characteristic_polynomial(op: LinOp):
+    """Coefficients [1, c_{n-1}, ..., c_0] of det(xI - op), exact.
 
     Faddeev-LeVerrier recursion; division only by integers, fine in
     characteristic zero.
     """
-    if not mat.is_square():
-        raise ValueError("characteristic polynomial needs a square matrix")
-    n = mat.rows
+    n = op.dim
     coeffs = [_ONE]
-    m = ExactMatrix(n, n)  # running M_k, starts at 0 so M_1 = A
+    m = LinOp(n)  # running M_k, starts at 0 so M_1 = op
     for k in range(1, n + 1):
-        for i in range(n):  # M_{k-1} + c_{n-k+1} I, in place
-            m.data[i][i] += coeffs[-1]
-        m = mat @ m
-        c = -(m.trace() / Fraction(k))
-        coeffs.append(c)
+        m = op @ (m + LinOp.identity(n).scale(coeffs[-1]))
+        coeffs.append(-sum((m.entry(i, i) for i in range(n)), _ZERO) / k)
     return coeffs
 
 
@@ -265,6 +116,32 @@ def svec_add(u: dict, v: dict) -> dict:
         else:
             out.pop(k, None)
     return out
+
+
+def svec_map(cols: dict, vec: dict) -> dict:
+    """The image of a sparse vector under the map with sparse columns
+    cols {source index: image}: the sum of vec[c] * cols[c]."""
+    out: dict = {}
+    for c, x in vec.items():
+        col = cols.get(c)
+        if not col or not x:
+            continue
+        for r, y in col.items():
+            s = out.get(r, _ZERO) + x * y
+            if s:
+                out[r] = s
+            else:
+                out.pop(r, None)
+    return out
+
+
+def transpose_cols(cols: dict) -> dict:
+    """Sparse columns {c: {r: x}} as sparse rows {r: {c: x}}."""
+    rows: dict = {}
+    for c, col in cols.items():
+        for r, x in col.items():
+            rows.setdefault(r, {})[c] = x
+    return rows
 
 
 class LinOp:
@@ -297,18 +174,7 @@ class LinOp:
         return LinOp(dim, {c: {c: _ONE} for c in range(dim)})
 
     def apply(self, vec: dict) -> dict:
-        out: dict = {}
-        for c, x in vec.items():
-            col = self.cols.get(c)
-            if not col or not x:
-                continue
-            for r, y in col.items():
-                s = out.get(r, _ZERO) + x * y
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return out
+        return svec_map(self.cols, vec)
 
     def _check_dim(self, other):
         if self.dim != other.dim:
@@ -347,15 +213,8 @@ class LinOp:
         return LinOp(self.dim, {k: {r: c * x for r, x in col.items()}
                                 for k, col in self.cols.items()})
 
-    def commutator(self, other: "LinOp") -> "LinOp":
-        return self @ other - other @ self
-
     def transpose(self) -> "LinOp":
-        out = LinOp(self.dim)
-        for c, col in self.cols.items():
-            for r, x in col.items():
-                out.cols.setdefault(r, {})[c] = x
-        return out
+        return LinOp(self.dim, transpose_cols(self.cols))
 
     def is_zero(self) -> bool:
         return not self.cols
@@ -370,7 +229,7 @@ class LinOp:
 
     @property
     def data(self):
-        """The entries as dense rows, laid out like `ExactMatrix.data`.
+        """The entries as dense rows, data[r][c] == entry(r, c).
 
         No computation here uses it; `benchmarks/tracer.py` reads it to
         measure the entry sizes of extracted irreps.

@@ -16,8 +16,9 @@ are taken of the stacked operator rows of a weight block
 (`_stacked_rows`), `_coordinates` expresses sparse vectors in an RREF
 basis by reading them at its pivots, with no elimination, and
 `_map_on_span` reads a linear map fixed on a spanning set (the extremal
-projector and Omega) from one RREF of the rows [x | y].  The one dense
-`ExactMatrix` is `SliceMap.matrix`, which `tableaux` reads.
+projector and Omega) from one RREF of the rows [x | y].  A `SliceMap`
+holds an operator between two multiplicity slices as the sparse columns
+that `_coordinates` returns, which `tableaux` reads.
 
 Conventions: the weight of a vector is (F_11-eigenvalue, F_22-eigenvalue)
 = (tau_0, N); o3-highest means killed by the o3 raising operator
@@ -33,8 +34,8 @@ from .fock import build_o5_on_fock
 from .liealg import (GenIndex, Weight, canonical_generators, canonicalize,
                      defining_matrices, is_lowering, is_raising, root_of,
                      weyl_dimension)
-from .linalg import (ExactMatrix, LinOp, kernel_rows, rank_and_kernel,
-                     rref_rows, svec_add)
+from .linalg import (LinOp, kernel_rows, rank_and_kernel, rref_rows, svec_add,
+                     transpose_cols)
 from .uea import (IndexSet, UEAElement, evaluate_in_representation, hat_set,
                   pfaffian)
 
@@ -241,14 +242,9 @@ def _stacked_rows(ops, cols):
     """The rows of the operators ops on the columns cols, stacked: one
     sparse row {column: entry} per operator and row index it reaches.
     Their kernel is the common kernel of ops on the span of cols."""
-    rows = []
-    for op in ops:
-        by_row: dict = {}
-        for c in cols:
-            for r, x in op.cols.get(c, {}).items():
-                by_row.setdefault(r, {})[c] = x
-        rows.extend(by_row.values())
-    return rows
+    return [row for op in ops
+            for row in transpose_cols({c: op.cols[c] for c in cols
+                                       if c in op.cols}).values()]
 
 
 def _lowering_orbit(rep: Representation, order, at, kv, lowering):
@@ -395,20 +391,22 @@ def multiplicity_slices(irrep: Irrep):
 
 
 class SliceMap:
-    """Matrix of an operator between two multiplicity slices.
+    """An operator between two multiplicity slices, in slice coordinates:
+    cols[c] is the sparse image {target position: x} of source basis
+    vector c (zero columns left out).
 
     Rank and kernel come from one elimination, made on first use.
     """
 
-    def __init__(self, source: MultiplicitySlice, target, matrix: ExactMatrix):
+    def __init__(self, source: MultiplicitySlice, target, cols: dict):
         self.source = source
         self.target = target  # may be None for an empty target slice
-        self.matrix = matrix
+        self.cols = cols
         self._rank_kernel = None
 
     def _factor(self):
         if self._rank_kernel is None:
-            self._rank_kernel = rank_and_kernel(self.matrix)
+            self._rank_kernel = rank_and_kernel(self.cols, self.source.dim)
         return self._rank_kernel
 
     @property
@@ -417,7 +415,7 @@ class SliceMap:
 
     @property
     def nullity(self):
-        return self.matrix.cols - self.rank
+        return self.source.dim - self.rank
 
     def kernel(self):
         return self._factor()[1]
@@ -436,11 +434,8 @@ def _restrict_to_slices(op: LinOp, source: MultiplicitySlice,
         raise AssertionError(
             f"image of slice ({source.T},{source.N}) not inside target "
             f"slice {where}")
-    matrix = ExactMatrix(len(tbasis), len(coords))
-    for c, col in enumerate(coords):
-        for r, x in col.items():
-            matrix.data[r][c] = x
-    return SliceMap(source, target, matrix)
+    return SliceMap(source, target,
+                    {c: col for c, col in enumerate(coords) if col})
 
 
 def pf_slice_maps(irrep: Irrep, T):

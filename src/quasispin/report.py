@@ -21,7 +21,6 @@ import json
 from fractions import Fraction
 
 from .fock import rescale_exponent
-from .linalg import ExactMatrix
 from .scalars import format_rational
 
 SCHEMA_VERSION = 1
@@ -108,10 +107,6 @@ def serialize_value(x):
     """Recursively map values into the wire format."""
     if isinstance(x, Fraction):
         return format_rational(x)
-    if isinstance(x, ExactMatrix):
-        return {"rows": x.rows, "cols": x.cols,
-                "entries": [[format_rational(v) for v in row]
-                            for row in x.data]}
     if isinstance(x, dict):
         return {str(k): serialize_value(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

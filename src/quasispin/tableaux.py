@@ -15,7 +15,10 @@ action of PfF_{2-hat} on the second row is modeled by an identity block
 maps, and its gamma-free skeleton (every coefficient 1) carries the A-D
 case pattern.  Everything the model claims about actual representations
 is compared through ranks, kernels and flag positions only, never
-through matrix entries in an uncomputable basis.
+through matrix entries in an uncomputable basis.  Model maps and slice
+maps alike are sparse columns {source position: {target position: x}};
+every rank, meet and flag level is the length or the rows of one
+`linalg.rref_rows`.
 
 `assign_k` builds the fourth quantum number as an image filtration over
 the computed Pfaffian slice maps: states at level k of V+_{T,N} are
@@ -32,8 +35,8 @@ from fractions import Fraction
 from itertools import pairwise
 
 from .liealg import weyl_dimension
-from .linalg import (ExactMatrix, characteristic_polynomial, rank,
-                     rank_and_kernel, row_basis)
+from .linalg import (LinOp, characteristic_polynomial, rank_and_kernel,
+                     rref_rows, svec_map)
 from .replab import (Irrep, multiplicity_slices, omega_operator,
                      pf_slice_maps, theta_transport, _restrict_to_slices)
 from .scalars import rat
@@ -183,18 +186,20 @@ def gammas(l21, l22, convention: str):
 
 
 class ModelMatrix:
-    """Predicted slice-to-slice matrix of PfF_{2-hat} in tableau order."""
+    """Predicted slice-to-slice map of PfF_{2-hat} in tableau order, as
+    sparse columns {source point position: {target point position: x}},
+    with its rank and kernel from one elimination."""
 
-    def __init__(self, matrix, source_pts, target_pts, sigma, singular_points):
-        self.matrix = matrix  # None when a coefficient is singular
+    def __init__(self, cols, source_pts, target_pts, sigma, singular_points):
+        self.cols = cols  # None when a coefficient is singular
         self.source_pts = source_pts
         self.target_pts = target_pts
         self.sigma = sigma
         self.singular_points = singular_points
-        self.rank = self.nullity = None
-        if matrix is not None:
-            self.rank = rank(matrix)
-            self.nullity = len(source_pts) - self.rank
+        self.rank = self.nullity = self.kernel = None
+        if cols is not None:
+            self.rank, self.kernel = rank_and_kernel(cols, len(source_pts))
+            self.nullity = len(self.kernel)
 
 
 def predicted_slice_matrix(lam1, lam2, T, N,
@@ -222,7 +227,7 @@ def predicted_slice_matrix(lam1, lam2, T, N,
     tpts = tgt[2] if tgt is not None else []
     tpos = {p: i for i, p in enumerate(tpts)}
     singular = []
-    m = ExactMatrix(len(tpts), len(pts))
+    cols = {}
     for j, (x, y) in enumerate(pts):
         if sigma == 0:
             coeffs = {(x, y): Fraction(1)}
@@ -235,10 +240,10 @@ def predicted_slice_matrix(lam1, lam2, T, N,
                 singular.append((x, y))
                 continue
             coeffs = {(x + 1, y): -g2 * g2 / d, (x, y + 1): g1 * g1 / d}
-        for q, c in coeffs.items():
-            if q in tpos:
-                m.data[tpos[q]][j] = c
-    return ModelMatrix(None if singular else m, pts, tpts, sigma, singular)
+        col = {tpos[q]: c for q, c in coeffs.items() if q in tpos and c}
+        if col:
+            cols[j] = col
+    return ModelMatrix(None if singular else cols, pts, tpts, sigma, singular)
 
 
 # -- flags and the fourth quantum number ---------------------------------
@@ -247,15 +252,12 @@ def predicted_slice_matrix(lam1, lam2, T, N,
 class Flag:
     """Decreasing filtration U_0 >= U_1 >= ... of a slice, in slice coords.
 
-    levels[m] is the RREF basis (nonzero rows, dense coordinate vectors
-    of length slice.dim) of U_m, so equal subspaces have equal levels;
-    levels[0] is the full space.
+    levels[m] is the RREF basis of U_m, the sparse rows that `rref_rows`
+    returns over the slice positions, so equal subspaces have equal
+    levels; levels[0] is the full space.
     """
 
-    def __init__(self, dim: int, levels=None):
-        self.dim = dim
-        if levels is None:
-            levels = [ExactMatrix.identity(dim).data]
+    def __init__(self, levels):
         self.levels = levels
         self._strip()
 
@@ -280,20 +282,23 @@ class Flag:
         """Whether every vector lies in U_m (U_m = 0 beyond the depth):
         the level's rows are independent, so the vectors must add no rank."""
         level = self.levels[m] if m < self.depth() else []
-        return rank(ExactMatrix.from_rows(level + vectors)) == len(level)
+        return len(rref_rows(level + vectors)) == len(level)
 
 
-def _push_flag(flag: Flag, matrix: ExactMatrix, target_dim: int) -> Flag:
+def _full(dim: int):
+    """The RREF basis of the whole of a dim-dimensional slice."""
+    return [{i: Fraction(1)} for i in range(dim)]
+
+
+def _push_flag(flag: Flag, cols: dict, target_dim: int) -> Flag:
     """Image flag: levels'[0] = full target, levels'[m+1] = M(levels[m])."""
-    return Flag(target_dim, [ExactMatrix.identity(target_dim).data]
-                + _map_flag(flag, matrix, target_dim).levels)
+    return Flag([_full(target_dim)] + _map_flag(flag, cols).levels)
 
 
-def _map_flag(flag: Flag, matrix: ExactMatrix, target_dim: int) -> Flag:
+def _map_flag(flag: Flag, cols: dict) -> Flag:
     """Transport a flag through an isomorphism (no prefixed full level)."""
-    return Flag(target_dim, [row_basis([matrix.apply(v) for v in lvl],
-                                       target_dim)
-                             for lvl in flag.levels])
+    return Flag([rref_rows(svec_map(cols, v) for v in lvl)
+                 for lvl in flag.levels])
 
 
 def _upward_flags(ns, maps, dims) -> dict:
@@ -307,7 +312,7 @@ def _upward_flags(ns, maps, dims) -> dict:
     for N in ns:
         if N <= 0:
             flags[N] = (_push_flag(flags[N - 1], maps[N - 1], dims[N])
-                        if N - 1 in flags else Flag(dims[N]))
+                        if N - 1 in flags else Flag([_full(dims[N])]))
     return flags
 
 
@@ -326,11 +331,10 @@ class ClassificationError(AssertionError):
     """The computed maps contradict the expected classification pattern."""
 
 
-def _raising_violation(source_flag: Flag, matrix: ExactMatrix,
-                       target_flag: Flag):
+def _raising_violation(source_flag: Flag, cols: dict, target_flag: Flag):
     """First level m whose image misses target level m+1, else None."""
     for m in range(source_flag.depth()):
-        images = [matrix.apply(v) for v in source_flag.levels[m]]
+        images = [svec_map(cols, v) for v in source_flag.levels[m]]
         if not target_flag.contains_all(m + 1, images):
             return m
     return None
@@ -374,7 +378,7 @@ def assign_k(irrep: Irrep):
         data["ups"].update({(T, N): m for N, m in ups.items()})
         data["downs"].update({(T, N): m for N, m in downs.items()})
         ns = sorted(mine)
-        flags = _upward_flags(ns, {N: u.matrix for N, u in ups.items()},
+        flags = _upward_flags(ns, {N: u.cols for N, u in ups.items()},
                               {N: s.dim for N, s in mine.items()})
         # reflection transport for N > 0
         theta = thetas[T]
@@ -389,13 +393,13 @@ def assign_k(irrep: Irrep):
             if tmap.rank != mine[N].dim or mine[-N].dim != mine[N].dim:
                 raise ClassificationError(
                     f"theta transport not bijective at (T={T},N={N})")
-            flags[N] = _map_flag(flags[-N], tmap.matrix, mine[N].dim)
+            flags[N] = _map_flag(flags[-N], tmap.cols)
         # N = 0: compare the from-below flag with its reflection image
         seam_flag = None
         if 0 in mine:
             tmap = _restrict_to_slices(theta, mine[0], mine[0])
             data["theta"][(T, 0)] = tmap
-            seam_flag = _map_flag(flags[0], tmap.matrix, mine[0].dim)
+            seam_flag = _map_flag(flags[0], tmap.cols)
             # levels are RREF bases, so equal flags have equal levels
             if flags[0].levels != seam_flag.levels:
                 below = [flags[0].level_dim(m) for m in range(flags[0].depth())]
@@ -412,7 +416,7 @@ def assign_k(irrep: Irrep):
         for N in ns:
             if N >= 0 or (N + 1) not in mine:
                 continue
-            bad = _raising_violation(flags[N], ups[N].matrix, flags[N + 1])
+            bad = _raising_violation(flags[N], ups[N].cols, flags[N + 1])
             if bad is not None:
                 if N + 1 > 0:
                     data["anomalies"].append(
@@ -433,7 +437,7 @@ def assign_k(irrep: Irrep):
                 target_flag = seam_flag
             else:
                 target_flag = flags[N - 1]
-            bad = _raising_violation(flags[N], downs[N].matrix, target_flag)
+            bad = _raising_violation(flags[N], downs[N].cols, target_flag)
             if bad is not None:
                 if N - 1 < 0:
                     data["anomalies"].append(
@@ -446,7 +450,7 @@ def assign_k(irrep: Irrep):
         # kernel transversality (case D sigma=0 bookkeeping)
         for N in ns:
             if N <= 0 and flags[N].depth() > 1 and _meet_dim(
-                    ups[N].kernel(), flags[N].levels[1], flags[N].dim):
+                    ups[N].kernel(), flags[N].levels[1]):
                 raise ClassificationError(
                     f"kernel of the raising map meets the image "
                     f"filtration at (T={T},N={N})")
@@ -477,19 +481,21 @@ def assign_k(irrep: Irrep):
 # -- model-vs-representation validation ----------------------------------
 
 
-def _meet_dim(a, b, dim: int) -> int:
-    """dim(span a intersect span b) for two independent lists of dense
+def _meet_dim(a, b) -> int:
+    """dim(span a intersect span b) for two independent lists of sparse
     vectors, as dim(A) + dim(B) - dim(A+B)."""
-    if not a or not b:
-        return 0
-    return len(a) + len(b) - rank(ExactMatrix(len(a) + len(b), dim, a + b))
+    return len(a) + len(b) - len(rref_rows(a + b))
 
 
 def _kernel_level_dims(kernel_basis, flag: Flag):
     """dim(ker intersect U_m) for each flag level (invariant integers)."""
-    return [len(kernel_basis)] + [_meet_dim(kernel_basis, flag.levels[m],
-                                            flag.dim)
+    return [len(kernel_basis)] + [_meet_dim(kernel_basis, flag.levels[m])
                                   for m in range(1, flag.depth())]
+
+
+def _composed_rank(outer: dict, inner: dict) -> int:
+    """Rank of outer . inner, both maps as sparse columns."""
+    return len(rref_rows(svec_map(outer, col) for col in inner.values()))
 
 
 def validate_against_representation(irrep: Irrep):
@@ -539,7 +545,7 @@ def validate_against_representation(irrep: Irrep):
         for conv in GAMMA_CONVENTIONS:
             model = models[T, N, conv]
             entry = {"T": T, "N": N}
-            if model.matrix is None:
+            if model.cols is None:
                 entry["singular"] = [tuple(map(str, p))
                                      for p in model.singular_points]
                 report["gamma_mismatches"][conv].append(entry)
@@ -552,20 +558,20 @@ def validate_against_representation(irrep: Irrep):
             # two-step composition from sigma=0 starts
             if sigma == 0 and (T, N + 1) in data["ups"]:
                 nmodel = models[T, N + 1, conv]
-                if nmodel.matrix is None:
+                if nmodel.cols is None:
                     entry["singular_step2"] = [tuple(map(str, p))
                                                for p in nmodel.singular_points]
                     report["gamma_mismatches"][conv].append(entry)
                     continue
-                comp_actual = data["ups"][(T, N + 1)].matrix @ up.matrix
-                comp_model = nmodel.matrix @ model.matrix
-                ra, rm = rank(comp_actual), rank(comp_model)
-                if (ra, comp_actual.cols - ra) != (rm, comp_model.cols - rm):
+                ra = _composed_rank(data["ups"][(T, N + 1)].cols, up.cols)
+                rm = _composed_rank(nmodel.cols, model.cols)
+                if (ra, s.dim - ra) != (rm, len(pts) - rm):
                     entry["compose_rank"] = {"actual": ra, "model": rm}
                     report["gamma_mismatches"][conv].append(entry)
         # round-trip endomorphism spectra (probe content)
         rt = _restrict_to_slices(roundtrip, s, s)
-        report["roundtrip_charpolys"][(T, N)] = characteristic_polynomial(rt.matrix)
+        report["roundtrip_charpolys"][(T, N)] = characteristic_polynomial(
+            LinOp(s.dim, rt.cols))
         report["slices"].append(row)
     # flag-level comparison: push the model maps into their own image
     # filtrations and compare level dimensions and kernel positions with
@@ -574,10 +580,10 @@ def validate_against_representation(irrep: Irrep):
         ns = sorted(N for (t, N) in slices if t == T)
         for conv in GAMMA_CONVENTIONS:
             ladder = {N: models[T, N, conv] for N in ns}
-            if any(mm.matrix is None for mm in ladder.values()):
+            if any(mm.cols is None for mm in ladder.values()):
                 continue  # already recorded as a mismatch entry
             mflags = _upward_flags(
-                ns, {N: mm.matrix for N, mm in ladder.items()},
+                ns, {N: mm.cols for N, mm in ladder.items()},
                 {N: len(mm.source_pts) for N, mm in ladder.items()})
             for N, mflag in mflags.items():
                 actual_flag = data["flags"][(T, N)]
@@ -590,9 +596,8 @@ def validate_against_representation(irrep: Irrep):
                     report["gamma_mismatches"][conv].append(entry)
                     continue
                 a_ker = data["ups"][(T, N)].kernel()
-                m_ker = rank_and_kernel(ladder[N].matrix)[1]
                 a_pos = _kernel_level_dims(a_ker, actual_flag)
-                m_pos = _kernel_level_dims(m_ker, mflag)
+                m_pos = _kernel_level_dims(ladder[N].kernel, mflag)
                 if a_pos != m_pos:
                     entry["kernel_position"] = {"actual": a_pos, "model": m_pos}
                     report["gamma_mismatches"][conv].append(entry)

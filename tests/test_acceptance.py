@@ -20,8 +20,8 @@ from quasispin.fock import (CORRECTED_FORMULAS, build_o5_on_fock,
                             verify_representation)
 from quasispin.liealg import (Weight, canonical_generators, defining_matrices,
                               o3_subalgebra_generators, weyl_dimension)
-from quasispin.linalg import (ExactMatrix, LinOp, characteristic_polynomial,
-                              rank)
+from quasispin.linalg import (LinOp, characteristic_polynomial, rref_rows,
+                              svec_map)
 from quasispin.replab import (O3_LOWERING, O3_RAISING, _restrict_to_slices,
                               extract_irreps, extremal_projector_o3,
                               fock_representation, multiplicity_slices,
@@ -36,6 +36,7 @@ from quasispin.uea import (IndexSet, UEAElement, capelli,
                            check_minorn, check_split_formula,
                            evaluate_in_representation, hat_set, pfaffian,
                            weight_shift_of)
+from test_linalg import commutator
 
 F = Fraction
 IDX5 = [-2, -1, 0, 1, 2]
@@ -179,7 +180,7 @@ def test_criterion_5_pfaffian_weight_and_o3_commutation():
                     m = m @ genmap[g]
                 op = op + m.scale(F(c))
             for g in sub:
-                if not op.commutator(genmap[g]).is_zero():
+                if not commutator(op, genmap[g]).is_zero():
                     bad.append(f"matrix [Pf,{g!r}] j={j}")
     ok = verdict(5, not bad,
                  "weight shifts are +-e_2 and [PfF_{+-2hat}, o3] = 0 "
@@ -226,26 +227,31 @@ def _fmt_weight(w):
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
+def _rank(cols):
+    """The rank of a map given by its sparse columns."""
+    return len(rref_rows(cols.values()))
+
+
 def _same_column_space(a, b):
-    both = ExactMatrix(a.rows, a.cols + b.cols,
-                       [ra + rb for ra, rb in zip(a.data, b.data)])
-    return rank(a) == rank(b) == rank(both)
+    return _rank(a) == _rank(b) == len(rref_rows([*a.values(), *b.values()]))
 
 
 def _chain_images(maps, step):
-    """Composed slice-map chains arriving at N = 0, one matrix per level.
+    """Composed slice-map chains arriving at N = 0, one map per level, as
+    sparse columns.
 
     maps[N] carries V+_{T,N} to V+_{T,N+step}.  Level m is the product of
     the m maps leading from N = -m*step to N = 0 (level 0 the identity);
     the chain stops at a missing slice or when the product vanishes, so
     the column spaces are the image filtration built from that side.
     """
-    chain = ExactMatrix.identity(maps[F(0)].source.dim)
+    chain = LinOp.identity(maps[F(0)].source.dim).cols
     levels = [chain]
     N = F(-step)
     while N in maps:
-        chain = chain @ maps[N].matrix
-        if chain.is_zero():
+        chain = {c: img for c, col in maps[N].cols.items()
+                 if (img := svec_map(chain, col))}
+        if not chain:
             break
         levels.append(chain)
         N -= step
@@ -262,16 +268,16 @@ def _n0_disagreement_witness(irr, T, ups, downs):
     if not differ and len(below) == len(above):
         return None
     s0 = ups[F(0)].source
-    theta = _restrict_to_slices(
-        theta_transport(irr, omega_operator(irr), T), s0, s0).matrix
-    ident = ExactMatrix.identity(s0.dim)
+    theta = LinOp(s0.dim, _restrict_to_slices(
+        theta_transport(irr, omega_operator(irr), T), s0, s0).cols)
+    ident = LinOp.identity(s0.dim)
     square = theta @ theta
-    return {"below": [rank(m) for m in below],
-            "above": [rank(m) for m in above],
+    return {"below": [_rank(m) for m in below],
+            "above": [_rank(m) for m in above],
             "differ_at": differ,
-            "theta_scalar": theta == ident.scale(theta[0, 0]),
-            "theta_square_scalar": (bool(square[0, 0])
-                                    and square == ident.scale(square[0, 0])),
+            "theta_scalar": theta == ident.scale(theta.entry(0, 0)),
+            "theta_square_scalar": (bool(square.entry(0, 0)) and square
+                                    == ident.scale(square.entry(0, 0))),
             "theta_charpoly": characteristic_polynomial(theta)}
 
 

@@ -9,7 +9,8 @@ from quasispin.liealg import (GenIndex, Weight, bracket, canonical_generators,
                               canonicalize, defining_matrices, is_lowering,
                               is_raising, o3_subalgebra_generators, root_of,
                               weyl_dimension)
-from quasispin.linalg import ExactMatrix, LinOp
+from quasispin.linalg import LinOp, rref_rows
+from test_linalg import commutator
 
 
 def jacobi_defect(a, b, c):
@@ -132,17 +133,15 @@ def test_defining_matrices_faithful():
         for a in gens:
             assert sum(mats[a].entry(i, i) for i in range(2 * n + 1)) == 0
             for b in gens:
-                lhs = mats[a].commutator(mats[b])
+                lhs = commutator(mats[a], mats[b])
                 rhs = LinOp(2 * n + 1)
                 for c, g in bracket(a, b):
                     rhs = rhs + mats[g].scale(c)
                 assert lhs == rhs
         # faithfulness: the matrices are linearly independent
-        flat = ExactMatrix.from_rows(
-            [[mats[g].entry(i, j) for i in range(2 * n + 1)
-              for j in range(2 * n + 1)] for g in gens])
-        from quasispin.linalg import rank_and_kernel
-        assert rank_and_kernel(flat)[0] == len(gens)
+        flat = [{(r, c): x for c, col in mats[g].cols.items()
+                 for r, x in col.items()} for g in gens]
+        assert len(rref_rows(flat)) == len(gens)
 
 
 def test_defining_cartan_o3():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasispin.fock import build_o5_on_fock, rescale_exponent
-from quasispin.linalg import ExactMatrix
 from quasispin.report import (ANOMALY, FAIL, PASS, Check, VerificationReport,
                               classification_table, format_sqrt2_power,
                               serialize_value,
@@ -49,8 +48,7 @@ def test_exit_code_contract():
 
 def test_rational_serialization():
     assert serialize_value(Fraction(-1, 2)) == "-1/2"
-    assert serialize_value(ExactMatrix.from_rows([[Fraction(1, 3), 2]])) == \
-        {"rows": 1, "cols": 2, "entries": [["1/3", "2"]]}
+    assert serialize_value({"x": [Fraction(1, 3), 2]}) == {"x": ["1/3", 2]}
 
 
 @given(st.fractions(min_value=-50, max_value=50, max_denominator=12),

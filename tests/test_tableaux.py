@@ -4,17 +4,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasispin.liealg import weyl_dimension
-from quasispin.linalg import ExactMatrix, rank_and_kernel, row_basis, solve
-from quasispin.replab import (defining_representation, extract_irreps,
-                              fock_representation, irrep_of_weight,
-                              multiplicity_slices,
+from quasispin.linalg import rref_rows
+from quasispin.replab import (_restrict_to_slices, defining_representation,
+                              extract_irreps, fock_representation,
+                              irrep_of_weight, multiplicity_slices,
                               tensor_power_representation,
                               trivial_representation)
 from quasispin.tableaux import (GAMMA_CONVENTIONS, Flag, GTMolevTableau,
-                                Rectangle, assign_k, case_of,
+                                Rectangle, _composed_rank, assign_k, case_of,
                                 enumerate_tableaux, gammas,
                                 predicted_slice_matrix, quantum_numbers,
                                 validate_against_representation)
+from test_linalg import (dense_charpoly, dense_kernel, dense_matmul,
+                         dense_rank, dense_rref, dense_solve, densify,
+                         sparse)
 
 F = Fraction
 HALF = F(1, 2)
@@ -120,18 +123,18 @@ def test_gamma_conventions():
 def test_predicted_matrix_sigma0_identity():
     # (-1,-2), T=-1, N=-2 -> N=-1: single point, sigma=0 step, identity
     m = predicted_slice_matrix(F(-1), F(-2), F(-1), F(-2), "proof-text")
-    assert m.sigma == 0 and m.matrix.rows == 1 and m.matrix.cols == 1
-    assert m.rank == 1
+    assert m.sigma == 0 and len(m.target_pts) == len(m.source_pts) == 1
+    assert m.cols == {0: {0: 1}} and m.rank == 1
 
 
 def test_predicted_matrix_sigma1_injective():
     # (-1,-2), T=-1, N=-1 -> N=0: sigma=1 bidiagonal into two points
     m = predicted_slice_matrix(F(-1), F(-2), F(-1), F(-1), "proof-text")
-    assert m.sigma == 1 and m.matrix.rows == 2 and m.matrix.cols == 1
+    assert m.sigma == 1 and len(m.target_pts) == 2 and len(m.source_pts) == 1
     assert m.rank == 1 and m.nullity == 0
     # definition gammas are singular at that point (gamma1 = gamma2 = 0)
     md = predicted_slice_matrix(F(-1), F(-2), F(-1), F(-1), "definition")
-    assert md.matrix is None and md.singular_points == [(F(-1), F(-2))]
+    assert md.cols is None and md.singular_points == [(F(-1), F(-2))]
 
 
 def test_predicted_matrix_zero_row_replacement():
@@ -139,11 +142,9 @@ def test_predicted_matrix_zero_row_replacement():
     # l21 = 0), leaving a rank-1 map with a kernel: the case D pattern
     m = predicted_slice_matrix(F(-1), F(-2), F(-1), F(0), "proof-text")
     assert m.sigma == 0
-    assert m.matrix.cols == 2 and m.matrix.rows == 1
+    assert len(m.source_pts) == 2 and len(m.target_pts) == 1
     assert m.rank == 1 and m.nullity == 1
-    _, ker = rank_and_kernel(m.matrix)
-    strata = [[i for i, x in enumerate(v) if x] for v in ker]
-    assert strata == [[0]]  # the kernel sits on the "lower" point
+    assert m.kernel == [{0: 1}]  # the kernel sits on the "lower" point
 
 
 def test_structural_matrix_matches_generic_rank():
@@ -156,9 +157,8 @@ def small_weights():
     return [(l1, l2) for l1, l2 in lam_grid() if l2 >= -3]
 
 
-def support(matrix):
-    return {(r, c) for r, row in enumerate(matrix.data)
-            for c, x in enumerate(row) if x}
+def support(cols):
+    return {(r, c) for c, col in cols.items() for r, x in col.items() if x}
 
 
 def test_gamma_models_live_on_the_skeleton():
@@ -172,8 +172,8 @@ def test_gamma_models_live_on_the_skeleton():
                 model = predicted_slice_matrix(*lam, T, N, conv)
                 assert (model.source_pts, model.target_pts) == \
                     (skel.source_pts, skel.target_pts)
-                if model.matrix is not None:
-                    assert support(model.matrix) <= support(skel.matrix)
+                if model.cols is not None:
+                    assert support(model.cols) <= support(skel.cols)
                     checked += 1
     assert len(small_weights()) == 16 and checked > 100
 
@@ -277,21 +277,127 @@ def test_flag_membership_matches_solve(data):
     dim = data.draw(st.integers(1, 4))
     vec = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
     gens = data.draw(st.lists(vec, max_size=5))
-    flag = Flag(dim, [ExactMatrix.identity(dim).data]
-                + [row_basis(gens[i:], dim) for i in range(len(gens))])
+    flag = Flag([[{i: 1} for i in range(dim)]]
+                + [rref_rows(sparse(v) for v in gens[i:])
+                   for i in range(len(gens))])
     m = data.draw(st.integers(0, len(gens) + 1))
     level = flag.levels[m] if m < flag.depth() else []
     # combinations of the level's rows, and some free vectors
     coeffs = data.draw(st.lists(st.lists(st.integers(-2, 2),
                                          min_size=len(level),
                                          max_size=len(level)), max_size=3))
-    vectors = [[sum(c * row[i] for c, row in zip(cs, level))
+    vectors = [[sum(c * row.get(i, 0) for c, row in zip(cs, level))
                 for i in range(dim)] for cs in coeffs]
     vectors += data.draw(st.lists(vec, max_size=2))
 
     def columns(vs):
-        return ExactMatrix(dim, len(vs), [[v[i] for v in vs]
-                                          for i in range(dim)])
+        return [[v[i] for v in vs] for i in range(dim)]
 
-    assert flag.contains_all(m, vectors) == (
-        solve(columns(level), columns(vectors)) is not None)
+    level = [[row.get(i, 0) for i in range(dim)] for row in level]
+    assert flag.contains_all(m, [sparse(v) for v in vectors]) == (
+        dense_solve(columns(level), columns(vectors), len(level),
+                    len(vectors)) is not None)
+
+
+# -- the sparse layer against the dense reference -----------------------
+
+
+def _differential_corpus():
+    """Every irrep of Fock(1/2), Fock(3/2) and defining^0..3, with
+    (-1,-2) and (-1/2,-3/2) built as Cartan products."""
+    reps = ([fock_representation(HALF), fock_representation(F(3, 2))]
+            + [tensor_power_representation(p) for p in range(4)])
+    return ([irr for rep in reps for irr in extract_irreps(rep)]
+            + [irrep_of_weight(lam) for lam in ((-1, -2), (-HALF, F(-3, 2)))])
+
+
+def _dense_vectors(vectors, n):
+    return [[v.get(i, 0) for i in range(n)] for v in vectors]
+
+
+def _check_rank_and_kernel(cols, rows, n, rank, kernel):
+    """rank and the kernel span of the map with sparse columns cols
+    against the dense reference on its densified columns."""
+    d = densify(cols, rows, n)
+    assert rank == dense_rank(d, n)
+    assert _dense_vectors(kernel, n) == dense_kernel(d, n)
+    return d
+
+
+def _image_levels(levels, d, n):
+    """The reference image of each flag level under the dense map d from
+    an n-dimensional slice: the nonzero rows of an RREF, trailing zero
+    levels dropped like `Flag` does."""
+    out = []
+    for level in levels:
+        images = [[sum(a * b for a, b in zip(row, v)) for row in d]
+                  for v in _dense_vectors(level, n)]
+        red, pivots = dense_rref(images, len(d))
+        out.append(red[:len(pivots)])
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
+
+
+def test_composed_rank_applies_one_map_to_the_other():
+    swap = {0: {1: 1}, 1: {0: 1}}
+    assert _composed_rank(swap, swap) == 2
+    # the inner image is the outer kernel, then half of the outer domain
+    inner = {0: {0: 1}, 1: {0: 2}}
+    assert _composed_rank({1: {0: 1}}, inner) == 0
+    assert _composed_rank(swap, inner) == 1
+
+
+def test_sparse_layer_matches_the_dense_reference():
+    # slice maps, flags, model maps and round-trip spectra of the sparse
+    # columns, each recomputed from their densified columns
+    corpus = _differential_corpus()
+    assert len(corpus) == 70
+    maps = models = 0
+    for irr in corpus:
+        lam = irr.highest_weight
+        slices = multiplicity_slices(irr)
+        _, data = assign_k(irr)
+        report = validate_against_representation(irr)
+        dense_maps = {}
+        for kind in ("ups", "downs", "theta"):
+            for key, m in data[kind].items():
+                rows = m.target.dim if m.target is not None else 0
+                dense_maps[kind, key] = _check_rank_and_kernel(
+                    m.cols, rows, m.source.dim, m.rank, m.kernel())
+                maps += 1
+        for (T, N), flag in data["flags"].items():
+            dim = slices[(T, N)].dim
+            levels = [_dense_vectors(lvl, dim) for lvl in flag.levels]
+            assert levels[0] == densify({i: {i: 1} for i in range(dim)},
+                                        dim, dim)
+            if N > 0:
+                mirror = data["flags"][(T, -N)]
+                assert levels == _image_levels(
+                    mirror.levels, dense_maps["theta", (T, N)],
+                    slices[(T, -N)].dim), (lam, T, N)
+            elif (T, N - 1) in data["flags"]:
+                below = data["flags"][(T, N - 1)]
+                assert levels[1:] == _image_levels(
+                    below.levels, dense_maps["ups", (T, N - 1)],
+                    slices[(T, N - 1)].dim), (lam, T, N)
+            if (T, N + 1) in data["ups"] and (T, N + 1) in slices:
+                up, nxt = data["ups"][(T, N)], data["ups"][(T, N + 1)]
+                assert _composed_rank(nxt.cols, up.cols) == dense_rank(
+                    dense_matmul(dense_maps["ups", (T, N + 1)],
+                                 dense_maps["ups", (T, N)]), dim)
+        roundtrip = irr.pf_matrix(-1) @ irr.pf_matrix(+1)
+        for (T, N), s in slices.items():
+            rt = _restrict_to_slices(roundtrip, s, s)
+            assert report["roundtrip_charpolys"][(T, N)] == dense_charpoly(
+                densify(rt.cols, s.dim, s.dim))
+            for conv in GAMMA_CONVENTIONS + (None,):
+                model = predicted_slice_matrix(*lam, T, N, conv)
+                if model.cols is None:
+                    continue
+                n = len(model.source_pts)
+                _check_rank_and_kernel(model.cols, len(model.target_pts), n,
+                                       model.rank, model.kernel)
+                assert model.nullity == n - model.rank
+                models += 1
+    assert maps > 500 and models > 500

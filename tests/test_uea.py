@@ -12,13 +12,14 @@ from quasispin.fock import build_o5_on_fock
 from quasispin.liealg import (GenIndex, Weight, bracket, canonical_generators,
                               canonicalize, defining_matrices, index_range,
                               o3_subalgebra_generators, pbw_sort_key, root_of)
-from quasispin.linalg import ExactMatrix, LinOp
+from quasispin.linalg import LinOp
 from quasispin.uea import (IndexSet, UEAElement, capelli,
                            check_corollary_split, check_lemma_l2,
                            check_minorn, check_split_formula,
                            evaluate_in_representation, hat_set,
                            normal_order_rightmost, pf_hat_star_expression,
                            pf_of_tuple, pfaffian, star, weight_shift_of)
+from test_linalg import dense, dense_matmul
 
 N5 = 2
 IDX5 = [-2, -1, 0, 1, 2]
@@ -384,20 +385,15 @@ def test_sort_key_and_root_memos_match_fresh_computation():
 # -- the evaluator against a dense word-product reference ---------------
 
 
-def _dense(m: LinOp, dim) -> ExactMatrix:
-    return ExactMatrix(dim, dim, [[m.entry(r, c) for c in range(dim)]
-                                  for r in range(dim)])
-
-
-def _reference(x, genmap, dim) -> ExactMatrix:
-    """Sum over the words of coeff times the dense product of the letters."""
-    out = ExactMatrix(dim, dim)
+def _reference(x, genmap, dim):
+    """Sum over the words of coeff times the dense product of the letters,
+    as dense rows."""
+    out = [[Fraction(0)] * dim for _ in range(dim)]
     for w, c in x.terms.items():
-        m = ExactMatrix.identity(dim)
+        m = dense(LinOp.identity(dim))
         for g in w:
-            m = m @ _dense(genmap[g], dim)
-        out = ExactMatrix(dim, dim, [[a + c * b for a, b in zip(ra, rb)]
-                                     for ra, rb in zip(out.data, m.data)])
+            m = dense_matmul(m, dense(genmap[g]))
+        out = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(out, m)]
     return out
 
 
@@ -432,7 +428,7 @@ def elements(draw, n):
 def _assert_matches_reference(x, genmap, dim):
     got = evaluate_in_representation(x, genmap, dim)
     assert type(got) is LinOp
-    assert _dense(got, dim) == _reference(x, genmap, dim)
+    assert dense(got) == _reference(x, genmap, dim)
     return got
 
 
@@ -472,6 +468,6 @@ def test_evaluator_input_errors():
     with pytest.raises(ValueError):
         evaluate_in_representation(x, fock_map, fock_dim + 1)
     # a dense generator map is refused, naming the first letter read
-    dense = {g: _dense(m, 5) for g, m in ORACLE5[0].items()}
-    with pytest.raises(TypeError, match=r"F\[-1,-2\] maps to a ExactMatrix"):
-        evaluate_in_representation(x, dense, 5)
+    rows = {g: dense(m) for g, m in ORACLE5[0].items()}
+    with pytest.raises(TypeError, match=r"F\[-1,-2\] maps to a list"):
+        evaluate_in_representation(x, rows, 5)
