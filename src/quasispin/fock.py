@@ -42,7 +42,7 @@ from .liealg import bracket, canonical_generators, root_of
 from .linalg import LinOp
 from .scalars import rat
 
-MAX_J_DEFAULT = Fraction(5, 2)
+MAX_J = Fraction(5, 2)  # the largest shell built: 2^(4j+2) = 4096 states
 
 CORRECTED_FORMULAS = {
     "tau+": "sum_m ap+_m an_m",
@@ -84,13 +84,14 @@ def _to_linop(dim: int, cols: dict, den: int = 1) -> LinOp:
 class FockSpace:
     """All creation/annihilation operators for a single-j two-species shell."""
 
-    def __init__(self, j, max_j=MAX_J_DEFAULT):
+    def __init__(self, j):
         j = rat(j)
         if j.denominator != 2 or j <= 0:  # 2j odd: a single-j fermion shell
             raise ValueError(f"j must be a positive odd half-integer "
                              f"(1/2, 3/2, ...), got {j}")
-        if j > max_j:
-            raise ValueError(f"j={j} exceeds the configured cap {max_j}")
+        if j > MAX_J:
+            raise ValueError(f"j={j} exceeds the largest supported shell, "
+                             f"j={MAX_J}")
         self.j = j
         self.m_values = [j - k for k in range(int(2 * j) + 1)]
         self.m_values.reverse()  # ascending m
@@ -255,10 +256,10 @@ def verify_representation(genmap: dict):
     return violations
 
 
-def build_o5_on_fock(j, max_j=MAX_J_DEFAULT):
+def build_o5_on_fock(j):
     """Fock space, quasi-spin operators and the o5 generator map D F D^-1
     in the rescaled basis (see the module docstring)."""
-    space = FockSpace(j, max_j)
+    space = FockSpace(j)
     ops = quasispin_operators(space)
     genmap = dictionary_to_o5(ops)
     return space, ops, genmap

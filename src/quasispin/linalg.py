@@ -16,7 +16,7 @@ came in.
 A linear map has one representation: sparse columns
 {source index: {target index: x}}, applied to a sparse vector by
 `svec_map`.  `LinOp` is the operator type on one space: every
-representation operator (generators, Pfaffians, Omega, theta, the o3
+representation operator (generators, Pfaffians, Omega, the o3
 projector) is a `LinOp`, and `characteristic_polynomial` takes one.
 Maps between two spaces (the slice maps of `replab`, the model maps of
 `tableaux`) are bare sparse columns.  `LinOp` coerces every entry with

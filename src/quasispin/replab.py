@@ -459,11 +459,10 @@ def pf_slice_maps(irrep: Irrep, T):
 
 
 class ProjectorResult:
-    def __init__(self, matrix: LinOp, singular_weights, series_checked):
+    def __init__(self, matrix: LinOp, singular_weights):
         self.matrix = matrix
         self.singular_weights = singular_weights  # weights where the series
         # evaluation hits a vanishing denominator (reported, not fatal)
-        self.series_checked = series_checked  # weights where series == matrix
 
 
 def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
@@ -485,7 +484,6 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
     slices = multiplicity_slices(irrep)
     proj = LinOp(irrep.dim)
     singular = []
-    checked = []
     for w in sorted(irrep.weight_positions, key=_weight_sort_key):
         cols = irrep.weight_positions[w]
         # f = F_{0,-1} has root +e_1: its images here come from tau0 - 1
@@ -526,8 +524,7 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
                 raise AssertionError(
                     f"extremal projector series disagrees with the "
                     f"algebraic projector on weight {w} of {irrep}")
-        checked.append(w)
-    return ProjectorResult(proj, singular, checked)
+    return ProjectorResult(proj, singular)
 
 
 # -- the reflection intertwiner ----------------------------------------
@@ -602,23 +599,6 @@ def omega_operator(irrep: Irrep) -> LinOp:
     return omega
 
 
-def theta_transport(irrep: Irrep, omega: LinOp, T) -> LinOp:
-    """Theta = M(e)^{2|T|} . Omega : maps V+_{T,N} bijectively to V+_{T,-N}.
-
-    Omega carries an o3-highest vector (tau0 = T) to an o3-lowest one
-    (tau0 = -T); climbing back with the o3 raising operator returns to
-    the o3-highest line of the same o3-irrep, with a T-dependent overall
-    scale that drops out of every flag-level use.  Passed Theta_{T'} in
-    place of Omega and T - T', it returns Theta_T.
-    """
-    steps = int(-2 * T)
-    m = omega
-    e = irrep.genmats[O3_RAISING]
-    for _ in range(steps):
-        m = e @ m
-    return m
-
-
 # -- probes -------------------------------------------------------------
 
 
@@ -626,12 +606,14 @@ def tps_scalar_probe(irrep: Irrep):
     """Scalar-action probes for the projected-Pfaffian statements.
 
     (a) PfF_{{-1,1}} acts on each o3-highest vector; measured scalar is
-        compared to the F_11 eigenvalue T and to D_1(F_11) = F_11 + 1/2.
+        compared to the F_11 eigenvalue T and to D_1(F_11) = F_11 + 1/2
+        (a vector it does not scale is measured "not scalar" and matches
+        neither).
     (b) p PfF_{2hat} v = c(T) p F_{20} v is solved for c(T) wherever
         p F_{20} v != 0; the measured c values are reported rather than
         asserted (received closed forms for this scalar are ambiguous).
     """
-    report = {"pf_sym_scalar": [], "c_constant": [], "anomalies": []}
+    report = {"pf_sym_scalar": [], "c_constant": []}
     slices = multiplicity_slices(irrep)
     m_sym = irrep.matrix_of(pfaffian(IndexSet([-1, 1], N_RANK)))
     proj = extremal_projector_o3(irrep).matrix
@@ -639,13 +621,10 @@ def tps_scalar_probe(irrep: Irrep):
     m_f20 = proj @ irrep.matrix_of(UEAElement.of(2, 0, N_RANK))
     for (T, N), s in sorted(slices.items()):
         for v in s.basis:
-            img = m_sym.apply(v)
-            scal = _ratio(img, v)
-            if scal is None:
-                report["anomalies"].append((T, N, "PfF_{-1,1} not scalar on slice"))
-                continue
+            scal = _ratio(m_sym.apply(v), v)
             report["pf_sym_scalar"].append({
-                "T": T, "N": N, "measured": scal,
+                "T": T, "N": N,
+                "measured": scal if scal is not None else "not scalar",
                 "matches_F11_eigenvalue": scal == T,
                 "D1_prediction": T + Fraction(1, 2),
                 "matches_D1": scal == T + Fraction(1, 2),

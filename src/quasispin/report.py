@@ -57,15 +57,9 @@ class VerificationReport:
         self.suite = suite
         self.checks = []
 
-    def add(self, check_id: str, ok, witness=None, wall_time=None,
-            anomaly: bool = False):
-        if ok:
-            status = PASS
-        elif anomaly:
-            status = ANOMALY
-        else:
-            status = FAIL
-        self.checks.append(Check(check_id, status, witness, wall_time))
+    def add(self, check_id: str, ok, witness=None, wall_time=None):
+        self.checks.append(Check(check_id, PASS if ok else FAIL, witness,
+                                 wall_time))
 
     def add_anomaly(self, check_id: str, witness, wall_time=None):
         self.checks.append(Check(check_id, ANOMALY, witness, wall_time))

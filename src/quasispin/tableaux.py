@@ -22,24 +22,27 @@ every rank, meet and flag level is the length or the rows of one
 
 `assign_k` builds the fourth quantum number as an image filtration over
 the computed Pfaffian slice maps: states at level k of V+_{T,N} are
-those in the image of the k-fold composed raising map, with labels for
-N > 0 transported through the reflection intertwiner.  One upward
-induction, `_upward_flags`, builds these filtrations from the computed
-maps and, in `validate_against_representation`, from the model maps.
+those in the image of the k-fold composed PfF_{2-hat} map from below
+for N <= 0, and of the k-fold composed PfF_{-2-hat} map from above for
+N > 0 (at N = 0 both are built and compared).  One induction,
+`_induced_flags`, builds these filtrations in either direction from the
+computed maps and, in `validate_against_representation`, upwards from
+the model maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
 
 from .liealg import weyl_dimension
 from .linalg import (LinOp, characteristic_polynomial, rank_and_kernel,
                      rref_rows, svec_map)
-from .replab import (Irrep, multiplicity_slices, omega_operator,
-                     pf_slice_maps, theta_transport, _restrict_to_slices)
+from .replab import (Irrep, multiplicity_slices, pf_slice_maps,
+                     _restrict_to_slices)
 from .scalars import rat
+
+HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -268,15 +271,12 @@ class Flag:
     def depth(self):
         return len(self.levels)
 
-    def level_dim(self, m):
-        return len(self.levels[m]) if m < len(self.levels) else 0
+    def level_dims(self):
+        return [len(level) for level in self.levels]
 
     def stratum_dims(self):
-        out = []
-        for m in range(self.depth()):
-            nxt = self.level_dim(m + 1)
-            out.append(self.level_dim(m) - nxt)
-        return out
+        dims = self.level_dims() + [0]
+        return [a - b for a, b in zip(dims, dims[1:])]
 
     def contains_all(self, m, vectors) -> bool:
         """Whether every vector lies in U_m (U_m = 0 beyond the depth):
@@ -292,27 +292,27 @@ def _full(dim: int):
 
 def _push_flag(flag: Flag, cols: dict, target_dim: int) -> Flag:
     """Image flag: levels'[0] = full target, levels'[m+1] = M(levels[m])."""
-    return Flag([_full(target_dim)] + _map_flag(flag, cols).levels)
+    return Flag([_full(target_dim)]
+                + [rref_rows(svec_map(cols, v) for v in lvl)
+                   for lvl in flag.levels])
 
 
-def _map_flag(flag: Flag, cols: dict) -> Flag:
-    """Transport a flag through an isomorphism (no prefixed full level)."""
-    return Flag([rref_rows(svec_map(cols, v) for v in lvl)
-                 for lvl in flag.levels])
+def _induced_flags(ns, maps, dims, step=1) -> dict:
+    """Image flags of one T's slices, induced from one end of the ladder.
 
-
-def _upward_flags(ns, maps, dims) -> dict:
-    """Image flags of the N <= 0 slices of one T, induced upwards.
-
-    A slice with no slice at N - 1 carries the trivial flag; any other
-    carries the push of the flag at N - 1 through maps[N - 1] (the
-    raising map V_{N-1} -> V_N).  dims[N] is the dimension of slice N.
+    step = +1 induces upwards over the N <= 0 slices, maps[N] being the
+    PfF_{2-hat} map V_N -> V_{N+1}; step = -1 induces downwards over the
+    N >= 0 slices, maps[N] being the PfF_{-2-hat} map V_N -> V_{N-1}.
+    A slice with no slice at N - step carries the trivial flag; any other
+    carries the push of the flag at N - step through maps[N - step].
+    dims[N] is the dimension of slice N.
     """
     flags = {}
-    for N in ns:
-        if N <= 0:
-            flags[N] = (_push_flag(flags[N - 1], maps[N - 1], dims[N])
-                        if N - 1 in flags else Flag([_full(dims[N])]))
+    for N in ns[::step]:
+        if step * N <= 0:
+            prev = N - step
+            flags[N] = (_push_flag(flags[prev], maps[prev], dims[N])
+                        if prev in flags else Flag([_full(dims[N])]))
     return flags
 
 
@@ -343,110 +343,73 @@ def _raising_violation(source_flag: Flag, cols: dict, target_flag: Flag):
 def assign_k(irrep: Irrep):
     """The fourth quantum number on an irrep, from the actual slice maps.
 
-    Filtration levels for N <= 0 come from the upward induction (images
-    of composed PfF_{2-hat} maps starting at N_min); levels for N > 0
-    are the reflection transports of the mirror slices, which coincide
-    with the downward PfF_{-2-hat} induction from N_max.
+    Filtration levels come from the two Pfaffian inductions: for N <= 0
+    from below (images of composed PfF_{2-hat} maps starting at N_min),
+    for N > 0 from above (images of composed PfF_{-2-hat} maps starting
+    at N_max).  The from-above flags are the reflection transports of
+    their mirrors at -N: theta = e^{2|T|} Omega maps V+_{T,-N} onto
+    V+_{T,N}, e commutes with both Pfaffians, and omega^2 = 1 turns
+    Omega PfF_{-2-hat} = -PfF_{2-hat} Omega into Omega PfF_{2-hat} =
+    -PfF_{-2-hat} Omega, so theta carries the image of each composed
+    PfF_{2-hat} chain ending at -N onto the image of the PfF_{-2-hat}
+    chain of the same length ending at N.  Hence each N > 0 flag has
+    the level dimensions of its mirror, and ClassificationError is
+    raised where it has not.
 
     Returns (states, data): one ClassifiedState per basis state, plus
     the per-(T,N) flags/maps and an `anomalies` list.  The classical
     claim that the two N = 0 assignments coincide is checked as flag
-    equality and recorded as an anomaly when it fails (the reflection
-    restricted to a multiplicity slice at N = 0 need not be scalar: on
-    the (-1,-2) irrep it has eigenvalues +1 and -1, so the two
-    filtrations genuinely differ).  Their k-multisets always agree:
-    since Omega PfF_{-2-hat} = -PfF_{2-hat} Omega, the bijection theta
-    carries the from-below PfF_{2-hat} filtration of the N = 0 slice
-    onto the from-above PfF_{-2-hat} one, level by level, so the level
-    dimensions coincide and only the subspaces can differ.
-    Hard contradictions of the classification pattern (label collisions,
-    non-transverse kernels, broken raising) raise ClassificationError.
+    equality and recorded as an anomaly when it fails (theta restricted
+    to a multiplicity slice at N = 0 need not be scalar: on the (-1,-2)
+    irrep it has eigenvalues +1 and -1, so the two filtrations genuinely
+    differ); their level dimensions, and so the k-multisets, always
+    agree.  Every Pfaffian step inside one sign region of N is a push of
+    its own induction; the steps across the half-integral seam
+    N = -1/2 <-> +1/2 land in the other induction's flags and are
+    recorded as anomalies where they break the raising property.
+    Hard contradictions of the classification pattern (a mirror missing
+    or of other level dimensions, label collisions, non-transverse
+    kernels) raise ClassificationError.
     """
     lam1, lam2 = irrep.highest_weight
     slices = multiplicity_slices(irrep)
-    omega = omega_operator(irrep)
     states = []
-    data = {"flags": {}, "ups": {}, "downs": {}, "theta": {}, "anomalies": []}
-    Ts = sorted({t for (t, _) in slices})
-    # theta(T) = e^{-2T} Omega, built from the theta of the T above
-    thetas = {0: omega}
-    for hi, T in pairwise([0] + Ts[::-1]):
-        thetas[T] = theta_transport(irrep, thetas[hi], T - hi)
-    for T in Ts:
+    data = {"flags": {}, "ups": {}, "downs": {}, "anomalies": []}
+    for T in sorted({t for (t, _) in slices}):
         mine = {N: s for (t, N), s in slices.items() if t == T}
         ups, downs = pf_slice_maps(irrep, T)
         data["ups"].update({(T, N): m for N, m in ups.items()})
         data["downs"].update({(T, N): m for N, m in downs.items()})
         ns = sorted(mine)
-        flags = _upward_flags(ns, {N: u.cols for N, u in ups.items()},
-                              {N: s.dim for N, s in mine.items()})
-        # reflection transport for N > 0
-        theta = thetas[T]
+        dims = {N: s.dim for N, s in mine.items()}
+        below = _induced_flags(ns, {N: u.cols for N, u in ups.items()}, dims)
+        above = _induced_flags(ns, {N: d.cols for N, d in downs.items()},
+                               dims, -1)
+        flags = {N: below[N] if N <= 0 else above[N] for N in ns}
         for N in ns:
-            if N <= 0:
-                continue
-            if -N not in mine:
+            if N > 0 and (-N not in mine or flags[N].level_dims()
+                          != flags[-N].level_dims()):
                 raise ClassificationError(
-                    f"slice (T={T},N={N}) has no mirror at -N")
-            tmap = _restrict_to_slices(theta, mine[-N], mine[N])
-            data["theta"][(T, N)] = tmap
-            if tmap.rank != mine[N].dim or mine[-N].dim != mine[N].dim:
-                raise ClassificationError(
-                    f"theta transport not bijective at (T={T},N={N})")
-            flags[N] = _map_flag(flags[-N], tmap.cols)
-        # N = 0: compare the from-below flag with its reflection image
-        seam_flag = None
-        if 0 in mine:
-            tmap = _restrict_to_slices(theta, mine[0], mine[0])
-            data["theta"][(T, 0)] = tmap
-            seam_flag = _map_flag(flags[0], tmap.cols)
-            # levels are RREF bases, so equal flags have equal levels
-            if flags[0].levels != seam_flag.levels:
-                below = [flags[0].level_dim(m) for m in range(flags[0].depth())]
-                data["anomalies"].append({
-                    "kind": "n0-two-sided-disagreement",
-                    "T": T,
-                    "level_dims": below,
-                })
+                    f"slice (T={T},N={N}) has no mirror at -N with the "
+                    "same flag level dimensions")
+        # N = 0: levels are RREF bases, so equal flags have equal levels
+        if 0 in mine and below[0].levels != above[0].levels:
+            data["anomalies"].append({
+                "kind": "n0-two-sided-disagreement",
+                "T": T,
+                "level_dims": below[0].level_dims(),
+            })
         data["flags"].update({(T, N): f for N, f in flags.items()})
-        # raising property at filtration level (PfF_{2-hat} out of N < 0).
-        # Steps that stay at N+1 <= 0 must hold (hard); steps crossing
-        # into N+1 > 0 land in reflection-transported flags and inherit
-        # the two-sided subtlety, so violations there are recorded.
-        for N in ns:
-            if N >= 0 or (N + 1) not in mine:
-                continue
-            bad = _raising_violation(flags[N], ups[N].cols, flags[N + 1])
-            if bad is not None:
-                if N + 1 > 0:
+        # raising property across the seam: PfF_{2-hat} out of N = -1/2
+        # and PfF_{-2-hat} out of N = +1/2 each land in the other
+        # induction's flag
+        if -HALF in mine and HALF in mine:
+            for kind, N, maps in (("seam-raising-up", -HALF, ups),
+                                  ("seam-raising-down", HALF, downs)):
+                bad = _raising_violation(flags[N], maps[N].cols, flags[-N])
+                if bad is not None:
                     data["anomalies"].append(
-                        {"kind": "seam-raising-up", "T": T, "N": N,
-                         "level": bad})
-                else:
-                    raise ClassificationError(
-                        f"raising property fails at (T={T},N={N}) "
-                        f"level {bad}")
-        # mirrored property (PfF_{-2-hat} out of N > 0).  Landing at
-        # N-1 >= 1 or at the reflected N = 0 flag is the conjugate of an
-        # upward step (hard); crossing to N-1 < 0 hits from-below flags
-        # and is recorded like the seam above.
-        for N in ns:
-            if N <= 0 or (N - 1) not in mine:
-                continue
-            if N - 1 == 0:
-                target_flag = seam_flag
-            else:
-                target_flag = flags[N - 1]
-            bad = _raising_violation(flags[N], downs[N].cols, target_flag)
-            if bad is not None:
-                if N - 1 < 0:
-                    data["anomalies"].append(
-                        {"kind": "seam-raising-down", "T": T, "N": N,
-                         "level": bad})
-                else:
-                    raise ClassificationError(
-                        f"mirrored raising property fails at "
-                        f"(T={T},N={N}) level {bad}")
+                        {"kind": kind, "T": T, "N": N, "level": bad})
         # kernel transversality (case D sigma=0 bookkeeping)
         for N in ns:
             if N <= 0 and flags[N].depth() > 1 and _meet_dim(
@@ -582,14 +545,13 @@ def validate_against_representation(irrep: Irrep):
             ladder = {N: models[T, N, conv] for N in ns}
             if any(mm.cols is None for mm in ladder.values()):
                 continue  # already recorded as a mismatch entry
-            mflags = _upward_flags(
+            mflags = _induced_flags(
                 ns, {N: mm.cols for N, mm in ladder.items()},
                 {N: len(mm.source_pts) for N, mm in ladder.items()})
             for N, mflag in mflags.items():
                 actual_flag = data["flags"][(T, N)]
-                a_dims = [actual_flag.level_dim(m)
-                          for m in range(actual_flag.depth())]
-                m_dims = [mflag.level_dim(m) for m in range(mflag.depth())]
+                a_dims = actual_flag.level_dims()
+                m_dims = mflag.level_dims()
                 entry = {"T": T, "N": N}
                 if a_dims != m_dims:
                     entry["flag_dims"] = {"actual": a_dims, "model": m_dims}

@@ -26,8 +26,7 @@ from quasispin.replab import (O3_LOWERING, O3_RAISING, _restrict_to_slices,
                               extract_irreps, extremal_projector_o3,
                               fock_representation, multiplicity_slices,
                               omega_operator, pf_slice_maps,
-                              tensor_power_representation, theta_transport,
-                              tps_scalar_probe)
+                              tensor_power_representation, tps_scalar_probe)
 from quasispin.tableaux import (assign_k, enumerate_tableaux,
                                 quantum_numbers,
                                 validate_against_representation)
@@ -37,6 +36,7 @@ from quasispin.uea import (IndexSet, UEAElement, capelli,
                            evaluate_in_representation, hat_set, pfaffian,
                            weight_shift_of)
 from test_linalg import commutator
+from test_replab import theta_transport
 
 F = Fraction
 IDX5 = [-2, -1, 0, 1, 2]

@@ -136,7 +136,7 @@ def test_usage_errors_exit_two():
 
 def test_fock_invalid_j_is_usage_error(capsys):
     assert run(["fock", "build", "--j", "7/2"]) == 2
-    assert "exceeds the configured cap" in capsys.readouterr().err
+    assert "exceeds the largest supported shell" in capsys.readouterr().err
     # a single-j fermion shell has odd 2j
     for j in ("1", "0", "-1/2"):
         for argv in (["fock", "build"],
@@ -308,3 +308,25 @@ def test_failed_gamma_winner_probe_is_reported(monkeypatch, tmp_path,
     # "none" is no convention: no gamma-winner anomaly names it
     assert not [c for c in json.loads(out.read_text())["checks"]
                 if c["id"] == "probe/gamma-winner"]
+
+
+@pytest.mark.parametrize("spoiled", [1, None], ids=["one-row", "every-row"])
+def test_a_non_scalar_pf_sym_action_fails_the_probe(monkeypatch, tmp_path,
+                                                    capsys, spoiled):
+    # a slice vector that PfF_{-1,1} does not scale stays in the witness
+    # as a row matching neither convention, so the check fails
+    ratio, calls = replab._ratio, []
+
+    def not_scalar(x, y):
+        calls.append(1)
+        return None if spoiled in (None, len(calls)) else ratio(x, y)
+
+    monkeypatch.setattr(replab, "_ratio", not_scalar)
+    out = tmp_path / "report.json"
+    assert run(["probe", "conventions", "--out", str(out)]) == 1
+    assert "FAIL    probe/0,-1/pf-sym-acts-as-F11" in capsys.readouterr().out
+    [check] = [c for c in json.loads(out.read_text())["checks"]
+               if c["id"] == "probe/0,-1/pf-sym-acts-as-F11"]
+    rows = [r for r in check["witness"] if r["measured"] == "not scalar"]
+    assert rows and not any(r["matches_F11_eigenvalue"] for r in rows)
+    assert len(rows) == (1 if spoiled else len(check["witness"]))

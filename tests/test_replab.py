@@ -17,8 +17,7 @@ from quasispin.replab import (O3_LOWERING, O3_RAISING, _coordinates,
                               multiplicity_slices, omega_genindex,
                               omega_operator, pf_slice_maps,
                               tensor_power_representation,
-                              tensor_product, theta_transport,
-                              tps_scalar_probe,
+                              tensor_product, tps_scalar_probe,
                               trivial_representation, weight_decompose)
 from quasispin.tableaux import validate_against_representation
 from quasispin.uea import UEAElement
@@ -26,6 +25,22 @@ from test_linalg import (_block, _put_block, commutator, dense, dense_kernel,
                          dense_matmul, dense_rank, dense_rref, dense_solve)
 
 HALF = Fraction(1, 2)
+
+
+def theta_transport(irrep, omega, T):
+    """Theta = M(e)^{2|T|} . Omega : maps V+_{T,N} bijectively to V+_{T,-N}.
+
+    Omega carries an o3-highest vector (tau0 = T) to an o3-lowest one
+    (tau0 = -T); climbing back with the o3 raising operator returns to
+    the o3-highest line of the same o3-irrep, with a T-dependent overall
+    scale that drops out of every flag-level use.  The reference for the
+    from-above flags of `assign_k`, which equal the theta images of their
+    mirrors.
+    """
+    m = omega
+    for _ in range(int(-2 * T)):
+        m = irrep.genmats[O3_RAISING] @ m
+    return m
 
 
 def test_irrep_operators_are_linops():

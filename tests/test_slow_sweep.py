@@ -1,11 +1,15 @@
-"""Classification sweep over every o_5 highest weight with |lam2| <= 4.
+"""Classification sweep over every o_5 highest weight with |lam2| <= 6.
 
-25 weights, 1 925 states, the largest irrep the 231-dimensional (-3,-4);
-each irrep is built as a Cartan product by `replab.irrep_of_weight`.
-Run with QUASISPIN_SLOW=1 (and -s to see the anomaly sites); about half
-a minute.  The anomaly sites are printed, not pinned: criterion 7 pins
-the corpus, and a site this sweep finds beyond it is a finding to
-report, not a gate.
+49 weights, 11 760 states, the largest irrep the 810-dimensional
+(-4,-6); each irrep is built as a Cartan product by
+`replab.irrep_of_weight`.  Run with QUASISPIN_SLOW=1 (and -s to see the
+anomaly sites).  The anomaly inventory of every weight is gated by two
+rules:
+- integral lam: n0-two-sided-disagreement at exactly the T whose N = 0
+  slice has dimension >= 2;
+- half-integral lam: seam-raising-up at (T, -1/2) and seam-raising-down
+  at (T, +1/2) for every T = -1/2, -3/2, ..., lam2;
+and nothing else.
 """
 
 from fractions import Fraction
@@ -13,12 +17,12 @@ from fractions import Fraction
 import pytest
 
 from quasispin.liealg import weyl_dimension
-from quasispin.replab import irrep_of_weight
+from quasispin.replab import irrep_of_weight, multiplicity_slices
 from quasispin.tableaux import (enumerate_tableaux,
                                 validate_against_representation)
 
-ANOMALY_KINDS = {"n0-two-sided-disagreement", "seam-raising-up",
-                 "seam-raising-down"}
+HALF = Fraction(1, 2)
+DEPTH = 6
 
 
 def dominant_weights(depth):
@@ -33,14 +37,27 @@ def dominant_weights(depth):
     return out
 
 
+def expected_anomalies(lam, irr):
+    """The (kind, T, N) sites the two rules predict for V(lam)."""
+    if lam[1].denominator == 1:
+        return sorted(("n0-two-sided-disagreement", T, 0)
+                      for (T, N), s in multiplicity_slices(irr).items()
+                      if N == 0 and s.dim >= 2)
+    Ts = [-HALF - t for t in range(int(-HALF - lam[1]) + 1)]
+    return sorted([("seam-raising-up", T, -HALF) for T in Ts]
+                  + [("seam-raising-down", T, HALF) for T in Ts])
+
+
 def test_sweep_weights():
-    weights = dominant_weights(4)
-    assert len(weights) == 25
-    assert sum(weyl_dimension(*lam) for lam in weights) == 1925
+    weights = dominant_weights(DEPTH)
+    assert len(weights) == 49
+    assert sum(weyl_dimension(*lam) for lam in weights) == 11760
+    assert max(weyl_dimension(*lam) for lam in weights) == weyl_dimension(
+        -4, -6) == 810
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("lam", dominant_weights(4),
+@pytest.mark.parametrize("lam", dominant_weights(DEPTH),
                          ids=lambda lam: f"{lam[0]},{lam[1]}")
 def test_sweep(lam):
     irr = irrep_of_weight(lam)
@@ -51,8 +68,9 @@ def test_sweep(lam):
     assert len(labels) == len(set(labels)) == irr.dim
     assert result["case_mismatches"] == []
     assert result["gamma_winner"] in ("proof-text", "tie")
-    sites = sorted((a["kind"], str(a["T"]), str(a.get("N", "")))
+    sites = sorted((a["kind"], a["T"], a.get("N", 0))
                    for a in result["anomalies"])
-    assert {kind for kind, _, _ in sites} <= ANOMALY_KINDS
     print(f"\n({lam[0]},{lam[1]}) dim {irr.dim}: "
-          f"gamma {result['gamma_winner']}, anomalies {sites}")
+          f"gamma {result['gamma_winner']}, anomalies "
+          f"{[(kind, str(T), str(N)) for kind, T, N in sites]}")
+    assert sites == expected_anomalies(lam, irr)

@@ -8,7 +8,7 @@ from quasispin.linalg import rref_rows
 from quasispin.replab import (_restrict_to_slices, defining_representation,
                               extract_irreps, fock_representation,
                               irrep_of_weight, multiplicity_slices,
-                              tensor_power_representation,
+                              omega_operator, tensor_power_representation,
                               trivial_representation)
 from quasispin.tableaux import (GAMMA_CONVENTIONS, Flag, GTMolevTableau,
                                 Rectangle, _composed_rank, assign_k, case_of,
@@ -18,6 +18,7 @@ from quasispin.tableaux import (GAMMA_CONVENTIONS, Flag, GTMolevTableau,
 from test_linalg import (dense_charpoly, dense_kernel, dense_matmul,
                          dense_rank, dense_rref, dense_solve, densify,
                          sparse)
+from test_replab import theta_transport
 
 F = Fraction
 HALF = F(1, 2)
@@ -304,11 +305,14 @@ def test_flag_membership_matches_solve(data):
 
 def _differential_corpus():
     """Every irrep of Fock(1/2), Fock(3/2) and defining^0..3, with
-    (-1,-2) and (-1/2,-3/2) built as Cartan products."""
+    (-1,-2), (-1/2,-3/2) and (-2,-3) built as Cartan products.  (-2,-3)
+    is there for its two-step up composition of rank 2: every other
+    composition of the corpus has rank <= 1."""
     reps = ([fock_representation(HALF), fock_representation(F(3, 2))]
             + [tensor_power_representation(p) for p in range(4)])
     return ([irr for rep in reps for irr in extract_irreps(rep)]
-            + [irrep_of_weight(lam) for lam in ((-1, -2), (-HALF, F(-3, 2)))])
+            + [irrep_of_weight(lam)
+               for lam in ((-1, -2), (-HALF, F(-3, 2)), (-2, -3))])
 
 
 def _dense_vectors(vectors, n):
@@ -350,42 +354,56 @@ def test_composed_rank_applies_one_map_to_the_other():
 
 def test_sparse_layer_matches_the_dense_reference():
     # slice maps, flags, model maps and round-trip spectra of the sparse
-    # columns, each recomputed from their densified columns
+    # columns, each recomputed from their densified columns; the N > 0
+    # flags also against the reflection transport of their mirrors
     corpus = _differential_corpus()
-    assert len(corpus) == 70
+    assert len(corpus) == 71
     maps = models = 0
+    composed_ranks = set()
     for irr in corpus:
         lam = irr.highest_weight
         slices = multiplicity_slices(irr)
         _, data = assign_k(irr)
         report = validate_against_representation(irr)
         dense_maps = {}
-        for kind in ("ups", "downs", "theta"):
+        for kind in ("ups", "downs"):
             for key, m in data[kind].items():
                 rows = m.target.dim if m.target is not None else 0
                 dense_maps[kind, key] = _check_rank_and_kernel(
                     m.cols, rows, m.source.dim, m.rank, m.kernel())
                 maps += 1
+        omega = omega_operator(irr)
         for (T, N), flag in data["flags"].items():
             dim = slices[(T, N)].dim
             levels = [_dense_vectors(lvl, dim) for lvl in flag.levels]
             assert levels[0] == densify({i: {i: 1} for i in range(dim)},
                                         dim, dim)
             if N > 0:
+                theta = _restrict_to_slices(theta_transport(irr, omega, T),
+                                            slices[(T, -N)], slices[(T, N)])
+                dense_theta = _check_rank_and_kernel(
+                    theta.cols, dim, dim, theta.rank, theta.kernel())
+                maps += 1
+                assert theta.rank == dim, (lam, T, N)
                 mirror = data["flags"][(T, -N)]
-                assert levels == _image_levels(
-                    mirror.levels, dense_maps["theta", (T, N)],
-                    slices[(T, -N)].dim), (lam, T, N)
-            elif (T, N - 1) in data["flags"]:
-                below = data["flags"][(T, N - 1)]
+                assert levels == _image_levels(mirror.levels, dense_theta,
+                                               dim), (lam, T, N)
+            # induced from below for N <= 0, from above for N > 0
+            along = "ups" if N <= 0 else "downs"
+            prev = (T, N - 1) if N <= 0 else (T, N + 1)
+            if prev in data["flags"]:
                 assert levels[1:] == _image_levels(
-                    below.levels, dense_maps["ups", (T, N - 1)],
-                    slices[(T, N - 1)].dim), (lam, T, N)
+                    data["flags"][prev].levels, dense_maps[along, prev],
+                    slices[prev].dim), (lam, T, N)
+            else:
+                assert len(levels) == 1, (lam, T, N)
             if (T, N + 1) in data["ups"] and (T, N + 1) in slices:
                 up, nxt = data["ups"][(T, N)], data["ups"][(T, N + 1)]
-                assert _composed_rank(nxt.cols, up.cols) == dense_rank(
+                rank = _composed_rank(nxt.cols, up.cols)
+                assert rank == dense_rank(
                     dense_matmul(dense_maps["ups", (T, N + 1)],
                                  dense_maps["ups", (T, N)]), dim)
+                composed_ranks.add(rank)
         roundtrip = irr.pf_matrix(-1) @ irr.pf_matrix(+1)
         for (T, N), s in slices.items():
             rt = _restrict_to_slices(roundtrip, s, s)
@@ -401,3 +419,4 @@ def test_sparse_layer_matches_the_dense_reference():
                 assert model.nullity == n - model.rank
                 models += 1
     assert maps > 500 and models > 500
+    assert max(composed_ranks) == 2
