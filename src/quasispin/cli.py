@@ -323,29 +323,23 @@ def irrep_checks(irr: replab.Irrep) -> list:
 def suite_repr(rep: replab.Representation) -> VerificationReport:
     report = VerificationReport(f"repr({rep.label})")
     t0 = time.perf_counter()
-    irreps = replab.extract_irreps(rep)
-    total = sum(i.dim for i in irreps)
+    types = replab.isotypic_types(rep)
+    total = sum(mult * irr.dim for irr, mult in types)
     report.add("repr/dimension-accounting", total == rep.dim,
                None if total == rep.dim else
                {"sum": total, "ambient": rep.dim},
                round(time.perf_counter() - t0, 3))
-    bad = [str(i.highest_weight) for i in irreps
-           if i.dim != weyl_dimension(*i.highest_weight)]
+    bad = [str(irr.highest_weight) for irr, _ in types
+           if irr.dim != weyl_dimension(*irr.highest_weight)]
     report.add("repr/weyl-dimensions", not bad,
                None if not bad else {"irreps": bad})
-    # an irrep with the genmats of one analysed repeats its checks, untimed
-    analysed: dict = {}  # highest weight -> [(genmats, checks)]
-    for irr in irreps:
-        seen = analysed.setdefault(irr.highest_weight, [])
-        checks = next((c for g, c in seen if g == irr.genmats), None)
-        if checks is None:
-            checks = irrep_checks(irr)
-            seen.append((irr.genmats, checks))
-            report.checks.extend(checks)
-        else:
-            report.checks.extend(Check(c.id, c.status, c.witness)
-                                 for c in checks)
-    return report, irreps
+    # one analysis per type; its further copies repeat the checks, untimed
+    for irr, mult in types:
+        checks = irrep_checks(irr)
+        report.checks.extend(checks)
+        report.checks.extend(Check(c.id, c.status, c.witness)
+                             for _ in range(mult - 1) for c in checks)
+    return report
 
 
 # -- classify -------------------------------------------------------------
@@ -502,8 +496,8 @@ def main(argv=None) -> int:
                 parser.error("--source fock needs --j")
             if args.source == "defining-power" and args.power is None:
                 parser.error("--source defining-power needs --power")
-            report, _ = suite_repr(build_source(args.source, j=args.j,
-                                                power=args.power))
+            report = suite_repr(build_source(args.source, j=args.j,
+                                             power=args.power))
         elif args.command == "classify":
             report, table = suite_classify(*args.weight)
         elif args.command == "probe":

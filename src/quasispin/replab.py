@@ -3,12 +3,12 @@
 Sources of representations (all with diagonal Cartan action in the
 computational basis): fermionic Fock spaces, the trivial and defining
 representations, irreps, and tensor products of sources.
-`extract_irreps` splits a source into highest-weight irreducibles in two
-steps per weight: the kernel of the raising operators there, then the
-lowering orbit of each kernel vector.  `irrep_with_highest_weight` runs
-the same two steps for the one irrep of a given highest weight, and
-`irrep_of_weight` uses it to build V(lam) for any valid lam as a Cartan
-product.  Each irrep is re-coordinatized on its own basis, where every
+`isotypic_types` splits a source into irreducible types in two steps per
+weight: the raising kernel there (its dimension is the multiplicity),
+then the lowering orbit of its first vector.  `extract_irreps` takes
+the orbit of every kernel vector, one irrep per copy, and
+`irrep_of_weight` builds V(lam) as a Cartan product of irreps.  Each
+irrep is re-coordinatized on its own basis, where every
 operator (generators, Pfaffians, the extremal projector, the reflection
 intertwiner) is a sparse `LinOp`.  Every elimination runs on sparse
 vectors, through `linalg.rref_rows` and `linalg.kernel_rows`: kernels
@@ -166,22 +166,12 @@ def _weight_sort_key(w: Weight):
 
 
 def extract_irreps(rep: Representation):
-    """Split into irreducibles by highest-weight theory.
-
-    Two steps per weight, highest first: the vectors killed by every
-    raising operator (the kernel of their `_stacked_rows`), then the
-    lowering orbit of each (`_lowering_orbit`, which checks its
-    dimension against the Weyl formula).  The irrep dimensions must also
-    add up to the ambient one.  `irrep_with_highest_weight` runs the same
-    steps for one irrep.
-    """
-    buckets = weight_decompose(rep)
-    order = sorted(buckets, key=_weight_sort_key)
-    raising, lowering = _root_generators(rep)
+    """Split into irreducibles, one per copy: the lowering orbit of every
+    vector of every raising kernel (`_highest_weight_kernels`), highest
+    weight first.  The irrep dimensions must add up to the ambient one."""
+    order, lowering, kernels = _highest_weight_kernels(rep)
     irreps = [_lowering_orbit(rep, order, at, kv, lowering)
-              for at, mu in enumerate(order)
-              for kv in kernel_rows(_stacked_rows(raising, buckets[mu]),
-                                    buckets[mu])]
+              for at, kernel in kernels for kv in kernel]
     total = sum(irr.dim for irr in irreps)
     if total != rep.dim:
         raise AssertionError(
@@ -190,22 +180,37 @@ def extract_irreps(rep: Representation):
     return irreps
 
 
+def isotypic_types(rep: Representation, lam=None):
+    """[(irrep, multiplicity)] per isotypic type of rep (only that of
+    highest weight lam, if given), highest weight first: the first copy
+    `extract_irreps` yields, and the dimension of its raising kernel.
+    The dimensions are not summed here: `cli.suite_repr` checks that."""
+    order, lowering, kernels = _highest_weight_kernels(rep, lam)
+    types = [(_lowering_orbit(rep, order, at, kernel[0], lowering),
+              len(kernel)) for at, kernel in kernels]
+    _fill_generator_matrices(rep, [irr for irr, _ in types])
+    return types
+
+
 def irrep_with_highest_weight(rep: Representation, lam):
     """The first irrep of highest weight lam that `extract_irreps(rep)`
     yields (same basis, weights and genmats), built without the others;
     None when rep has no such irrep."""
+    types = isotypic_types(rep, lam)
+    return types[0][0] if types else None
+
+
+def _highest_weight_kernels(rep: Representation, lam=None):
+    """(weights highest first, lowering operators, [(position of a
+    weight, its nonzero raising kernel)]), over every weight or lam."""
     buckets = weight_decompose(rep)
-    mu = Weight(lam)
-    if mu not in buckets:
-        return None
-    raising, lowering = _root_generators(rep)
-    kernel = kernel_rows(_stacked_rows(raising, buckets[mu]), buckets[mu])
-    if not kernel:
-        return None
     order = sorted(buckets, key=_weight_sort_key)
-    irr = _lowering_orbit(rep, order, order.index(mu), kernel[0], lowering)
-    _fill_generator_matrices(rep, [irr])
-    return irr
+    raising, lowering = _root_generators(rep)
+    only = None if lam is None else Weight(lam)
+    return order, lowering, [
+        (at, kernel) for at, mu in enumerate(order) if only in (None, mu)
+        if (kernel := kernel_rows(_stacked_rows(raising, buckets[mu]),
+                                  buckets[mu]))]
 
 
 def irrep_of_weight(lam) -> Irrep:

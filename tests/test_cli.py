@@ -169,7 +169,7 @@ def test_internal_error_is_a_failed_check(monkeypatch, tmp_path, capsys,
     def broken(rep):
         raise error("dimensions do not add up")
 
-    monkeypatch.setattr(replab, "extract_irreps", broken)
+    monkeypatch.setattr(replab, "isotypic_types", broken)
     out = tmp_path / "report.json"
     assert run(["repr", "analyze", "--source", "defining-power",
                 "--power", "1", "--out", str(out)]) == 1
@@ -185,12 +185,14 @@ def _untimed(checks):
 
 
 @pytest.mark.parametrize("source, arg, analyses", [
-    ("fock", "1/2", 3), ("fock", "3/2", 12), ("defining-power", "0", 1),
-    ("defining-power", "1", 1), ("defining-power", "2", 3),
-    ("defining-power", "3", 6)])
+    ("fock", "1/2", 3), ("fock", "3/2", 6),
+    pytest.param("fock", "5/2", 10, marks=pytest.mark.slow),
+    ("defining-power", "0", 1), ("defining-power", "1", 1),
+    ("defining-power", "2", 3), ("defining-power", "3", 4)])
 def test_repr_shares_the_analysis_of_equal_irreps(monkeypatch, source, arg,
                                                   analyses):
-    # the shared report equals one that analyses every irrep on its own
+    # the report analyses each isotypic type once and equals one that
+    # analyses every copy extract_irreps yields on its own
     rep = cli.build_source(source, j=arg, power=arg)
     unshared = [c for irr in replab.extract_irreps(rep)
                 for c in cli.irrep_checks(irr)]
@@ -202,48 +204,76 @@ def test_repr_shares_the_analysis_of_equal_irreps(monkeypatch, source, arg,
         return irrep_checks(irr)
 
     monkeypatch.setattr(cli, "irrep_checks", counting)
-    report, _ = cli.suite_repr(rep)
+    report = cli.suite_repr(rep)
     assert _untimed(report.checks[2:]) == _untimed(unshared)
     assert len(analysed) == analyses
-    # a shared copy carries no wall time: nothing was timed for it
+    # a repeated copy carries no wall time: nothing was timed for it
     timed = [c for c in report.checks[2:] if c.wall_time is not None]
     assert len(timed) == 2 * analyses
 
 
-def test_repr_analyses_a_copy_with_other_matrices(monkeypatch, tmp_path,
-                                                  capsys):
-    # Fock(1/2) holds two copies of the spinor V(-1/2,-1/2); one flipped
-    # entry in the second copy's F[-2,-2] is its own analysis's failure
-    extract_irreps = replab.extract_irreps
+def test_repr_reports_a_corrupted_type_representative(monkeypatch, tmp_path,
+                                                      capsys):
+    # Fock(1/2) holds two copies of the spinor V(-1/2,-1/2), analysed
+    # once: one flipped entry in its F[-2,-2] fails that one analysis
+    isotypic_types = replab.isotypic_types
     analysed = []
     irrep_checks = cli.irrep_checks
 
     def flipped(rep):
-        irreps = extract_irreps(rep)
-        spinors = [irr for irr in irreps if irr.dim == 4]
-        assert len(spinors) == 2
-        cartan = spinors[1].genmats[GenIndex(-2, -2, 2)].cols
+        types = isotypic_types(rep)
+        [(spinor, mult)] = [t for t in types if t[0].dim == 4]
+        assert mult == 2
+        cartan = spinor.genmats[GenIndex(-2, -2, 2)].cols
         cartan[0][0] = -cartan[0][0]
-        return irreps
+        return types
 
     def counting(irr):
         analysed.append(irr)
         return irrep_checks(irr)
 
     monkeypatch.setattr(cli, "irrep_checks", counting)
+    monkeypatch.setattr(replab, "isotypic_types", flipped)
     out = tmp_path / "report.json"
-    argv = ["repr", "analyze", "--source", "fock", "--j", "1/2",
-            "--out", str(out)]
-    assert run(argv) == 0
-    assert [irr.dim for irr in analysed] == [5, 4, 1]
-    analysed.clear()
-    monkeypatch.setattr(replab, "extract_irreps", flipped)
-    assert run(argv) == 1
-    assert [irr.dim for irr in analysed] == [5, 4, 4]
+    assert run(["repr", "analyze", "--source", "fock", "--j", "1/2",
+                "--out", str(out)]) == 1
+    assert [irr.dim for irr in analysed] == [5, 4]
     assert "FAIL    repr/internal-error" in capsys.readouterr().out
     [check] = json.loads(out.read_text())["checks"]
     assert check["witness"]["error"].startswith(
         "AssertionError: omega fails to intertwine F[-2,-2]")
+
+
+def test_repr_dimension_accounting_is_a_failed_check(monkeypatch, tmp_path,
+                                                     capsys):
+    # one raising-kernel vector dropped at the spinor weight of Fock(1/2):
+    # the types miss a copy, and the sum of their dimensions fails the
+    # check, while the analyses of every type are still reported
+    spinor = replab.weight_decompose(replab.fock_representation(
+        Fraction(1, 2)))[Weight((Fraction(-1, 2), Fraction(-1, 2)))]
+    kernel_rows, dropped = replab.kernel_rows, []
+
+    def dropping(rows, cols):
+        kernel = kernel_rows(rows, cols)
+        if cols == spinor and not dropped:
+            dropped.append(kernel.pop())
+        return kernel
+
+    monkeypatch.setattr(replab, "kernel_rows", dropping)
+    out = tmp_path / "report.json"
+    assert run(["repr", "analyze", "--source", "fock", "--j", "1/2",
+                "--out", str(out)]) == 1
+    assert len(dropped) == 1
+    printed = capsys.readouterr().out
+    assert "FAIL    repr/dimension-accounting" in printed
+    assert "repr/internal-error" not in printed
+    checks = json.loads(out.read_text())["checks"]
+    [accounting] = [c for c in checks
+                    if c["id"] == "repr/dimension-accounting"]
+    assert accounting["witness"] == {"sum": 12, "ambient": 16}
+    assert [c["id"] for c in checks if c["status"] == "fail"] == [
+        "repr/dimension-accounting"]
+    assert sum(c["id"].endswith("/slice-data") for c in checks) == 5
 
 
 def test_repr_reports_a_non_echelon_irrep_basis(monkeypatch, tmp_path,
@@ -272,17 +302,17 @@ def test_repr_reports_a_projector_image_meeting_its_kernel(monkeypatch,
                                                            tmp_path, capsys):
     # f sending the tau0 = -1 vector of the adjoint in defining^2 onto its
     # o3-singlet, which spans ker(e) at weight (0, 0)
-    extract_irreps = replab.extract_irreps
+    isotypic_types = replab.isotypic_types
 
     def broken(rep):
-        irreps = extract_irreps(rep)
-        [adj] = [irr for irr in irreps if irr.dim == 10]
+        types = isotypic_types(rep)
+        [adj] = [irr for irr, _ in types if irr.dim == 10]
         [singlet] = replab.multiplicity_slices(adj)[(0, 0)].basis
         [u] = adj.weight_positions[Weight((-1, 0))]
         adj.genmats[replab.O3_LOWERING].cols[u] = dict(singlet)
-        return irreps
+        return types
 
-    monkeypatch.setattr(replab, "extract_irreps", broken)
+    monkeypatch.setattr(replab, "isotypic_types", broken)
     out = tmp_path / "report.json"
     assert run(["repr", "analyze", "--source", "defining-power",
                 "--power", "2", "--out", str(out)]) == 1

@@ -14,8 +14,8 @@ from quasispin.replab import (O3_LOWERING, O3_RAISING, _coordinates,
                               defining_representation, extract_irreps,
                               extremal_projector_o3, fock_representation,
                               irrep_of_weight, irrep_with_highest_weight,
-                              multiplicity_slices, omega_genindex,
-                              omega_operator, pf_slice_maps,
+                              isotypic_types, multiplicity_slices,
+                              omega_genindex, omega_operator, pf_slice_maps,
                               tensor_power_representation,
                               tensor_product, tps_scalar_probe,
                               trivial_representation, weight_decompose)
@@ -116,11 +116,20 @@ OLD_SOURCES = (lambda: fock_representation(HALF),
 def test_targeted_irrep_matches_first_extracted():
     # for every old source and dominant weight: None exactly when
     # extraction finds no irrep of that highest weight, otherwise the
-    # first such irrep, with the same basis, weights and genmats
+    # first such irrep, with the same basis, weights and genmats; the
+    # type representatives are these irreps, one per highest weight
     found = missing = 0
     for make in OLD_SOURCES:
         rep = make()
         irreps = extract_irreps(rep)
+        types = isotypic_types(rep)
+        assert Counter(i.highest_weight for i in irreps) == {
+            irr.highest_weight: mult for irr, mult in types}
+        for irr, _ in types:
+            want = irrep_with_highest_weight(rep, irr.highest_weight)
+            assert irr.basis == want.basis, (rep, irr)
+            assert irr.weights == want.weights, (rep, irr)
+            assert irr.genmats == want.genmats, (rep, irr)
         for mu in weight_decompose(rep):
             lam = mu.comps
             if not 0 >= lam[0] >= lam[1]:
@@ -231,11 +240,23 @@ FOCK_MULTIPLICITIES = {
 }
 
 
+@pytest.mark.parametrize("j", [HALF, Fraction(3, 2), Fraction(5, 2)],
+                         ids=str)
+def test_fock_multiplicities(j):
+    rep = fock_representation(j)
+    types = isotypic_types(rep)
+    got = {irr.highest_weight: mult for irr, mult in types}
+    assert got == FOCK_MULTIPLICITIES[j]
+    assert [irr.weights[0] for irr, _ in types] == sorted(
+        (irr.weights[0] for irr, _ in types), key=_weight_sort_key)
+    assert sum(mult * irr.dim for irr, mult in types) == rep.dim
+
+
 @pytest.mark.parametrize("j", [HALF, Fraction(3, 2),
                                pytest.param(Fraction(5, 2),
                                             marks=pytest.mark.slow)],
                          ids=str)
-def test_fock_multiplicities(j):
+def test_fock_multiplicities_of_extracted_copies(j):
     got = Counter(irr.highest_weight
                   for irr in extract_irreps(fock_representation(j)))
     assert got == FOCK_MULTIPLICITIES[j]
