@@ -4,13 +4,16 @@ Subcommands:
   verify identities --n {1,2,3} [--slow] [--seed S]
   fock build --j {1/2,3/2,5/2}
   repr analyze --source {fock,defining-power} [--j J] [--power P]
-  classify --weight L1,L2    (any o5 highest weight, 0 >= L1 >= L2)
+  classify --weight L1,L2 [--format json|csv]
+                             (any o5 highest weight, 0 >= L1 >= L2)
   probe conventions
 
 Exit codes: 0 all checks pass (anomalies allowed), 1 some check failed
 (an internal error inside a suite is reported as the failed check
 <command>/internal-error), 2 usage error.  --out writes the report or
-table, --format json|csv.
+table.  The suites time nothing themselves: each report stamps its
+checks (see `report`).  `repr analyze` builds its source before the
+suite creates its report, so that build is in no check's wall_time.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,8 +28,7 @@ from . import fock, replab, tableaux
 from .liealg import (canonical_generators, defining_matrices, index_range,
                      o3_subalgebra_generators, weyl_dimension, Weight)
 from .report import (Check, VerificationReport, classification_table,
-                     format_sqrt2_power, serialize_value, write_genmap,
-                     write_output)
+                     format_sqrt2_power, write_genmap, write_output)
 from .uea import (CheckResult, IndexSet, UEAElement, capelli,
                   check_corollary_split, check_lemma_l2, check_minorn,
                   check_split_formula, evaluate_in_representation, hat_set,
@@ -37,17 +38,10 @@ from .uea import (CheckResult, IndexSet, UEAElement, capelli,
 DEFAULT_SEED = 20120521
 
 
-def _sym_check(report, check, oracle=None):
-    """Record a symbolic identity check plus its matrix-oracle shadow.
-
-    check is a thunk returning the CheckResult, so that building it (the
-    normal ordering) falls inside the timed region.
-    """
-    t0 = time.perf_counter()
-    result = check()
+def _sym_check(report, result, oracle=None):
+    """Record a symbolic identity check plus its matrix-oracle shadow."""
     wit = None if result.equal else {"difference": repr(result.witness)}
-    report.add(f"sym/{result.name}", result.equal, wit,
-               round(time.perf_counter() - t0, 6))
+    report.add(f"sym/{result.name}", result.equal, wit)
     if oracle is not None:
         genmap, dim = oracle
         ok = result.matrix_oracle(genmap, dim)
@@ -71,7 +65,6 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
         sizes.append(6)
     for size in sizes:
         ok_all, first_bad = True, None
-        t0 = time.perf_counter()
         count = 0
         for combo in combinations(idx, size):
             I = IndexSet(combo, n)
@@ -88,34 +81,29 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
                         ok_all = False
                         first_bad = first_bad or f"oracle {r.name}"
         report.add(f"lemma-l2/size-{size}", ok_all,
-                   None if ok_all else {"witness": first_bad, "cases": count},
-                   round(time.perf_counter() - t0, 3))
+                   None if ok_all else {"witness": first_bad, "cases": count})
 
     # splitting formulas
     if n >= 2:
         for combo in combinations(idx, 4):
             I = IndexSet(combo, n)
             for (p, q) in ((2, 2), (4, 0), (0, 4)):
-                _sym_check(report, lambda: check_split_formula(I, p, q),
-                           oracle)
-            _sym_check(report, lambda: check_corollary_split(I), oracle)
+                _sym_check(report, check_split_formula(I, p, q), oracle)
+            _sym_check(report, check_corollary_split(I), oracle)
         for size in (2, 4):
             for combo in combinations(idx, size):
                 if -n not in combo:
                     continue
-                _sym_check(report, lambda: check_minorn(IndexSet(combo, n)),
-                           oracle)
+                _sym_check(report, check_minorn(IndexSet(combo, n)), oracle)
     if slow and n >= 3:
         big = IndexSet([-3, -2, -1, 0, 1, 2], n)
         for (p, q) in ((2, 4), (4, 2), (6, 0)):
-            _sym_check(report, lambda: check_split_formula(big, p, q),
-                       oracle)
-        _sym_check(report, lambda: check_minorn(big), oracle)
+            _sym_check(report, check_split_formula(big, p, q), oracle)
+        _sym_check(report, check_minorn(big), oracle)
 
     # Capelli centrality
     ks = [2] if n == 1 else [2, 4]
     for k in ks:
-        t0 = time.perf_counter()
         c = capelli(k, n)
         bad = []
         for g in gens:
@@ -125,11 +113,9 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
             if not evaluate_in_representation(comm, *oracle).is_zero():
                 bad.append(f"oracle:{g!r}")
         report.add(f"capelli/C{k}-central", not bad,
-                   None if not bad else {"noncommuting": bad},
-                   round(time.perf_counter() - t0, 3))
+                   None if not bad else {"noncommuting": bad})
 
     # weight shifts of Pfaffians
-    t0 = time.perf_counter()
     bad = []
     for size in range(2, 2 * n + 2, 2):
         for combo in combinations(idx, size):
@@ -148,8 +134,7 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
         if shift != want:
             bad.append(label)
     report.add("pfaffian/weight-shifts", not bad,
-               None if not bad else {"mixed_or_wrong": bad},
-               round(time.perf_counter() - t0, 3))
+               None if not bad else {"mixed_or_wrong": bad})
 
     # o3 commutation of the hat Pfaffians
     sub = o3_subalgebra_generators(n)
@@ -163,12 +148,11 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
     # star-product dictionary expressions (o5 only)
     if n == 2:
         for sign, label in ((1, "2hat"), (-1, "-2hat")):
-            _sym_check(report, lambda: CheckResult(
+            _sym_check(report, CheckResult(
                 f"star-{label}", pfaffian(hat_set(n, sign)),
                 pf_hat_star_expression(n, sign)), oracle)
 
     # PBW confluence evidence on random words
-    t0 = time.perf_counter()
     bad = []
     for trial in range(40):
         length = rng.randint(2, 4)
@@ -182,8 +166,7 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
                 == evaluate_in_representation(a, *oracle)):
             bad.append(f"oracle:{word!r}")
     report.add("pbw/confluence-random", not bad,
-               None if not bad else {"words": bad},
-               round(time.perf_counter() - t0, 3))
+               None if not bad else {"words": bad})
 
     # bilinearity spot checks of the concatenation product
     bad = []
@@ -202,25 +185,21 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
 
 def suite_fock(j) -> VerificationReport:
     report = VerificationReport(f"fock(j={j})")
-    t0 = time.perf_counter()
     space = fock.FockSpace(j)
     violations = space.car_violations()
     report.add("fock/car-relations", not violations,
                {"violations": [str(v) for v in violations]}
-               if violations else None,
-               round(time.perf_counter() - t0, 3))
+               if violations else None)
     ops = fock.quasispin_operators(space)
     vac = space.vacuum()
     nvac = ops["N"].apply(vac)
     want = {0: -Fraction(2 * Fraction(j) + 1, 2)}
     report.add("fock/number-on-vacuum", nvac == want,
-               None if nvac == want else {"got": serialize_value(nvac)})
+               None if nvac == want else {"got": nvac})
     genmap = fock.dictionary_to_o5(ops)
-    t0 = time.perf_counter()
     viol = fock.verify_representation(genmap)
     report.add("fock/bracket-table-45-pairs", not viol,
-               None if not viol else {"pairs": [f"{a!r},{b!r}" for a, b in viol]},
-               round(time.perf_counter() - t0, 3))
+               None if not viol else {"pairs": [f"{a!r},{b!r}" for a, b in viol]})
     report.add_anomaly("fock/corrected-formulas",
                        {"note": "conventional tau0/A(0)/B(0)/B(1) and the "
                                 "dictionary signs of A(1)/B(1) corrected; "
@@ -233,14 +212,12 @@ def suite_fock(j) -> VerificationReport:
     # represented Pfaffians match the star-product expressions
     pf_ops = {}
     for sign, label in ((1, "2hat"), (-1, "-2hat")):
-        t0 = time.perf_counter()
         lhs = pf_ops[sign] = evaluate_in_representation(
             pfaffian(hat_set(2, sign)), genmap, space.dim)
         rhs = evaluate_in_representation(pf_hat_star_expression(2, sign),
                                          genmap, space.dim)
         report.add(f"fock/star-expression-{label}", lhs == rhs,
-                   None if lhs == rhs else {"mismatch": label},
-                   round(time.perf_counter() - t0, 3))
+                   None if lhs == rhs else {"mismatch": label})
     # matrix-level o3 commutation of the hat Pfaffians
     sub = o3_subalgebra_generators(2)
     for sign, label in ((1, "2hat"), (-1, "-2hat")):
@@ -278,15 +255,13 @@ def irrep_checks(irr: replab.Irrep) -> list:
             counts_ok = False
     report.add(f"repr/{key}/slice-tableau-counts", counts_ok,
                None if counts_ok else {"irrep": key})
-    t0 = time.perf_counter()
     pr = replab.extremal_projector_o3(irr)
     P = pr.matrix
     e = irr.genmats[replab.O3_RAISING]
     f = irr.genmats[replab.O3_LOWERING]
     ok = (P @ P) == P and (e @ P).is_zero() and (P @ f).is_zero()
     report.add(f"repr/{key}/extremal-projector", ok,
-               None if ok else {"irrep": key},
-               round(time.perf_counter() - t0, 3))
+               None if ok else {"irrep": key})
     if pr.singular_weights:
         report.add_anomaly(
             f"repr/{key}/projector-series-singular",
@@ -295,12 +270,10 @@ def irrep_checks(irr: replab.Irrep) -> list:
              "note": "series denominators vanish there; the algebraic "
                      "projector is used and cross-checked on the "
                      "nonsingular blocks"})
-    t0 = time.perf_counter()
     om = replab.omega_operator(irr)
     conj = (om @ irr.pf_matrix(-1)) == (irr.pf_matrix(+1) @ om).scale(-1)
     report.add(f"repr/{key}/omega-conjugates-pfaffians", conj,
-               None if conj else {"irrep": key},
-               round(time.perf_counter() - t0, 3))
+               None if conj else {"irrep": key})
     om2 = om @ om
     central = all((om2 @ irr.genmats[g]) == (irr.genmats[g] @ om2)
                   for g in irr.genmats)
@@ -322,13 +295,11 @@ def irrep_checks(irr: replab.Irrep) -> list:
 
 def suite_repr(rep: replab.Representation) -> VerificationReport:
     report = VerificationReport(f"repr({rep.label})")
-    t0 = time.perf_counter()
     types = replab.isotypic_types(rep)
     total = sum(mult * irr.dim for irr, mult in types)
     report.add("repr/dimension-accounting", total == rep.dim,
                None if total == rep.dim else
-               {"sum": total, "ambient": rep.dim},
-               round(time.perf_counter() - t0, 3))
+               {"sum": total, "ambient": rep.dim})
     bad = [str(irr.highest_weight) for irr, _ in types
            if irr.dim != weyl_dimension(*irr.highest_weight)]
     report.add("repr/weyl-dimensions", not bad,
@@ -346,31 +317,27 @@ def suite_repr(rep: replab.Representation) -> VerificationReport:
 
 def suite_classify(lam1, lam2):
     report = VerificationReport(f"classify({lam1},{lam2})")
-    t0 = time.perf_counter()
     ntab = len(tableaux.enumerate_tableaux(lam1, lam2))
     wd = weyl_dimension(lam1, lam2)
     report.add("classify/tableau-count", ntab == wd,
-               None if ntab == wd else {"tableaux": ntab, "weyl": wd},
-               round(time.perf_counter() - t0, 3))
+               None if ntab == wd else {"tableaux": ntab, "weyl": wd})
     irr = replab.irrep_of_weight((lam1, lam2))
-    t0 = time.perf_counter()
     try:
         result = tableaux.validate_against_representation(irr)
     except tableaux.ClassificationError as ex:
         report.add("classify/assign-k", False, {"error": str(ex)})
         return report, None
     states = result["states"]
-    report.add("classify/assign-k", True, None,
-               round(time.perf_counter() - t0, 3))
+    report.add("classify/assign-k", True)
     labels = [s.label() for s in states]
     ok = len(labels) == len(set(labels)) == irr.dim
     report.add("classify/labels-distinct-complete", ok,
                None if ok else {"labels": len(labels), "dim": irr.dim})
     report.add("classify/case-pattern", not result["case_mismatches"],
                None if not result["case_mismatches"]
-               else {"mismatches": serialize_value(result["case_mismatches"])})
+               else {"mismatches": result["case_mismatches"]})
     for anom in result["anomalies"]:
-        report.add_anomaly(f"classify/{anom['kind']}", serialize_value(anom))
+        report.add_anomaly(f"classify/{anom['kind']}", anom)
     report.add("classify/gamma-single-winner",
                result["gamma_winner"] in ("proof-text", "definition", "tie"),
                None if result["gamma_winner"] != "none"
@@ -398,13 +365,13 @@ def suite_probe():
         all_match_f11 = all(r["matches_F11_eigenvalue"] for r in sym_rows)
         any_match_d1 = any(r["matches_D1"] for r in sym_rows)
         report.add(f"probe/{key}/pf-sym-acts-as-F11", all_match_f11,
-                   None if all_match_f11 else serialize_value(sym_rows))
+                   None if all_match_f11 else sym_rows)
         if sym_rows and not any_match_d1:
             report.add_anomaly(
                 f"probe/{key}/D1-convention-shift",
                 {"note": "PfF_{-1,1} acts as F_11, not as "
                          "D_1(F_11) = F_11 + 1/2",
-                 "rows": serialize_value(sym_rows)})
+                 "rows": sym_rows})
         if probe["c_constant"]:
             report.add_anomaly(
                 f"probe/{key}/c-constant-measured",
@@ -412,12 +379,12 @@ def suite_probe():
                          "on o3-highest vectors; measured, since the "
                          "received closed forms are ambiguous",
                  "fits_c(T)=1-T": probe["c_fits_one_minus_T"],
-                 "rows": serialize_value(probe["c_constant"])})
+                 "rows": probe["c_constant"]})
         val = tableaux.validate_against_representation(irr)
         winners.setdefault(val["gamma_winner"], []).append(key)
         report.add_anomaly(
             f"probe/{key}/roundtrip-charpolys",
-            {f"T={t},N={nn}": [serialize_value(c) for c in cp]
+            {f"T={t},N={nn}": cp
              for (t, nn), cp in val["roundtrip_charpolys"].items()})
     decisive = [w for w in winners if w not in ("tie",)]
     unique = len(decisive) == 1 and decisive[0] != "none"
@@ -446,10 +413,9 @@ def _parse_weight(s: str):
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report/table to this path")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = argparse.ArgumentParser(prog="quasispin")
+    p.set_defaults(format="json")
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="symbolic identity suites",
@@ -457,6 +423,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("what", choices=("identities",))
     v.add_argument("--n", type=int, choices=(1, 2, 3), default=2)
     v.add_argument("--slow", action="store_true")
+    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     f = sub.add_parser("fock", help="Fock-space ground truth",
                        parents=[common])
@@ -474,6 +441,7 @@ def make_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="fourth-quantum-number table",
                        parents=[common])
     c.add_argument("--weight", type=_parse_weight, required=True)
+    c.add_argument("--format", choices=("json", "csv"), default="json")
 
     pr = sub.add_parser("probe", help="convention probes", parents=[common])
     pr.add_argument("what", choices=("conventions",))
@@ -483,8 +451,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "classify":
-        parser.error("--format csv is only for classify tables")
     genmap = table = None
     try:
         if args.command == "verify":

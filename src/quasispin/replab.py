@@ -223,17 +223,23 @@ def irrep_of_weight(lam) -> Irrep:
     there is V(lam).  The Weyl-dimension check guards every step.
     """
     lam = (Fraction(lam[0]), Fraction(lam[1]))
-    weyl_dimension(*lam)  # ValueError unless a valid highest weight
+    expected = weyl_dimension(*lam)  # ValueError unless a highest weight
     half = Fraction(1, 2)
     base = {(0, 0): trivial_representation, (0, -1): defining_representation,
             (-half, -half): lambda: fock_representation(half)}
     if lam in base:
-        return irrep_with_highest_weight(base[lam](), lam)
-    mu = (0, -1) if lam[0] != lam[1] else (-half, -half)
-    rest = irrep_of_weight((lam[0] - mu[0], lam[1] - mu[1]))
-    return irrep_with_highest_weight(
-        tensor_product(rest.representation(),
-                       irrep_of_weight(mu).representation()), lam)
+        irr = irrep_with_highest_weight(base[lam](), lam)
+    else:
+        mu = (0, -1) if lam[0] != lam[1] else (-half, -half)
+        rest = irrep_of_weight((lam[0] - mu[0], lam[1] - mu[1]))
+        irr = irrep_with_highest_weight(
+            tensor_product(rest.representation(),
+                           irrep_of_weight(mu).representation()), lam)
+    if irr.dim != expected:
+        raise AssertionError(
+            f"irrep {lam} in {irr.source}: span dim {irr.dim} != "
+            f"Weyl dimension {expected}")
+    return irr
 
 
 def _root_generators(rep: Representation):
@@ -270,11 +276,6 @@ def _lowering_orbit(rep: Representation, order, at, kv, lowering):
                                for v in blocks.get(nu - alpha, ()))
     basis = [v for nu in order[at:] for v in blocks[nu]]
     weights = [nu for nu in order[at:] for _ in blocks[nu]]
-    expected = weyl_dimension(lam[0], lam[1])
-    if len(basis) != expected:
-        raise AssertionError(
-            f"irrep {lam} in {rep.label}: span dim {len(basis)} != "
-            f"Weyl dimension {expected}")
     return Irrep(rep.label, lam, basis, weights)
 
 

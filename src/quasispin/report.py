@@ -3,6 +3,12 @@
 JSON schema: reports are {"schema_version": 1, "suite": ..., "checks":
 [{"id", "status", "witness"?, "wall_time"?}]} with status one of
 pass|fail|anomaly, and every failed check carrying a nonempty witness.
+The report keeps the one clock of check timing: each check it records
+(`add`, `add_anomaly`) gets wall_time = the seconds, to 6 digits,
+since its previous check or since the report was created, so the times
+of a report add up to the time of its suite.  A Check built directly (a
+repeated copy) carries none.
+
 Classification tables are {"weight": [lam1, lam2], "states": [{T, tau0,
 N, k, case, sigma, slice_dim}]}.  Rationals travel as "p/q" strings;
 CSV is the flattened table with the same headers.  The Fock generator
@@ -18,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 from .fock import rescale_exponent
@@ -56,13 +63,19 @@ class VerificationReport:
     def __init__(self, suite: str):
         self.suite = suite
         self.checks = []
+        self._lap = time.perf_counter()
 
-    def add(self, check_id: str, ok, witness=None, wall_time=None):
-        self.checks.append(Check(check_id, PASS if ok else FAIL, witness,
-                                 wall_time))
+    def _record(self, check_id: str, status: str, witness):
+        now = time.perf_counter()
+        self.checks.append(Check(check_id, status, witness,
+                                 round(now - self._lap, 6)))
+        self._lap = now
 
-    def add_anomaly(self, check_id: str, witness, wall_time=None):
-        self.checks.append(Check(check_id, ANOMALY, witness, wall_time))
+    def add(self, check_id: str, ok, witness=None):
+        self._record(check_id, PASS if ok else FAIL, witness)
+
+    def add_anomaly(self, check_id: str, witness):
+        self._record(check_id, ANOMALY, witness)
 
     def failed(self):
         return [c for c in self.checks if c.status == FAIL]

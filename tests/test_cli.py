@@ -175,6 +175,8 @@ def test_internal_error_is_a_failed_check(monkeypatch, tmp_path, capsys,
                 "--power", "1", "--out", str(out)]) == 1
     assert "FAIL    repr/internal-error" in capsys.readouterr().out
     report = json.loads(out.read_text())
+    for chk in report["checks"]:
+        chk.pop("wall_time", None)
     assert report["checks"] == [{
         "id": "repr/internal-error", "status": "fail",
         "witness": {"error": f"{error.__name__}: dimensions do not add up"}}]
@@ -196,20 +198,22 @@ def test_repr_shares_the_analysis_of_equal_irreps(monkeypatch, source, arg,
     rep = cli.build_source(source, j=arg, power=arg)
     unshared = [c for irr in replab.extract_irreps(rep)
                 for c in cli.irrep_checks(irr)]
-    analysed = []
+    analysed, own = [], []
     irrep_checks = cli.irrep_checks
 
     def counting(irr):
         analysed.append(irr)
-        return irrep_checks(irr)
+        checks = irrep_checks(irr)
+        own.extend(checks)
+        return checks
 
     monkeypatch.setattr(cli, "irrep_checks", counting)
     report = cli.suite_repr(rep)
     assert _untimed(report.checks[2:]) == _untimed(unshared)
     assert len(analysed) == analyses
-    # a repeated copy carries no wall time: nothing was timed for it
-    timed = [c for c in report.checks[2:] if c.wall_time is not None]
-    assert len(timed) == 2 * analyses
+    # every check of an analysed type is timed, no repeated copy is
+    assert all(c.wall_time is not None for c in own)
+    assert [c for c in report.checks[2:] if c.wall_time is not None] == own
 
 
 def test_repr_reports_a_corrupted_type_representative(monkeypatch, tmp_path,
@@ -276,6 +280,32 @@ def test_repr_dimension_accounting_is_a_failed_check(monkeypatch, tmp_path,
     assert sum(c["id"].endswith("/slice-data") for c in checks) == 5
 
 
+def test_repr_weyl_dimension_mismatch_is_a_failed_check(monkeypatch,
+                                                        tmp_path, capsys):
+    # a Weyl dimension one too large for V(0,-1): the repr/weyl-dimensions
+    # check fails with the irrep as its witness, and the analysis of the
+    # irrep is still reported
+    weyl_dimension = cli.weyl_dimension
+
+    def off_by_one(lam1, lam2):
+        return weyl_dimension(lam1, lam2) + ((lam1, lam2) == (0, -1))
+
+    monkeypatch.setattr(replab, "weyl_dimension", off_by_one)
+    monkeypatch.setattr(cli, "weyl_dimension", off_by_one)
+    out = tmp_path / "report.json"
+    assert run(["repr", "analyze", "--source", "defining-power",
+                "--power", "1", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "FAIL    repr/weyl-dimensions" in printed
+    assert "repr/internal-error" not in printed
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["id"], c.get("witness")) for c in checks
+            if c["status"] == "fail"] == [
+        ("repr/weyl-dimensions",
+         {"irreps": [str((Fraction(0), Fraction(-1)))]})]
+    assert "repr/0,-1/slice-data" in [c["id"] for c in checks]
+
+
 def test_repr_reports_a_non_echelon_irrep_basis(monkeypatch, tmp_path,
                                                 capsys):
     # generator matrices are read at the pivots of each weight block: a
@@ -292,7 +322,10 @@ def test_repr_reports_a_non_echelon_irrep_basis(monkeypatch, tmp_path,
     assert run(["repr", "analyze", "--source", "defining-power",
                 "--power", "2", "--out", str(out)]) == 1
     assert "FAIL    repr/internal-error" in capsys.readouterr().out
-    assert json.loads(out.read_text())["checks"] == [{
+    checks = json.loads(out.read_text())["checks"]
+    for chk in checks:
+        chk.pop("wall_time", None)
+    assert checks == [{
         "id": "repr/internal-error", "status": "fail",
         "witness": {"error": "AssertionError: coordinate basis is not in "
                              "reduced echelon form"}}]

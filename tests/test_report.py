@@ -1,10 +1,12 @@
 import json
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from quasispin import report
 from quasispin.fock import build_o5_on_fock, rescale_exponent
 from quasispin.report import (ANOMALY, FAIL, PASS, Check, VerificationReport,
                               classification_table, format_sqrt2_power,
@@ -21,19 +23,36 @@ def test_failed_check_requires_witness():
 
 def test_report_roundtrip():
     rep = VerificationReport("demo")
-    rep.add("a/one", True, wall_time=0.25)
+    rep.add("a/one", True)
     rep.add("a/two", False, {"difference": "3F[0,-1]"})
     rep.add_anomaly("a/three", {"note": "convention shift"})
     payload = rep.to_json()
     back = json.loads(json.dumps(payload))
     assert back == payload
     assert back["schema_version"] == 1 and back["suite"] == "demo"
+    for c in back["checks"]:
+        assert c.pop("wall_time") >= 0
     assert back["checks"] == [
-        {"id": "a/one", "status": PASS, "wall_time": 0.25},
+        {"id": "a/one", "status": PASS},
         {"id": "a/three", "status": ANOMALY,
          "witness": {"note": "convention shift"}},
         {"id": "a/two", "status": FAIL, "witness": {"difference": "3F[0,-1]"}}]
     assert rep.exit_code() == 1
+
+
+def test_report_times_each_check_since_the_previous(monkeypatch):
+    # the report's clock reads 0, 1, 3, 6, 10: its laps are 1, 2, 3, 4
+    reads = iter([0, 1, 3, 6, 10])
+    monkeypatch.setattr(report, "time",
+                        SimpleNamespace(perf_counter=lambda: next(reads)))
+    rep = VerificationReport("demo")
+    rep.add("a/pass", True)
+    rep.add_anomaly("a/anomaly", {"note": "odd"})
+    rep.add("a/fail", False, {"why": "because"})
+    rep.add("a/last", True)
+    assert [c.wall_time for c in rep.checks] == [1, 2, 3, 4]
+    assert Check("a/copy", PASS).wall_time is None
+    assert "wall_time" not in Check("a/copy", PASS).to_json()
 
 
 def test_exit_code_contract():
