@@ -8,7 +8,6 @@ basis rescaled by sqrt2^(tau0 + N), where the dictionary's factors
 1/sqrt2 cancel (see `fock`).
 """
 
-from .scalars import Rational
 from .linalg import LinOp, characteristic_polynomial
 from .liealg import (GenIndex, Weight, bracket, canonical_generators,
                      canonicalize, defining_matrices, root_of, weyl_dimension)

@@ -28,7 +28,7 @@ from . import fock, replab, tableaux
 from .liealg import (canonical_generators, defining_matrices, index_range,
                      o3_subalgebra_generators, weyl_dimension, Weight)
 from .report import (Check, VerificationReport, classification_table,
-                     format_sqrt2_power, write_genmap, write_output)
+                     write_output)
 from .uea import (CheckResult, IndexSet, UEAElement, capelli,
                   check_corollary_split, check_lemma_l2, check_minorn,
                   check_split_formula, evaluate_in_representation, hat_set,
@@ -40,13 +40,11 @@ DEFAULT_SEED = 20120521
 
 def _sym_check(report, result, oracle=None):
     """Record a symbolic identity check plus its matrix-oracle shadow."""
-    wit = None if result.equal else {"difference": repr(result.witness)}
-    report.add(f"sym/{result.name}", result.equal, wit)
+    report.add(f"sym/{result.name}", result.equal,
+               {"difference": repr(result.witness)})
     if oracle is not None:
-        genmap, dim = oracle
-        ok = result.matrix_oracle(genmap, dim)
-        report.add(f"oracle/{result.name}", ok,
-                   None if ok else {"matrix_mismatch": result.name})
+        report.add(f"oracle/{result.name}", result.matrix_oracle(*oracle),
+                   {"matrix_mismatch": result.name})
 
 
 # -- verify identities ----------------------------------------------------
@@ -81,7 +79,7 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
                         ok_all = False
                         first_bad = first_bad or f"oracle {r.name}"
         report.add(f"lemma-l2/size-{size}", ok_all,
-                   None if ok_all else {"witness": first_bad, "cases": count})
+                   {"witness": first_bad, "cases": count})
 
     # splitting formulas
     if n >= 2:
@@ -112,8 +110,7 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
                 bad.append(repr(g))
             if not evaluate_in_representation(comm, *oracle).is_zero():
                 bad.append(f"oracle:{g!r}")
-        report.add(f"capelli/C{k}-central", not bad,
-                   None if not bad else {"noncommuting": bad})
+        report.add(f"capelli/C{k}-central", not bad, {"noncommuting": bad})
 
     # weight shifts of Pfaffians
     bad = []
@@ -133,8 +130,7 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
         want = Weight.e(n, n) if sign > 0 else -Weight.e(n, n)
         if shift != want:
             bad.append(label)
-    report.add("pfaffian/weight-shifts", not bad,
-               None if not bad else {"mixed_or_wrong": bad})
+    report.add("pfaffian/weight-shifts", not bad, {"mixed_or_wrong": bad})
 
     # o3 commutation of the hat Pfaffians
     sub = o3_subalgebra_generators(n)
@@ -143,7 +139,7 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
         bad = [repr(g) for g in sub
                if not pf.commutator(UEAElement.gen(g)).normal_order().is_zero()]
         report.add(f"pfaffian/{label}-commutes-with-o{2 * n - 1}", not bad,
-                   None if not bad else {"noncommuting": bad})
+                   {"noncommuting": bad})
 
     # star-product dictionary expressions (o5 only)
     if n == 2:
@@ -165,8 +161,7 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
         if not (evaluate_in_representation(x, *oracle)
                 == evaluate_in_representation(a, *oracle)):
             bad.append(f"oracle:{word!r}")
-    report.add("pbw/confluence-random", not bad,
-               None if not bad else {"words": bad})
+    report.add("pbw/confluence-random", not bad, {"words": bad})
 
     # bilinearity spot checks of the concatenation product
     bad = []
@@ -176,7 +171,7 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
         rhs = xs[0] * xs[2] + xs[1] * xs[2]
         if not (lhs - rhs).normal_order().is_zero():
             bad.append(trial)
-    report.add("uea/bilinearity", not bad, None if not bad else {"trials": bad})
+    report.add("uea/bilinearity", not bad, {"trials": bad})
     return report
 
 
@@ -188,27 +183,24 @@ def suite_fock(j) -> VerificationReport:
     space = fock.FockSpace(j)
     violations = space.car_violations()
     report.add("fock/car-relations", not violations,
-               {"violations": [str(v) for v in violations]}
-               if violations else None)
+               {"violations": [str(v) for v in violations]})
     ops = fock.quasispin_operators(space)
     vac = space.vacuum()
     nvac = ops["N"].apply(vac)
     want = {0: -Fraction(2 * Fraction(j) + 1, 2)}
-    report.add("fock/number-on-vacuum", nvac == want,
-               None if nvac == want else {"got": nvac})
+    report.add("fock/number-on-vacuum", nvac == want, {"got": nvac})
     genmap = fock.dictionary_to_o5(ops)
     viol = fock.verify_representation(genmap)
     report.add("fock/bracket-table-45-pairs", not viol,
-               None if not viol else {"pairs": [f"{a!r},{b!r}" for a, b in viol]})
+               {"pairs": [f"{a!r},{b!r}" for a, b in viol]})
+    dictionary = {f"F[{i},{j}]": (name, fock.format_sqrt2_power(c, k))
+                  for (i, j), (name, c, k) in fock.DICTIONARY.items()}
     report.add_anomaly("fock/corrected-formulas",
                        {"note": "conventional tau0/A(0)/B(0)/B(1) and the "
                                 "dictionary signs of A(1)/B(1) corrected; "
                                 "B(X) realized as the adjoint of A(X)",
                         "formulas": fock.CORRECTED_FORMULAS,
-                        "dictionary": {f"F[{i},{j}]": (name,
-                                                       format_sqrt2_power(c, k))
-                                       for (i, j), (name, c, k)
-                                       in fock.DICTIONARY.items()}})
+                        "dictionary": dictionary})
     # represented Pfaffians match the star-product expressions
     pf_ops = {}
     for sign, label in ((1, "2hat"), (-1, "-2hat")):
@@ -217,14 +209,14 @@ def suite_fock(j) -> VerificationReport:
         rhs = evaluate_in_representation(pf_hat_star_expression(2, sign),
                                          genmap, space.dim)
         report.add(f"fock/star-expression-{label}", lhs == rhs,
-                   None if lhs == rhs else {"mismatch": label})
+                   {"mismatch": label})
     # matrix-level o3 commutation of the hat Pfaffians
     sub = o3_subalgebra_generators(2)
     for sign, label in ((1, "2hat"), (-1, "-2hat")):
         bad = [repr(g) for g in sub
                if not fock.commutes(pf_ops[sign], genmap[g])]
         report.add(f"fock/pf-{label}-commutes-with-o3", not bad,
-                   None if not bad else {"noncommuting": bad})
+                   {"noncommuting": bad})
     return report, genmap
 
 
@@ -253,15 +245,13 @@ def irrep_checks(irr: replab.Irrep) -> list:
         model_dim = len(info[2]) if info else 0
         if model_dim != s.dim:
             counts_ok = False
-    report.add(f"repr/{key}/slice-tableau-counts", counts_ok,
-               None if counts_ok else {"irrep": key})
+    report.add(f"repr/{key}/slice-tableau-counts", counts_ok, {"irrep": key})
     pr = replab.extremal_projector_o3(irr)
     P = pr.matrix
     e = irr.genmats[replab.O3_RAISING]
     f = irr.genmats[replab.O3_LOWERING]
     ok = (P @ P) == P and (e @ P).is_zero() and (P @ f).is_zero()
-    report.add(f"repr/{key}/extremal-projector", ok,
-               None if ok else {"irrep": key})
+    report.add(f"repr/{key}/extremal-projector", ok, {"irrep": key})
     if pr.singular_weights:
         report.add_anomaly(
             f"repr/{key}/projector-series-singular",
@@ -272,13 +262,11 @@ def irrep_checks(irr: replab.Irrep) -> list:
                      "nonsingular blocks"})
     om = replab.omega_operator(irr)
     conj = (om @ irr.pf_matrix(-1)) == (irr.pf_matrix(+1) @ om).scale(-1)
-    report.add(f"repr/{key}/omega-conjugates-pfaffians", conj,
-               None if conj else {"irrep": key})
+    report.add(f"repr/{key}/omega-conjugates-pfaffians", conj, {"irrep": key})
     om2 = om @ om
     central = all((om2 @ irr.genmats[g]) == (irr.genmats[g] @ om2)
                   for g in irr.genmats)
-    report.add(f"repr/{key}/omega-squared-central", central,
-               None if central else {"irrep": key})
+    report.add(f"repr/{key}/omega-squared-central", central, {"irrep": key})
     # machine-readable slice data: dimensions and Pfaffian map ranks
     slice_data = {}
     for T in sorted({t for (t, _) in slices}):
@@ -289,7 +277,7 @@ def irrep_checks(irr: replab.Irrep) -> list:
                 "up_rank": ups[N].rank,
                 "down_rank": downs[N].rank,
             }
-    report.add(f"repr/{key}/slice-data", True, slice_data)
+    report.add_data(f"repr/{key}/slice-data", slice_data)
     return report.checks
 
 
@@ -298,12 +286,10 @@ def suite_repr(rep: replab.Representation) -> VerificationReport:
     types = replab.isotypic_types(rep)
     total = sum(mult * irr.dim for irr, mult in types)
     report.add("repr/dimension-accounting", total == rep.dim,
-               None if total == rep.dim else
                {"sum": total, "ambient": rep.dim})
     bad = [str(irr.highest_weight) for irr, _ in types
            if irr.dim != weyl_dimension(*irr.highest_weight)]
-    report.add("repr/weyl-dimensions", not bad,
-               None if not bad else {"irreps": bad})
+    report.add("repr/weyl-dimensions", not bad, {"irreps": bad})
     # one analysis per type; its further copies repeat the checks, untimed
     for irr, mult in types:
         checks = irrep_checks(irr)
@@ -320,7 +306,7 @@ def suite_classify(lam1, lam2):
     ntab = len(tableaux.enumerate_tableaux(lam1, lam2))
     wd = weyl_dimension(lam1, lam2)
     report.add("classify/tableau-count", ntab == wd,
-               None if ntab == wd else {"tableaux": ntab, "weyl": wd})
+               {"tableaux": ntab, "weyl": wd})
     irr = replab.irrep_of_weight((lam1, lam2))
     try:
         result = tableaux.validate_against_representation(irr)
@@ -332,16 +318,14 @@ def suite_classify(lam1, lam2):
     labels = [s.label() for s in states]
     ok = len(labels) == len(set(labels)) == irr.dim
     report.add("classify/labels-distinct-complete", ok,
-               None if ok else {"labels": len(labels), "dim": irr.dim})
+               {"labels": len(labels), "dim": irr.dim})
     report.add("classify/case-pattern", not result["case_mismatches"],
-               None if not result["case_mismatches"]
-               else {"mismatches": result["case_mismatches"]})
+               {"mismatches": result["case_mismatches"]})
     for anom in result["anomalies"]:
         report.add_anomaly(f"classify/{anom['kind']}", anom)
     report.add("classify/gamma-single-winner",
                result["gamma_winner"] in ("proof-text", "definition", "tie"),
-               None if result["gamma_winner"] != "none"
-               else {"winner": result["gamma_winner"]})
+               {"winner": result["gamma_winner"]})
     table = classification_table(irr.highest_weight, states)
     table["gamma_winner"] = result["gamma_winner"]
     return report, table
@@ -364,8 +348,7 @@ def suite_probe():
         sym_rows = probe["pf_sym_scalar"]
         all_match_f11 = all(r["matches_F11_eigenvalue"] for r in sym_rows)
         any_match_d1 = any(r["matches_D1"] for r in sym_rows)
-        report.add(f"probe/{key}/pf-sym-acts-as-F11", all_match_f11,
-                   None if all_match_f11 else sym_rows)
+        report.add(f"probe/{key}/pf-sym-acts-as-F11", all_match_f11, sym_rows)
         if sym_rows and not any_match_d1:
             report.add_anomaly(
                 f"probe/{key}/D1-convention-shift",
@@ -388,8 +371,7 @@ def suite_probe():
              for (t, nn), cp in val["roundtrip_charpolys"].items()})
     decisive = [w for w in winners if w not in ("tie",)]
     unique = len(decisive) == 1 and decisive[0] != "none"
-    report.add("probe/gamma-winner-unique", unique,
-               None if unique else {"winners": winners})
+    report.add("probe/gamma-winner-unique", unique, {"winners": winners})
     if unique:
         report.add_anomaly("probe/gamma-winner",
                            {"convention": decisive[0],
@@ -468,8 +450,6 @@ def main(argv=None) -> int:
             report, table = suite_classify(*args.weight)
         elif args.command == "probe":
             report = suite_probe()
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
@@ -487,7 +467,7 @@ def main(argv=None) -> int:
     elif args.out:
         try:
             if genmap is not None:
-                write_genmap(args.out, genmap)
+                fock.write_genmap(args.out, genmap)
             else:
                 write_output(args.out, table if table is not None
                              else report.to_json(), args.format)

@@ -28,19 +28,22 @@ root_of(g), so conjugation multiplies F_g by sqrt2^s(g) with
 s(g) = alpha_1 + alpha_2 for alpha = root_of(g), and every generator
 becomes rational: c * 2^((k + s(g))/2) times its operator.  Brackets,
 ranks and every other basis-independent output are unchanged;
-`report.write_genmap` undoes the scale to export the conventional
-matrices.
+`write_genmap` undoes the scale to export the conventional matrices,
+each entry c * sqrt2^k written as {"a": "p/q", "b": "r/s"} meaning
+a + b sqrt2 (`format_sqrt2_power`): the one wire format with irrational
+numbers, and this module the one that knows the rescaled basis.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from .liealg import bracket, canonical_generators, root_of
 from .linalg import LinOp
-from .scalars import rat
+from .scalars import format_rational, rat
 
 MAX_J = Fraction(5, 2)  # the largest shell built: 2^(4j+2) = 4096 states
 
@@ -263,3 +266,51 @@ def build_o5_on_fock(j):
     ops = quasispin_operators(space)
     genmap = dictionary_to_o5(ops)
     return space, ops, genmap
+
+
+# -- export ---------------------------------------------------------------
+
+
+def format_sqrt2_power(c: Fraction, k: int) -> dict:
+    """c * sqrt2^k in the wire form {"a", "b"} of a + b sqrt2."""
+    x = format_rational(c * Fraction(2) ** (k // 2))
+    return {"a": "0", "b": x} if k % 2 else {"a": x, "b": "0"}
+
+
+def _entry_text(c: Fraction, k: int) -> str:
+    w = format_sqrt2_power(c, k)
+    return (f'        {{\n          "a": {json.dumps(w["a"])},\n'
+            f'          "b": {json.dumps(w["b"])}\n        }}')
+
+
+def write_genmap(path, genmap: dict) -> None:
+    """Write the generator map, rescaled basis (see the module
+    docstring), as the JSON matrices of the conventional generators:
+    entry v of F_g is written as v * sqrt2^-s(g).
+
+    The file is byte for byte json.dumps(payload, indent=2,
+    sort_keys=True) of the dense payload {"F[i,j]": {"cols", "entries",
+    "rows"}}, but written one row at a time from the sparse columns:
+    only nonzero entries are formatted, and no dense matrix or whole-file
+    string is built.
+    """
+    names = sorted((f"F[{g.i},{g.j}]", g) for g in genmap)
+    zero = _entry_text(Fraction(0), 0)
+    with open(path, "w") as fh:
+        fh.write("{")
+        for n, (name, g) in enumerate(names):
+            op, k = genmap[g], -rescale_exponent(g)
+            rows: dict = {}
+            for c, col in op.cols.items():
+                for r, v in col.items():
+                    rows.setdefault(r, {})[c] = _entry_text(v, k)
+            fh.write(f'{"," if n else ""}\n  {json.dumps(name)}: {{\n'
+                     f'    "cols": {op.dim},\n    "entries": [')
+            for r in range(op.dim):
+                cells = [zero] * op.dim
+                for c, text in rows.pop(r, {}).items():
+                    cells[c] = text
+                fh.write(f'{"," if r else ""}\n      [\n'
+                         + ",\n".join(cells) + "\n      ]")
+            fh.write(f'\n    ],\n    "rows": {op.dim}\n  }}')
+        fh.write("\n}")

@@ -355,8 +355,7 @@ class MultiplicitySlice:
     like `Irrep.basis`, echelon-canonical, so every slice is deterministic.
     """
 
-    def __init__(self, irrep: Irrep, T, N, basis):
-        self.irrep = irrep
+    def __init__(self, T, N, basis):
         self.T = T
         self.N = N
         self.basis = basis
@@ -387,7 +386,7 @@ def multiplicity_slices(irrep: Irrep):
         basis = kernel_rows(_stacked_rows([e], cols), cols)
         if not basis:
             continue
-        slices[(T, N)] = MultiplicitySlice(irrep, T, N, basis)
+        slices[(T, N)] = MultiplicitySlice(T, N, basis)
         covered += len(basis) * int(-2 * T + 1)
     if covered != irrep.dim:
         raise AssertionError(
@@ -623,8 +622,8 @@ def tps_scalar_probe(irrep: Irrep):
     slices = multiplicity_slices(irrep)
     m_sym = irrep.matrix_of(pfaffian(IndexSet([-1, 1], N_RANK)))
     proj = extremal_projector_o3(irrep).matrix
-    m_pf2 = proj @ irrep.pf_matrix(+1)
-    m_f20 = proj @ irrep.matrix_of(UEAElement.of(2, 0, N_RANK))
+    pf2 = irrep.pf_matrix(+1)
+    f20 = irrep.matrix_of(UEAElement.of(2, 0, N_RANK))
     for (T, N), s in sorted(slices.items()):
         for v in s.basis:
             scal = _ratio(m_sym.apply(v), v)
@@ -635,8 +634,8 @@ def tps_scalar_probe(irrep: Irrep):
                 "D1_prediction": T + Fraction(1, 2),
                 "matches_D1": scal == T + Fraction(1, 2),
             })
-            x = m_pf2.apply(v)
-            y = m_f20.apply(v)
+            x = proj.apply(pf2.apply(v))
+            y = proj.apply(f20.apply(v))
             if not y:
                 continue
             c = _ratio(x, y)

@@ -2,21 +2,20 @@
 
 JSON schema: reports are {"schema_version": 1, "suite": ..., "checks":
 [{"id", "status", "witness"?, "wall_time"?}]} with status one of
-pass|fail|anomaly, and every failed check carrying a nonempty witness.
+pass|fail|anomaly.  Every failed check carries a nonempty witness, and
+a passing check carries one only when it is data (`add_data`, as
+repr/<lambda>/slice-data): `add` keeps its witness for a failure alone.
 The report keeps the one clock of check timing: each check it records
-(`add`, `add_anomaly`) gets wall_time = the seconds, to 6 digits,
-since its previous check or since the report was created, so the times
-of a report add up to the time of its suite.  A Check built directly (a
-repeated copy) carries none.
+(`add`, `add_data`, `add_anomaly`) gets wall_time = the seconds, to 6
+digits, since its previous check or since the report was created, so
+the times of a report add up to the time of its suite.  A Check built
+directly (a repeated copy) carries none.
 
 Classification tables are {"weight": [lam1, lam2], "states": [{T, tau0,
 N, k, case, sigma, slice_dim}]}.  Rationals travel as "p/q" strings;
 CSV is the flattened table with the same headers.  The Fock generator
-export (`write_genmap`) is the one place with irrational numbers: it
-writes the conventional entries c * sqrt2^k as {"a": "p/q", "b": "r/s"}
-meaning a + b sqrt2, one dense matrix per generator, streamed from the
-sparse operators row by row in the layout of
-json.dumps(indent=2, sort_keys=True).
+export, the one file with irrational numbers, is `fock.write_genmap`;
+this module imports nothing from the domain layers.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import json
 import time
 from fractions import Fraction
 
-from .fock import rescale_exponent
 from .scalars import format_rational
 
 SCHEMA_VERSION = 1
@@ -72,7 +70,12 @@ class VerificationReport:
         self._lap = now
 
     def add(self, check_id: str, ok, witness=None):
-        self._record(check_id, PASS if ok else FAIL, witness)
+        """A pass or a failure; the witness is kept for a failure only."""
+        self._record(check_id, PASS if ok else FAIL, None if ok else witness)
+
+    def add_data(self, check_id: str, data):
+        """A pass that carries data: the one passing check with a witness."""
+        self._record(check_id, PASS, data)
 
     def add_anomaly(self, check_id: str, witness):
         self._record(check_id, ANOMALY, witness)
@@ -150,51 +153,6 @@ def table_to_csv(table: dict) -> str:
     for s in table["states"]:
         writer.writerow([s[h] for h in TABLE_HEADERS])
     return buf.getvalue()
-
-
-def format_sqrt2_power(c: Fraction, k: int) -> dict:
-    """c * sqrt2^k in the wire form {"a", "b"} of a + b sqrt2."""
-    x = format_rational(c * Fraction(2) ** (k // 2))
-    return {"a": "0", "b": x} if k % 2 else {"a": x, "b": "0"}
-
-
-def _entry_text(c: Fraction, k: int) -> str:
-    w = format_sqrt2_power(c, k)
-    return (f'        {{\n          "a": {json.dumps(w["a"])},\n'
-            f'          "b": {json.dumps(w["b"])}\n        }}')
-
-
-def write_genmap(path, genmap: dict) -> None:
-    """Write the Fock generator map, rescaled basis (see `fock`), as the
-    JSON matrices of the conventional generators: entry v of F_g is
-    written as v * sqrt2^-s(g).
-
-    The file is byte for byte json.dumps(payload, indent=2,
-    sort_keys=True) of the dense payload {"F[i,j]": {"cols", "entries",
-    "rows"}}, but written one row at a time from the sparse columns:
-    only nonzero entries are formatted, and no dense matrix or whole-file
-    string is built.
-    """
-    names = sorted((f"F[{g.i},{g.j}]", g) for g in genmap)
-    zero = _entry_text(Fraction(0), 0)
-    with open(path, "w") as fh:
-        fh.write("{")
-        for n, (name, g) in enumerate(names):
-            op, k = genmap[g], -rescale_exponent(g)
-            rows: dict = {}
-            for c, col in op.cols.items():
-                for r, v in col.items():
-                    rows.setdefault(r, {})[c] = _entry_text(v, k)
-            fh.write(f'{"," if n else ""}\n  {json.dumps(name)}: {{\n'
-                     f'    "cols": {op.dim},\n    "entries": [')
-            for r in range(op.dim):
-                cells = [zero] * op.dim
-                for c, text in rows.pop(r, {}).items():
-                    cells[c] = text
-                fh.write(f'{"," if r else ""}\n      [\n'
-                         + ",\n".join(cells) + "\n      ]")
-            fh.write(f'\n    ],\n    "rows": {op.dim}\n  }}')
-        fh.write("\n}")
 
 
 def write_output(path, payload, fmt: str):

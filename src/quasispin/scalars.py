@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce an int, string like '-3/2', or Fraction to Fraction."""

@@ -38,8 +38,7 @@ from fractions import Fraction
 from .liealg import weyl_dimension
 from .linalg import (LinOp, characteristic_polynomial, rank_and_kernel,
                      rref_rows, svec_map)
-from .replab import (Irrep, multiplicity_slices, pf_slice_maps,
-                     _restrict_to_slices)
+from .replab import Irrep, multiplicity_slices, pf_slice_maps
 from .scalars import rat
 
 HALF = Fraction(1, 2)
@@ -484,7 +483,6 @@ def validate_against_representation(irrep: Irrep):
     report = {"slices": [], "gamma_mismatches": {c: [] for c in GAMMA_CONVENTIONS},
               "case_mismatches": [], "roundtrip_charpolys": {},
               "states": states, "anomalies": data["anomalies"]}
-    roundtrip = irrep.pf_matrix(-1) @ irrep.pf_matrix(+1)
     for (T, N), s in sorted(slices.items()):
         pts = models[T, N, GAMMA_CONVENTIONS[0]].source_pts
         row = {"T": T, "N": N, "dim": s.dim, "model_dim": len(pts)}
@@ -531,10 +529,13 @@ def validate_against_representation(irrep: Irrep):
                 if (ra, s.dim - ra) != (rm, len(pts) - rm):
                     entry["compose_rank"] = {"actual": ra, "model": rm}
                     report["gamma_mismatches"][conv].append(entry)
-        # round-trip endomorphism spectra (probe content)
-        rt = _restrict_to_slices(roundtrip, s, s)
+        # round-trip endomorphism spectra (probe content): the down map
+        # out of N + 1 after the up map, zero when there is no slice there
+        down = data["downs"].get((T, N + 1))
+        rt = {c: svec_map(down.cols, col)
+              for c, col in up.cols.items()} if down else {}
         report["roundtrip_charpolys"][(T, N)] = characteristic_polynomial(
-            LinOp(s.dim, rt.cols))
+            LinOp(s.dim, rt))
         report["slices"].append(row)
     # flag-level comparison: push the model maps into their own image
     # filtrations and compare level dimensions and kernel positions with

@@ -398,10 +398,10 @@ class CheckResult:
         self.rhs = rhs
 
     def matrix_oracle(self, genmap: dict, dim: int) -> bool:
-        """Evaluate both sides in a representation and compare exactly."""
-        left = evaluate_in_representation(self.lhs, genmap, dim)
-        right = evaluate_in_representation(self.rhs, genmap, dim)
-        return left == right
+        """Whether lhs - rhs, a sum of words merged with no rewriting,
+        evaluates to zero in a representation."""
+        return evaluate_in_representation(self.lhs - self.rhs, genmap,
+                                          dim).is_zero()
 
     def __bool__(self):
         return self.equal
@@ -441,37 +441,41 @@ def check_lemma_l2(I: IndexSet, j1: int, j2: int) -> CheckResult:
     return CheckResult(f"l2[I={I},j1={j1},j2={j2}]", lhs, rhs)
 
 
-def _split_sign(I: IndexSet, first, second) -> int:
-    """Sign of the permutation of I that lists `first` then `second`."""
-    return _perm_sign_to_sorted(tuple(first) + tuple(second))
+def _split_sum(pool: tuple, p: int, k: int, n: int, i=None) -> UEAElement:
+    """The sum over the splittings pool = first | second with |first| = p
+    of (-1)^(first, second) (p/2)!(q/2)!/(k/2)! PfF_first PfF_second; with
+    a middle letter i, of (-1)^(first, -n, i, second) (p/2)!(q/2)!/(k/2)!
+    PfF_first F_{n,i} PfF_second."""
+    letters = () if i is None else (-n, i)
+    middle = None if i is None else UEAElement.of(n, i, n)
+    coeff = Fraction(factorial(p // 2) * factorial((len(pool) - p) // 2),
+                     factorial(k // 2))
+    acc = UEAElement.zero(n)
+    for first in combinations(pool, p):
+        second = tuple(e for e in pool if e not in first)
+        sgn = _perm_sign_to_sorted(first + letters + second)
+        term = pfaffian(IndexSet(first, n))
+        if middle is not None:
+            term = term * middle
+        term = term * pfaffian(IndexSet(second, n))
+        acc = acc + term.scale(sgn * coeff)
+    return acc
 
 
 def check_split_formula(I: IndexSet, p: int, q: int) -> CheckResult:
     """PfF_I = (p/2)!(q/2)!/(k/2)! sum over splittings of PfF_I' PfF_I''."""
-    n, k = I.n, len(I)
+    k = len(I)
     if p + q != k or p % 2 or q % 2 or p < 0 or q < 0:
         raise ValueError(f"invalid split sizes ({p},{q}) for |I|={k}")
-    coeff = Fraction(factorial(p // 2) * factorial(q // 2), factorial(k // 2))
-    acc = UEAElement.zero(n)
-    for first in combinations(I.elems, p):
-        second = tuple(e for e in I.elems if e not in first)
-        sgn = _split_sign(I, first, second)
-        term = pfaffian(IndexSet(first, n)) * pfaffian(IndexSet(second, n))
-        acc = acc + term.scale(sgn)
-    return CheckResult(f"split[I={I},p={p},q={q}]", pfaffian(I), acc.scale(coeff))
+    return CheckResult(f"split[I={I},p={p},q={q}]", pfaffian(I),
+                       _split_sum(I.elems, p, k, I.n))
 
 
 def check_corollary_split(I: IndexSet) -> CheckResult:
     """PfF_I = 1/(k/2+1) sum over all even splittings with their weights."""
     n, k = I.n, len(I)
-    acc = UEAElement.zero(n)
-    for p in range(0, k + 1, 2):
-        coeff = Fraction(factorial(p // 2) * factorial((k - p) // 2), factorial(k // 2))
-        for first in combinations(I.elems, p):
-            second = tuple(e for e in I.elems if e not in first)
-            sgn = _split_sign(I, first, second)
-            term = pfaffian(IndexSet(first, n)) * pfaffian(IndexSet(second, n))
-            acc = acc + term.scale(sgn * coeff)
+    acc = sum((_split_sum(I.elems, p, k, n) for p in range(0, k + 1, 2)),
+              UEAElement.zero(n))
     return CheckResult(f"corl2[I={I}]",
                        pfaffian(I), acc.scale(Fraction(1, k // 2 + 1)))
 
@@ -485,19 +489,9 @@ def check_minorn(I: IndexSet) -> CheckResult:
     n, k = I.n, len(I)
     if -n not in I:
         raise ValueError(f"-{n} must belong to I")
-    acc = UEAElement.zero(n)
     rest = tuple(e for e in I.elems if e != -n)
-    for i in rest:
-        middle = UEAElement.of(n, i, n)
-        pool = tuple(e for e in rest if e != i)
-        for p in range(0, len(pool) + 1, 2):
-            coeff = Fraction(factorial(p // 2) * factorial((len(pool) - p) // 2),
-                             factorial(k // 2))
-            for first in combinations(pool, p):
-                second = tuple(e for e in pool if e not in first)
-                sgn = _perm_sign_to_sorted(tuple(first) + (-n, i) + tuple(second))
-                term = pfaffian(IndexSet(first, n)) * middle * pfaffian(IndexSet(second, n))
-                acc = acc + term.scale(sgn * coeff)
+    acc = sum((_split_sum(tuple(e for e in rest if e != i), p, k, n, i)
+               for i in rest for p in range(0, k - 1, 2)), UEAElement.zero(n))
     return CheckResult(f"minorn[I={I}]", pfaffian(I), acc)
 
 

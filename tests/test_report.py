@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasispin import report
-from quasispin.fock import build_o5_on_fock, rescale_exponent
+from quasispin.fock import (build_o5_on_fock, format_sqrt2_power,
+                            rescale_exponent, write_genmap)
 from quasispin.report import (ANOMALY, FAIL, PASS, Check, VerificationReport,
-                              classification_table, format_sqrt2_power,
-                              serialize_value,
-                              table_to_csv, write_genmap, write_output)
+                              classification_table, serialize_value,
+                              table_to_csv, write_output)
 from quasispin.tableaux import ClassifiedState
 
 
@@ -38,6 +38,16 @@ def test_report_roundtrip():
          "witness": {"note": "convention shift"}},
         {"id": "a/two", "status": FAIL, "witness": {"difference": "3F[0,-1]"}}]
     assert rep.exit_code() == 1
+
+
+def test_a_witness_is_kept_for_a_failure_or_for_data():
+    rep = VerificationReport("demo")
+    rep.add("x", True, {"w": 1})
+    rep.add("x", False, {"w": 2})
+    rep.add_data("x", {"dim": 3})
+    assert [(c.status, c.witness) for c in rep.checks] == [
+        (PASS, None), (FAIL, {"w": 2}), (PASS, {"dim": 3})]
+    assert "witness" not in rep.checks[0].to_json()
 
 
 def test_report_times_each_check_since_the_previous(monkeypatch):

@@ -13,7 +13,7 @@ from quasispin.liealg import (GenIndex, Weight, bracket, canonical_generators,
                               canonicalize, defining_matrices, index_range,
                               o3_subalgebra_generators, pbw_sort_key, root_of)
 from quasispin.linalg import LinOp
-from quasispin.uea import (IndexSet, UEAElement, capelli,
+from quasispin.uea import (CheckResult, IndexSet, UEAElement, capelli,
                            check_corollary_split, check_lemma_l2,
                            check_minorn, check_split_formula,
                            evaluate_in_representation, hat_set,
@@ -242,6 +242,20 @@ def test_minorn_o5():
             assert r.matrix_oracle(*ORACLE5)
     with pytest.raises(ValueError):
         check_minorn(IndexSet([-1, 1], N5))
+
+
+def test_matrix_oracle_rejects_a_wrong_identity():
+    # F_a F_b = F_b F_a is false for a non-commuting pair, and F_a F_b =
+    # F_b F_a + [F_a, F_b] is true, with [F_a, F_b] from the bracket table
+    gens = canonical_generators(N5)
+    ga, gb = next((a, b) for a in gens for b in gens if bracket(a, b))
+    a, b = UEAElement.gen(ga), UEAElement.gen(gb)
+    comm = UEAElement.zero(N5)
+    for c, g in bracket(ga, gb):
+        comm = comm + UEAElement.gen(g).scale(c)
+    assert not CheckResult("swap", a * b, b * a).matrix_oracle(*ORACLE5)
+    assert CheckResult("swap+bracket", a * b,
+                       b * a + comm).matrix_oracle(*ORACLE5)
 
 
 def test_weight_shifts():
