@@ -16,11 +16,11 @@ from .uea import (IndexSet, UEAElement, capelli, check_corollary_split,
                   pfaffian, star, weight_shift_of)
 from .fock import (FockSpace, build_o5_on_fock, dictionary_to_o5,
                    quasispin_operators, verify_representation)
-from .replab import (Irrep, Representation, extract_irreps,
-                     extremal_projector_o3, fock_representation,
-                     irrep_of_weight, isotypic_types, multiplicity_slices,
-                     omega_operator, pf_slice_maps, tensor_power_representation,
-                     tensor_product, tps_scalar_probe, weight_decompose)
+from .replab import (Irrep, Representation, extremal_projector_o3,
+                     fock_representation, irrep_of_weight, isotypic_types,
+                     multiplicity_slices, omega_operator, pf_slice_maps,
+                     tensor_power_representation, tensor_product,
+                     tps_scalar_probe, weight_decompose)
 from .tableaux import (GTMolevTableau, Rectangle, assign_k, case_of,
                        enumerate_tableaux, predicted_slice_matrix,
                        quantum_numbers, validate_against_representation)

@@ -5,20 +5,20 @@ computational basis): fermionic Fock spaces, the trivial and defining
 representations, irreps, and tensor products of sources.
 `isotypic_types` splits a source into irreducible types in two steps per
 weight: the raising kernel there (its dimension is the multiplicity),
-then the lowering orbit of its first vector.  `extract_irreps` takes
-the orbit of every kernel vector, one irrep per copy, and
-`irrep_of_weight` builds V(lam) as a Cartan product of irreps.  Each
-irrep is re-coordinatized on its own basis, where every
-operator (generators, Pfaffians, the extremal projector, the reflection
-intertwiner) is a sparse `LinOp`.  Every elimination runs on sparse
-vectors, through `linalg.rref_rows` and `linalg.kernel_rows`: kernels
-are taken of the stacked operator rows of a weight block
-(`_stacked_rows`), `_coordinates` expresses sparse vectors in an RREF
-basis by reading them at its pivots, with no elimination, and
-`_map_on_span` reads a linear map fixed on a spanning set (the extremal
-projector and Omega) from one RREF of the rows [x | y].  A `SliceMap`
-holds an operator between two multiplicity slices as the sparse columns
-that `_coordinates` returns, which `tableaux` reads.
+then the lowering orbit of its first vector.  Taking one type at a time
+(`irrep_with_highest_weight`), `irrep_of_weight` builds V(lam) as a
+Cartan product of irreps.  Each irrep is re-coordinatized on its own
+basis, where every operator (generators, Pfaffians, the extremal
+projector, the reflection intertwiner) is a sparse `LinOp`.  Every
+elimination runs on sparse vectors, through `linalg.rref_rows` and
+`linalg.kernel_rows`: kernels are taken of the stacked operator rows of
+a weight block (`_stacked_rows`), `_coordinates` expresses sparse
+vectors in an RREF basis by reading them at its pivots, with no
+elimination, and `_map_on_span` reads a linear map fixed on a spanning
+set (the extremal projector and Omega) from one RREF of the rows
+[x | y].  A `SliceMap` holds an operator between two multiplicity
+slices as the sparse columns that `_coordinates` returns, which
+`tableaux` reads.
 
 Conventions: the weight of a vector is (F_11-eigenvalue, F_22-eigenvalue)
 = (tau_0, N); o3-highest means killed by the o3 raising operator
@@ -165,25 +165,11 @@ def _weight_sort_key(w: Weight):
     return tuple(reversed(w.comps))
 
 
-def extract_irreps(rep: Representation):
-    """Split into irreducibles, one per copy: the lowering orbit of every
-    vector of every raising kernel (`_highest_weight_kernels`), highest
-    weight first.  The irrep dimensions must add up to the ambient one."""
-    order, lowering, kernels = _highest_weight_kernels(rep)
-    irreps = [_lowering_orbit(rep, order, at, kv, lowering)
-              for at, kernel in kernels for kv in kernel]
-    total = sum(irr.dim for irr in irreps)
-    if total != rep.dim:
-        raise AssertionError(
-            f"irrep dimensions sum to {total}, ambient is {rep.dim}")
-    _fill_generator_matrices(rep, irreps)
-    return irreps
-
-
 def isotypic_types(rep: Representation, lam=None):
     """[(irrep, multiplicity)] per isotypic type of rep (only that of
-    highest weight lam, if given), highest weight first: the first copy
-    `extract_irreps` yields, and the dimension of its raising kernel.
+    highest weight lam, if given), highest weight first: the lowering
+    orbit of the first vector of its raising kernel, and the dimension
+    of that kernel.
     The dimensions are not summed here: `cli.suite_repr` checks that."""
     order, lowering, kernels = _highest_weight_kernels(rep, lam)
     types = [(_lowering_orbit(rep, order, at, kernel[0], lowering),
@@ -193,8 +179,8 @@ def isotypic_types(rep: Representation, lam=None):
 
 
 def irrep_with_highest_weight(rep: Representation, lam):
-    """The first irrep of highest weight lam that `extract_irreps(rep)`
-    yields (same basis, weights and genmats), built without the others;
+    """The irrep of highest weight lam that `isotypic_types(rep)` yields
+    (same basis, weights and genmats), built without the other types;
     None when rep has no such irrep."""
     types = isotypic_types(rep, lam)
     return types[0][0] if types else None

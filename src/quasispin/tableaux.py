@@ -14,10 +14,13 @@ action of PfF_{2-hat} on the second row is modeled by an identity block
 (sigma = 1); `predicted_slice_matrix` is the one builder of these model
 maps, and its gamma-free skeleton (every coefficient 1) carries the A-D
 case pattern.  Everything the model claims about actual representations
-is compared through ranks, kernels and flag positions only, never
-through matrix entries in an uncomputable basis.  Model maps and slice
-maps alike are sparse columns {source position: {target position: x}};
-every rank, meet and flag level is the length or the rows of one
+is compared through basis-independent data only, never through matrix
+entries in an uncomputable basis: per T, the barcode of the chain of
+PfF_{2-hat} slice maps against that of each gamma model's chain; per
+step, the rank against the case pattern; and the characteristic
+polynomials of the round-trip endomorphisms.  Model maps and slice maps
+alike are sparse columns {source position: {target position: x}};
+every rank and flag level is the length or the rows of one
 `linalg.rref_rows`.
 
 `assign_k` builds the fourth quantum number as an image filtration over
@@ -26,8 +29,11 @@ those in the image of the k-fold composed PfF_{2-hat} map from below
 for N <= 0, and of the k-fold composed PfF_{-2-hat} map from above for
 N > 0 (at N = 0 both are built and compared).  One induction,
 `_induced_flags`, builds these filtrations in either direction from the
-computed maps and, in `validate_against_representation`, upwards from
-the model maps.
+computed maps and upwards from the model maps.  The up-flags hold the
+rank of every composed map, and so the chain's barcode: its interval
+decomposition as a representation of a type-A quiver (Gabriel), in
+which a state at level k of V+_{T,N}, N <= 0, lies in an interval born
+at N - k.
 """
 
 from __future__ import annotations
@@ -36,8 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .liealg import weyl_dimension
-from .linalg import (LinOp, characteristic_polynomial, rank_and_kernel,
-                     rref_rows, svec_map)
+from .linalg import LinOp, characteristic_polynomial, rref_rows, svec_map
 from .replab import Irrep, multiplicity_slices, pf_slice_maps
 from .scalars import rat
 
@@ -190,7 +195,7 @@ def gammas(l21, l22, convention: str):
 class ModelMatrix:
     """Predicted slice-to-slice map of PfF_{2-hat} in tableau order, as
     sparse columns {source point position: {target point position: x}},
-    with its rank and kernel from one elimination."""
+    with its rank and nullity."""
 
     def __init__(self, cols, source_pts, target_pts, sigma, singular_points):
         self.cols = cols  # None when a coefficient is singular
@@ -198,10 +203,10 @@ class ModelMatrix:
         self.target_pts = target_pts
         self.sigma = sigma
         self.singular_points = singular_points
-        self.rank = self.nullity = self.kernel = None
+        self.rank = self.nullity = None
         if cols is not None:
-            self.rank, self.kernel = rank_and_kernel(cols, len(source_pts))
-            self.nullity = len(self.kernel)
+            self.rank = len(rref_rows(cols.values()))
+            self.nullity = len(source_pts) - self.rank
 
 
 def predicted_slice_matrix(lam1, lam2, T, N,
@@ -297,22 +302,50 @@ def _push_flag(flag: Flag, cols: dict, target_dim: int) -> Flag:
 
 
 def _induced_flags(ns, maps, dims, step=1) -> dict:
-    """Image flags of one T's slices, induced from one end of the ladder.
+    """Image flags of one T's slices, induced along the whole ladder from
+    one end.
 
-    step = +1 induces upwards over the N <= 0 slices, maps[N] being the
-    PfF_{2-hat} map V_N -> V_{N+1}; step = -1 induces downwards over the
-    N >= 0 slices, maps[N] being the PfF_{-2-hat} map V_N -> V_{N-1}.
-    A slice with no slice at N - step carries the trivial flag; any other
-    carries the push of the flag at N - step through maps[N - step].
-    dims[N] is the dimension of slice N.
+    step = +1 induces upwards, maps[N] being the PfF_{2-hat} map (or a
+    model of it) V_N -> V_{N+1}; step = -1 induces downwards, maps[N]
+    being the PfF_{-2-hat} map V_N -> V_{N-1}.  A slice with no slice at
+    N - step carries the trivial flag; any other carries the push of the
+    flag at N - step through maps[N - step].  dims[N] is the dimension
+    of slice N.  Level m of the up-flag at b is the image of the composed
+    map out of V_{b-m}, so its dimension is the rank r(b - m, b) that
+    `barcode` reads.
     """
     flags = {}
     for N in ns[::step]:
-        if step * N <= 0:
-            prev = N - step
-            flags[N] = (_push_flag(flags[prev], maps[prev], dims[N])
-                        if prev in flags else Flag([_full(dims[N])]))
+        prev = N - step
+        flags[N] = (_push_flag(flags[prev], maps[prev], dims[N])
+                    if prev in flags else Flag([_full(dims[N])]))
     return flags
+
+
+def _rank(up_flags, a, b) -> int:
+    """r(a, b) for a <= b: the rank of the composed up map V_a -> V_b,
+    level b - a of the up-flag at b (0 off the ladder or beyond the
+    flag's depth)."""
+    dims = up_flags[b].level_dims() if b in up_flags else []
+    m = int(b - a)
+    return dims[m] if m < len(dims) else 0
+
+
+def barcode(ns, flags) -> dict:
+    """The interval decomposition {(a, b): multiplicity} of one T's chain.
+
+    A chain of maps V_a -> V_{a+1} -> ... is a representation of a type-A
+    quiver, so by Gabriel's theorem it is, up to isomorphism, a direct
+    sum of interval modules [a, b] (its persistence barcode).  The ranks
+    r(a, b) of the composed maps, read from the chain's up-flags `flags`
+    (`_induced_flags`), fix the multiplicities:
+    mult[a, b] = r(a, b) - r(a-1, b) - r(a, b+1) + r(a-1, b+1).
+    """
+    def r(a, b):
+        return _rank(flags, a, b)
+
+    return {(a, b): mult for b in ns for a in ns if a <= b
+            if (mult := r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1))}
 
 
 class ClassifiedState:
@@ -356,7 +389,8 @@ def assign_k(irrep: Irrep):
     raised where it has not.
 
     Returns (states, data): one ClassifiedState per basis state, plus
-    the per-(T,N) flags/maps and an `anomalies` list.  The classical
+    the per-(T,N) flags/maps, the barcode of each T's up-chain and an
+    `anomalies` list.  The classical
     claim that the two N = 0 assignments coincide is checked as flag
     equality and recorded as an anomaly when it fails (theta restricted
     to a multiplicity slice at N = 0 need not be scalar: on the (-1,-2)
@@ -367,13 +401,15 @@ def assign_k(irrep: Irrep):
     N = -1/2 <-> +1/2 land in the other induction's flags and are
     recorded as anomalies where they break the raising property.
     Hard contradictions of the classification pattern (a mirror missing
-    or of other level dimensions, label collisions, non-transverse
-    kernels) raise ClassificationError.
+    or of other level dimensions, label collisions, a raising kernel
+    meeting the image U_1 at N <= 0, read off the up-chain's ranks)
+    raise ClassificationError.
     """
     lam1, lam2 = irrep.highest_weight
     slices = multiplicity_slices(irrep)
     states = []
-    data = {"flags": {}, "ups": {}, "downs": {}, "anomalies": []}
+    data = {"flags": {}, "ups": {}, "downs": {}, "barcodes": {},
+            "anomalies": []}
     for T in sorted({t for (t, _) in slices}):
         mine = {N: s for (t, N), s in slices.items() if t == T}
         ups, downs = pf_slice_maps(irrep, T)
@@ -399,6 +435,7 @@ def assign_k(irrep: Irrep):
                 "level_dims": below[0].level_dims(),
             })
         data["flags"].update({(T, N): f for N, f in flags.items()})
+        data["barcodes"][T] = barcode(ns, below)
         # raising property across the seam: PfF_{2-hat} out of N = -1/2
         # and PfF_{-2-hat} out of N = +1/2 each land in the other
         # induction's flag
@@ -409,10 +446,11 @@ def assign_k(irrep: Irrep):
                 if bad is not None:
                     data["anomalies"].append(
                         {"kind": kind, "T": T, "N": N, "level": bad})
-        # kernel transversality (case D sigma=0 bookkeeping)
+        # kernel transversality (case D sigma=0 bookkeeping), read off
+        # the ranks: dim(ker(N -> N+1) meet U_1) = r(N-1, N) - r(N-1, N+1)
         for N in ns:
-            if N <= 0 and flags[N].depth() > 1 and _meet_dim(
-                    ups[N].kernel(), flags[N].levels[1]):
+            if N <= 0 and (_rank(below, N - 1, N)
+                           != _rank(below, N - 1, N + 1)):
                 raise ClassificationError(
                     f"kernel of the raising map meets the image "
                     f"filtration at (T={T},N={N})")
@@ -443,34 +481,20 @@ def assign_k(irrep: Irrep):
 # -- model-vs-representation validation ----------------------------------
 
 
-def _meet_dim(a, b) -> int:
-    """dim(span a intersect span b) for two independent lists of sparse
-    vectors, as dim(A) + dim(B) - dim(A+B)."""
-    return len(a) + len(b) - len(rref_rows(a + b))
-
-
-def _kernel_level_dims(kernel_basis, flag: Flag):
-    """dim(ker intersect U_m) for each flag level (invariant integers)."""
-    return [len(kernel_basis)] + [_meet_dim(kernel_basis, flag.levels[m])
-                                  for m in range(1, flag.depth())]
-
-
-def _composed_rank(outer: dict, inner: dict) -> int:
-    """Rank of outer . inner, both maps as sparse columns."""
-    return len(rref_rows(svec_map(outer, col) for col in inner.values()))
-
-
 def validate_against_representation(irrep: Irrep):
     """Compare tableau-model predictions with the computed slice maps.
 
-    Per (T, N): slice dimension vs tableau point count; rank/nullity and
-    kernel flag-position of the actual raising map vs both gamma-model
-    matrices and vs the A-D case pattern (via the gamma-free skeleton,
+    Per (T, N): slice dimension vs tableau point count; rank and nullity
+    of the actual step vs the A-D case pattern (the gamma-free skeleton,
     checked on the upward maps for N < 0 and the mirrored downward maps
-    for N > 0); two-step composed kernels; the round-trip endomorphism
-    characteristic polynomials are recorded as probe data.  Returns a
-    report dict; 'gamma_winner' names the convention consistent with
-    all measured data (or 'tie'/'none').
+    for N > 0); the round-trip endomorphism characteristic polynomials
+    are recorded as probe data.  Per T: the barcode of the computed
+    up-chain vs that of each gamma model's chain, both read from
+    `_induced_flags`, so the model is compared through the rank of every
+    composed map; a model singular anywhere on the ladder is one
+    mismatch, with its singular points.  Returns a report dict;
+    'gamma_winner' names the convention consistent with all measured
+    data (or 'tie'/'none').
     """
     lam1, lam2 = irrep.highest_weight
     states, data = assign_k(irrep)
@@ -503,32 +527,6 @@ def validate_against_representation(irrep: Irrep):
                      "direction": "up" if N < 0 else "down",
                      "expected": (skel.rank, skel.nullity),
                      "actual": (step.rank, step.nullity)})
-        for conv in GAMMA_CONVENTIONS:
-            model = models[T, N, conv]
-            entry = {"T": T, "N": N}
-            if model.cols is None:
-                entry["singular"] = [tuple(map(str, p))
-                                     for p in model.singular_points]
-                report["gamma_mismatches"][conv].append(entry)
-                continue
-            if model.rank != up.rank or model.nullity != up.nullity:
-                entry["model_rank"] = (model.rank, model.nullity)
-                entry["actual_rank"] = (up.rank, up.nullity)
-                report["gamma_mismatches"][conv].append(entry)
-                continue
-            # two-step composition from sigma=0 starts
-            if sigma == 0 and (T, N + 1) in data["ups"]:
-                nmodel = models[T, N + 1, conv]
-                if nmodel.cols is None:
-                    entry["singular_step2"] = [tuple(map(str, p))
-                                               for p in nmodel.singular_points]
-                    report["gamma_mismatches"][conv].append(entry)
-                    continue
-                ra = _composed_rank(data["ups"][(T, N + 1)].cols, up.cols)
-                rm = _composed_rank(nmodel.cols, model.cols)
-                if (ra, s.dim - ra) != (rm, len(pts) - rm):
-                    entry["compose_rank"] = {"actual": ra, "model": rm}
-                    report["gamma_mismatches"][conv].append(entry)
         # round-trip endomorphism spectra (probe content): the down map
         # out of N + 1 after the up map, zero when there is no slice there
         down = data["downs"].get((T, N + 1))
@@ -537,33 +535,24 @@ def validate_against_representation(irrep: Irrep):
         report["roundtrip_charpolys"][(T, N)] = characteristic_polynomial(
             LinOp(s.dim, rt))
         report["slices"].append(row)
-    # flag-level comparison: push the model maps into their own image
-    # filtrations and compare level dimensions and kernel positions with
-    # the computed ones (all basis-independent integers)
-    for T in sorted({t for (t, _) in slices}):
+    # one barcode per (T, convention): the model chain's against the
+    # computed one (basis-independent interval multiplicities)
+    for T, actual in data["barcodes"].items():
         ns = sorted(N for (t, N) in slices if t == T)
         for conv in GAMMA_CONVENTIONS:
             ladder = {N: models[T, N, conv] for N in ns}
-            if any(mm.cols is None for mm in ladder.values()):
-                continue  # already recorded as a mismatch entry
-            mflags = _induced_flags(
-                ns, {N: mm.cols for N, mm in ladder.items()},
-                {N: len(mm.source_pts) for N, mm in ladder.items()})
-            for N, mflag in mflags.items():
-                actual_flag = data["flags"][(T, N)]
-                a_dims = actual_flag.level_dims()
-                m_dims = mflag.level_dims()
-                entry = {"T": T, "N": N}
-                if a_dims != m_dims:
-                    entry["flag_dims"] = {"actual": a_dims, "model": m_dims}
-                    report["gamma_mismatches"][conv].append(entry)
+            singular = [(str(N), *map(str, p)) for N, mm in ladder.items()
+                        for p in mm.singular_points]
+            if singular:
+                entry = {"singular": singular}
+            else:
+                model = barcode(ns, _induced_flags(
+                    ns, {N: mm.cols for N, mm in ladder.items()},
+                    {N: len(mm.source_pts) for N, mm in ladder.items()}))
+                if model == actual:
                     continue
-                a_ker = data["ups"][(T, N)].kernel()
-                a_pos = _kernel_level_dims(a_ker, actual_flag)
-                m_pos = _kernel_level_dims(ladder[N].kernel, mflag)
-                if a_pos != m_pos:
-                    entry["kernel_position"] = {"actual": a_pos, "model": m_pos}
-                    report["gamma_mismatches"][conv].append(entry)
+                entry = {"barcodes": {"actual": actual, "model": model}}
+            report["gamma_mismatches"][conv].append({"T": T, **entry})
     survivors = [c for c in GAMMA_CONVENTIONS if not report["gamma_mismatches"][c]]
     if len(survivors) == 1:
         report["gamma_winner"] = survivors[0]

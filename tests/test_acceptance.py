@@ -23,7 +23,7 @@ from quasispin.liealg import (Weight, canonical_generators, defining_matrices,
 from quasispin.linalg import (LinOp, characteristic_polynomial, rref_rows,
                               svec_map)
 from quasispin.replab import (O3_LOWERING, O3_RAISING, _restrict_to_slices,
-                              extract_irreps, extremal_projector_o3,
+                              extremal_projector_o3,
                               fock_representation, multiplicity_slices,
                               omega_operator, pf_slice_maps,
                               tensor_power_representation, tps_scalar_probe)
@@ -36,7 +36,7 @@ from quasispin.uea import (IndexSet, UEAElement, capelli,
                            evaluate_in_representation, hat_set, pfaffian,
                            weight_shift_of)
 from test_linalg import commutator
-from test_replab import theta_transport
+from test_replab import extract_irreps, theta_transport
 
 F = Fraction
 IDX5 = [-2, -1, 0, 1, 2]

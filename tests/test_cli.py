@@ -7,6 +7,7 @@ from quasispin import cli, replab, tableaux
 from quasispin.cli import main, suite_identities
 from quasispin.liealg import GenIndex, Weight
 from quasispin.tableaux import ClassificationError
+from test_replab import extract_irreps
 
 
 def run(argv):
@@ -31,15 +32,25 @@ def test_classify_five_dim(tmp_path, capsys):
 
 
 def test_classify_extracts_only_the_target_irrep(monkeypatch, tmp_path):
-    def never(rep):
-        raise AssertionError("classify decomposed a whole source")
+    # every decomposition finds its raising kernels in one place; only a
+    # whole-source one asks for them at every weight (lam None)
+    kernels = replab._highest_weight_kernels
+    asked = []
+
+    def at_one_weight(rep, lam=None):
+        if lam is None:
+            raise AssertionError("classify decomposed a whole source")
+        asked.append(lam)
+        return kernels(rep, lam)
 
     for weight in ("0,-1", "-1,-2"):
         with monkeypatch.context() as m:
-            m.setattr(replab, "extract_irreps", never)
+            m.setattr(replab, "_highest_weight_kernels", at_one_weight)
             targeted = tmp_path / "targeted.json"
             assert run(["classify", f"--weight={weight}",
                         "--out", str(targeted)]) == 0
+        assert asked
+        asked.clear()
         full = tmp_path / "full.json"
         assert run(["classify", f"--weight={weight}", "--out",
                     str(full)]) == 0
@@ -196,7 +207,7 @@ def test_repr_shares_the_analysis_of_equal_irreps(monkeypatch, source, arg,
     # the report analyses each isotypic type once and equals one that
     # analyses every copy extract_irreps yields on its own
     rep = cli.build_source(source, j=arg, power=arg)
-    unshared = [c for irr in replab.extract_irreps(rep)
+    unshared = [c for irr in extract_irreps(rep)
                 for c in cli.irrep_checks(irr)]
     analysed, own = [], []
     irrep_checks = cli.irrep_checks
@@ -353,6 +364,60 @@ def test_repr_reports_a_projector_image_meeting_its_kernel(monkeypatch,
     [check] = json.loads(out.read_text())["checks"]
     assert check["witness"]["error"].startswith(
         "AssertionError: ker(e) and im(f) do not split weight (0, 0)")
+
+
+def _classify_failures(monkeypatch, capsys, weight):
+    """Run classify through main: (exit code, printed FAIL lines, the
+    failed checks of its report)."""
+    reports = []
+    suite_classify = cli.suite_classify
+
+    def keep(*weight):
+        report, table = suite_classify(*weight)
+        reports.append(report)
+        return report, table
+
+    monkeypatch.setattr(cli, "suite_classify", keep)
+    code = run(["classify", f"--weight={weight}"])
+    printed = capsys.readouterr().out
+    [report] = reports
+    return (code, [ln for ln in printed.splitlines() if ln.startswith("FAIL")],
+            report.failed())
+
+
+def test_singular_gammas_fail_the_gamma_winner(monkeypatch, capsys):
+    # g1^2 = g2^2 at every point: both conventions are singular on every
+    # sigma = 1 step, so no convention survives and the winner is none
+    monkeypatch.setattr(tableaux, "gammas", lambda l21, l22, conv: (l21, l21))
+    code, lines, failed = _classify_failures(monkeypatch, capsys, "-1,-2")
+    assert code == 1
+    assert lines == ['FAIL    classify/gamma-single-winner  '
+                     '[{"winner": "none"}]']
+    assert [(c.id, c.witness) for c in failed] == [
+        ("classify/gamma-single-winner", {"winner": "none"})]
+
+
+def test_an_empty_skeleton_fails_the_case_pattern(monkeypatch, capsys):
+    # a skeleton with no columns predicts rank 0 on every step, which the
+    # computed maps contradict wherever they are nonzero
+    predicted = tableaux.predicted_slice_matrix
+
+    def hollow(lam1, lam2, T, N, convention):
+        model = predicted(lam1, lam2, T, N, convention)
+        if convention is not None:
+            return model
+        return tableaux.ModelMatrix({}, model.source_pts, model.target_pts,
+                                    model.sigma, [])
+
+    monkeypatch.setattr(tableaux, "predicted_slice_matrix", hollow)
+    code, lines, failed = _classify_failures(monkeypatch, capsys, "-1,-2")
+    assert code == 1
+    assert [ln.split()[:2] for ln in lines] == [
+        ["FAIL", "classify/case-pattern"]]
+    [check] = failed
+    mismatches = check.witness["mismatches"]
+    assert mismatches and all(m["expected"][0] == 0 < m["actual"][0]
+                              for m in mismatches)
 
 
 def test_failed_gamma_winner_probe_is_reported(monkeypatch, tmp_path,

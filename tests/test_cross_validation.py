@@ -7,11 +7,11 @@ from them must coincide for irreps of equal highest weight.
 
 from fractions import Fraction
 
-from quasispin.replab import (extract_irreps, fock_representation,
-                              tensor_power_representation)
+from quasispin.replab import fock_representation, tensor_power_representation
 from quasispin.tableaux import assign_k, validate_against_representation
 from quasispin.uea import capelli
 from quasispin.linalg import characteristic_polynomial
+from test_replab import extract_irreps
 
 F = Fraction
 

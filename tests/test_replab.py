@@ -9,9 +9,11 @@ from quasispin.liealg import (Weight, canonical_generators, is_lowering,
                               root_of, weyl_dimension)
 from quasispin.linalg import LinOp, characteristic_polynomial
 from quasispin.replab import (O3_LOWERING, O3_RAISING, _coordinates,
+                              _fill_generator_matrices,
+                              _highest_weight_kernels, _lowering_orbit,
                               _map_on_span, _weight_sort_key,
                               NonDiagonalCartan, Representation,
-                              defining_representation, extract_irreps,
+                              defining_representation,
                               extremal_projector_o3, fock_representation,
                               irrep_of_weight, irrep_with_highest_weight,
                               isotypic_types, multiplicity_slices,
@@ -25,6 +27,22 @@ from test_linalg import (_block, _put_block, commutator, dense, dense_kernel,
                          dense_matmul, dense_rank, dense_rref, dense_solve)
 
 HALF = Fraction(1, 2)
+
+
+def extract_irreps(rep: Representation):
+    """Split into irreducibles, one per copy: the lowering orbit of every
+    vector of every raising kernel, highest weight first.  The irrep
+    dimensions must add up to the ambient one.  The per-copy reference
+    for `replab.isotypic_types`, which builds one orbit per type."""
+    order, lowering, kernels = _highest_weight_kernels(rep)
+    irreps = [_lowering_orbit(rep, order, at, kv, lowering)
+              for at, kernel in kernels for kv in kernel]
+    total = sum(irr.dim for irr in irreps)
+    if total != rep.dim:
+        raise AssertionError(
+            f"irrep dimensions sum to {total}, ambient is {rep.dim}")
+    _fill_generator_matrices(rep, irreps)
+    return irreps
 
 
 def theta_transport(irrep, omega, T):

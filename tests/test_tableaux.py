@@ -4,21 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasispin.liealg import weyl_dimension
-from quasispin.linalg import rref_rows
+from quasispin.linalg import rank_and_kernel, rref_rows, svec_map
 from quasispin.replab import (_restrict_to_slices, defining_representation,
-                              extract_irreps, fock_representation,
+                              fock_representation,
                               irrep_of_weight, multiplicity_slices,
                               omega_operator, tensor_power_representation,
                               trivial_representation)
 from quasispin.tableaux import (GAMMA_CONVENTIONS, Flag, GTMolevTableau,
-                                Rectangle, _composed_rank, assign_k, case_of,
+                                Rectangle, _induced_flags, assign_k, case_of,
                                 enumerate_tableaux, gammas,
                                 predicted_slice_matrix, quantum_numbers,
                                 validate_against_representation)
 from test_linalg import (dense_charpoly, dense_kernel, dense_matmul,
                          dense_rank, dense_rref, dense_solve, densify,
                          sparse)
-from test_replab import theta_transport
+from test_replab import extract_irreps, theta_transport
 
 F = Fraction
 HALF = F(1, 2)
@@ -145,7 +145,7 @@ def test_predicted_matrix_zero_row_replacement():
     assert m.sigma == 0
     assert len(m.source_pts) == 2 and len(m.target_pts) == 1
     assert m.rank == 1 and m.nullity == 1
-    assert m.kernel == [{0: 1}]  # the kernel sits on the "lower" point
+    assert m.cols == {1: {0: 1}}  # the kernel sits on the "lower" point
 
 
 def test_structural_matrix_matches_generic_rank():
@@ -343,6 +343,138 @@ def _image_levels(levels, d, n):
     return out
 
 
+# -- the step-by-step gamma comparisons, reference for the barcodes ----
+
+
+def _composed_rank(outer: dict, inner: dict) -> int:
+    """Rank of outer . inner, both maps as sparse columns."""
+    return len(rref_rows(svec_map(outer, col) for col in inner.values()))
+
+
+def _meet_dim(a, b) -> int:
+    """dim(span a intersect span b) for two independent lists of sparse
+    vectors, as dim(A) + dim(B) - dim(A+B)."""
+    return len(a) + len(b) - len(rref_rows(a + b))
+
+
+def _kernel_level_dims(kernel_basis, flag: Flag):
+    """dim(ker intersect U_m) for each flag level."""
+    return [len(kernel_basis)] + [_meet_dim(kernel_basis, flag.levels[m])
+                                  for m in range(1, flag.depth())]
+
+
+def _old_gamma_mismatch_ts(irr):
+    """({convention: the T it fails at}, gamma winner) from four partial
+    comparisons of each gamma model with the computed up maps: rank and
+    nullity of every step, two-step ranks from sigma = 0 starts, and on
+    N <= 0 the level dimensions of the induced flags and the kernel
+    positions in them.  Each is a function of the chain's barcode."""
+    lam = irr.highest_weight
+    _, data = assign_k(irr)
+    slices = multiplicity_slices(irr)
+    ts = {conv: set() for conv in GAMMA_CONVENTIONS}
+    for conv in GAMMA_CONVENTIONS:
+        models = {key: predicted_slice_matrix(*lam, *key, conv)
+                  for key in slices}
+        for (T, N), s in slices.items():
+            model, up = models[T, N], data["ups"][(T, N)]
+            if model.cols is None or (model.rank, model.nullity) != (
+                    up.rank, up.nullity):
+                ts[conv].add(T)
+                continue
+            if model.sigma == 0 and (T, N + 1) in data["ups"]:
+                nxt = models[T, N + 1]
+                if nxt.cols is None:
+                    ts[conv].add(T)
+                    continue
+                ra = _composed_rank(data["ups"][(T, N + 1)].cols, up.cols)
+                rm = _composed_rank(nxt.cols, model.cols)
+                if (ra, s.dim - ra) != (rm, len(model.source_pts) - rm):
+                    ts[conv].add(T)
+        for T in {t for (t, _) in slices}:
+            ns = sorted(N for (t, N) in slices if t == T)
+            ladder = {N: models[T, N] for N in ns}
+            if any(mm.cols is None for mm in ladder.values()):
+                continue
+            mflags = _induced_flags(
+                ns, {N: mm.cols for N, mm in ladder.items()},
+                {N: len(mm.source_pts) for N, mm in ladder.items()})
+            for N in ns:
+                if N > 0:
+                    continue
+                flag, mflag = data["flags"][(T, N)], mflags[N]
+                _, m_ker = rank_and_kernel(ladder[N].cols,
+                                           len(ladder[N].source_pts))
+                if flag.level_dims() != mflag.level_dims() or (
+                        _kernel_level_dims(data["ups"][(T, N)].kernel(), flag)
+                        != _kernel_level_dims(m_ker, mflag)):
+                    ts[conv].add(T)
+    survivors = [c for c in GAMMA_CONVENTIONS if not ts[c]]
+    winner = (survivors[0] if len(survivors) == 1
+              else "tie" if survivors else "none")
+    return ts, winner
+
+
+def gamma_mismatch_ts(report):
+    """The same pair, read from a `validate_against_representation`
+    report."""
+    return ({conv: {e["T"] for e in report["gamma_mismatches"][conv]}
+             for conv in GAMMA_CONVENTIONS}, report["gamma_winner"])
+
+
+def test_barcodes_flag_what_the_step_comparisons_flag():
+    # the one barcode comparison per (T, convention) fails at exactly the
+    # T where one of the four old comparisons did, with the same winner
+    winners = set()
+    flagged = 0
+    for irr in _differential_corpus():
+        report = validate_against_representation(irr)
+        want = _old_gamma_mismatch_ts(irr)
+        assert gamma_mismatch_ts(report) == want, irr.highest_weight
+        assert all(len(report["gamma_mismatches"][conv]) == len(ts)
+                   for conv, ts in want[0].items())
+        winners.add(want[1])
+        flagged += sum(map(len, want[0].values()))
+    assert winners == {"proof-text", "tie"} and flagged > 0
+
+
+def test_a_gamma_model_with_another_barcode_is_flagged():
+    # on V(-1,-4) the definition model is regular on the T = -3 ladder,
+    # but its chain is not isomorphic to the computed one: it splits the
+    # computed interval [-2, 2] at N = 0 (no corpus irrep has such a T)
+    irr = irrep_of_weight((-1, -4))
+    report = validate_against_representation(irr)
+    assert gamma_mismatch_ts(report) == _old_gamma_mismatch_ts(irr)
+    [entry] = [e for e in report["gamma_mismatches"]["definition"]
+               if "barcodes" in e]
+    assert entry == {"T": -3, "barcodes": {
+        "actual": {(0, 0): 1, (-2, 2): 1}, "model": {(-2, 0): 1, (0, 2): 1}}}
+    assert report["gamma_winner"] == "proof-text"
+
+
+def test_k_is_the_age_of_an_interval():
+    # for N <= 0, a state at level k of V+_{T,N} lies in an interval of
+    # the up-chain's barcode born at N - k: the stratum dimensions of the
+    # flag are the age counts of the intervals through N
+    checked = aged = 0
+    for irr in _differential_corpus():
+        _, data = assign_k(irr)
+        assert all(mult > 0 for bars in data["barcodes"].values()
+                   for mult in bars.values())
+        for (T, N), flag in data["flags"].items():
+            if N > 0:
+                continue
+            ages = {}
+            for (a, b), mult in data["barcodes"][T].items():
+                if a <= N <= b:
+                    ages[int(N - a)] = ages.get(int(N - a), 0) + mult
+            assert {m: d for m, d in enumerate(flag.stratum_dims())
+                    if d} == ages, (irr.highest_weight, T, N)
+            checked += 1
+            aged += max(ages) > 0
+    assert checked == 146 and aged > 10
+
+
 def test_composed_rank_applies_one_map_to_the_other():
     swap = {0: {1: 1}, 1: {0: 1}}
     assert _composed_rank(swap, swap) == 2
@@ -414,8 +546,8 @@ def test_sparse_layer_matches_the_dense_reference():
                 if model.cols is None:
                     continue
                 n = len(model.source_pts)
-                _check_rank_and_kernel(model.cols, len(model.target_pts), n,
-                                       model.rank, model.kernel)
+                assert model.rank == dense_rank(
+                    densify(model.cols, len(model.target_pts), n), n)
                 assert model.nullity == n - model.rank
                 models += 1
     assert maps > 500 and models > 500
