@@ -5,10 +5,9 @@ Gaussian elimination, `rref_rows`: Gauss-Jordan on sparse rows
 {column: Fraction}, with the columns ordered by key.  It returns the
 nonzero rows of the reduced row echelon form, which is unique, so the
 result does not depend on the order of the rows.  Everything else is
-built on it:
-- `kernel_rows`, the RREF basis of a null space, as sparse rows;
-- `rank_and_kernel`, the rank and kernel of a map stored as sparse
-  columns.
+built on it: `kernel_rows` returns the RREF basis of a null space as
+sparse rows, and the rank of a map stored as sparse columns is the
+length of one `rref_rows` of its columns.
 A span is stored as the nonzero rows of its RREF.  That form is
 canonical: equal spans have equal rows, whatever order their vectors
 came in.
@@ -76,17 +75,6 @@ def kernel_rows(rows, cols):
     return rref_rows({fc: _ONE} | {p: -r[fc] for p, r in red.items()
                                    if fc in r}
                      for fc in cols if fc not in red)
-
-
-def rank_and_kernel(cols: dict, n: int):
-    """Rank and RREF kernel basis of the map with sparse columns cols
-    {source index: image}, on the source indices 0..n-1.
-
-    Returns (rank, kernel) with rank + len(kernel) == n, the kernel as
-    sparse rows, each mapped to zero.
-    """
-    kernel = kernel_rows(transpose_cols(cols).values(), range(n))
-    return n - len(kernel), kernel
 
 
 def characteristic_polynomial(op: LinOp):

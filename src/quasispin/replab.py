@@ -34,8 +34,7 @@ from .fock import build_o5_on_fock
 from .liealg import (GenIndex, Weight, canonical_generators, canonicalize,
                      defining_matrices, is_lowering, is_raising, root_of,
                      weyl_dimension)
-from .linalg import (LinOp, kernel_rows, rank_and_kernel, rref_rows, svec_add,
-                     transpose_cols)
+from .linalg import LinOp, kernel_rows, rref_rows, svec_add, transpose_cols
 from .uea import (IndexSet, UEAElement, evaluate_in_representation, hat_set,
                   pfaffian)
 
@@ -384,32 +383,19 @@ def multiplicity_slices(irrep: Irrep):
 class SliceMap:
     """An operator between two multiplicity slices, in slice coordinates:
     cols[c] is the sparse image {target position: x} of source basis
-    vector c (zero columns left out).
-
-    Rank and kernel come from one elimination, made on first use.
+    vector c (zero columns left out).  Its rank, the one number the
+    `repr` slice data read off it, is the length of one `rref_rows` of
+    its columns; `tableaux` reads the columns themselves.
     """
 
     def __init__(self, source: MultiplicitySlice, target, cols: dict):
         self.source = source
         self.target = target  # may be None for an empty target slice
         self.cols = cols
-        self._rank_kernel = None
-
-    def _factor(self):
-        if self._rank_kernel is None:
-            self._rank_kernel = rank_and_kernel(self.cols, self.source.dim)
-        return self._rank_kernel
 
     @property
     def rank(self):
-        return self._factor()[0]
-
-    @property
-    def nullity(self):
-        return self.source.dim - self.rank
-
-    def kernel(self):
-        return self._factor()[1]
+        return len(rref_rows(self.cols.values()))
 
 
 def _restrict_to_slices(op: LinOp, source: MultiplicitySlice,

@@ -113,12 +113,19 @@ def _short(x, limit=200):
     return s if len(s) <= limit else s[:limit] + "..."
 
 
+def _wire_key(k) -> str:
+    """A dict key as text; a tuple key (a barcode interval) as "(a, b)"."""
+    if isinstance(k, tuple):
+        return f"({', '.join(map(_wire_key, k))})"
+    return str(k)
+
+
 def serialize_value(x):
     """Recursively map values into the wire format."""
     if isinstance(x, Fraction):
         return format_rational(x)
     if isinstance(x, dict):
-        return {str(k): serialize_value(v) for k, v in x.items()}
+        return {_wire_key(k): serialize_value(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [serialize_value(v) for v in x]
     if isinstance(x, (str, int, float, bool)) or x is None:

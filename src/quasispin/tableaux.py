@@ -16,12 +16,13 @@ maps, and its gamma-free skeleton (every coefficient 1) carries the A-D
 case pattern.  Everything the model claims about actual representations
 is compared through basis-independent data only, never through matrix
 entries in an uncomputable basis: per T, the barcode of the chain of
-PfF_{2-hat} slice maps against that of each gamma model's chain; per
-step, the rank against the case pattern; and the characteristic
-polynomials of the round-trip endomorphisms.  Model maps and slice maps
-alike are sparse columns {source position: {target position: x}};
-every rank and flag level is the length or the rows of one
-`linalg.rref_rows`.
+PfF_{2-hat} slice maps against that of each gamma model's chain, the
+skeleton's barcode against those of both computed chains (the
+PfF_{2-hat} chain, and the PfF_{-2-hat} chain read with N -> -N), and
+the characteristic polynomials of the round-trip endomorphisms.  Model
+maps and slice maps alike are sparse columns {source position: {target
+position: x}}; every rank and flag level is the length or the rows of
+one `linalg.rref_rows`.
 
 `assign_k` builds the fourth quantum number as an image filtration over
 the computed Pfaffian slice maps: states at level k of V+_{T,N} are
@@ -192,21 +193,17 @@ def gammas(l21, l22, convention: str):
     raise ValueError(f"unknown gamma convention {convention!r}")
 
 
+@dataclass
 class ModelMatrix:
     """Predicted slice-to-slice map of PfF_{2-hat} in tableau order, as
     sparse columns {source point position: {target point position: x}},
-    with its rank and nullity."""
+    between the point lists of its two slices."""
 
-    def __init__(self, cols, source_pts, target_pts, sigma, singular_points):
-        self.cols = cols  # None when a coefficient is singular
-        self.source_pts = source_pts
-        self.target_pts = target_pts
-        self.sigma = sigma
-        self.singular_points = singular_points
-        self.rank = self.nullity = None
-        if cols is not None:
-            self.rank = len(rref_rows(cols.values()))
-            self.nullity = len(source_pts) - self.rank
+    cols: dict | None  # None when a coefficient is singular
+    source_pts: list
+    target_pts: list
+    sigma: int
+    singular_points: list
 
 
 def predicted_slice_matrix(lam1, lam2, T, N,
@@ -222,8 +219,9 @@ def predicted_slice_matrix(lam1, lam2, T, N,
     convention=None gives the gamma-free skeleton, every coefficient 1.
     For subset-identity and two-diagonal staircase patterns the rank of
     the all-ones filling equals the generic rank (no competing
-    permutation paths), so the skeleton is the case-pattern rank
-    prediction of the A-D analysis.
+    permutation paths), so the skeleton's chain over a ladder is the
+    case-pattern prediction of the A-D analysis: its barcode fixes the
+    rank of every step and of every composed map.
     """
     rect = Rectangle(lam1, lam2, T)
     src = rect.slice_points(N)
@@ -322,15 +320,6 @@ def _induced_flags(ns, maps, dims, step=1) -> dict:
     return flags
 
 
-def _rank(up_flags, a, b) -> int:
-    """r(a, b) for a <= b: the rank of the composed up map V_a -> V_b,
-    level b - a of the up-flag at b (0 off the ladder or beyond the
-    flag's depth)."""
-    dims = up_flags[b].level_dims() if b in up_flags else []
-    m = int(b - a)
-    return dims[m] if m < len(dims) else 0
-
-
 def barcode(ns, flags) -> dict:
     """The interval decomposition {(a, b): multiplicity} of one T's chain.
 
@@ -340,11 +329,18 @@ def barcode(ns, flags) -> dict:
     r(a, b) of the composed maps, read from the chain's up-flags `flags`
     (`_induced_flags`), fix the multiplicities:
     mult[a, b] = r(a, b) - r(a-1, b) - r(a, b+1) + r(a-1, b+1).
+    r(a, b) is level b - a of the up-flag at b, 0 off the ladder or
+    beyond the flag's depth; the ladder is read in integer steps from
+    its lowest N.
     """
-    def r(a, b):
-        return _rank(flags, a, b)
+    lo = ns[0]
+    dims = {int(b - lo): flags[b].level_dims() for b in ns}
 
-    return {(a, b): mult for b in ns for a in ns if a <= b
+    def r(a, b):
+        d = dims.get(b, ())
+        return d[b - a] if b - a < len(d) else 0
+
+    return {(lo + a, lo + b): mult for b in dims for a in dims if a <= b
             if (mult := r(a, b) - r(a - 1, b) - r(a, b + 1) + r(a - 1, b + 1))}
 
 
@@ -389,8 +385,12 @@ def assign_k(irrep: Irrep):
     raised where it has not.
 
     Returns (states, data): one ClassifiedState per basis state, plus
-    the per-(T,N) flags/maps, the barcode of each T's up-chain and an
-    `anomalies` list.  The classical
+    the per-(T,N) flags/maps, the two barcodes of each T
+    (data["barcodes"][T]["up"] of the PfF_{2-hat} chain, read from the
+    from-below flags, and ["down"] of the PfF_{-2-hat} chain read with
+    N -> -N, read from the from-above flags; theta makes the mirrored
+    down chain an up chain, so both compare with one model chain) and
+    an `anomalies` list.  The classical
     claim that the two N = 0 assignments coincide is checked as flag
     equality and recorded as an anomaly when it fails (theta restricted
     to a multiplicity slice at N = 0 need not be scalar: on the (-1,-2)
@@ -402,7 +402,7 @@ def assign_k(irrep: Irrep):
     recorded as anomalies where they break the raising property.
     Hard contradictions of the classification pattern (a mirror missing
     or of other level dimensions, label collisions, a raising kernel
-    meeting the image U_1 at N <= 0, read off the up-chain's ranks)
+    meeting the image U_1 at N <= 0, read off the up barcode)
     raise ClassificationError.
     """
     lam1, lam2 = irrep.highest_weight
@@ -435,7 +435,10 @@ def assign_k(irrep: Irrep):
                 "level_dims": below[0].level_dims(),
             })
         data["flags"].update({(T, N): f for N, f in flags.items()})
-        data["barcodes"][T] = barcode(ns, below)
+        data["barcodes"][T] = {
+            "up": barcode(ns, below),
+            "down": barcode([-N for N in ns[::-1]],
+                            {-N: f for N, f in above.items()})}
         # raising property across the seam: PfF_{2-hat} out of N = -1/2
         # and PfF_{-2-hat} out of N = +1/2 each land in the other
         # induction's flag
@@ -447,13 +450,13 @@ def assign_k(irrep: Irrep):
                     data["anomalies"].append(
                         {"kind": kind, "T": T, "N": N, "level": bad})
         # kernel transversality (case D sigma=0 bookkeeping), read off
-        # the ranks: dim(ker(N -> N+1) meet U_1) = r(N-1, N) - r(N-1, N+1)
-        for N in ns:
-            if N <= 0 and (_rank(below, N - 1, N)
-                           != _rank(below, N - 1, N + 1)):
-                raise ClassificationError(
-                    f"kernel of the raising map meets the image "
-                    f"filtration at (T={T},N={N})")
+        # the up barcode: dim(ker(N -> N+1) meet U_1) = r(N-1, N) -
+        # r(N-1, N+1) counts the intervals [a, N] with a < N
+        ends = sorted(b for a, b in data["barcodes"][T]["up"] if a < b <= 0)
+        if ends:
+            raise ClassificationError(
+                f"kernel of the raising map meets the image "
+                f"filtration at (T={T},N={ends[0]})")
         # emit labels
         for N in ns:
             f = flags[N]
@@ -484,75 +487,58 @@ def assign_k(irrep: Irrep):
 def validate_against_representation(irrep: Irrep):
     """Compare tableau-model predictions with the computed slice maps.
 
-    Per (T, N): slice dimension vs tableau point count; rank and nullity
-    of the actual step vs the A-D case pattern (the gamma-free skeleton,
-    checked on the upward maps for N < 0 and the mirrored downward maps
-    for N > 0); the round-trip endomorphism characteristic polynomials
-    are recorded as probe data.  Per T: the barcode of the computed
-    up-chain vs that of each gamma model's chain, both read from
-    `_induced_flags`, so the model is compared through the rank of every
-    composed map; a model singular anywhere on the ladder is one
-    mismatch, with its singular points.  Returns a report dict;
-    'gamma_winner' names the convention consistent with all measured
-    data (or 'tie'/'none').
+    Per T, one barcode comparison per model: each model chain is built
+    by `predicted_slice_matrix` on every N of the ladder and its barcode
+    read from `_induced_flags`, so the model is compared through the
+    dimension of every slice and the rank of every composed map.  The
+    gamma-free skeleton (the A-D case pattern) is compared with both
+    computed chains of `assign_k`, one 'case_mismatches' entry per
+    differing direction; each gamma model with the up-chain, one
+    'gamma_mismatches' entry per differing T, and a model singular
+    anywhere on the ladder is one mismatch, with its singular points.
+    The round-trip endomorphism characteristic polynomials are recorded
+    per (T, N) as probe data.  Returns a report dict; 'gamma_winner'
+    names the convention consistent with all measured data (or
+    'tie'/'none').
     """
     lam1, lam2 = irrep.highest_weight
     states, data = assign_k(irrep)
     slices = multiplicity_slices(irrep)
-    # every model map once: each gamma convention on every slice, and the
-    # skeleton (None) on N < 0, where it also serves the mirrored N > 0
-    models = {(T, N, conv): predicted_slice_matrix(lam1, lam2, T, N, conv)
-              for (T, N) in slices
-              for conv in GAMMA_CONVENTIONS + ((None,) if N < 0 else ())}
-    report = {"slices": [], "gamma_mismatches": {c: [] for c in GAMMA_CONVENTIONS},
+    report = {"gamma_mismatches": {c: [] for c in GAMMA_CONVENTIONS},
               "case_mismatches": [], "roundtrip_charpolys": {},
               "states": states, "anomalies": data["anomalies"]}
+    # round-trip endomorphism spectra (probe content): the down map out
+    # of N + 1 after the up map, zero when there is no slice there
     for (T, N), s in sorted(slices.items()):
-        pts = models[T, N, GAMMA_CONVENTIONS[0]].source_pts
-        row = {"T": T, "N": N, "dim": s.dim, "model_dim": len(pts)}
-        if s.dim != len(pts):
-            row["dim_mismatch"] = True
-        tag, sigma = case_of(lam1, lam2, T, N)
-        row["case"], row["sigma"] = tag, sigma
-        up = data["ups"][(T, N)]
-        row["rank"], row["nullity"] = up.rank, up.nullity
-        # A-D case pattern: up-steps out of N < 0, mirrored down-steps
-        # out of N > 0 (sharing the mirror slice's structure)
-        if N:
-            skel = models[T, -abs(N), None]
-            step = up if N < 0 else data["downs"][(T, N)]
-            if (step.rank, step.nullity) != (skel.rank, skel.nullity):
-                report["case_mismatches"].append(
-                    {"T": T, "N": N, "case": tag, "sigma": sigma,
-                     "direction": "up" if N < 0 else "down",
-                     "expected": (skel.rank, skel.nullity),
-                     "actual": (step.rank, step.nullity)})
-        # round-trip endomorphism spectra (probe content): the down map
-        # out of N + 1 after the up map, zero when there is no slice there
-        down = data["downs"].get((T, N + 1))
+        up, down = data["ups"][(T, N)], data["downs"].get((T, N + 1))
         rt = {c: svec_map(down.cols, col)
               for c, col in up.cols.items()} if down else {}
         report["roundtrip_charpolys"][(T, N)] = characteristic_polynomial(
             LinOp(s.dim, rt))
-        report["slices"].append(row)
-    # one barcode per (T, convention): the model chain's against the
-    # computed one (basis-independent interval multiplicities)
+    # one barcode per (T, model): basis-independent interval multiplicities
     for T, actual in data["barcodes"].items():
         ns = sorted(N for (t, N) in slices if t == T)
-        for conv in GAMMA_CONVENTIONS:
-            ladder = {N: models[T, N, conv] for N in ns}
+        for conv in GAMMA_CONVENTIONS + (None,):
+            ladder = {N: predicted_slice_matrix(lam1, lam2, T, N, conv)
+                      for N in ns}
             singular = [(str(N), *map(str, p)) for N, mm in ladder.items()
                         for p in mm.singular_points]
-            if singular:
-                entry = {"singular": singular}
-            else:
-                model = barcode(ns, _induced_flags(
-                    ns, {N: mm.cols for N, mm in ladder.items()},
-                    {N: len(mm.source_pts) for N, mm in ladder.items()}))
-                if model == actual:
-                    continue
-                entry = {"barcodes": {"actual": actual, "model": model}}
-            report["gamma_mismatches"][conv].append({"T": T, **entry})
+            if singular:  # a gamma model; the skeleton has no denominators
+                report["gamma_mismatches"][conv].append(
+                    {"T": T, "singular": singular})
+                continue
+            model = barcode(ns, _induced_flags(
+                ns, {N: mm.cols for N, mm in ladder.items()},
+                {N: len(mm.source_pts) for N, mm in ladder.items()}))
+            if conv is None:
+                report["case_mismatches"].extend(
+                    {"T": T, "direction": direction,
+                     "barcodes": {"actual": bars, "model": model}}
+                    for direction, bars in actual.items() if bars != model)
+            elif model != actual["up"]:
+                report["gamma_mismatches"][conv].append(
+                    {"T": T, "barcodes": {"actual": actual["up"],
+                                          "model": model}})
     survivors = [c for c in GAMMA_CONVENTIONS if not report["gamma_mismatches"][c]]
     if len(survivors) == 1:
         report["gamma_winner"] = survivors[0]

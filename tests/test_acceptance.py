@@ -27,7 +27,7 @@ from quasispin.replab import (O3_LOWERING, O3_RAISING, _restrict_to_slices,
                               fock_representation, multiplicity_slices,
                               omega_operator, pf_slice_maps,
                               tensor_power_representation, tps_scalar_probe)
-from quasispin.tableaux import (assign_k, enumerate_tableaux,
+from quasispin.tableaux import (Rectangle, assign_k, enumerate_tableaux,
                                 quantum_numbers,
                                 validate_against_representation)
 from quasispin.uea import (IndexSet, UEAElement, capelli,
@@ -415,8 +415,10 @@ def test_criterion_8_raising_model_validation(corpus):
                 case_bad.append(f"{label}:{irr.highest_weight}")
             winners.setdefault(report["gamma_winner"], set()).add(
                 irr.highest_weight)
-            for row in report["slices"]:
-                if row.get("dim_mismatch"):
+            lam1, lam2 = irr.highest_weight
+            for (T, N), s in multiplicity_slices(irr).items():
+                info = Rectangle(lam1, lam2, T).slice_points(N)
+                if info is None or len(info[2]) != s.dim:
                     case_bad.append(f"dim {label}:{irr.highest_weight}")
     decisive = sorted(w for w in winners if w != "tie")
     unique = decisive == ["proof-text"] or (len(decisive) == 1
@@ -425,7 +427,8 @@ def test_criterion_8_raising_model_validation(corpus):
     ok = not case_bad and unique
     name = decisive[0] if len(decisive) == 1 else str(decisive)
     verdict(8, ok,
-            f"slice ranks/nullities match the case predictions on all "
+            f"slice dimensions and both Pfaffian chains' barcodes match "
+            f"the case predictions on all "
             f"{len(seen)} weights; gamma convention decided: {name} "
             f"(discriminating irreps: "
             f"{sorted(tuple(map(str, w)) for w in winners.get(name, set()))}) "

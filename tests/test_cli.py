@@ -8,6 +8,8 @@ from quasispin.cli import main, suite_identities
 from quasispin.liealg import GenIndex, Weight
 from quasispin.tableaux import ClassificationError
 from test_replab import extract_irreps
+from test_tableaux import (ZEROED_DOWN_T, hollow_skeleton,
+                           zero_the_down_map_out_of_one)
 
 
 def run(argv):
@@ -398,26 +400,37 @@ def test_singular_gammas_fail_the_gamma_winner(monkeypatch, capsys):
 
 
 def test_an_empty_skeleton_fails_the_case_pattern(monkeypatch, capsys):
-    # a skeleton with no columns predicts rank 0 on every step, which the
-    # computed maps contradict wherever they are nonzero
-    predicted = tableaux.predicted_slice_matrix
-
-    def hollow(lam1, lam2, T, N, convention):
-        model = predicted(lam1, lam2, T, N, convention)
-        if convention is not None:
-            return model
-        return tableaux.ModelMatrix({}, model.source_pts, model.target_pts,
-                                    model.sigma, [])
-
-    monkeypatch.setattr(tableaux, "predicted_slice_matrix", hollow)
+    # a skeleton with no columns has a barcode of length-0 intervals only
+    # (every step of its chain is zero), which the computed chains, with
+    # longer intervals, contradict
+    hollow_skeleton(monkeypatch)
     code, lines, failed = _classify_failures(monkeypatch, capsys, "-1,-2")
     assert code == 1
     assert [ln.split()[:2] for ln in lines] == [
         ["FAIL", "classify/case-pattern"]]
     [check] = failed
     mismatches = check.witness["mismatches"]
-    assert mismatches and all(m["expected"][0] == 0 < m["actual"][0]
-                              for m in mismatches)
+    assert mismatches and {m["direction"] for m in mismatches} == {"up",
+                                                                   "down"}
+    for m in mismatches:
+        assert all(a == b for a, b in m["barcodes"]["model"])
+        assert any(a < b for a, b in m["barcodes"]["actual"])
+
+
+def test_a_zeroed_down_map_fails_the_case_pattern(monkeypatch, capsys):
+    # the up-chain matches the skeleton; the down chain, read with
+    # N -> -N, splits the skeleton's interval [-1, 1] where the zeroed
+    # map (now from -1 to 0) was
+    zero_the_down_map_out_of_one(monkeypatch)
+    code, lines, failed = _classify_failures(monkeypatch, capsys, "-1,-2")
+    assert code == 1
+    assert lines == [
+        'FAIL    classify/case-pattern  [{"mismatches": [{"T": "-2", '
+        '"direction": "down", "barcodes": {"actual": {"(-1, -1)": 1, '
+        '"(0, 1)": 1}, "model": {"(-1, 1)": 1}}}]}]']
+    [check] = failed
+    [mismatch] = check.witness["mismatches"]
+    assert (mismatch["T"], mismatch["direction"]) == (ZEROED_DOWN_T, "down")
 
 
 def test_failed_gamma_winner_probe_is_reported(monkeypatch, tmp_path,

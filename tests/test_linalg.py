@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasispin.liealg import canonical_generators
 from quasispin.linalg import (LinOp, characteristic_polynomial, kernel_rows,
-                              rank_and_kernel, rref_rows, svec_map)
+                              rref_rows, svec_map, transpose_cols)
 from quasispin.replab import _coordinates
 from quasispin.uea import UEAElement, evaluate_in_representation
 
@@ -186,6 +186,18 @@ def columns_of(data, cols):
     """The sparse columns of dense rows with cols columns."""
     return {c: col for c in range(cols)
             if (col := {r: row[c] for r, row in enumerate(data) if row[c]})}
+
+
+def rank_and_kernel(cols: dict, n: int):
+    """Rank and RREF kernel basis of the map with sparse columns cols
+    {source index: image}, on the source indices 0..n-1: the sparse
+    reference for a map's kernel, from `kernel_rows` of its rows.
+
+    Returns (rank, kernel) with rank + len(kernel) == n, the kernel as
+    sparse rows, each mapped to zero.
+    """
+    kernel = kernel_rows(transpose_cols(cols).values(), range(n))
+    return n - len(kernel), kernel
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,11 +2,14 @@
 
 Every module-level function and class, and every method, of
 `quasispin` must be referenced somewhere under `src/` outside its own
-definition, or be exported by `quasispin/__init__`.  A reference is any
-name or attribute with the same identifier, so the scan is conservative:
-it can miss dead code that shares a name with live code, never the
-reverse.  Dunder methods are called by the language and are exempt.
-Code kept on purpose without a caller goes in ALLOWED with its reason.
+definition, or be exported by `quasispin/__init__`.  A reference to a
+function or class is any name or attribute with the same identifier; a
+method is referenced only through an attribute (`x.name`), since a bare
+name is a local or a module-level definition, never the method.  The
+scan is still conservative: it can miss dead code that shares a name
+with live code, never the reverse.  Dunder methods are called by the
+language and are exempt.  Code kept on purpose without a caller goes in
+ALLOWED with its reason.
 """
 
 import ast
@@ -16,7 +19,16 @@ import quasispin
 
 PACKAGE = Path(quasispin.__file__).parent
 
-ALLOWED: dict = {}
+ALLOWED: dict = {
+    "fock.FockSpace.a": "annihilation operator of one mode; the tests "
+                        "check the CAR relations with it",
+    "fock.FockSpace.adag": "creation operator of one mode; the tests "
+                           "check the CAR relations with it",
+    "liealg.GenIndex.key": "the generator's index pair, which the tests "
+                           "compare brackets by",
+    "linalg.LinOp.data": "dense rows of an operator, read by "
+                         "`benchmarks/tracer.py` to size matrix entries",
+}
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -36,12 +48,13 @@ def definitions(tree):
 
 
 def references(tree):
-    """(identifier, line) of every name and attribute use."""
+    """(identifier, line, whether an attribute) of every name and
+    attribute use."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
 def exports():
@@ -55,16 +68,18 @@ def callerless():
              for path in sorted(PACKAGE.glob("*.py"))}
     uses = {}
     for module, tree in trees.items():
-        for name, line in references(tree):
-            uses.setdefault(name, []).append((module, line))
+        for name, line, attribute in references(tree):
+            uses.setdefault(name, []).append((module, line, attribute))
     exported = exports()
     found = []
     for module, tree in trees.items():
         for qual, name, first, last in definitions(tree):
             if module != "__init__" and "." not in qual and name in exported:
                 continue
-            if not any(m != module or not first <= line <= last
-                       for m, line in uses.get(name, ())):
+            method = "." in qual
+            if not any((m != module or not first <= line <= last)
+                       and (attribute or not method)
+                       for m, line, attribute in uses.get(name, ())):
                 found.append(f"{module}.{qual}")
     return found
 

@@ -78,6 +78,9 @@ def test_exit_code_contract():
 def test_rational_serialization():
     assert serialize_value(Fraction(-1, 2)) == "-1/2"
     assert serialize_value({"x": [Fraction(1, 3), 2]}) == {"x": ["1/3", 2]}
+    # tuple keys (barcode intervals) read as intervals
+    assert serialize_value({(Fraction(-1), Fraction(1, 2)): 1}) == {
+        "(-1, 1/2)": 1}
 
 
 @given(st.fractions(min_value=-50, max_value=50, max_denominator=12),

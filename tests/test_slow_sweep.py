@@ -3,9 +3,9 @@
 49 weights, 11 760 states, the largest irrep the 810-dimensional
 (-4,-6); each irrep is built as a Cartan product by
 `replab.irrep_of_weight`.  Run with QUASISPIN_SLOW=1 (and -s to see the
-anomaly sites).  The gamma verdict of every weight is compared with the
-step-by-step reference of `test_tableaux`, and the anomaly inventory is
-gated by two rules:
+anomaly sites).  The gamma verdict and the case-pattern verdict of every
+weight are compared with the step-by-step references of `test_tableaux`,
+and the anomaly inventory is gated by two rules:
 - integral lam: n0-two-sided-disagreement at exactly the T whose N = 0
   slice has dimension >= 2;
 - half-integral lam: seam-raising-up at (T, -1/2) and seam-raising-down
@@ -21,7 +21,8 @@ from quasispin.liealg import weyl_dimension
 from quasispin.replab import irrep_of_weight, multiplicity_slices
 from quasispin.tableaux import (enumerate_tableaux,
                                 validate_against_representation)
-from test_tableaux import _old_gamma_mismatch_ts, gamma_mismatch_ts
+from test_tableaux import (_old_case_mismatch_ts, _old_gamma_mismatch_ts,
+                           gamma_mismatch_ts)
 
 HALF = Fraction(1, 2)
 DEPTH = 6
@@ -69,6 +70,7 @@ def test_sweep(lam):
     labels = [s.label() for s in result["states"]]
     assert len(labels) == len(set(labels)) == irr.dim
     assert result["case_mismatches"] == []
+    assert _old_case_mismatch_ts(irr) == set()
     assert result["gamma_winner"] in ("proof-text", "tie")
     # the barcodes flag the T the four step comparisons flag
     assert gamma_mismatch_ts(result) == _old_gamma_mismatch_ts(irr)

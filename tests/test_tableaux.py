@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from quasispin import tableaux
 from quasispin.liealg import weyl_dimension
-from quasispin.linalg import rank_and_kernel, rref_rows, svec_map
-from quasispin.replab import (_restrict_to_slices, defining_representation,
+from quasispin.linalg import rref_rows, svec_map
+from quasispin.replab import (SliceMap, _restrict_to_slices,
+                              defining_representation,
                               fock_representation,
                               irrep_of_weight, multiplicity_slices,
                               omega_operator, tensor_power_representation,
@@ -17,7 +19,7 @@ from quasispin.tableaux import (GAMMA_CONVENTIONS, Flag, GTMolevTableau,
                                 validate_against_representation)
 from test_linalg import (dense_charpoly, dense_kernel, dense_matmul,
                          dense_rank, dense_rref, dense_solve, densify,
-                         sparse)
+                         rank_and_kernel, sparse)
 from test_replab import extract_irreps, theta_transport
 
 F = Fraction
@@ -114,6 +116,17 @@ def test_case_of_degenerate_corner():
         case_of(F(0), F(-1), F(0), F(0))  # empty slice
 
 
+def rank_nullity(cols, n):
+    """(rank, nullity) of the map with sparse columns cols on n source
+    positions, the rank from one `rref_rows` of its columns."""
+    rank = len(rref_rows(cols.values()))
+    return rank, n - rank
+
+
+def model_rank_nullity(m):
+    return rank_nullity(m.cols, len(m.source_pts))
+
+
 def test_gamma_conventions():
     assert gammas(F(0), F(-1), "definition") == (F(1), F(1))
     assert gammas(F(0), F(-1), "proof-text") == (F(0), F(-2))
@@ -125,14 +138,14 @@ def test_predicted_matrix_sigma0_identity():
     # (-1,-2), T=-1, N=-2 -> N=-1: single point, sigma=0 step, identity
     m = predicted_slice_matrix(F(-1), F(-2), F(-1), F(-2), "proof-text")
     assert m.sigma == 0 and len(m.target_pts) == len(m.source_pts) == 1
-    assert m.cols == {0: {0: 1}} and m.rank == 1
+    assert m.cols == {0: {0: 1}} and model_rank_nullity(m) == (1, 0)
 
 
 def test_predicted_matrix_sigma1_injective():
     # (-1,-2), T=-1, N=-1 -> N=0: sigma=1 bidiagonal into two points
     m = predicted_slice_matrix(F(-1), F(-2), F(-1), F(-1), "proof-text")
     assert m.sigma == 1 and len(m.target_pts) == 2 and len(m.source_pts) == 1
-    assert m.rank == 1 and m.nullity == 0
+    assert model_rank_nullity(m) == (1, 0)
     # definition gammas are singular at that point (gamma1 = gamma2 = 0)
     md = predicted_slice_matrix(F(-1), F(-2), F(-1), F(-1), "definition")
     assert md.cols is None and md.singular_points == [(F(-1), F(-2))]
@@ -144,13 +157,13 @@ def test_predicted_matrix_zero_row_replacement():
     m = predicted_slice_matrix(F(-1), F(-2), F(-1), F(0), "proof-text")
     assert m.sigma == 0
     assert len(m.source_pts) == 2 and len(m.target_pts) == 1
-    assert m.rank == 1 and m.nullity == 1
+    assert model_rank_nullity(m) == (1, 1)
     assert m.cols == {1: {0: 1}}  # the kernel sits on the "lower" point
 
 
 def test_structural_matrix_matches_generic_rank():
     s = predicted_slice_matrix(F(-1), F(-2), F(-1), F(-1), None)
-    assert s.rank == 1 and s.nullity == 0
+    assert model_rank_nullity(s) == (1, 0)
 
 
 def small_weights():
@@ -243,10 +256,14 @@ def test_validation_gamma_winner():
 
 
 def test_validation_slice_dims_match():
+    # every computed slice has as many states as its rectangle points
     rep = fock_representation(HALF)
     for irr in extract_irreps(rep):
+        lam1, lam2 = irr.highest_weight
+        for (T, N), s in multiplicity_slices(irr).items():
+            info = Rectangle(lam1, lam2, T).slice_points(N)
+            assert info is not None and len(info[2]) == s.dim, (T, N)
         report = validate_against_representation(irr)
-        assert all("dim_mismatch" not in row for row in report["slices"])
         assert not report["case_mismatches"]
 
 
@@ -258,16 +275,18 @@ def test_sigma0_slices_map_isomorphically():
     irr = [i for i in extract_irreps(rep)
            if i.highest_weight == (F(-1), F(-1))][0]
     lam1, lam2 = irr.highest_weight
-    report = validate_against_representation(irr)
+    _, data = assign_k(irr)
     checked = 0
-    for row in report["slices"]:
-        if row["sigma"] != 0 or row["N"] >= 0 or row["case"] == "D":
+    for (T, N), up in data["ups"].items():
+        tag, sigma = case_of(lam1, lam2, T, N)
+        if sigma != 0 or N >= 0 or tag == "D":
             continue
-        tgt = Rectangle(lam1, lam2, row["T"]).slice_points(row["N"] + 1)
+        rank, nullity = rank_nullity(up.cols, up.source.dim)
+        tgt = Rectangle(lam1, lam2, T).slice_points(N + 1)
         if tgt is None:
-            assert row["rank"] == 0  # gap in the ladder: zero map
+            assert rank == 0  # gap in the ladder: zero map
             continue
-        assert row["nullity"] == 0 and row["rank"] == len(tgt[2])
+        assert nullity == 0 and rank == len(tgt[2])
         checked += 1
     assert checked > 0
 
@@ -378,8 +397,8 @@ def _old_gamma_mismatch_ts(irr):
                   for key in slices}
         for (T, N), s in slices.items():
             model, up = models[T, N], data["ups"][(T, N)]
-            if model.cols is None or (model.rank, model.nullity) != (
-                    up.rank, up.nullity):
+            if model.cols is None or model_rank_nullity(model) != (
+                    rank_nullity(up.cols, up.source.dim)):
                 ts[conv].add(T)
                 continue
             if model.sigma == 0 and (T, N + 1) in data["ups"]:
@@ -403,10 +422,12 @@ def _old_gamma_mismatch_ts(irr):
                 if N > 0:
                     continue
                 flag, mflag = data["flags"][(T, N)], mflags[N]
+                up = data["ups"][(T, N)]
+                _, ker = rank_and_kernel(up.cols, up.source.dim)
                 _, m_ker = rank_and_kernel(ladder[N].cols,
                                            len(ladder[N].source_pts))
                 if flag.level_dims() != mflag.level_dims() or (
-                        _kernel_level_dims(data["ups"][(T, N)].kernel(), flag)
+                        _kernel_level_dims(ker, flag)
                         != _kernel_level_dims(m_ker, mflag)):
                     ts[conv].add(T)
     survivors = [c for c in GAMMA_CONVENTIONS if not ts[c]]
@@ -422,20 +443,109 @@ def gamma_mismatch_ts(report):
              for conv in GAMMA_CONVENTIONS}, report["gamma_winner"])
 
 
+# -- the single-step case-pattern comparison, reference for the barcodes
+
+
+def _old_case_mismatch_ts(irr):
+    """The T at which the single-step comparison with the A-D case
+    pattern fails: rank and nullity of the computed up step out of each
+    N < 0, and of the down step out of each N > 0, against those of the
+    skeleton's step out of -|N|.  The skeleton is looked up on `tableaux`
+    at call time, so a patched one is the one compared."""
+    lam = irr.highest_weight
+    _, data = assign_k(irr)
+    ts = set()
+    for (T, N), up in data["ups"].items():
+        if not N:
+            continue
+        skel = tableaux.predicted_slice_matrix(*lam, T, -abs(N), None)
+        step = up if N < 0 else data["downs"][(T, N)]
+        if rank_nullity(step.cols, step.source.dim) != model_rank_nullity(
+                skel):
+            ts.add(T)
+    return ts
+
+
+def case_mismatch_ts(report):
+    """The T of the case mismatches of a
+    `validate_against_representation` report."""
+    return {e["T"] for e in report["case_mismatches"]}
+
+
+def hollow_skeleton(monkeypatch):
+    """Fault: a skeleton with no columns, predicting rank 0 on every step,
+    which the computed maps contradict wherever they are nonzero."""
+    predicted = tableaux.predicted_slice_matrix
+
+    def hollow(lam1, lam2, T, N, convention):
+        model = predicted(lam1, lam2, T, N, convention)
+        if convention is not None:
+            return model
+        return tableaux.ModelMatrix({}, model.source_pts, model.target_pts,
+                                    model.sigma, [])
+
+    monkeypatch.setattr(tableaux, "predicted_slice_matrix", hollow)
+
+
+# V(-1,-2) at T = -2: the PfF_{-2-hat} map out of N = 1 has rank 1
+ZEROED_DOWN_T = F(-2)
+
+
+def zero_the_down_map_out_of_one(monkeypatch, at=ZEROED_DOWN_T):
+    """Fault: the computed PfF_{-2-hat} slice map out of N = 1 at T = at
+    replaced by the zero map, the up-chain left as it is."""
+    slice_maps = tableaux.pf_slice_maps
+
+    def zeroed(irrep, T):
+        ups, downs = slice_maps(irrep, T)
+        if T == at:
+            down = downs[1]
+            downs = {**downs, 1: SliceMap(down.source, down.target, {})}
+        return ups, downs
+
+    monkeypatch.setattr(tableaux, "pf_slice_maps", zeroed)
+
+
 def test_barcodes_flag_what_the_step_comparisons_flag():
     # the one barcode comparison per (T, convention) fails at exactly the
-    # T where one of the four old comparisons did, with the same winner
+    # T where one of the four old comparisons did, with the same winner;
+    # the skeleton's barcodes, like the single steps, flag no T
     winners = set()
     flagged = 0
     for irr in _differential_corpus():
         report = validate_against_representation(irr)
         want = _old_gamma_mismatch_ts(irr)
         assert gamma_mismatch_ts(report) == want, irr.highest_weight
+        assert case_mismatch_ts(report) == _old_case_mismatch_ts(irr) == set()
         assert all(len(report["gamma_mismatches"][conv]) == len(ts)
                    for conv, ts in want[0].items())
         winners.add(want[1])
         flagged += sum(map(len, want[0].values()))
     assert winners == {"proof-text", "tie"} and flagged > 0
+
+
+def test_the_case_barcodes_flag_what_the_single_steps_flag(monkeypatch):
+    # under each fault the skeleton's barcode comparison fails at the T
+    # where the single-step comparison does: an empty skeleton on every
+    # T with a nonzero map, in both directions; a zeroed down map on its
+    # T, in the down direction only (the up-chain is untouched)
+    irr = irrep_of_weight((-1, -2))
+    with monkeypatch.context() as m:
+        hollow_skeleton(m)
+        report = validate_against_representation(irr)
+        want = _old_case_mismatch_ts(irr)
+        assert want == {F(-2), F(-1)} and case_mismatch_ts(report) == want
+        assert [(e["T"], e["direction"]) for e in report["case_mismatches"]
+                ] == [(T, d) for T in sorted(want) for d in ("up", "down")]
+    with monkeypatch.context() as m:
+        zero_the_down_map_out_of_one(m)
+        report = validate_against_representation(irr)
+        assert case_mismatch_ts(report) == _old_case_mismatch_ts(irr) == {
+            ZEROED_DOWN_T}
+        [entry] = report["case_mismatches"]
+        assert entry["direction"] == "down"
+        assert entry["barcodes"]["model"] == assign_k(irr)[1]["barcodes"][
+            ZEROED_DOWN_T]["up"] != entry["barcodes"]["actual"]
 
 
 def test_a_gamma_model_with_another_barcode_is_flagged():
@@ -460,12 +570,15 @@ def test_k_is_the_age_of_an_interval():
     for irr in _differential_corpus():
         _, data = assign_k(irr)
         assert all(mult > 0 for bars in data["barcodes"].values()
-                   for mult in bars.values())
+                   for bar in bars.values() for mult in bar.values())
+        # theta makes the mirrored down chain isomorphic to the up chain
+        assert all(bars["up"] == bars["down"]
+                   for bars in data["barcodes"].values())
         for (T, N), flag in data["flags"].items():
             if N > 0:
                 continue
             ages = {}
-            for (a, b), mult in data["barcodes"][T].items():
+            for (a, b), mult in data["barcodes"][T]["up"].items():
                 if a <= N <= b:
                     ages[int(N - a)] = ages.get(int(N - a), 0) + mult
             assert {m: d for m, d in enumerate(flag.stratum_dims())
@@ -502,7 +615,8 @@ def test_sparse_layer_matches_the_dense_reference():
             for key, m in data[kind].items():
                 rows = m.target.dim if m.target is not None else 0
                 dense_maps[kind, key] = _check_rank_and_kernel(
-                    m.cols, rows, m.source.dim, m.rank, m.kernel())
+                    m.cols, rows, m.source.dim, m.rank,
+                    rank_and_kernel(m.cols, m.source.dim)[1])
                 maps += 1
         omega = omega_operator(irr)
         for (T, N), flag in data["flags"].items():
@@ -514,7 +628,8 @@ def test_sparse_layer_matches_the_dense_reference():
                 theta = _restrict_to_slices(theta_transport(irr, omega, T),
                                             slices[(T, -N)], slices[(T, N)])
                 dense_theta = _check_rank_and_kernel(
-                    theta.cols, dim, dim, theta.rank, theta.kernel())
+                    theta.cols, dim, dim, theta.rank,
+                    rank_and_kernel(theta.cols, dim)[1])
                 maps += 1
                 assert theta.rank == dim, (lam, T, N)
                 mirror = data["flags"][(T, -N)]
@@ -546,9 +661,10 @@ def test_sparse_layer_matches_the_dense_reference():
                 if model.cols is None:
                     continue
                 n = len(model.source_pts)
-                assert model.rank == dense_rank(
-                    densify(model.cols, len(model.target_pts), n), n)
-                assert model.nullity == n - model.rank
+                rank, nullity = model_rank_nullity(model)
+                d = densify(model.cols, len(model.target_pts), n)
+                assert rank == dense_rank(d, n)
+                assert nullity == len(dense_kernel(d, n))
                 models += 1
     assert maps > 500 and models > 500
     assert max(composed_ranks) == 2
