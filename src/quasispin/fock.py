@@ -6,7 +6,7 @@ Creation operators follow the Jordan-Wigner convention: applying
 a+_k to a mask picks up (-1)^(number of occupied modes below k).
 a+_k and a_k are kept as integer columns {col: {row: +-1}}: the CAR
 check, the operator sums and the bracket table run in integers
-(`_isum`), and an operator becomes a `LinOp` only when it leaves here.
+(`_isum`), and an operator leaves here as a `LinOp` of the same ints.
 `commutes` clears the denominators of two `LinOp`s to decide [x, y] = 0
 in the same integers.
 
@@ -79,11 +79,6 @@ def _ident(dim: int) -> dict:
     return {c: {c: 1} for c in range(dim)}
 
 
-def _to_linop(dim: int, cols: dict, den: int = 1) -> LinOp:
-    return LinOp(dim, {c: {r: Fraction(v, den) for r, v in col.items()}
-                       for c, col in cols.items()})
-
-
 class FockSpace:
     """All creation/annihilation operators for a single-j two-species shell."""
 
@@ -116,13 +111,13 @@ class FockSpace:
         return adag, a
 
     def adag(self, species: str, m) -> LinOp:
-        return _to_linop(self.dim, self._adag[self.mode_pos[(species, rat(m))]])
+        return LinOp(self.dim, self._adag[self.mode_pos[(species, rat(m))]])
 
     def a(self, species: str, m) -> LinOp:
-        return _to_linop(self.dim, self._a[self.mode_pos[(species, rat(m))]])
+        return LinOp(self.dim, self._a[self.mode_pos[(species, rat(m))]])
 
     def vacuum(self) -> dict:
-        return {0: Fraction(1)}
+        return {0: 1}
 
     def car_violations(self):
         """Exhaustive CAR check; returns offending (relation, i, j) triples."""
@@ -150,7 +145,7 @@ def quasispin_operators(space: FockSpace) -> dict:
 
     A(0) and B(0) come without their 1/sqrt2 prefactor, which sits in
     `DICTIONARY`; every entry is an integer or a half-integer: tau0 and
-    N are summed in integers as 2 tau0 and 2N.
+    N are summed in integers as 2 tau0 and 2N, and halved once.
     """
     j, ms = space.j, space.m_values
     ap = {m: space._adag[space.mode_pos["p", m]] for m in ms}
@@ -173,8 +168,9 @@ def quasispin_operators(space: FockSpace) -> dict:
     ops["A(-1)"] = _isum((s, an[m], an[-m]) for m, s in pos_m)
     ops["A(0)"] = _isum(t for m, s in pos_m
                         for t in ((s, ap[m], an[-m]), (s, an[m], ap[-m])))
-    ops = {name: _to_linop(space.dim, cols, 2 if name in ("tau0", "N") else 1)
-           for name, cols in ops.items()}
+    ops = {name: LinOp(space.dim, cols) for name, cols in ops.items()}
+    for name in ("tau0", "N"):
+        ops[name] = ops[name].scale(Fraction(1, 2))
     # B(X) is the adjoint (real transpose) of A(X)
     ops["B(1)"] = ops["A(1)"].transpose()
     ops["B(-1)"] = ops["A(-1)"].transpose()

@@ -2,7 +2,7 @@
 
 Matrices are small (desk scale, <= a few hundred rows).  There is one
 Gaussian elimination, `rref_rows`: Gauss-Jordan on sparse rows
-{column: Fraction}, with the columns ordered by key.  It returns the
+{column: entry}, with the columns ordered by key.  It returns the
 nonzero rows of the reduced row echelon form, which is unique, so the
 result does not depend on the order of the rows.  Everything else is
 built on it: `kernel_rows` returns the RREF basis of a null space as
@@ -18,29 +18,30 @@ A linear map has one representation: sparse columns
 representation operator (generators, Pfaffians, Omega, the o3
 projector) is a `LinOp`, and `characteristic_polynomial` takes one.
 Maps between two spaces (the slice maps of `replab`, the model maps of
-`tableaux`) are bare sparse columns.  `LinOp` coerces every entry with
-`scalars.rat`, so a float or any other non-rational entry raises
-`TypeError`.
+`tableaux`) are bare sparse columns.  Entries follow the one rule of
+`scalars`: an `int` when integral, else a `Fraction`.  `LinOp` and
+`scale` normalise every entry with `scalars.exact`, so a float or any
+other non-rational entry raises `TypeError`; the sparse sums start
+from `0`, so int entries stay ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import rat
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .scalars import exact
 
 
 def rref_rows(rows):
-    """Gauss-Jordan elimination on sparse rows {column: Fraction}, the
+    """Gauss-Jordan elimination on sparse rows {column: entry}, the
     columns ordered by key: the nonzero rows of the reduced row echelon
     form, in pivot order.  Each row's pivot is its smallest key, with
-    entry 1.  The rows are taken one at a time: each is reduced by the
-    pivot rows so far, which are zero at every other pivot, so one pass
-    clears it; what is left becomes a pivot row and is eliminated from
-    the others.  The input rows are not modified."""
+    entry 1; a row is scaled only when its pivot is not 1, and then
+    through `scalars.exact`, so an integral entry stays an int.  The
+    rows are taken one at a time: each is reduced by the pivot rows so
+    far, which are zero at every other pivot, so one pass clears it;
+    what is left becomes a pivot row and is eliminated from the others.
+    The input rows are not modified."""
     pivot_rows: dict = {}  # pivot column -> its row
     for row in rows:
         row = {c: x for c, x in row.items() if x}
@@ -49,8 +50,9 @@ def rref_rows(rows):
         if not row:
             continue
         p = min(row)
-        inv = _ONE / row[p]
-        row = {c: x * inv for c, x in row.items()}
+        if row[p] != 1:
+            inv = Fraction(1) / row[p]
+            row = {c: exact(x * inv) for c, x in row.items()}
         for other in pivot_rows.values():
             if p in other:
                 _axpy(other, -other[p], row)
@@ -61,7 +63,7 @@ def rref_rows(rows):
 def _axpy(row: dict, f, other: dict):
     """row += f * other in place, dropping the entries that cancel."""
     for c, y in other.items():
-        s = row.get(c, _ZERO) + f * y
+        s = row.get(c, 0) + f * y
         if s:
             row[c] = s
         else:
@@ -72,8 +74,8 @@ def kernel_rows(rows, cols):
     """The RREF basis of the null space of the sparse rows, over the
     column keys cols (every key of rows among them), as sparse rows."""
     red = {min(r): r for r in rref_rows(rows)}  # pivot -> its row
-    return rref_rows({fc: _ONE} | {p: -r[fc] for p, r in red.items()
-                                   if fc in r}
+    return rref_rows({fc: 1} | {p: -r[fc] for p, r in red.items()
+                                if fc in r}
                      for fc in cols if fc not in red)
 
 
@@ -81,14 +83,16 @@ def characteristic_polynomial(op: LinOp):
     """Coefficients [1, c_{n-1}, ..., c_0] of det(xI - op), exact.
 
     Faddeev-LeVerrier recursion; division only by integers, fine in
-    characteristic zero.
+    characteristic zero.  The coefficients are `Fraction`s, integral or
+    not: the report writes each as "p/q".
     """
     n = op.dim
-    coeffs = [_ONE]
+    coeffs = [Fraction(1)]
     m = LinOp(n)  # running M_k, starts at 0 so M_1 = op
     for k in range(1, n + 1):
         m = op @ (m + LinOp.identity(n).scale(coeffs[-1]))
-        coeffs.append(-sum((m.entry(i, i) for i in range(n)), _ZERO) / k)
+        trace = sum((m.entry(i, i) for i in range(n)), Fraction(0))
+        coeffs.append(-trace / k)
     return coeffs
 
 
@@ -98,7 +102,7 @@ def svec_add(u: dict, v: dict) -> dict:
     """u + v for sparse vectors."""
     out = dict(u)
     for k, x in v.items():
-        s = out.get(k, _ZERO) + x
+        s = out.get(k, 0) + x
         if s:
             out[k] = s
         else:
@@ -115,7 +119,7 @@ def svec_map(cols: dict, vec: dict) -> dict:
         if not col or not x:
             continue
         for r, y in col.items():
-            s = out.get(r, _ZERO) + x * y
+            s = out.get(r, 0) + x * y
             if s:
                 out[r] = s
             else:
@@ -153,13 +157,13 @@ class LinOp:
         self.cols: dict = {}
         if cols:
             for c, col in cols.items():
-                col = {r: y for r, x in col.items() if (y := rat(x))}
+                col = {r: y for r, x in col.items() if (y := exact(x))}
                 if col:
                     self.cols[c] = col
 
     @staticmethod
     def identity(dim: int) -> "LinOp":
-        return LinOp(dim, {c: {c: _ONE} for c in range(dim)})
+        return LinOp(dim, {c: {c: 1} for c in range(dim)})
 
     def apply(self, vec: dict) -> dict:
         return svec_map(self.cols, vec)
@@ -195,7 +199,7 @@ class LinOp:
         return self.scale(-1)
 
     def scale(self, c) -> "LinOp":
-        c = rat(c)
+        c = exact(c)
         if not c:
             return LinOp(self.dim)
         return LinOp(self.dim, {k: {r: c * x for r, x in col.items()}
@@ -213,7 +217,7 @@ class LinOp:
         return self.dim == other.dim and self.cols == other.cols
 
     def entry(self, r: int, c: int):
-        return self.cols.get(c, {}).get(r, _ZERO)
+        return self.cols.get(c, {}).get(r, 0)
 
     @property
     def data(self):

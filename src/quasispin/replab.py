@@ -269,8 +269,7 @@ def _fill_generator_matrices(rep: Representation, irreps):
     gens = [(g, root_of(g)) for g in canonical_generators(N_RANK)]
     for irr in irreps:
         for g, alpha in gens:
-            op = rep.genmap[g]
-            m = LinOp(irr.dim)
+            op, m = rep.genmap[g], {}
             for w, cols in irr.weight_positions.items():
                 images = [op.apply(irr.basis[c]) for c in cols]
                 if not any(images):
@@ -280,9 +279,9 @@ def _fill_generator_matrices(rep: Representation, irreps):
                 if coords is None:
                     raise AssertionError(
                         f"{g} image leaves the irrep span in {irr}")
-                m.cols.update((c, {rows[t]: x for t, x in col.items()})
-                              for c, col in zip(cols, coords) if col)
-            irr.genmats[g] = m
+                m.update((c, {rows[t]: x for t, x in col.items()})
+                         for c, col in zip(cols, coords))
+            irr.genmats[g] = LinOp(irr.dim, m)
 
 
 def _coordinates(targets, images):
@@ -479,7 +478,7 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
         # e-powers of the block basis vectors, up to nilpotency
         towers = []
         for c in cols:
-            tower = [{c: Fraction(1)}]
+            tower = [{c: 1}]
             while tower[-1]:
                 tower.append(e.apply(tower[-1]))
             towers.append(tower[:-1])
@@ -570,7 +569,7 @@ def omega_operator(irrep: Irrep) -> LinOp:
     for g in canonical_generators(N_RANK):
         c, h = omega_genindex(g)
         lhs = omega @ irrep.genmats[g]
-        rhs = (irrep.genmats[h] @ omega).scale(Fraction(c))
+        rhs = (irrep.genmats[h] @ omega).scale(c)
         if lhs != rhs:
             raise AssertionError(f"omega fails to intertwine {g} on {irrep}")
     return omega
@@ -626,7 +625,7 @@ def _ratio(x, y):
     """x = c*y for sparse vectors: the scalar c, or None."""
     if x.keys() - y.keys():
         return None
-    ratios = {x.get(k, 0) / b for k, b in y.items()}
+    ratios = {Fraction(x.get(k, 0)) / b for k, b in y.items()}
     if not ratios:
         return Fraction(0)  # x = y = 0
     return ratios.pop() if len(ratios) == 1 else None

@@ -235,9 +235,9 @@ def predicted_slice_matrix(lam1, lam2, T, N,
     cols = {}
     for j, (x, y) in enumerate(pts):
         if sigma == 0:
-            coeffs = {(x, y): Fraction(1)}
+            coeffs = {(x, y): 1}
         elif convention is None:
-            coeffs = {(x + 1, y): Fraction(1), (x, y + 1): Fraction(1)}
+            coeffs = {(x + 1, y): 1, (x, y + 1): 1}
         else:
             g1, g2 = gammas(x, y, convention)
             d = g1 * g1 - g2 * g2
@@ -289,7 +289,7 @@ class Flag:
 
 def _full(dim: int):
     """The RREF basis of the whole of a dim-dimensional slice."""
-    return [{i: Fraction(1)} for i in range(dim)]
+    return [{i: 1} for i in range(dim)]
 
 
 def _push_flag(flag: Flag, cols: dict, target_dim: int) -> Flag:

@@ -2,15 +2,15 @@
 
 Elements are rational-linear combinations of words in the canonical
 generators.  A word is a tuple of interned `GenIndex` letters, so it
-hashes and compares by identity.  A coefficient is an `int` when it is
-integral and a `Fraction` otherwise: the brackets of o_N are integral, so
-the rewriter and the evaluator work almost entirely on ints.  Floats are
-refused through `scalars.rat`.  Normal ordering rewrites a word into the
-fixed PBW order (lowering, Cartan, raising) by repeatedly swapping the
-leftmost out-of-order adjacent pair and spawning the bracket term;
-termination is guaranteed because (degree, inversion count) drops
-lexicographically at every step.  Two elements are equal in U(o_N) iff their normal forms
-coincide (PBW theorem).
+hashes and compares by identity.  Coefficients follow the one rule of
+`scalars` (an `int` when integral): the brackets of o_N are integral, so
+the rewriter and the evaluator work almost entirely on ints.  Normal
+ordering rewrites a word into the fixed PBW order (lowering, Cartan,
+raising) by repeatedly swapping the leftmost out-of-order adjacent pair
+and spawning the bracket term; termination is guaranteed because
+(degree, inversion count) drops lexicographically at every step.  Two
+elements are equal in U(o_N) iff their normal forms coincide (PBW
+theorem).
 
 The module also builds the noncommutative Pfaffians PfF_I, the Capelli
 sums C_k, and the symbolic identity checkers used by the verification
@@ -18,11 +18,10 @@ suites.  Every checker returns the normally ordered difference as a
 witness instead of a bare boolean.
 
 `evaluate_in_representation` is the one evaluator in a matrix
-representation; generator maps are `LinOp`s, and so is the result, built
-by the `LinOp` constructor, so its entries are `Fraction`s.  It pushes
-every basis vector through every word as a sparse column and forms no
-dense product.  The rewriter compares letters by
-`pbw_sort_key`, which liealg memoises per generator.
+representation; generator maps are `LinOp`s, and so is the result.  It
+pushes every basis vector through every word as a sparse column, on the
+letters' entries as they are, and forms no dense product.  The rewriter
+compares letters by `pbw_sort_key`, which liealg memoises per generator.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from math import factorial
 from .liealg import (GenIndex, Weight, bracket, canonicalize, index_range,
                      pbw_sort_key, root_of)
 from .linalg import LinOp
-from .scalars import rat
+from .scalars import exact
 
 Word = tuple  # a word is a tuple of GenIndex, () is the scalar word
 
@@ -42,19 +41,11 @@ _bracket_cache: dict = {}
 _normal_cache: dict = {}
 
 
-def _int(x):
-    """A coefficient as an int when integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    x = rat(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def _cached_bracket(a: GenIndex, b: GenIndex):
     key = (a, b)
     hit = _bracket_cache.get(key)
     if hit is None:
-        hit = _bracket_cache[key] = tuple((_int(c), g)
+        hit = _bracket_cache[key] = tuple((exact(c), g)
                                           for c, g in bracket(a, b))
     return hit
 
@@ -62,8 +53,8 @@ def _cached_bracket(a: GenIndex, b: GenIndex):
 class UEAElement:
     """Finite map Word -> rational coefficient; zero coefficients dropped.
 
-    The constructor stores integral coefficients as `int`, others as
-    `Fraction`; every operation builds its result through it.
+    The constructor normalises every coefficient with `scalars.exact`;
+    every operation builds its result through it.
     """
 
     __slots__ = ("n", "terms")
@@ -73,7 +64,7 @@ class UEAElement:
         self.terms: dict = {}
         if terms:
             for w, c in terms.items():
-                c = _int(c)
+                c = exact(c)
                 if c:
                     self.terms[w] = c
 
@@ -120,7 +111,7 @@ class UEAElement:
         return UEAElement(self.n, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "UEAElement":
-        c = _int(c)
+        c = exact(c)
         if not c:
             return UEAElement.zero(self.n)
         return UEAElement(self.n, {w: c * x for w, x in self.terms.items()})
@@ -556,8 +547,7 @@ def evaluate_in_representation(x: UEAElement, genmap: dict,
     nnz(vector) * nnz(column) steps, so operators with full columns cost
     no more than a matrix product per letter, and the defining, Fock and
     irrep generators, with one or a few entries per column, cost about
-    dim * len(w) dict steps per word.  Integral entries of the letters are
-    pushed as ints, and the result's constructor makes them `Fraction`s.
+    dim * len(w) dict steps per word.
     """
     if not genmap:
         raise ValueError("empty generator map")
@@ -575,10 +565,7 @@ def evaluate_in_representation(x: UEAElement, genmap: dict,
             if m.dim != dim:
                 raise ValueError(f"{g!r} acts on dimension {m.dim}, "
                                  f"not {dim}")
-            cols = letters[g] = {
-                c: {r: y.numerator if y.denominator == 1 else y
-                    for r, y in col.items()}
-                for c, col in m.cols.items()}
+            cols = letters[g] = m.cols
         return cols
 
     out: dict = {}

@@ -10,7 +10,7 @@ from quasispin.liealg import (GenIndex, bracket, o3_subalgebra_generators,
                               root_of)
 from quasispin.linalg import LinOp
 from quasispin.uea import hat_set, pf_hat_star_expression, pfaffian
-from test_linalg import commutator
+from test_linalg import commutator, follows_the_scalar_rule
 
 HALF = Fraction(1, 2)
 
@@ -99,9 +99,9 @@ def test_rescaled_generators_are_rational_weight_vectors():
         for g, op in rep.genmap.items():
             for c, col in op.cols.items():
                 for r, x in col.items():
-                    assert type(x) is Fraction
                     assert weight[r] - weight[c] == root_of(g), (g, r, c)
                     nonzero += 1
+            assert follows_the_scalar_rule(op), g
         assert nonzero == {HALF: 68, Fraction(3, 2): 1908}[j]
 
 
@@ -223,7 +223,14 @@ def test_integer_checks_match_linop_reference(j):
     sp = FockSpace(j)
     ops = quasispin_operators(sp)
     assert ops == ref_quasispin_operators(sp)
-    assert all(type(x) is Fraction for op in ops.values()
+    # a+ and a are integer columns; so is every operator but the halved
+    # tau0 and N, whose integral entries stay ints too
+    assert all(type(x) is int for mode in sp.modes
+               for op in (sp.adag(*mode), sp.a(*mode))
+               for col in op.cols.values() for x in col.values())
+    assert all(follows_the_scalar_rule(op) for op in ops.values())
+    assert all(type(x) is int for name, op in ops.items()
+               if name not in ("tau0", "N")
                for col in op.cols.values() for x in col.values())
     assert sp.car_violations() == ref_car_violations(sp) == []
     genmap = dictionary_to_o5(ops)

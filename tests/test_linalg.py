@@ -36,6 +36,18 @@ def all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row)
 
 
+def exact_entries(xs):
+    """Every entry an int or a Fraction, never a float."""
+    return all(type(x) in (int, Fraction) for x in xs)
+
+
+def follows_the_scalar_rule(op: LinOp):
+    """Every entry of op an int when integral, else a Fraction: what the
+    LinOp constructor and `scale` store."""
+    return all(type(x) is int or type(x) is Fraction and x.denominator != 1
+               for col in op.cols.values() for x in col.values())
+
+
 # -- the dense reference ------------------------------------------------
 # Gauss-Jordan, products, solves and characteristic polynomials on dense
 # rows (lists of lists), written apart from the package: the tests
@@ -208,13 +220,13 @@ def test_sparse_kernel_equals_the_dense_reference(case):
     rows = rref_rows(sparse(row) for row in data)
     assert [sparse(row) for row in red[:len(pivots)]] == rows
     assert [min(r) for r in rows] == pivots
-    assert all(type(x) is Fraction for r in rows for x in r.values())
+    assert exact_entries(x for r in rows for x in r.values())
     kernel = kernel_rows([sparse(row) for row in data], range(cols))
     assert len(pivots) + len(kernel) == cols
     assert all(sum(x * v.get(c, 0) for c, x in enumerate(row)) == 0
                for row in data for v in kernel)
     assert is_rref(kernel)
-    assert all(type(x) is Fraction for v in kernel for x in v.values())
+    assert exact_entries(x for v in kernel for x in v.values())
     assert [sparse(v) for v in dense_kernel(data, cols)] == kernel
     assert rank_and_kernel(columns_of(data, cols), cols) == (len(pivots),
                                                              kernel)
@@ -431,15 +443,24 @@ def test_float_entries_rejected():
         LinOp.identity(2).scale(0.5)
 
 
-def test_integer_input_gives_fractions():
-    # int / int would be a float; every result entry must stay a Fraction
+def test_integer_input_stays_exact():
+    # int / int would be a float; every result entry must be an int or a
+    # Fraction, and integer input keeps int entries
     data = [[2, 3, 1], [4, 1, 5], [6, 4, 6]]
     m = columns_of(data, 3)
-    assert all(type(x) is Fraction
+    assert all(type(x) is int
                for col in LinOp(3, m).cols.values() for x in col.values())
     red = rref_rows(sparse(row) for row in data)
-    assert all(type(x) is Fraction for r in red for x in r.values())
+    assert exact_entries(x for r in red for x in r.values())
+    # integral entries of integer rows stay ints, scaled or not
+    red = rref_rows([{0: 1, 1: 2, 2: 3}, {1: -2, 2: 4}])
+    assert red == [{0: 1, 2: 7}, {1: 1, 2: -2}]
+    assert all(type(x) is int for r in red for x in r.values())
     r, kernel = rank_and_kernel(m, 3)
     assert r == 2
-    assert all(type(x) is Fraction for v in kernel for x in v.values())
+    assert exact_entries(x for v in kernel for x in v.values())
+    # scale stores an integral product as an int
+    half = LinOp(2, {0: {0: 2, 1: 3}}).scale(Fraction(1, 2))
+    assert half.cols == {0: {0: 1, 1: Fraction(3, 2)}}
+    assert follows_the_scalar_rule(half)
     assert all_fractions([characteristic_polynomial(linop(data))])

@@ -637,6 +637,17 @@ def test_tps_probe_values():
     assert t_minus1 and t_minus1[0]["measured"] == -1
 
 
+def test_tps_probe_ratios_are_exact():
+    # the measured scalars are ratios of int entries: exact division
+    # gives a Fraction, where int / int would give a float
+    probe = tps_scalar_probe(irrep_of_weight((-1, -1)))
+    rows = probe["pf_sym_scalar"] + probe["c_constant"]
+    assert probe["pf_sym_scalar"] and probe["c_constant"]
+    assert all(type(x) is Fraction or x in ("not scalar", "not parallel")
+               for r in rows for x in (r.get("measured"), r.get("c"))
+               if x is not None)
+
+
 def test_projected_pfaffian_scalar_fits_one_minus_T():
     # p.PfF_2hat = (1 - T) p.F_20 on o3-highest vectors, measured on
     # every irrep with a nonzero projected F_20 action

@@ -19,7 +19,7 @@ from quasispin.uea import (CheckResult, IndexSet, UEAElement, capelli,
                            evaluate_in_representation, hat_set,
                            normal_order_rightmost, pf_hat_star_expression,
                            pf_of_tuple, pfaffian, star, weight_shift_of)
-from test_linalg import dense, dense_matmul
+from test_linalg import dense, dense_matmul, follows_the_scalar_rule
 
 N5 = 2
 IDX5 = [-2, -1, 0, 1, 2]
@@ -360,18 +360,17 @@ def test_integral_coefficients_are_ints():
         assert all(type(c) is int for c, _ in terms)
 
 
-def test_evaluator_returns_fraction_entries():
+def test_evaluator_returns_exact_entries():
     _, _, fock_map = build_o5_on_fock(Fraction(1, 2))
+    # the defining matrices are integer columns
+    assert all(type(y) is int for op in ORACLE5[0].values()
+               for col in op.cols.values() for y in col.values())
     for genmap, dim in (ORACLE5, (fock_map, 16)):
         for x in (F(0, -1), F(0, -1).scale(Fraction(1, 3)) * F(-1, 0),
                   capelli(2, N5), pfaffian(IndexSet([-2, 1], N5))):
             m = evaluate_in_representation(x, genmap, dim)
             assert type(m) is LinOp and not m.is_zero()
-            assert all(type(y) is Fraction for col in m.cols.values()
-                       for y in col.values())
-        # the evaluator pushes int copies of the columns, not the columns
-        assert all(type(y) is Fraction for op in genmap.values()
-                   for col in op.cols.values() for y in col.values())
+            assert follows_the_scalar_rule(m)
 
 
 def test_sort_key_and_root_memos_match_fresh_computation():
