@@ -27,6 +27,7 @@ from itertools import combinations
 from . import fock, replab, tableaux
 from .liealg import (canonical_generators, defining_matrices, index_range,
                      o3_subalgebra_generators, weyl_dimension, Weight)
+from .linalg import rref_rows
 from .report import (Check, VerificationReport, classification_table,
                      write_output)
 from .uea import (CheckResult, IndexSet, UEAElement, capelli,
@@ -238,25 +239,24 @@ def irrep_checks(irr: replab.Irrep) -> list:
     key = f"{irr.highest_weight[0]},{irr.highest_weight[1]}"
     slices = replab.multiplicity_slices(irr)
     counts_ok = True
-    for (T, N), s in slices.items():
+    for (T, N), basis in slices.items():
         rect = tableaux.Rectangle(irr.highest_weight[0],
                                   irr.highest_weight[1], T)
         info = rect.slice_points(N)
         model_dim = len(info[2]) if info else 0
-        if model_dim != s.dim:
+        if model_dim != len(basis):
             counts_ok = False
     report.add(f"repr/{key}/slice-tableau-counts", counts_ok, {"irrep": key})
-    pr = replab.extremal_projector_o3(irr)
-    P = pr.matrix
+    P, singular = replab.extremal_projector_o3(irr)
     e = irr.genmats[replab.O3_RAISING]
     f = irr.genmats[replab.O3_LOWERING]
     ok = (P @ P) == P and (e @ P).is_zero() and (P @ f).is_zero()
     report.add(f"repr/{key}/extremal-projector", ok, {"irrep": key})
-    if pr.singular_weights:
+    if singular:
         report.add_anomaly(
             f"repr/{key}/projector-series-singular",
             {"weights": [str(tuple(map(str, w.comps)))
-                         for w in pr.singular_weights],
+                         for w in singular],
              "note": "series denominators vanish there; the algebraic "
                      "projector is used and cross-checked on the "
                      "nonsingular blocks"})
@@ -273,9 +273,9 @@ def irrep_checks(irr: replab.Irrep) -> list:
         ups, downs = replab.pf_slice_maps(irr, T)
         for N in sorted(ups):
             slice_data[f"T={T},N={N}"] = {
-                "dim": slices[(T, N)].dim,
-                "up_rank": ups[N].rank,
-                "down_rank": downs[N].rank,
+                "dim": len(slices[(T, N)]),
+                "up_rank": len(rref_rows(ups[N].values())),
+                "down_rank": len(rref_rows(downs[N].values())),
             }
     report.add_data(f"repr/{key}/slice-data", slice_data)
     return report.checks

@@ -196,7 +196,7 @@ def pbw_sort_key(g: GenIndex):
 
 
 def bracket(a: GenIndex, b: GenIndex):
-    """[F_a, F_b] as a list of (Rational coeff, canonical GenIndex).
+    """[F_a, F_b] as a list of (int coeff, canonical GenIndex).
 
     Four-delta commutation rule:
     [F_ij, F_kl] = d_kj F_il - d_il F_kj - d_{-k,i} F_{-j,l} + d_{-l,j} F_{k,-i}
@@ -217,7 +217,7 @@ def bracket(a: GenIndex, b: GenIndex):
         sgn, g = canonicalize(p, q, n)
         if sgn == 0:
             continue
-        acc[g] = acc.get(g, Fraction(0)) + Fraction(c * sgn)
+        acc[g] = acc.get(g, 0) + c * sgn
     return [(c, g) for g, c in sorted(acc.items(), key=lambda t: pbw_sort_key(t[0])) if c]
 
 

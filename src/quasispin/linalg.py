@@ -219,15 +219,5 @@ class LinOp:
     def entry(self, r: int, c: int):
         return self.cols.get(c, {}).get(r, 0)
 
-    @property
-    def data(self):
-        """The entries as dense rows, data[r][c] == entry(r, c).
-
-        No computation here uses it; `benchmarks/tracer.py` reads it to
-        measure the entry sizes of extracted irreps.
-        """
-        return [[self.entry(r, c) for c in range(self.dim)]
-                for r in range(self.dim)]
-
     def is_diagonal(self) -> bool:
         return all(set(col) <= {c} for c, col in self.cols.items())

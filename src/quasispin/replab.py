@@ -16,9 +16,9 @@ a weight block (`_stacked_rows`), `_coordinates` expresses sparse
 vectors in an RREF basis by reading them at its pivots, with no
 elimination, and `_map_on_span` reads a linear map fixed on a spanning
 set (the extremal projector and Omega) from one RREF of the rows
-[x | y].  A `SliceMap` holds an operator between two multiplicity
-slices as the sparse columns that `_coordinates` returns, which
-`tableaux` reads.
+[x | y].  The slice layer is plain data: a multiplicity slice is its
+RREF basis, and an operator between two slices is the sparse columns
+that `_coordinates` returns, which `tableaux` reads.
 
 Conventions: the weight of a vector is (F_11-eigenvalue, F_22-eigenvalue)
 = (tau_0, N); o3-highest means killed by the o3 raising operator
@@ -332,28 +332,11 @@ O3_LOWERING = GenIndex(0, -1, N_RANK)
 O3_CARTAN = GenIndex(-1, -1, N_RANK)
 
 
-class MultiplicitySlice:
-    """V+_{T,N}: o3-highest vectors of weight (T, N) inside an irrep.
-
-    basis vectors are sparse {index: value} vectors in irrep coordinates,
-    like `Irrep.basis`, echelon-canonical, so every slice is deterministic.
-    """
-
-    def __init__(self, T, N, basis):
-        self.T = T
-        self.N = N
-        self.basis = basis
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def __repr__(self):
-        return f"<Slice T={self.T} N={self.N} dim {self.dim}>"
-
-
 def multiplicity_slices(irrep: Irrep):
-    """All nonempty V+_{T,N}, keyed by (T, N); includes the dim sum check.
+    """All nonempty V+_{T,N}, the o3-highest vectors of weight (T, N),
+    as {(T, N): basis}; includes the dim sum check.  Each basis is the
+    RREF rows of ker(e) on its weight block, sparse vectors in irrep
+    coordinates like `Irrep.basis`, so every slice is canonical.
 
     Computed on the first call and cached on the irrep.
     """
@@ -370,7 +353,7 @@ def multiplicity_slices(irrep: Irrep):
         basis = kernel_rows(_stacked_rows([e], cols), cols)
         if not basis:
             continue
-        slices[(T, N)] = MultiplicitySlice(T, N, basis)
+        slices[(T, N)] = basis
         covered += len(basis) * int(-2 * T + 1)
     if covered != irrep.dim:
         raise AssertionError(
@@ -379,70 +362,46 @@ def multiplicity_slices(irrep: Irrep):
     return slices
 
 
-class SliceMap:
-    """An operator between two multiplicity slices, in slice coordinates:
-    cols[c] is the sparse image {target position: x} of source basis
-    vector c (zero columns left out).  Its rank, the one number the
-    `repr` slice data read off it, is the length of one `rref_rows` of
-    its columns; `tableaux` reads the columns themselves.
-    """
-
-    def __init__(self, source: MultiplicitySlice, target, cols: dict):
-        self.source = source
-        self.target = target  # may be None for an empty target slice
-        self.cols = cols
-
-    @property
-    def rank(self):
-        return len(rref_rows(self.cols.values()))
-
-
-def _restrict_to_slices(op: LinOp, source: MultiplicitySlice,
-                        target) -> SliceMap:
-    """Express op: span(source) -> span(target) at the target's pivots;
-    image containment is an assertion (weight shift + o3-commutation
-    guarantee it).  An empty target (None) admits only zero images."""
-    tbasis = target.basis if target is not None else []
-    coords = _coordinates(tbasis, [op.apply(v) for v in source.basis])
+def _restrict_to_slices(op: LinOp, ladder: dict, T, N, M) -> dict:
+    """op: V+_{T,N} -> V+_{T,M} as sparse columns {source position:
+    {target position: x}} (zero columns left out), read at the pivots
+    of the target basis; ladder maps each N of the T-ladder to the RREF
+    basis of V+_{T,N}.  Image containment is an assertion (weight shift
+    + o3-commutation guarantee it).  A target missing from the ladder
+    admits only zero images."""
+    coords = _coordinates(ladder.get(M, []), [op.apply(v) for v in ladder[N]])
     if coords is None:
-        where = (f"({target.T},{target.N})" if target is not None
-                 else "(empty)")
+        where = f"({T},{M})" if M in ladder else "(empty)"
         raise AssertionError(
-            f"image of slice ({source.T},{source.N}) not inside target "
-            f"slice {where}")
-    return SliceMap(source, target,
-                    {c: col for c, col in enumerate(coords) if col})
+            f"image of slice ({T},{N}) not inside target slice {where}")
+    return {c: col for c, col in enumerate(coords) if col}
 
 
 def pf_slice_maps(irrep: Irrep, T):
     """Per-N maps of PfF_{2-hat} (up) and PfF_{-2-hat} (down) at fixed T.
 
-    Returns (ups, downs): ups[N] maps V+_{T,N} -> V+_{T,N+1}, downs[N]
-    maps V+_{T,N} -> V+_{T,N-1}.  Empty targets are legal (zero maps).
+    Returns (ups, downs) of sparse columns: ups[N] maps V+_{T,N} ->
+    V+_{T,N+1}, downs[N] maps V+_{T,N} -> V+_{T,N-1}.  Empty targets are
+    legal (zero maps).
     """
-    slices = multiplicity_slices(irrep)
-    mine = {N: s for (t, N), s in slices.items() if t == T}
+    ladder = {N: basis for (t, N), basis in multiplicity_slices(irrep).items()
+              if t == T}
     up_op = irrep.pf_matrix(+1)
     down_op = irrep.pf_matrix(-1)
     ups, downs = {}, {}
-    for N, s in mine.items():
-        ups[N] = _restrict_to_slices(up_op, s, mine.get(N + 1))
-        downs[N] = _restrict_to_slices(down_op, s, mine.get(N - 1))
+    for N in ladder:
+        ups[N] = _restrict_to_slices(up_op, ladder, T, N, N + 1)
+        downs[N] = _restrict_to_slices(down_op, ladder, T, N, N - 1)
     return ups, downs
 
 
 # -- extremal projector ------------------------------------------------
 
 
-class ProjectorResult:
-    def __init__(self, matrix: LinOp, singular_weights):
-        self.matrix = matrix
-        self.singular_weights = singular_weights  # weights where the series
-        # evaluation hits a vanishing denominator (reported, not fatal)
-
-
-def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
-    """The o3 extremal projector p on the irrep, as an exact operator.
+def extremal_projector_o3(irrep: Irrep):
+    """(p, singular weights): the o3 extremal projector p on the irrep,
+    as an exact operator, and the weights where its series hits a
+    vanishing denominator (reported, not fatal).
 
     p is realized as the unique projector with image ker(e) and kernel
     im(f) (the algebraic characterization p^2 = p, e p = p f = 0): on
@@ -464,7 +423,7 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
         cols = irrep.weight_positions[w]
         # f = F_{0,-1} has root +e_1: its images here come from tau0 - 1
         up = irrep.weight_positions.get(Weight((w.comps[0] - 1, w.comps[1])), [])
-        kern = slices[w.comps].basis if w.comps in slices else []
+        kern = slices.get(w.comps, [])
         block = _map_on_span([(v, v) for v in kern]
                              + [(f.cols.get(u, {}), {}) for u in up],
                              cols, cols)
@@ -500,7 +459,7 @@ def extremal_projector_o3(irrep: Irrep) -> ProjectorResult:
                 raise AssertionError(
                     f"extremal projector series disagrees with the "
                     f"algebraic projector on weight {w} of {irrep}")
-    return ProjectorResult(proj, singular)
+    return proj, singular
 
 
 # -- the reflection intertwiner ----------------------------------------
@@ -592,11 +551,11 @@ def tps_scalar_probe(irrep: Irrep):
     report = {"pf_sym_scalar": [], "c_constant": []}
     slices = multiplicity_slices(irrep)
     m_sym = irrep.matrix_of(pfaffian(IndexSet([-1, 1], N_RANK)))
-    proj = extremal_projector_o3(irrep).matrix
+    proj, _ = extremal_projector_o3(irrep)
     pf2 = irrep.pf_matrix(+1)
     f20 = irrep.matrix_of(UEAElement.of(2, 0, N_RANK))
-    for (T, N), s in sorted(slices.items()):
-        for v in s.basis:
+    for (T, N), basis in sorted(slices.items()):
+        for v in basis:
             scal = _ratio(m_sym.apply(v), v)
             report["pf_sym_scalar"].append({
                 "T": T, "N": N,

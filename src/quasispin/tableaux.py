@@ -411,15 +411,14 @@ def assign_k(irrep: Irrep):
     data = {"flags": {}, "ups": {}, "downs": {}, "barcodes": {},
             "anomalies": []}
     for T in sorted({t for (t, _) in slices}):
-        mine = {N: s for (t, N), s in slices.items() if t == T}
+        mine = {N: basis for (t, N), basis in slices.items() if t == T}
         ups, downs = pf_slice_maps(irrep, T)
         data["ups"].update({(T, N): m for N, m in ups.items()})
         data["downs"].update({(T, N): m for N, m in downs.items()})
         ns = sorted(mine)
-        dims = {N: s.dim for N, s in mine.items()}
-        below = _induced_flags(ns, {N: u.cols for N, u in ups.items()}, dims)
-        above = _induced_flags(ns, {N: d.cols for N, d in downs.items()},
-                               dims, -1)
+        dims = {N: len(basis) for N, basis in mine.items()}
+        below = _induced_flags(ns, ups, dims)
+        above = _induced_flags(ns, downs, dims, -1)
         flags = {N: below[N] if N <= 0 else above[N] for N in ns}
         for N in ns:
             if N > 0 and (-N not in mine or flags[N].level_dims()
@@ -445,7 +444,7 @@ def assign_k(irrep: Irrep):
         if -HALF in mine and HALF in mine:
             for kind, N, maps in (("seam-raising-up", -HALF, ups),
                                   ("seam-raising-down", HALF, downs)):
-                bad = _raising_violation(flags[N], maps[N].cols, flags[-N])
+                bad = _raising_violation(flags[N], maps[N], flags[-N])
                 if bad is not None:
                     data["anomalies"].append(
                         {"kind": kind, "T": T, "N": N, "level": bad})
@@ -471,7 +470,7 @@ def assign_k(irrep: Irrep):
                     continue
                 for tau0 in _grid(T, -T):
                     states.append(ClassifiedState(
-                        T, tau0, N, m, mine[N].dim, tag, sigma))
+                        T, tau0, N, m, len(mine[N]), tag, sigma))
     labels = [s.label() for s in states]
     if len(labels) != len(set(labels)):
         raise ClassificationError("duplicate (T,tau0,N,k) labels")
@@ -509,12 +508,11 @@ def validate_against_representation(irrep: Irrep):
               "states": states, "anomalies": data["anomalies"]}
     # round-trip endomorphism spectra (probe content): the down map out
     # of N + 1 after the up map, zero when there is no slice there
-    for (T, N), s in sorted(slices.items()):
-        up, down = data["ups"][(T, N)], data["downs"].get((T, N + 1))
-        rt = {c: svec_map(down.cols, col)
-              for c, col in up.cols.items()} if down else {}
+    for (T, N), basis in sorted(slices.items()):
+        up, down = data["ups"][(T, N)], data["downs"].get((T, N + 1), {})
+        rt = {c: svec_map(down, col) for c, col in up.items()}
         report["roundtrip_charpolys"][(T, N)] = characteristic_polynomial(
-            LinOp(s.dim, rt))
+            LinOp(len(basis), rt))
     # one barcode per (T, model): basis-independent interval multiplicities
     for T, actual in data["barcodes"].items():
         ns = sorted(N for (t, N) in slices if t == T)

@@ -45,8 +45,7 @@ def _cached_bracket(a: GenIndex, b: GenIndex):
     key = (a, b)
     hit = _bracket_cache.get(key)
     if hit is None:
-        hit = _bracket_cache[key] = tuple((exact(c), g)
-                                          for c, g in bracket(a, b))
+        hit = _bracket_cache[key] = tuple(bracket(a, b))
     return hit
 
 

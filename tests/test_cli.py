@@ -6,6 +6,7 @@ import pytest
 from quasispin import cli, replab, tableaux
 from quasispin.cli import main, suite_identities
 from quasispin.liealg import GenIndex, Weight
+from quasispin.linalg import LinOp
 from quasispin.tableaux import ClassificationError
 from test_replab import extract_irreps
 from test_tableaux import (ZEROED_DOWN_T, hollow_skeleton,
@@ -353,7 +354,7 @@ def test_repr_reports_a_projector_image_meeting_its_kernel(monkeypatch,
     def broken(rep):
         types = isotypic_types(rep)
         [adj] = [irr for irr, _ in types if irr.dim == 10]
-        [singlet] = replab.multiplicity_slices(adj)[(0, 0)].basis
+        [singlet] = replab.multiplicity_slices(adj)[(0, 0)]
         [u] = adj.weight_positions[Weight((-1, 0))]
         adj.genmats[replab.O3_LOWERING].cols[u] = dict(singlet)
         return types
@@ -431,6 +432,24 @@ def test_a_zeroed_down_map_fails_the_case_pattern(monkeypatch, capsys):
     [check] = failed
     [mismatch] = check.witness["mismatches"]
     assert (mismatch["T"], mismatch["direction"]) == (ZEROED_DOWN_T, "down")
+
+
+def test_a_pfaffian_leaving_the_slices_is_an_internal_error(monkeypatch,
+                                                           capsys):
+    # PfF_{2-hat} replaced by the identity: each slice's image stays at
+    # its own weight, outside the slice one N up, which the slice maps
+    # of assign_k refuse
+    pf_matrix = replab.Irrep.pf_matrix
+    monkeypatch.setattr(
+        replab.Irrep, "pf_matrix",
+        lambda irr, sign: (LinOp.identity(irr.dim) if sign == 1
+                           else pf_matrix(irr, sign)))
+    assert run(["classify", "--weight=-1,-2"]) == 1
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("FAIL")]
+    assert lines == [
+        'FAIL    classify/internal-error  [{"error": "AssertionError: '
+        'image of slice (-2,-1) not inside target slice (-2,0)"}]']
 
 
 def test_failed_gamma_winner_probe_is_reported(monkeypatch, tmp_path,

@@ -94,6 +94,7 @@ def test_bracket_antisymmetry():
             ab = {g.key(): c for c, g in bracket(a, b)}
             ba = {g.key(): -c for c, g in bracket(b, a)}
             assert ab == ba
+            assert all(type(c) is int for c in ab.values())
 
 
 def test_root_of_examples():

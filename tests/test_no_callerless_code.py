@@ -26,8 +26,6 @@ ALLOWED: dict = {
                            "check the CAR relations with it",
     "liealg.GenIndex.key": "the generator's index pair, which the tests "
                            "compare brackets by",
-    "linalg.LinOp.data": "dense rows of an operator, read by "
-                         "`benchmarks/tracer.py` to size matrix entries",
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -7,8 +7,9 @@ from quasispin import replab
 from quasispin.fock import verify_representation
 from quasispin.liealg import (Weight, canonical_generators, is_lowering,
                               root_of, weyl_dimension)
-from quasispin.linalg import LinOp, characteristic_polynomial
+from quasispin.linalg import LinOp, characteristic_polynomial, rref_rows
 from quasispin.replab import (O3_LOWERING, O3_RAISING, _coordinates,
+                              _restrict_to_slices,
                               _fill_generator_matrices,
                               _highest_weight_kernels, _lowering_orbit,
                               _map_on_span, _weight_sort_key,
@@ -45,6 +46,13 @@ def extract_irreps(rep: Representation):
     return irreps
 
 
+def t_ladder(irrep, T):
+    """{N: RREF basis of V+_{T,N}}: the T-ladder of slices that
+    `_restrict_to_slices` reads."""
+    return {N: basis for (t, N), basis in multiplicity_slices(irrep).items()
+            if t == T}
+
+
 def theta_transport(irrep, omega, T):
     """Theta = M(e)^{2|T|} . Omega : maps V+_{T,N} bijectively to V+_{T,-N}.
 
@@ -66,12 +74,12 @@ def test_irrep_operators_are_linops():
     omega = omega_operator(irr)
     ops = [*irr.genmats.values(), irr.pf_matrix(+1), irr.pf_matrix(-1),
            irr.matrix_of(UEAElement.of(2, 0, 2)), omega,
-           extremal_projector_o3(irr).matrix,
+           extremal_projector_o3(irr)[0],
            theta_transport(irr, omega, Fraction(-1))]
     assert all(type(op) is LinOp and op.dim == irr.dim for op in ops)
     assert irr.representation().genmap is irr.genmats
     assert all(type(v) is dict for s in multiplicity_slices(irr).values()
-               for v in s.basis)
+               for v in s)
 
 
 def test_weight_decompose_defining():
@@ -308,7 +316,7 @@ def test_slice_bases_are_rref():
         for irr in extract_irreps(rep):
             for (T, N), s in multiplicity_slices(irr).items():
                 block = irr.weight_positions[Weight((T, N))]
-                rows = [[v.get(k, 0) for k in block] for v in s.basis]
+                rows = [[v.get(k, 0) for k in block] for v in s]
                 red, pivots = dense_rref(rows, len(block))
                 assert len(pivots) == len(rows)
                 assert red == rows, (irr, T, N)
@@ -346,10 +354,10 @@ def test_coordinates_match_solve_on_irreps_and_slices():
             slices = multiplicity_slices(irr).values()
             for op in (irr.pf_matrix(+1), irr.pf_matrix(-1)):
                 for s in slices:
-                    images = [op.apply(v) for v in s.basis]
+                    images = [op.apply(v) for v in s]
                     for t in slices:
-                        assert (_coordinates(t.basis, images)
-                                == _coordinates_by_solve(t.basis, images))
+                        assert (_coordinates(t, images)
+                                == _coordinates_by_solve(t, images))
 
 
 def test_coordinates_outside_the_span_and_off_echelon():
@@ -382,14 +390,14 @@ def test_generator_matrices_are_homomorphic():
 def test_slices_of_defining():
     irr = extract_irreps(defining_representation())[0]
     sl = multiplicity_slices(irr)
-    got = {(str(T), str(N)): s.dim for (T, N), s in sl.items()}
+    got = {(str(T), str(N)): len(s) for (T, N), s in sl.items()}
     assert got == {("0", "-1"): 1, ("0", "1"): 1, ("-1", "0"): 1}
 
 
 def test_slices_of_trivial():
     irr = extract_irreps(trivial_representation())[0]
     sl = multiplicity_slices(irr)
-    assert {(str(T), str(N)): s.dim for (T, N), s in sl.items()} == \
+    assert {(str(T), str(N)): len(s) for (T, N), s in sl.items()} == \
         {("0", "0"): 1}
 
 
@@ -398,7 +406,7 @@ def test_slices_of_adjoint():
     irr = [i for i in extract_irreps(rep)
            if i.highest_weight == (Fraction(-1), Fraction(-1))][0]
     sl = multiplicity_slices(irr)
-    got = {(str(T), str(N)): s.dim for (T, N), s in sl.items()}
+    got = {(str(T), str(N)): len(s) for (T, N), s in sl.items()}
     assert got == {("-1", "-1"): 1, ("-1", "0"): 1, ("-1", "1"): 1,
                    ("0", "0"): 1}
     # bookkeeping: 3 * 3 + 1 = 10
@@ -425,17 +433,28 @@ def test_pf_slice_maps_zero_into_missing_slice():
     ups, downs = pf_slice_maps(irr, Fraction(0))
     # T=0: N=-1 -> N=0 has no T=0 slice; the map must be zero
     m = ups[Fraction(-1)]
-    assert m.target is None and m.cols == {} and m.rank == 0
+    assert (Fraction(0), Fraction(0)) not in multiplicity_slices(irr)
+    assert m == {} and len(rref_rows(m.values())) == 0
     # top of the ladder: zero as well
-    assert ups[Fraction(1)].rank == 0
+    assert len(rref_rows(ups[Fraction(1)].values())) == 0
+
+
+def test_restrict_to_slices_refuses_an_image_outside_a_missing_target():
+    # the identity keeps the (0,-1) slice at its own weight; with no
+    # T = 0 slice at N = 0, only zero images would fit
+    irr = extract_irreps(defining_representation())[0]
+    with pytest.raises(AssertionError) as err:
+        _restrict_to_slices(LinOp.identity(irr.dim), t_ladder(irr, 0), 0,
+                            -1, 0)
+    assert str(err.value) == ("image of slice (0,-1) not inside target "
+                              "slice (empty)")
 
 
 def test_extremal_projector_identities():
     for maker in (defining_representation,
                   lambda: fock_representation(HALF)):
         for irr in extract_irreps(maker()):
-            pr = extremal_projector_o3(irr)
-            P = pr.matrix
+            P, _ = extremal_projector_o3(irr)
             e = irr.genmats[O3_RAISING]
             f = irr.genmats[O3_LOWERING]
             assert (P @ P) == P
@@ -443,25 +462,23 @@ def test_extremal_projector_identities():
             assert (P @ f).is_zero()
             # image is exactly the o3-highest subspace
             slices = multiplicity_slices(irr)
-            total = sum(s.dim for s in slices.values())
+            total = sum(len(s) for s in slices.values())
             assert dense_rank(dense(P), P.dim) == total
 
 
 def test_projector_on_highest_and_lowest_triplet_vectors():
     irr = extract_irreps(defining_representation())[0]
-    pr = extremal_projector_o3(irr)
+    P, singular = extremal_projector_o3(irr)
     slices = multiplicity_slices(irr)
-    s = slices[(Fraction(-1), Fraction(0))]
-    v = s.basis[0]
-    assert pr.matrix.apply(v) == v  # p fixes o3-highest vectors
+    v = slices[(Fraction(-1), Fraction(0))][0]
+    assert P.apply(v) == v  # p fixes o3-highest vectors
     # the o3-lowest vector of the triplet is killed (it lies in im f)
     f = irr.genmats[O3_LOWERING]
     low = f.apply(f.apply(v))
     assert low
-    assert not pr.matrix.apply(low)
+    assert not P.apply(low)
     # the series evaluation is singular exactly on the tau0 = +1 block
-    assert [tuple(map(str, w.comps)) for w in pr.singular_weights] == \
-        [("1", "0")]
+    assert [tuple(map(str, w.comps)) for w in singular] == [("1", "0")]
 
 
 def test_map_on_span_reads_a_map_from_its_spanning_pairs():
@@ -564,7 +581,7 @@ def test_projector_and_omega_match_their_dense_constructions():
     irreps = _corpus_irreps()
     assert len(irreps) == 78
     for irr in irreps:
-        assert extremal_projector_o3(irr).matrix == _projector_by_solve(irr)
+        assert extremal_projector_o3(irr)[0] == _projector_by_solve(irr)
         assert omega_operator(irr) == _omega_by_dense_blocks(irr)
 
 
@@ -622,9 +639,9 @@ def test_theta_maps_slices():
     slices = multiplicity_slices(irr)
     src = slices[(Fraction(-1), Fraction(-1))]
     tgt = slices[(Fraction(-1), Fraction(1))]
-    img = th.apply(src.basis[0])
+    img = th.apply(src[0])
     assert img
-    assert _coordinates(tgt.basis, [img]) is not None
+    assert _coordinates(tgt, [img]) is not None
 
 
 def test_tps_probe_values():

@@ -45,7 +45,7 @@ def expected_anomalies(lam, irr):
     if lam[1].denominator == 1:
         return sorted(("n0-two-sided-disagreement", T, 0)
                       for (T, N), s in multiplicity_slices(irr).items()
-                      if N == 0 and s.dim >= 2)
+                      if N == 0 and len(s) >= 2)
     Ts = [-HALF - t for t in range(int(-HALF - lam[1]) + 1)]
     return sorted([("seam-raising-up", T, -HALF) for T in Ts]
                   + [("seam-raising-down", T, HALF) for T in Ts])

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from quasispin import tableaux
 from quasispin.liealg import weyl_dimension
 from quasispin.linalg import rref_rows, svec_map
-from quasispin.replab import (SliceMap, _restrict_to_slices,
+from quasispin.replab import (_restrict_to_slices,
                               defining_representation,
                               fock_representation,
                               irrep_of_weight, multiplicity_slices,
@@ -20,7 +20,7 @@ from quasispin.tableaux import (GAMMA_CONVENTIONS, Flag, GTMolevTableau,
 from test_linalg import (dense_charpoly, dense_kernel, dense_matmul,
                          dense_rank, dense_rref, dense_solve, densify,
                          rank_and_kernel, sparse)
-from test_replab import extract_irreps, theta_transport
+from test_replab import extract_irreps, t_ladder, theta_transport
 
 F = Fraction
 HALF = F(1, 2)
@@ -262,7 +262,7 @@ def test_validation_slice_dims_match():
         lam1, lam2 = irr.highest_weight
         for (T, N), s in multiplicity_slices(irr).items():
             info = Rectangle(lam1, lam2, T).slice_points(N)
-            assert info is not None and len(info[2]) == s.dim, (T, N)
+            assert info is not None and len(info[2]) == len(s), (T, N)
         report = validate_against_representation(irr)
         assert not report["case_mismatches"]
 
@@ -276,12 +276,13 @@ def test_sigma0_slices_map_isomorphically():
            if i.highest_weight == (F(-1), F(-1))][0]
     lam1, lam2 = irr.highest_weight
     _, data = assign_k(irr)
+    slices = multiplicity_slices(irr)
     checked = 0
     for (T, N), up in data["ups"].items():
         tag, sigma = case_of(lam1, lam2, T, N)
         if sigma != 0 or N >= 0 or tag == "D":
             continue
-        rank, nullity = rank_nullity(up.cols, up.source.dim)
+        rank, nullity = rank_nullity(up, len(slices[(T, N)]))
         tgt = Rectangle(lam1, lam2, T).slice_points(N + 1)
         if tgt is None:
             assert rank == 0  # gap in the ladder: zero map
@@ -398,7 +399,7 @@ def _old_gamma_mismatch_ts(irr):
         for (T, N), s in slices.items():
             model, up = models[T, N], data["ups"][(T, N)]
             if model.cols is None or model_rank_nullity(model) != (
-                    rank_nullity(up.cols, up.source.dim)):
+                    rank_nullity(up, len(s))):
                 ts[conv].add(T)
                 continue
             if model.sigma == 0 and (T, N + 1) in data["ups"]:
@@ -406,9 +407,9 @@ def _old_gamma_mismatch_ts(irr):
                 if nxt.cols is None:
                     ts[conv].add(T)
                     continue
-                ra = _composed_rank(data["ups"][(T, N + 1)].cols, up.cols)
+                ra = _composed_rank(data["ups"][(T, N + 1)], up)
                 rm = _composed_rank(nxt.cols, model.cols)
-                if (ra, s.dim - ra) != (rm, len(model.source_pts) - rm):
+                if (ra, len(s) - ra) != (rm, len(model.source_pts) - rm):
                     ts[conv].add(T)
         for T in {t for (t, _) in slices}:
             ns = sorted(N for (t, N) in slices if t == T)
@@ -422,8 +423,8 @@ def _old_gamma_mismatch_ts(irr):
                 if N > 0:
                     continue
                 flag, mflag = data["flags"][(T, N)], mflags[N]
-                up = data["ups"][(T, N)]
-                _, ker = rank_and_kernel(up.cols, up.source.dim)
+                _, ker = rank_and_kernel(data["ups"][(T, N)],
+                                         len(slices[(T, N)]))
                 _, m_ker = rank_and_kernel(ladder[N].cols,
                                            len(ladder[N].source_pts))
                 if flag.level_dims() != mflag.level_dims() or (
@@ -454,13 +455,14 @@ def _old_case_mismatch_ts(irr):
     at call time, so a patched one is the one compared."""
     lam = irr.highest_weight
     _, data = assign_k(irr)
+    slices = multiplicity_slices(irr)
     ts = set()
     for (T, N), up in data["ups"].items():
         if not N:
             continue
         skel = tableaux.predicted_slice_matrix(*lam, T, -abs(N), None)
         step = up if N < 0 else data["downs"][(T, N)]
-        if rank_nullity(step.cols, step.source.dim) != model_rank_nullity(
+        if rank_nullity(step, len(slices[(T, N)])) != model_rank_nullity(
                 skel):
             ts.add(T)
     return ts
@@ -499,8 +501,7 @@ def zero_the_down_map_out_of_one(monkeypatch, at=ZEROED_DOWN_T):
     def zeroed(irrep, T):
         ups, downs = slice_maps(irrep, T)
         if T == at:
-            down = downs[1]
-            downs = {**downs, 1: SliceMap(down.source, down.target, {})}
+            downs = {**downs, 1: {}}
         return ups, downs
 
     monkeypatch.setattr(tableaux, "pf_slice_maps", zeroed)
@@ -611,27 +612,29 @@ def test_sparse_layer_matches_the_dense_reference():
         _, data = assign_k(irr)
         report = validate_against_representation(irr)
         dense_maps = {}
-        for kind in ("ups", "downs"):
-            for key, m in data[kind].items():
-                rows = m.target.dim if m.target is not None else 0
-                dense_maps[kind, key] = _check_rank_and_kernel(
-                    m.cols, rows, m.source.dim, m.rank,
-                    rank_and_kernel(m.cols, m.source.dim)[1])
+        for kind, step in (("ups", 1), ("downs", -1)):
+            for (T, N), m in data[kind].items():
+                n = len(slices[(T, N)])
+                rows = len(slices.get((T, N + step), []))
+                dense_maps[kind, (T, N)] = _check_rank_and_kernel(
+                    m, rows, n, len(rref_rows(m.values())),
+                    rank_and_kernel(m, n)[1])
                 maps += 1
         omega = omega_operator(irr)
         for (T, N), flag in data["flags"].items():
-            dim = slices[(T, N)].dim
+            dim = len(slices[(T, N)])
             levels = [_dense_vectors(lvl, dim) for lvl in flag.levels]
             assert levels[0] == densify({i: {i: 1} for i in range(dim)},
                                         dim, dim)
             if N > 0:
                 theta = _restrict_to_slices(theta_transport(irr, omega, T),
-                                            slices[(T, -N)], slices[(T, N)])
+                                            t_ladder(irr, T), T, -N, N)
+                theta_rank = len(rref_rows(theta.values()))
                 dense_theta = _check_rank_and_kernel(
-                    theta.cols, dim, dim, theta.rank,
-                    rank_and_kernel(theta.cols, dim)[1])
+                    theta, dim, dim, theta_rank,
+                    rank_and_kernel(theta, dim)[1])
                 maps += 1
-                assert theta.rank == dim, (lam, T, N)
+                assert theta_rank == dim, (lam, T, N)
                 mirror = data["flags"][(T, -N)]
                 assert levels == _image_levels(mirror.levels, dense_theta,
                                                dim), (lam, T, N)
@@ -641,21 +644,21 @@ def test_sparse_layer_matches_the_dense_reference():
             if prev in data["flags"]:
                 assert levels[1:] == _image_levels(
                     data["flags"][prev].levels, dense_maps[along, prev],
-                    slices[prev].dim), (lam, T, N)
+                    len(slices[prev])), (lam, T, N)
             else:
                 assert len(levels) == 1, (lam, T, N)
             if (T, N + 1) in data["ups"] and (T, N + 1) in slices:
                 up, nxt = data["ups"][(T, N)], data["ups"][(T, N + 1)]
-                rank = _composed_rank(nxt.cols, up.cols)
+                rank = _composed_rank(nxt, up)
                 assert rank == dense_rank(
                     dense_matmul(dense_maps["ups", (T, N + 1)],
                                  dense_maps["ups", (T, N)]), dim)
                 composed_ranks.add(rank)
         roundtrip = irr.pf_matrix(-1) @ irr.pf_matrix(+1)
         for (T, N), s in slices.items():
-            rt = _restrict_to_slices(roundtrip, s, s)
+            rt = _restrict_to_slices(roundtrip, t_ladder(irr, T), T, N, N)
             assert report["roundtrip_charpolys"][(T, N)] == dense_charpoly(
-                densify(rt.cols, s.dim, s.dim))
+                densify(rt, len(s), len(s)))
             for conv in GAMMA_CONVENTIONS + (None,):
                 model = predicted_slice_matrix(*lam, T, N, conv)
                 if model.cols is None:
