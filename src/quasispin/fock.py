@@ -4,11 +4,12 @@ Modes are enumerated protons first (ascending m), then neutrons
 (ascending m); a basis state is the occupation bitmask over that order.
 Creation operators follow the Jordan-Wigner convention: applying
 a+_k to a mask picks up (-1)^(number of occupied modes below k).
-a+_k and a_k are kept as integer columns {col: {row: +-1}}: the CAR
-check, the operator sums and the bracket table run in integers
-(`_isum`), and an operator leaves here as a `LinOp` of the same ints.
-`commutes` clears the denominators of two `LinOp`s to decide [x, y] = 0
-in the same integers.
+a+_k and a_k are kept as integer columns {col: {row: +-1}}, signed
+partial permutations of the bitmasks: the CAR check composes them as
+signed index lists (`_signed_permutation`), the operator sums and the
+bracket table run in integers (`_isum`), and an operator leaves here as
+a `LinOp` of the same ints.  `commutes` clears the denominators of two
+`LinOp`s to decide [x, y] = 0 in the same integers.
 
 The quasi-spin operators are built on top, together with the dictionary
 assigning them to the ten canonical generators of o_5.  The operator
@@ -67,16 +68,42 @@ def _isum(terms) -> dict:
     out = {}
     for s, x, y in terms:
         for c, ycol in y.items():
-            acc = out.setdefault(c, {})
+            acc = out.get(c)
+            if acc is None:
+                acc = out[c] = {}
             for k, b in ycol.items():
-                for r, a in x.get(k, {}).items():
+                xcol = x.get(k)
+                if xcol is None:
+                    continue
+                for r, a in xcol.items():
                     acc[r] = acc.get(r, 0) + s * a * b
-    return {c: nz for c, col in out.items()
-            if (nz := {r: v for r, v in col.items() if v})}
+    res = {}
+    for c, col in out.items():
+        if 0 in col.values():
+            col = {r: v for r, v in col.items() if v}
+        if col:
+            res[c] = col
+    return res
 
 
 def _ident(dim: int) -> dict:
     return {c: {c: 1} for c in range(dim)}
+
+
+def _signed_permutation(cols: dict, dim: int):
+    """The code p of integer columns that form a signed partial
+    permutation: p[c] = s * (r + 1) when column c is the single entry
+    s = +-1 at row r, and p[c] = 0 when column c is absent.  None when
+    any column holds anything else."""
+    p = [0] * dim
+    for c, col in cols.items():
+        if len(col) != 1:
+            return None
+        (r, s), = col.items()
+        if s not in (1, -1) or not (0 <= r < dim and 0 <= c < dim):
+            return None
+        p[c] = s * (r + 1)
+    return p
 
 
 class FockSpace:
@@ -120,22 +147,50 @@ class FockSpace:
         return {0: 1}
 
     def car_violations(self):
-        """Exhaustive CAR check; returns offending (relation, i, j) triples."""
-        def anti(x, y):
-            return _isum([(1, x, y), (1, y, x)])
+        """Exhaustive CAR check.  Returns ("shape", "a" or "a+", k) for
+        every stored operator that is not a signed partial permutation,
+        then the offending (relation, i, k) triples.
 
-        bad = []
-        ident = _ident(self.dim)
-        a, adag = self._a, self._adag
+        With p the code of x (`_signed_permutation`) and X = [0] + p +
+        [-v for v in reversed(p)], so that X[-t] = -X[t], the composite
+        x y is [X[t] for t in p_y].  {x, y} = 0 exactly when x y =
+        -(y x) entry by entry, and {a_i, a+_i} = 1 exactly when at every
+        column c one composite is 0 and the other is c + 1.  A relation
+        with a malformed operand is reported by its shape entry alone.
+        """
+        bad, codes = [], {}
+        for name, ops in (("a", self._a), ("a+", self._adag)):
+            for k, cols in enumerate(ops):
+                p = _signed_permutation(cols, self.dim)
+                if p is None:
+                    bad.append(("shape", name, k))
+                    continue
+                table = [0] + p + [-v for v in reversed(p)]
+                codes[name, k] = p, table, [-v for v in table]
+
+        def anticommute(x, y):
+            if x not in codes or y not in codes:
+                return True
+            (px, fx, _), (py, _, minus_fy) = codes[x], codes[y]
+            return [fx[t] for t in py] == [minus_fy[t] for t in px]
+
+        def unit(x, y):
+            if x not in codes or y not in codes:
+                return True
+            (px, fx, _), (py, fy, _) = codes[x], codes[y]
+            return all(u + v == c and not (u and v) for c, u, v in
+                       zip(range(1, self.dim + 1),
+                           [fx[t] for t in py], [fy[t] for t in px]))
+
         for i in range(self.nmodes):
             for k in range(i, self.nmodes):
-                if anti(a[i], a[k]):
+                if not anticommute(("a", i), ("a", k)):
                     bad.append(("{a,a}", i, k))
-                if anti(adag[i], adag[k]):
+                if not anticommute(("a+", i), ("a+", k)):
                     bad.append(("{a+,a+}", i, k))
-                if anti(a[i], adag[k]) != (ident if i == k else {}):
+                if not (unit if i == k else anticommute)(("a", i), ("a+", k)):
                     bad.append(("{a,a+}", i, k))
-                if i != k and anti(a[k], adag[i]):
+                if i != k and not anticommute(("a", k), ("a+", i)):
                     bad.append(("{a,a+}", k, i))
         return bad
 
@@ -286,27 +341,38 @@ def write_genmap(path, genmap: dict) -> None:
 
     The file is byte for byte json.dumps(payload, indent=2,
     sort_keys=True) of the dense payload {"F[i,j]": {"cols", "entries",
-    "rows"}}, but written one row at a time from the sparse columns:
-    only nonzero entries are formatted, and no dense matrix or whole-file
-    string is built.
+    "rows"}}, but written one row at a time from the sparse columns.
+    Each generator builds the text of its all-zero row once, and every
+    row is written as slices of it around the row's nonzero cells, each
+    distinct value formatted once; no dense matrix or whole-file string
+    is built.
     """
     names = sorted((f"F[{g.i},{g.j}]", g) for g in genmap)
-    zero = _entry_text(Fraction(0), 0)
-    with open(path, "w") as fh:
-        fh.write("{")
+    zero = _entry_text(Fraction(0), 0).encode()
+    step = len(zero) + 2  # a cell and its ",\n" separator
+    with open(path, "wb", buffering=1 << 16) as fh:
+        fh.write(b"{")
         for n, (name, g) in enumerate(names):
             op, k = genmap[g], -rescale_exponent(g)
+            zero_row = memoryview(b",\n".join([zero] * op.dim))
+            texts: dict = {}
             rows: dict = {}
-            for c, col in op.cols.items():
-                for r, v in col.items():
-                    rows.setdefault(r, {})[c] = _entry_text(v, k)
+            for c in sorted(op.cols):
+                for r, v in op.cols[c].items():
+                    text = texts.get(v)
+                    if text is None:
+                        text = texts[v] = _entry_text(v, k).encode()
+                    rows.setdefault(r, []).append((c, text))
             fh.write(f'{"," if n else ""}\n  {json.dumps(name)}: {{\n'
-                     f'    "cols": {op.dim},\n    "entries": [')
+                     f'    "cols": {op.dim},\n    "entries": ['.encode())
             for r in range(op.dim):
-                cells = [zero] * op.dim
-                for c, text in rows.pop(r, {}).items():
-                    cells[c] = text
-                fh.write(f'{"," if r else ""}\n      [\n'
-                         + ",\n".join(cells) + "\n      ]")
-            fh.write(f'\n    ],\n    "rows": {op.dim}\n  }}')
-        fh.write("\n}")
+                fh.write(b",\n      [\n" if r else b"\n      [\n")
+                start = 0
+                for c, text in rows.get(r, ()):
+                    fh.write(zero_row[start:c * step])
+                    fh.write(text)
+                    start = c * step + len(zero)
+                fh.write(zero_row[start:])
+                fh.write(b"\n      ]")
+            fh.write(f'\n    ],\n    "rows": {op.dim}\n  }}'.encode())
+        fh.write(b"\n}")

@@ -39,7 +39,7 @@ at N - k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .liealg import weyl_dimension
@@ -50,16 +50,8 @@ from .scalars import rat
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class GTMolevTableau:
-    lam1: Fraction
-    lam2: Fraction
-    sigma: int
-    l21: Fraction
-    l22: Fraction
-    lam11: Fraction
-    sigma1: int
-    l11: Fraction
+GTMolevTableau = namedtuple(
+    "GTMolevTableau", "lam1 lam2 sigma l21 l22 lam11 sigma1 l11")
 
 
 def _grid(lo, hi):
@@ -193,17 +185,12 @@ def gammas(l21, l22, convention: str):
     raise ValueError(f"unknown gamma convention {convention!r}")
 
 
-@dataclass
-class ModelMatrix:
-    """Predicted slice-to-slice map of PfF_{2-hat} in tableau order, as
-    sparse columns {source point position: {target point position: x}},
-    between the point lists of its two slices."""
-
-    cols: dict | None  # None when a coefficient is singular
-    source_pts: list
-    target_pts: list
-    sigma: int
-    singular_points: list
+# Predicted slice-to-slice map of PfF_{2-hat} in tableau order, as
+# sparse columns {source point position: {target point position: x}}
+# (None when a coefficient is singular), between the point lists of its
+# two slices.
+ModelMatrix = namedtuple(
+    "ModelMatrix", "cols source_pts target_pts sigma singular_points")
 
 
 def predicted_slice_matrix(lam1, lam2, T, N,

@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from quasispin import cli, replab, tableaux
+from quasispin import cli, fock, replab, tableaux
 from quasispin.cli import main, suite_identities
 from quasispin.liealg import GenIndex, Weight
 from quasispin.linalg import LinOp
@@ -174,6 +177,38 @@ def test_fock_build_writes_genmap(tmp_path, capsys):
     assert run(["fock", "build", "--j", "1/2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert "F[0,-1]" in payload and payload["F[0,-1]"]["rows"] == 16
+
+
+def test_a_flipped_jordan_wigner_sign_fails_the_car_check(monkeypatch,
+                                                          capsys):
+    build_mode = fock.FockSpace._build_mode
+
+    def flipped(space, k):
+        # a+_1 |0> = |2> and its transpose entry in a_1, both negated
+        adag, a = build_mode(space, k)
+        if k == 1:
+            adag[0], a[2] = {2: -1}, {0: -1}
+        return adag, a
+
+    monkeypatch.setattr(fock.FockSpace, "_build_mode", flipped)
+    assert run(["fock", "build", "--j", "1/2"]) == 1
+    [line] = [x for x in capsys.readouterr().out.splitlines()
+              if "fock/car-relations" in x]
+    assert line.startswith("FAIL    fock/car-relations  [")
+    assert """{"violations": ["('{a,a}', 0, 1)", """ in line
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the records are namedtuples; dataclasses would pull in inspect,
+    # ast, dis and tokenize, and every command would pay the import
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import quasispin.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("error", [AssertionError, ClassificationError,

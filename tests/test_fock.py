@@ -259,6 +259,19 @@ def test_car_check_catches_a_flipped_jordan_wigner_sign():
     assert len(got) == 28
 
 
+@pytest.mark.parametrize("extra", [{1: 1}, {0: 2}], ids=["second-entry",
+                                                         "entry-2"])
+def test_car_check_reports_a_malformed_column_first(extra):
+    # column 4 of a_2 is a_2 |4> = |0>; an extra or doubled entry leaves
+    # the signed partial permutations, and the old check fails it too
+    sp = FockSpace(HALF)
+    sp._a[2][4].update(extra)
+    got = sp.car_violations()
+    assert got[0] == ("shape", "a", 2)
+    assert [v for v in got if v[0] == "shape"] == [("shape", "a", 2)]
+    assert ref_car_violations(sp)
+
+
 def test_o3_commutation_catches_a_flipped_pfaffian_entry():
     sp, _, genmap = build_o5_on_fock(Fraction(3, 2))
     pf = rep_of(pfaffian(hat_set(2, 1)), genmap, sp.dim)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
@@ -178,3 +179,13 @@ def test_genmap_export_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
     assert path.stat().st_size > 30 * 2 ** 20
+
+
+def test_genmap_export_at_j_three_halves_is_pinned(tmp_path):
+    # the j=3/2 export, byte for byte, as the dense writer produced it
+    path = tmp_path / "gens.json"
+    write_genmap(str(path), build_o5_on_fock(Fraction(3, 2))[2])
+    with open(path, "rb") as fh:
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+    assert digest == ("2d8e007bcc8369d03d31a53dd5a4c4f8"
+                      "005bae3a758ee832682550cb0f76e51d")
