@@ -6,25 +6,47 @@ Creation operators follow the Jordan-Wigner convention: applying
 a+_k to a mask picks up (-1)^(number of occupied modes below k).
 a+_k and a_k are kept as integer columns {col: {row: +-1}}, signed
 partial permutations of the bitmasks: the CAR check composes them as
-signed index lists (`_signed_permutation`), the operator sums and the
-bracket table run in integers (`_isum`), and an operator leaves here as
-a `LinOp` of the same ints.  `commutes` clears the denominators of two
-`LinOp`s to decide [x, y] = 0 in the same integers.
+signed index lists (`_signed_permutation`), the operator sums run in
+integers (`_isum`), and an operator leaves here as a `LinOp` of the
+same ints.
 
 The quasi-spin operators are built on top, together with the dictionary
 assigning them to the ten canonical generators of o_5.  The operator
 forms in circulation for tau_0, A(0), B(0) and B(1) are internally
 inconsistent (mixed species / stray daggers); the corrected forms used
-here make B(X) the matrix adjoint of A(X), and `verify_representation`
-is the arbiter that the corrected dictionary closes the full bracket
-table.
+here make B(X) the adjoint of A(X), and the bracket table is the
+arbiter that the corrected dictionary closes it.
+
+Second quantization.  Each quasi-spin operator is a fermion polynomial
+{(cre, ann): coefficient}, the key standing for the normal-ordered
+monomial a+_cre[0] ... a+_cre[-1] a_ann[0] ... a_ann[-1], cre and ann
+ascending tuples of modes.  `quasispin_polynomials` builds them from
+`CORRECTED_FORMULAS`, and `quasispin_operators` reads each matrix off
+its polynomial.  The normal-ordered monomials are a basis of the
+Clifford algebra of the 2M fermion operators (M modes).  That algebra
+is simple, a full matrix algebra of dimension 4^M, and the Fock space,
+of dimension 2^M, is its unique irreducible module, on which it acts
+faithfully (C. Chevalley, The algebraic theory of spinors, 1954;
+R. Howe, Trans. AMS 313, 1989).
+Once the exhaustive CAR check has passed, the stored matrices are such
+a module, and two polynomials are equal exactly when their matrices
+are.  So the bracket table (`bracket_violations`), the star expressions
+(`evaluate_polynomial`) and the o3 commutation (`commutator`) are
+decided on the polynomials and decide the whole-space statements.  A
+product multiplies a normal monomial by one letter at a time
+(`_times_letter`: the anticommuting move and at most one contraction);
+the commutator with a quadratic form replaces one letter at a time by
+its image under ad, which is linear in the fermions (`_ad`).
+`verify_representation` is the generic whole-space bracket check of a
+generator map of `LinOp`s.
 
 Rescaled basis.  The conventional normalisation lives in `DICTIONARY`
 alone: generator g is c * sqrt2^k times a quasi-spin operator with
 rational matrix entries (the 1/sqrt2 of A(0) and B(0) is the k = -1
-there, not part of `quasispin_operators`).  `dictionary_to_o5` returns
-the conjugate D F D^-1 by D = diag(sqrt2^(tau0 + N)) of the
-conventional generator map F.  Every entry of F_g shifts the weight by
+there, not part of `quasispin_operators`).  `dictionary_to_o5` returns,
+and `generator_polynomials` writes as polynomials, the conjugate
+D F D^-1 by D = diag(sqrt2^(tau0 + N)) of the conventional generator
+map F.  Every entry of F_g shifts the weight by
 root_of(g), so conjugation multiplies F_g by sqrt2^s(g) with
 s(g) = alpha_1 + alpha_2 for alpha = root_of(g), and every generator
 becomes rational: c * 2^((k + s(g))/2) times its operator.  Brackets,
@@ -38,13 +60,14 @@ numbers, and this module the one that knows the rescaled basis.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from .liealg import bracket, canonical_generators, root_of
-from .linalg import LinOp
-from .scalars import format_rational, rat
+from .linalg import LinOp, axpy
+from .scalars import exact, format_rational, rat
 
 MAX_J = Fraction(5, 2)  # the largest shell built: 2^(4j+2) = 4096 states
 
@@ -195,41 +218,201 @@ class FockSpace:
         return bad
 
 
-def quasispin_operators(space: FockSpace) -> dict:
-    """The ten quasi-spin operators as exact matrices (corrected forms).
+# -- second quantization (see the module docstring) ----------------------
+# A letter is (dagger, k): a+_k when dagger is true, a_k otherwise.
 
-    A(0) and B(0) come without their 1/sqrt2 prefactor, which sits in
-    `DICTIONARY`; every entry is an integer or a half-integer: tau0 and
-    N are summed in integers as 2 tau0 and 2N, and halved once.
+ONE = ((), ())  # the key of the constant monomial
+
+
+def _letters(cre, ann) -> list:
+    return [(True, k) for k in cre] + [(False, k) for k in ann]
+
+
+def _nonzero(poly: dict) -> dict:
+    return {key: x for key, x in poly.items() if x}
+
+
+def _times_letter(poly: dict, letter) -> dict:
+    """poly * letter, normal-ordered.  a_k joins the annihilation block
+    past the modes above k.  a+_k passes the whole annihilation block,
+    leaving the contraction {a_k, a+_k} = 1 where it meets a_k, and joins
+    the creation block past the modes above k.  Each step past a letter
+    is one sign; a repeated mode in a block is 0."""
+    dagger, k = letter
+    out: dict = {}
+    for (cre, ann), x in poly.items():
+        if dagger:
+            if k in ann:
+                p = ann.index(k)
+                key = (cre, ann[:p] + ann[p + 1:])
+                out[key] = out.get(key, 0) + (
+                    -x if (len(ann) - p - 1) % 2 else x)
+            if k in cre:
+                continue
+            p = bisect_left(cre, k)
+            key = (cre[:p] + (k,) + cre[p:], ann)
+            moves = len(cre) - p + len(ann)
+        else:
+            if k in ann:
+                continue
+            p = bisect_left(ann, k)
+            key = (cre, ann[:p] + (k,) + ann[p:])
+            moves = len(ann) - p
+        out[key] = out.get(key, 0) + (-x if moves % 2 else x)
+    return _nonzero(out)
+
+
+def _times_word(poly: dict, word) -> dict:
+    for letter in word:
+        poly = _times_letter(poly, letter)
+    return poly
+
+
+def _product(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (cre, ann), y in q.items():
+        axpy(out, y, _times_word(p, _letters(cre, ann)))
+    return out
+
+
+def _adjoint(poly: dict) -> dict:
+    """The adjoint of a polynomial with rational coefficients:
+    (a+_C a_A)^+ = a+_(A reversed) a_(C reversed), and reversing L
+    letters is a permutation of sign (-1)^(L(L-1)/2)."""
+    return {(ann, cre): -x if (len(cre) * (len(cre) - 1)
+                               + len(ann) * (len(ann) - 1)) // 2 % 2 else x
+            for (cre, ann), x in poly.items()}
+
+
+def quasispin_polynomials(space: FockSpace) -> dict:
+    """The ten quasi-spin operators of `CORRECTED_FORMULAS` as fermion
+    polynomials, in that order.  A(0) and B(0) come without their
+    1/sqrt2, which sits in `DICTIONARY`; N keeps its constant -(2j+1)/2;
+    B(X) is the adjoint of A(X).
+
+    With d = 2j+1, mode i < d is the proton of m = m_values[i], d + i
+    the neutron, and -m is at d - 1 - i; (-1)^(j-m) = (-1)^(d-1-i).  A
+    pair a+_u a+_v is normal-ordered as -a+_v a+_u when u > v.
     """
-    j, ms = space.j, space.m_values
-    ap = {m: space._adag[space.mode_pos["p", m]] for m in ms}
-    an = {m: space._adag[space.mode_pos["n", m]] for m in ms}
-    bp = {m: space._a[space.mode_pos["p", m]] for m in ms}
-    bn = {m: space._a[space.mode_pos["n", m]] for m in ms}
-    # j - m is the integer k of m = j - k
-    pos_m = [(m, -1 if (j - m) % 2 else 1) for m in ms if m > 0]
+    d = len(space.m_values)
+    half = Fraction(1, 2)
+    pairs = [(i, d - 1 - i, -1 if (d - 1 - i) % 2 else 1)
+             for i in range(d // 2, d)]  # m > 0, -m and (-1)^(j-m)
 
-    ops = {}
-    ops["tau+"] = _isum((1, ap[m], bn[m]) for m in ms)
-    ops["tau-"] = _isum((1, an[m], bp[m]) for m in ms)
-    ops["tau0"] = _isum([(1, ap[m], bp[m]) for m in ms]
-                        + [(-1, an[m], bn[m]) for m in ms])
+    def pair(s, u, v):
+        return (((u, v), ()), s) if u < v else (((v, u), ()), -s)
+
+    polys = {
+        "tau+": {((i,), (d + i,)): 1 for i in range(d)},
+        "tau0": {**{((i,), (i,)): half for i in range(d)},
+                 **{((d + i,), (d + i,)): -half for i in range(d)}},
+        "tau-": {((d + i,), (i,)): 1 for i in range(d)},
+        "N": {**{((k,), (k,)): half for k in range(2 * d)},
+              ONE: exact(Fraction(-d, 2))},
+        "A(1)": dict(pair(s, i, mi) for i, mi, s in pairs),
+        "A(0)": dict(t for i, mi, s in pairs
+                     for t in (pair(s, i, d + mi), pair(s, d + i, mi))),
+        "A(-1)": dict(pair(s, d + i, d + mi) for i, mi, s in pairs),
+    }
+    for x in ("1", "0", "-1"):
+        polys[f"B({x})"] = _adjoint(polys[f"A({x})"])
+    return polys
+
+
+def _ad(form: dict) -> dict:
+    """{letter b: [P, b]} for a quadratic form P, each [P, b] linear, as
+    {letter: coefficient}: [u v, b] = u {v, b} - {u, b} v, and {u, b} is
+    1 when b is the partner of u (the same mode, the other kind), else
+    0.  The constant of P commutes with everything; any monomial of
+    another degree fails to unpack."""
+    ad: dict = {}
+    for (cre, ann), x in form.items():
+        if not cre + ann:
+            continue
+        u, v = _letters(cre, ann)
+        for b, image, y in (((not v[0], v[1]), u, x),
+                            ((not u[0], u[1]), v, -x)):
+            img = ad.setdefault(b, {})
+            img[image] = img.get(image, 0) + y
+    return {b: _nonzero(img) for b, img in ad.items()}
+
+
+def _commutator(ad: dict, poly: dict) -> dict:
+    """[P, Q] from the ad table of a quadratic form P: each letter of
+    each monomial of Q replaced in turn by its image.  An image letter
+    of the same kind as the letter it replaces is re-sorted within its
+    block; any other is multiplied in, letter by letter."""
+    out: dict = {}
+    for (cre, ann), x in poly.items():
+        word = _letters(cre, ann)
+        for i, b in enumerate(word):
+            for (dagger, k), y in ad.get(b, {}).items():
+                if dagger != b[0]:
+                    axpy(out, x * y, _times_word(
+                        {ONE: 1}, word[:i] + [(dagger, k)] + word[i + 1:]))
+                    continue
+                block, p = (cre, i) if dagger else (ann, i - len(cre))
+                rest = block[:p] + block[p + 1:]
+                if k in rest:
+                    continue
+                q = bisect_left(rest, k)
+                new = rest[:q] + (k,) + rest[q:]
+                key = (new, ann) if dagger else (cre, new)
+                out[key] = out.get(key, 0) + (-x * y if (p - q) % 2
+                                              else x * y)
+    return _nonzero(out)
+
+
+def commutator(form: dict, poly: dict) -> dict:
+    """[P, Q] for a quadratic form P and any fermion polynomial Q."""
+    return _commutator(_ad(form), poly)
+
+
+def evaluate_polynomial(x, polys: dict) -> dict:
+    """The U(o_5) element x with each generator g replaced by the fermion
+    polynomial polys[g]: the sum of coeff * prod P_g over its words."""
+    out: dict = {}
+    for w, coeff in x.terms.items():
+        part = {ONE: coeff}
+        for g in w:
+            part = _product(part, polys[g])
+        axpy(out, 1, part)
+    return out
+
+
+def bracket_violations(polys: dict) -> list:
+    """The pairs a != b of generators with [P_a, P_b] != P(bracket(a, b)),
+    in the order of `verify_representation`, decided on the polynomials."""
+    ads = {g: _ad(p) for g, p in polys.items()}
+    violations = []
+    for a, b in combinations(polys, 2):
+        diff = _commutator(ads[a], polys[b])
+        for c, g in bracket(a, b):
+            axpy(diff, -c, polys[g])
+        if diff:
+            violations.append((a, b))
+    return violations
+
+
+def quasispin_operators(space: FockSpace) -> dict:
+    """The ten quasi-spin operators as exact matrices, read from
+    `quasispin_polynomials`: each monomial, of degree 2 or 0, is a
+    product of two stored a+ and a columns or of the identity with
+    itself, summed in integers by `_isum` with the polynomial's
+    denominators cleared, then divided out once.  Every entry is an
+    integer or, in tau0 and N, a half-integer.
+    """
     ident = _ident(space.dim)
-    ops["N"] = _isum([(1, ap[m], bp[m]) for m in ms]
-                     + [(1, an[m], bn[m]) for m in ms]
-                     + [(-int(2 * j + 1), ident, ident)])
-    ops["A(1)"] = _isum((s, ap[m], ap[-m]) for m, s in pos_m)
-    ops["A(-1)"] = _isum((s, an[m], an[-m]) for m, s in pos_m)
-    ops["A(0)"] = _isum(t for m, s in pos_m
-                        for t in ((s, ap[m], an[-m]), (s, an[m], ap[-m])))
-    ops = {name: LinOp(space.dim, cols) for name, cols in ops.items()}
-    for name in ("tau0", "N"):
-        ops[name] = ops[name].scale(Fraction(1, 2))
-    # B(X) is the adjoint (real transpose) of A(X)
-    ops["B(1)"] = ops["A(1)"].transpose()
-    ops["B(-1)"] = ops["A(-1)"].transpose()
-    ops["B(0)"] = ops["A(0)"].transpose()
+    ops = {}
+    for name, poly in quasispin_polynomials(space).items():
+        d = lcm(1, *(x.denominator for x in poly.values()))
+        terms = []
+        for (cre, ann), x in poly.items():
+            x_cols, y_cols = ([space._adag[k] for k in cre]
+                              + [space._a[k] for k in ann]) or (ident, ident)
+            terms.append((x.numerator * (d // x.denominator), x_cols, y_cols))
+        op = LinOp(space.dim, _isum(terms))
+        ops[name] = op.scale(Fraction(1, d)) if d > 1 else op
     return ops
 
 
@@ -260,17 +443,32 @@ def rescale_exponent(g) -> int:
     return int(sum(root_of(g).comps))
 
 
-def dictionary_to_o5(ops: dict) -> dict:
-    """The ten canonical o_5 generators in the rescaled basis: the
-    dictionary's c * sqrt2^k times sqrt2^s(g), which must be rational."""
-    out = {}
+def _rescaled_dictionary():
+    """(g, operator name, factor) for the ten canonical o_5 generators:
+    the dictionary's c * sqrt2^k times sqrt2^s(g), which must be
+    rational."""
     for g in canonical_generators(2):
         name, c, k = DICTIONARY[(g.i, g.j)]
         e = k + rescale_exponent(g)
         if e % 2:
             raise AssertionError(f"{g}: sqrt2^{e} is irrational")
-        out[g] = ops[name].scale(c * Fraction(2) ** (e // 2))
-    return out
+        yield g, name, exact(c * Fraction(2) ** (e // 2))
+
+
+def dictionary_to_o5(ops: dict) -> dict:
+    """The ten canonical o_5 generators in the rescaled basis, as
+    matrices; a generator whose factor is 1 shares its operator's
+    `LinOp`."""
+    return {g: ops[name] if f == 1 else ops[name].scale(f)
+            for g, name, f in _rescaled_dictionary()}
+
+
+def generator_polynomials(space: FockSpace) -> dict:
+    """The ten canonical o_5 generators in the rescaled basis, as fermion
+    polynomials."""
+    polys = quasispin_polynomials(space)
+    return {g: {key: f * x for key, x in polys[name].items()}
+            for g, name, f in _rescaled_dictionary()}
 
 
 def _cleared(op: LinOp):
@@ -281,13 +479,6 @@ def _cleared(op: LinOp):
     return d, {c: {r: x.numerator * (d // x.denominator)
                    for r, x in col.items()}
                for c, col in op.cols.items()}
-
-
-def commutes(x: LinOp, y: LinOp) -> bool:
-    """Whether [x, y] = 0, decided in integers: a zero test needs no
-    common scale, so each side is cleared on its own."""
-    (_, ix), (_, iy) = _cleared(x), _cleared(y)
-    return not _isum([(1, ix, iy), (-1, iy, ix)])
 
 
 def verify_representation(genmap: dict):

@@ -46,7 +46,7 @@ def rref_rows(rows):
     for row in rows:
         row = {c: x for c, x in row.items() if x}
         for p in [c for c in row if c in pivot_rows]:
-            _axpy(row, -row[p], pivot_rows[p])
+            axpy(row, -row[p], pivot_rows[p])
         if not row:
             continue
         p = min(row)
@@ -55,13 +55,15 @@ def rref_rows(rows):
             row = {c: exact(x * inv) for c, x in row.items()}
         for other in pivot_rows.values():
             if p in other:
-                _axpy(other, -other[p], row)
+                axpy(other, -other[p], row)
         pivot_rows[p] = row
     return [pivot_rows[p] for p in sorted(pivot_rows)]
 
 
-def _axpy(row: dict, f, other: dict):
-    """row += f * other in place, dropping the entries that cancel."""
+def axpy(row: dict, f, other: dict):
+    """row += f * other in place, dropping the entries that cancel: any
+    sparse dict (a row, a vector, a fermion polynomial), with f and the
+    entries of other nonzero."""
     for c, y in other.items():
         s = row.get(c, 0) + f * y
         if s:
@@ -144,7 +146,7 @@ class LinOp:
     entries; products and commutators stay cheap even at dim 256+.
 
     Normal form: no column stores a zero entry and no column is empty.
-    The constructor, `+`, `-`, `@`, `scale` and `transpose` keep it, and
+    The constructor, `+`, `-`, `@` and `scale` keep it, and
     so must any code that writes `cols` directly; `==` and `is_zero`
     compare the stored dicts and rely on it.  A broken form can only make
     equal operators compare unequal, never the reverse.
@@ -204,9 +206,6 @@ class LinOp:
             return LinOp(self.dim)
         return LinOp(self.dim, {k: {r: c * x for r, x in col.items()}
                                 for k, col in self.cols.items()})
-
-    def transpose(self) -> "LinOp":
-        return LinOp(self.dim, transpose_cols(self.cols))
 
     def is_zero(self) -> bool:
         return not self.cols

@@ -11,6 +11,7 @@ from quasispin.cli import main, suite_identities
 from quasispin.liealg import GenIndex, Weight
 from quasispin.linalg import LinOp
 from quasispin.tableaux import ClassificationError
+from quasispin.uea import UEAElement
 from test_replab import extract_irreps
 from test_tableaux import (ZEROED_DOWN_T, hollow_skeleton,
                            zero_the_down_map_out_of_one)
@@ -196,6 +197,65 @@ def test_a_flipped_jordan_wigner_sign_fails_the_car_check(monkeypatch,
               if "fock/car-relations" in x]
     assert line.startswith("FAIL    fock/car-relations  [")
     assert """{"violations": ["('{a,a}', 0, 1)", """ in line
+
+
+def _flipped_generator_polynomial(monkeypatch, sign):
+    # the first coefficient of the polynomial of F[0,-1]; sign is unused
+    generator_polynomials = fock.generator_polynomials
+
+    def flipped(space):
+        polys = generator_polynomials(space)
+        p = polys[GenIndex(0, -1, 2)]
+        key = next(iter(p))
+        p[key] = -p[key]
+        return polys
+
+    monkeypatch.setattr(fock, "generator_polynomials", flipped)
+
+
+def _doubled_star_expression(monkeypatch, sign):
+    star = cli.pf_hat_star_expression
+    monkeypatch.setattr(cli, "pf_hat_star_expression", lambda n, s: (
+        star(n, s).scale(2) if s == sign else star(n, s)))
+
+
+def _flipped_pfaffian_coefficient(monkeypatch, sign):
+    pfaffian = cli.pfaffian
+
+    def flipped(I):
+        x = pfaffian(I)
+        if I != cli.hat_set(2, sign):
+            return x
+        w = next(iter(x.terms))
+        return UEAElement(x.n, {**x.terms, w: -x.terms[w]})
+
+    monkeypatch.setattr(cli, "pfaffian", flipped)
+
+
+POLYNOMIAL_FOCK_FAULTS = [
+    ("fock/bracket-table-45-pairs", _flipped_generator_polynomial, 1,
+     '{"pairs": ["'),
+    ("fock/star-expression-2hat", _doubled_star_expression, 1,
+     '{"mismatch": "2hat"}'),
+    ("fock/star-expression--2hat", _doubled_star_expression, -1,
+     '{"mismatch": "-2hat"}'),
+    ("fock/pf-2hat-commutes-with-o3", _flipped_pfaffian_coefficient, 1,
+     '{"noncommuting": ["'),
+    ("fock/pf--2hat-commutes-with-o3", _flipped_pfaffian_coefficient, -1,
+     '{"noncommuting": ["'),
+]
+
+
+@pytest.mark.parametrize("check, fault, sign, witness",
+                         POLYNOMIAL_FOCK_FAULTS,
+                         ids=[case[0] for case in POLYNOMIAL_FOCK_FAULTS])
+def test_a_fault_fails_each_polynomial_fock_check(monkeypatch, capsys, check,
+                                                  fault, sign, witness):
+    fault(monkeypatch, sign)
+    assert run(["fock", "build", "--j", "1/2"]) == 1
+    [line] = [x for x in capsys.readouterr().out.splitlines()
+              if x.split()[1] == check]
+    assert line.startswith(f"FAIL    {check}  [{witness}")
 
 
 def test_cli_import_loads_no_dataclasses():

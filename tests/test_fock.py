@@ -3,16 +3,25 @@ from fractions import Fraction
 import pytest
 
 from quasispin import fock
-from quasispin.fock import (DICTIONARY, FockSpace, build_o5_on_fock,
-                            commutes, dictionary_to_o5, quasispin_operators,
+from quasispin.fock import (DICTIONARY, FockSpace, _cleared, _isum,
+                            bracket_violations, build_o5_on_fock,
+                            dictionary_to_o5, evaluate_polynomial,
+                            generator_polynomials, quasispin_operators,
                             verify_representation)
 from quasispin.liealg import (GenIndex, bracket, o3_subalgebra_generators,
                               root_of)
-from quasispin.linalg import LinOp
-from quasispin.uea import hat_set, pf_hat_star_expression, pfaffian
+from quasispin.linalg import LinOp, transpose_cols
+from quasispin.uea import (evaluate_in_representation, hat_set,
+                           pf_hat_star_expression, pfaffian)
 from test_linalg import commutator, follows_the_scalar_rule
 
 HALF = Fraction(1, 2)
+SHELLS = [HALF, Fraction(3, 2),
+          pytest.param(Fraction(5, 2), marks=pytest.mark.slow)]
+
+
+def transpose(op):
+    return LinOp(op.dim, transpose_cols(op.cols))
 
 
 def rep_of(x, genmap, dim):
@@ -109,7 +118,7 @@ def test_b_operators_are_adjoints():
     sp = FockSpace(Fraction(3, 2))
     ops = quasispin_operators(sp)
     for x in ("1", "0", "-1"):
-        assert ops[f"B({x})"] == ops[f"A({x})"].transpose()
+        assert ops[f"B({x})"] == transpose(ops[f"A({x})"])
 
 
 def test_representation_no_violations():
@@ -196,8 +205,15 @@ def ref_quasispin_operators(sp):
     ops["A(0)"] = sum_ops(((ap[m] @ an[-m]) + (an[m] @ ap[-m])).scale(phase(m))
                           for m in pos_m)
     for x in ("1", "0", "-1"):
-        ops[f"B({x})"] = ops[f"A({x})"].transpose()
+        ops[f"B({x})"] = transpose(ops[f"A({x})"])
     return ops
+
+
+def commutes(x, y):
+    """Whether [x, y] = 0, decided in integers: a zero test needs no
+    common scale, so each side is cleared on its own."""
+    (_, ix), (_, iy) = _cleared(x), _cleared(y)
+    return not _isum([(1, ix, iy), (-1, iy, ix)])
 
 
 def ref_verify_representation(genmap):
@@ -215,10 +231,7 @@ def ref_verify_representation(genmap):
     return violations
 
 
-@pytest.mark.parametrize("j", [HALF, Fraction(3, 2),
-                               pytest.param(Fraction(5, 2),
-                                            marks=pytest.mark.slow)],
-                         ids=str)
+@pytest.mark.parametrize("j", SHELLS, ids=str)
 def test_integer_checks_match_linop_reference(j):
     sp = FockSpace(j)
     ops = quasispin_operators(sp)
@@ -285,3 +298,68 @@ def test_o3_commutation_catches_a_flipped_pfaffian_entry():
     assert got == [commutator(broken, genmap[g]).is_zero() for g in sub]
     # the flip keeps the weight shift, so only the Cartan F[-1,-1] commutes
     assert got == [False, True, False]
+
+
+# -- second quantization: the polynomial checks against the whole space
+
+
+def poly_op(sp, poly):
+    """A fermion polynomial as a LinOp: each monomial multiplied out in
+    LinOp products of sp.adag and sp.a."""
+    out = LinOp(sp.dim)
+    for (cre, ann), x in poly.items():
+        m = LinOp.identity(sp.dim)
+        for k in cre:
+            m = m @ sp.adag(*sp.modes[k])
+        for k in ann:
+            m = m @ sp.a(*sp.modes[k])
+        out = out + m.scale(x)
+    return out
+
+
+@pytest.mark.parametrize("j", SHELLS, ids=str)
+def test_polynomials_are_the_whole_space_operators(j):
+    sp, _, genmap = build_o5_on_fock(j)
+    polys = generator_polynomials(sp)
+    assert list(polys) == list(genmap)
+    assert all(poly_op(sp, polys[g]) == op for g, op in genmap.items())
+    for sign in (1, -1):
+        for x in (pfaffian(hat_set(2, sign)), pf_hat_star_expression(2, sign)):
+            assert (poly_op(sp, evaluate_polynomial(x, polys))
+                    == evaluate_in_representation(x, genmap, sp.dim))
+
+
+@pytest.mark.parametrize("j", SHELLS, ids=str)
+def test_polynomial_table_matches_the_whole_space_table(j):
+    sp, _, genmap = build_o5_on_fock(j)
+    polys = generator_polynomials(sp)
+    assert bracket_violations(polys) == verify_representation(genmap) == []
+    # N shifted by 1/2, that is F[-2,-2] = -N by -1/2
+    n, one = GenIndex(-2, -2, 2), ((), ())
+    shifted = {**polys, n: {**polys[n], one: polys[n][one] - HALF}}
+    got = bracket_violations(shifted)
+    assert got == verify_representation(
+        {**genmap, n: genmap[n] - LinOp.identity(sp.dim).scale(HALF)})
+    assert len(got) == 3
+    for g in genmap:
+        negated = {**polys, g: {k: -x for k, x in polys[g].items()}}
+        got = bracket_violations(negated)
+        assert got == verify_representation({**genmap, g: -genmap[g]})
+        assert got
+
+
+@pytest.mark.parametrize("j", SHELLS, ids=str)
+def test_o3_verdicts_match_the_whole_space_on_a_flipped_pfaffian(j):
+    sp, _, genmap = build_o5_on_fock(j)
+    polys = generator_polynomials(sp)
+    sub = o3_subalgebra_generators(2)
+    for sign in (1, -1):
+        pf = evaluate_polynomial(pfaffian(hat_set(2, sign)), polys)
+        assert not any(fock.commutator(polys[g], pf) for g in sub)
+        key = next(iter(pf))
+        broken = {**pf, key: -pf[key]}
+        got = [not fock.commutator(polys[g], broken) for g in sub]
+        op = poly_op(sp, broken)
+        assert got == [commutator(op, genmap[g]).is_zero() for g in sub]
+        # the flip keeps the weight shift: only the Cartan F[-1,-1] commutes
+        assert got == [False, True, False]

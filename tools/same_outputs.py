@@ -1,16 +1,19 @@
-"""Record the outputs of the 24 reference commands of one checkout.
+"""Record the outputs of the 25 reference commands of one checkout.
 
     python tools/same_outputs.py CHECKOUT OUTDIR
 
 runs each command one after another as ``python -m quasispin.cli`` on
-the ``src/`` of CHECKOUT, with ``--out``, and writes three files per
-command into OUTDIR, named after the command:
+the ``src/`` of CHECKOUT and writes up to two files per command into
+OUTDIR, named after the command:
 
 - ``.out``: the exit code, then stdout without its ``wrote`` line;
 - ``.json``: the ``--out`` JSON with every ``wall_time`` removed, keys
   sorted;
 - ``.sha256``: instead of ``.json`` for ``fock build``, the sha256 of
   its export (39 MB at j = 3/2).
+
+``fock build --j 5/2`` runs without ``--out``, since its export is
+about 10 GB: it records the ``.out`` file alone.
 
 Two checkouts give the same outputs when ``diff -r`` of their OUTDIRs
 is empty.  Standard library only.
@@ -37,12 +40,14 @@ COMMANDS = (
      ["verify", "identities", "--n", "3", "--slow"],
      ["fock", "build", "--j", "1/2"],
      ["fock", "build", "--j", "3/2"],
+     ["fock", "build", "--j", "5/2"],
      ["repr", "analyze", "--source", "fock", "--j", "1/2"],
      ["repr", "analyze", "--source", "fock", "--j", "3/2"]]
     + [["repr", "analyze", "--source", "defining-power", "--power", str(p)]
        for p in range(4)]
     + [["probe", "conventions"]]
     + [["classify", f"--weight={w}"] for w in CLASSIFY_WEIGHTS])
+NO_OUT = (["fock", "build", "--j", "5/2"],)
 
 
 def drop_wall_time(value):
@@ -59,9 +64,10 @@ def record(checkout: Path, argv, outdir: Path, scratch: Path):
     name = re.sub(r"[^A-Za-z0-9.,=-]+", "_", " ".join(argv))
     out_path = scratch / "out.json"
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    out_args = [] if argv in NO_OUT else ["--out", str(out_path)]
     done = subprocess.run(
-        [sys.executable, "-m", "quasispin.cli", *argv, "--out",
-         str(out_path)], env=env, capture_output=True, text=True)
+        [sys.executable, "-m", "quasispin.cli", *argv, *out_args],
+        env=env, capture_output=True, text=True)
     stdout = "".join(line for line in done.stdout.splitlines(keepends=True)
                      if not line.startswith("wrote "))
     (outdir / f"{name}.out").write_text(f"exit {done.returncode}\n{stdout}")
