@@ -192,7 +192,9 @@ def suite_fock(j) -> VerificationReport:
     report.add("fock/number-on-vacuum", nvac == want, {"got": nvac})
     genmap = fock.dictionary_to_o5(ops)
     # the brackets, star expressions and o3 commutation are decided on
-    # the fermion polynomials, which the CAR check makes faithful
+    # the fermion polynomials, which the CAR check makes faithful; they
+    # hold for the exported genmap because it is read off the same
+    # polynomials (pinned by the differential tests in test_fock.py)
     polys = fock.generator_polynomials(space)
     viol = fock.bracket_violations(polys)
     report.add("fock/bracket-table-45-pairs", not viol,

@@ -32,11 +32,18 @@ Once the exhaustive CAR check has passed, the stored matrices are such
 a module, and two polynomials are equal exactly when their matrices
 are.  So the bracket table (`bracket_violations`), the star expressions
 (`evaluate_polynomial`) and the o3 commutation (`commutator`) are
-decided on the polynomials and decide the whole-space statements.  A
-product multiplies a normal monomial by one letter at a time
+decided on the polynomials.  They decide the same statements about the
+exported matrices because those are the images of the same
+polynomials: `quasispin_operators` reads each matrix off its
+polynomial and `dictionary_to_o5` scales it by the factor that
+`generator_polynomials` uses.  That read-off is not re-checked at run
+time; tests/test_fock.py compares it entry by entry with products of
+the stored a+ and a at j = 1/2 and 3/2, and at 5/2 among the slow
+tests.  A product multiplies a normal monomial by one letter at a time
 (`_times_letter`: the anticommuting move and at most one contraction);
 the commutator with a quadratic form replaces one letter at a time by
-its image under ad, which is linear in the fermions (`_ad`).
+its image under ad, which is linear in the fermions (`_ad`), and
+normal-orders the word again.
 `verify_representation` is the generic whole-space bracket check of a
 generator map of `LinOp`s.
 
@@ -339,28 +346,16 @@ def _ad(form: dict) -> dict:
 
 def _commutator(ad: dict, poly: dict) -> dict:
     """[P, Q] from the ad table of a quadratic form P: each letter of
-    each monomial of Q replaced in turn by its image.  An image letter
-    of the same kind as the letter it replaces is re-sorted within its
-    block; any other is multiplied in, letter by letter."""
+    each monomial of Q replaced in turn by its image, and the word
+    normal-ordered again."""
     out: dict = {}
     for (cre, ann), x in poly.items():
         word = _letters(cre, ann)
         for i, b in enumerate(word):
-            for (dagger, k), y in ad.get(b, {}).items():
-                if dagger != b[0]:
-                    axpy(out, x * y, _times_word(
-                        {ONE: 1}, word[:i] + [(dagger, k)] + word[i + 1:]))
-                    continue
-                block, p = (cre, i) if dagger else (ann, i - len(cre))
-                rest = block[:p] + block[p + 1:]
-                if k in rest:
-                    continue
-                q = bisect_left(rest, k)
-                new = rest[:q] + (k,) + rest[q:]
-                key = (new, ann) if dagger else (cre, new)
-                out[key] = out.get(key, 0) + (-x * y if (p - q) % 2
-                                              else x * y)
-    return _nonzero(out)
+            for letter, y in ad.get(b, {}).items():
+                axpy(out, x * y, _times_word(
+                    {ONE: 1}, word[:i] + [letter] + word[i + 1:]))
+    return out
 
 
 def commutator(form: dict, poly: dict) -> dict:
@@ -457,10 +452,8 @@ def _rescaled_dictionary():
 
 def dictionary_to_o5(ops: dict) -> dict:
     """The ten canonical o_5 generators in the rescaled basis, as
-    matrices; a generator whose factor is 1 shares its operator's
-    `LinOp`."""
-    return {g: ops[name] if f == 1 else ops[name].scale(f)
-            for g, name, f in _rescaled_dictionary()}
+    matrices."""
+    return {g: ops[name].scale(f) for g, name, f in _rescaled_dictionary()}
 
 
 def generator_polynomials(space: FockSpace) -> dict:

@@ -301,6 +301,9 @@ def test_o3_commutation_catches_a_flipped_pfaffian_entry():
 
 
 # -- second quantization: the polynomial checks against the whole space
+# `fock build` decides its bracket table, star expressions and o3 checks
+# on the polynomials and exports the matrices read off them; these tests
+# are what ties the two, so j = 1/2 and 3/2 stay out of the slow set.
 
 
 def poly_op(sp, poly):
