@@ -179,18 +179,17 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
 # -- fock ----------------------------------------------------------------
 
 
-def suite_fock(j) -> VerificationReport:
+def suite_fock(j):
+    """(report, Fock space) of `fock build`."""
     report = VerificationReport(f"fock(j={j})")
     space = fock.FockSpace(j)
     violations = space.car_violations()
     report.add("fock/car-relations", not violations,
                {"violations": [str(v) for v in violations]})
-    ops = fock.quasispin_operators(space)
-    vac = space.vacuum()
-    nvac = ops["N"].apply(vac)
+    number = fock.read_off(space, fock.quasispin_polynomials(space)["N"])
+    nvac = number.apply(space.vacuum())
     want = {0: -Fraction(2 * Fraction(j) + 1, 2)}
     report.add("fock/number-on-vacuum", nvac == want, {"got": nvac})
-    genmap = fock.dictionary_to_o5(ops)
     # the brackets, star expressions and o3 commutation are decided on
     # the fermion polynomials, which the CAR check makes faithful; they
     # hold for the exported genmap because it is read off the same
@@ -222,7 +221,7 @@ def suite_fock(j) -> VerificationReport:
                if fock.commutator(polys[g], pf_polys[sign])]
         report.add(f"fock/pf-{label}-commutes-with-o3", not bad,
                    {"noncommuting": bad})
-    return report, genmap
+    return report, space
 
 
 # -- repr analyze ---------------------------------------------------------
@@ -442,7 +441,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             report = suite_identities(args.n, slow=args.slow, seed=args.seed)
         elif args.command == "fock":
-            report, genmap = suite_fock(args.j)
+            report, space = suite_fock(args.j)
+            if args.out:  # the generator map is built for the export alone
+                genmap = fock.dictionary_to_o5(space)
         elif args.command == "repr":
             if args.source == "fock" and args.j is None:
                 parser.error("--source fock needs --j")

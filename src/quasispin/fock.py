@@ -21,10 +21,10 @@ Second quantization.  Each quasi-spin operator is a fermion polynomial
 {(cre, ann): coefficient}, the key standing for the normal-ordered
 monomial a+_cre[0] ... a+_cre[-1] a_ann[0] ... a_ann[-1], cre and ann
 ascending tuples of modes.  `quasispin_polynomials` builds them from
-`CORRECTED_FORMULAS`, and `quasispin_operators` reads each matrix off
-its polynomial.  The normal-ordered monomials are a basis of the
-Clifford algebra of the 2M fermion operators (M modes).  That algebra
-is simple, a full matrix algebra of dimension 4^M, and the Fock space,
+`CORRECTED_FORMULAS`, and `read_off` gives the matrix of a polynomial.
+The normal-ordered monomials are a basis of the Clifford algebra of
+the 2M fermion operators (M modes).  That algebra is simple, a full
+matrix algebra of dimension 4^M, and the Fock space,
 of dimension 2^M, is its unique irreducible module, on which it acts
 faithfully (C. Chevalley, The algebraic theory of spinors, 1954;
 R. Howe, Trans. AMS 313, 1989).
@@ -34,12 +34,11 @@ are.  So the bracket table (`bracket_violations`), the star expressions
 (`evaluate_polynomial`) and the o3 commutation (`commutator`) are
 decided on the polynomials.  They decide the same statements about the
 exported matrices because those are the images of the same
-polynomials: `quasispin_operators` reads each matrix off its
-polynomial and `dictionary_to_o5` scales it by the factor that
-`generator_polynomials` uses.  That read-off is not re-checked at run
-time; tests/test_fock.py compares it entry by entry with products of
-the stored a+ and a at j = 1/2 and 3/2, and at 5/2 among the slow
-tests.  A product multiplies a normal monomial by one letter at a time
+polynomials: `dictionary_to_o5` reads each generator matrix off its
+polynomial of `generator_polynomials`, one integer sum per generator.
+That read-off is not re-checked at run time; tests/test_fock.py
+compares it entry by entry with products of the stored a+ and a at
+j = 1/2 and 3/2, and at 5/2 among the slow tests.  A product multiplies a normal monomial by one letter at a time
 (`_times_letter`: the anticommuting move and at most one contraction);
 the commutator with a quadratic form replaces one letter at a time by
 its image under ad, which is linear in the fermions (`_ad`), and
@@ -389,26 +388,31 @@ def bracket_violations(polys: dict) -> list:
     return violations
 
 
-def quasispin_operators(space: FockSpace) -> dict:
-    """The ten quasi-spin operators as exact matrices, read from
-    `quasispin_polynomials`: each monomial, of degree 2 or 0, is a
-    product of two stored a+ and a columns or of the identity with
+def read_off(space: FockSpace, poly: dict) -> LinOp:
+    """The matrix of a fermion polynomial of degree 2 or 0: each monomial
+    is a product of two stored a+ and a columns or of the identity with
     itself, summed in integers by `_isum` with the polynomial's
-    denominators cleared, then divided out once.  Every entry is an
-    integer or, in tau0 and N, a half-integer.
-    """
+    denominators cleared, then divided out once."""
     ident = _ident(space.dim)
-    ops = {}
-    for name, poly in quasispin_polynomials(space).items():
-        d = lcm(1, *(x.denominator for x in poly.values()))
-        terms = []
-        for (cre, ann), x in poly.items():
-            x_cols, y_cols = ([space._adag[k] for k in cre]
-                              + [space._a[k] for k in ann]) or (ident, ident)
-            terms.append((x.numerator * (d // x.denominator), x_cols, y_cols))
-        op = LinOp(space.dim, _isum(terms))
-        ops[name] = op.scale(Fraction(1, d)) if d > 1 else op
-    return ops
+    d = lcm(1, *(x.denominator for x in poly.values()))
+    terms = []
+    for (cre, ann), x in poly.items():
+        x_cols, y_cols = ([space._adag[k] for k in cre]
+                          + [space._a[k] for k in ann]) or (ident, ident)
+        terms.append((x.numerator * (d // x.denominator), x_cols, y_cols))
+    cols = _isum(terms)
+    if d > 1:
+        cols = {c: {r: Fraction(v, d) for r, v in col.items()}
+                for c, col in cols.items()}
+    return LinOp(space.dim, cols)
+
+
+def quasispin_operators(space: FockSpace) -> dict:
+    """The ten quasi-spin operators as exact matrices, each read off its
+    polynomial of `quasispin_polynomials`.  Every entry is an integer
+    or, in tau0 and N, a half-integer."""
+    return {name: read_off(space, poly)
+            for name, poly in quasispin_polynomials(space).items()}
 
 
 # Canonical-generator dictionary, conventional normalisation: F_(i,j)
@@ -450,18 +454,19 @@ def _rescaled_dictionary():
         yield g, name, exact(c * Fraction(2) ** (e // 2))
 
 
-def dictionary_to_o5(ops: dict) -> dict:
-    """The ten canonical o_5 generators in the rescaled basis, as
-    matrices."""
-    return {g: ops[name].scale(f) for g, name, f in _rescaled_dictionary()}
-
-
 def generator_polynomials(space: FockSpace) -> dict:
     """The ten canonical o_5 generators in the rescaled basis, as fermion
     polynomials."""
     polys = quasispin_polynomials(space)
     return {g: {key: f * x for key, x in polys[name].items()}
             for g, name, f in _rescaled_dictionary()}
+
+
+def dictionary_to_o5(space: FockSpace) -> dict:
+    """The ten canonical o_5 generators in the rescaled basis, as
+    matrices, each read off its polynomial of `generator_polynomials`."""
+    return {g: read_off(space, poly)
+            for g, poly in generator_polynomials(space).items()}
 
 
 def _cleared(op: LinOp):
@@ -498,9 +503,7 @@ def build_o5_on_fock(j):
     """Fock space, quasi-spin operators and the o5 generator map D F D^-1
     in the rescaled basis (see the module docstring)."""
     space = FockSpace(j)
-    ops = quasispin_operators(space)
-    genmap = dictionary_to_o5(ops)
-    return space, ops, genmap
+    return space, quasispin_operators(space), dictionary_to_o5(space)
 
 
 # -- export ---------------------------------------------------------------

@@ -176,6 +176,22 @@ def is_lowering(g: GenIndex) -> bool:
     return not g.is_cartan() and not is_raising(g)
 
 
+def simple_generators(n: int):
+    """(simple raising generators, simple lowering generators): the
+    generators whose root is not a sum of two roots of their own kind.
+    They generate o_{2n+1} under brackets (Serre).  The lowering ones
+    come in PBW order and raising[i] is the opposite of lowering[i].  For
+    o_5 that puts the long root first: in `replab`, the raising kernels
+    and the lowering orbit of V(-4,-7) then take a third of the time
+    that the other order takes."""
+    gens = canonical_generators(n)
+    lowering = [g for g in gens if is_lowering(g)]
+    sums = {root_of(a) + root_of(b) for a in lowering for b in lowering}
+    by_root = {root_of(g): g for g in gens}
+    simple = [g for g in lowering if root_of(g) not in sums]
+    return [by_root[-root_of(g)] for g in simple], simple
+
+
 def pbw_sort_key(g: GenIndex):
     """Total order for PBW normal ordering.
 

@@ -20,6 +20,26 @@ set (the extremal projector and Omega) from one RREF of the rows
 RREF basis, and an operator between two slices is the sparse columns
 that `_coordinates` returns, which `tableaux` reads.
 
+Chevalley build.  o5 is generated by its two simple raising and two
+simple lowering root vectors (`liealg.simple_generators`), and a
+highest-weight module is spanned by simple lowerings of its top vector
+(J. E. Humphreys, Introduction to Lie Algebras and Representation
+Theory, 1972, on Serre's theorem and standard cyclic modules).  So the
+raising kernel is taken of the two simple raising operators, the
+lowering orbit steps with the two simple lowering ones, and an irrep
+reads only those four off its source (`_fill_generator_matrices`),
+through `_coordinates`, whose span gate fails unless every image lies in
+the irrep.  The Cartan matrices are diag(-w_r) on the basis weights,
+the numbers `weight_decompose` read, and the other four root matrices
+follow `BRACKET_RECIPE`, computed once from `liealg.bracket`: M_g =
+[M_s, M_h] / c on the irrep.  Precondition: a `Representation` is a
+representation of o5, so invariance under the four simple generators is
+invariance under all ten, and the matrices are those that reading all
+ten off the source would give (tests/test_replab.py compares the two).
+Tensor products and the defining representation are representations by
+construction; Fock's by the bracket table of `fock build` and the
+read-off that tests/test_fock.py pins.
+
 Conventions: the weight of a vector is (F_11-eigenvalue, F_22-eigenvalue)
 = (tau_0, N); o3-highest means killed by the o3 raising operator
 F_{-1,0}; slices V+_{T,N} collect o3-highest vectors of weight (T, N).
@@ -30,15 +50,35 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .fock import build_o5_on_fock
-from .liealg import (GenIndex, Weight, canonical_generators, canonicalize,
-                     defining_matrices, is_lowering, is_raising, root_of,
-                     weyl_dimension)
+from .fock import FockSpace, dictionary_to_o5
+from .liealg import (GenIndex, Weight, bracket, canonical_generators,
+                     canonicalize, defining_matrices, is_lowering, root_of,
+                     simple_generators, weyl_dimension)
 from .linalg import LinOp, kernel_rows, rref_rows, svec_add, transpose_cols
 from .uea import (IndexSet, UEAElement, evaluate_in_representation, hat_set,
                   pfaffian)
 
 N_RANK = 2  # everything here is o_5
+SIMPLE_RAISING, SIMPLE_LOWERING = simple_generators(N_RANK)
+
+
+def _bracket_recipe():
+    """[(g, s, h, c)] with bracket(s, h) = c g, s simple and h simple or
+    an earlier g: one entry for every root generator that is not
+    simple, so that M_g = [M_s, M_h] / c."""
+    simple = SIMPLE_RAISING + SIMPLE_LOWERING
+    known, recipe = list(simple), []
+    while len(known) < len(canonical_generators(N_RANK)) - N_RANK:
+        s, h, [(c, g)] = next(
+            (s, h, terms) for s in simple for h in known
+            if len(terms := bracket(s, h)) == 1
+            and not terms[0][1].is_cartan() and terms[0][1] not in known)
+        recipe.append((g, s, h, c))
+        known.append(g)
+    return recipe
+
+
+BRACKET_RECIPE = _bracket_recipe()
 
 
 class Representation:
@@ -91,8 +131,8 @@ def tensor_power_representation(power: int) -> Representation:
 
 
 def fock_representation(j) -> Representation:
-    space, _, genmap = build_o5_on_fock(j)
-    return Representation(f"fock({j})", space.dim, genmap)
+    space = FockSpace(j)
+    return Representation(f"fock({j})", space.dim, dictionary_to_o5(space))
 
 
 class NonDiagonalCartan(Exception):
@@ -186,13 +226,15 @@ def irrep_with_highest_weight(rep: Representation, lam):
 
 
 def _highest_weight_kernels(rep: Representation, lam=None):
-    """(weights highest first, lowering operators, [(position of a
-    weight, its nonzero raising kernel)]), over every weight or lam."""
+    """(weights highest first, [(simple lowering operator, its root)],
+    [(position of a weight, its nonzero raising kernel)]), over every
+    weight or lam.  The kernel is that of the simple raising operators,
+    which in a representation is the kernel of all raising ones."""
     buckets = weight_decompose(rep)
     order = sorted(buckets, key=_weight_sort_key)
-    raising, lowering = _root_generators(rep)
+    raising = [rep.genmap[g] for g in SIMPLE_RAISING]
     only = None if lam is None else Weight(lam)
-    return order, lowering, [
+    return order, [(rep.genmap[g], root_of(g)) for g in SIMPLE_LOWERING], [
         (at, kernel) for at, mu in enumerate(order) if only in (None, mu)
         if (kernel := kernel_rows(_stacked_rows(raising, buckets[mu]),
                                   buckets[mu]))]
@@ -205,33 +247,35 @@ def irrep_of_weight(lam) -> Irrep:
     irreps (the last from Fock(1/2)).  Any other lam is (lam - mu) + mu
     with mu = (0,-1) if lam1 != lam2, else (-1/2,-1/2): lam is the top
     weight of V(lam - mu) (x) V(mu), of multiplicity one, so its irrep
-    there is V(lam).  The Weyl-dimension check guards every step.
+    there is V(lam).  The Weyl-dimension check guards every step.  Each
+    irrep of the chain is built once per call (the spinor is both
+    factors of V(-1,-1)); nothing is kept between calls.
     """
-    lam = (Fraction(lam[0]), Fraction(lam[1]))
-    expected = weyl_dimension(*lam)  # ValueError unless a highest weight
     half = Fraction(1, 2)
     base = {(0, 0): trivial_representation, (0, -1): defining_representation,
             (-half, -half): lambda: fock_representation(half)}
-    if lam in base:
-        irr = irrep_with_highest_weight(base[lam](), lam)
-    else:
-        mu = (0, -1) if lam[0] != lam[1] else (-half, -half)
-        rest = irrep_of_weight((lam[0] - mu[0], lam[1] - mu[1]))
-        irr = irrep_with_highest_weight(
-            tensor_product(rest.representation(),
-                           irrep_of_weight(mu).representation()), lam)
-    if irr.dim != expected:
-        raise AssertionError(
-            f"irrep {lam} in {irr.source}: span dim {irr.dim} != "
-            f"Weyl dimension {expected}")
-    return irr
+    built: dict = {}
 
+    def build(lam):
+        if lam in built:
+            return built[lam]
+        expected = weyl_dimension(*lam)  # ValueError unless a highest weight
+        if lam in base:
+            irr = irrep_with_highest_weight(base[lam](), lam)
+        else:
+            mu = (0, -1) if lam[0] != lam[1] else (-half, -half)
+            rest = build((lam[0] - mu[0], lam[1] - mu[1]))
+            irr = irrep_with_highest_weight(
+                tensor_product(rest.representation(),
+                               build(mu).representation()), lam)
+        if irr.dim != expected:
+            raise AssertionError(
+                f"irrep {lam} in {irr.source}: span dim {irr.dim} != "
+                f"Weyl dimension {expected}")
+        built[lam] = irr
+        return irr
 
-def _root_generators(rep: Representation):
-    """(raising operators of rep, [(lowering operator, its root)])."""
-    gens = canonical_generators(N_RANK)
-    return ([rep.genmap[g] for g in gens if is_raising(g)],
-            [(rep.genmap[g], root_of(g)) for g in gens if is_lowering(g)])
+    return build((Fraction(lam[0]), Fraction(lam[1])))
 
 
 def _stacked_rows(ops, cols):
@@ -265,10 +309,16 @@ def _lowering_orbit(rep: Representation, order, at, kv, lowering):
 
 
 def _fill_generator_matrices(rep: Representation, irreps):
-    """genmats[g], each block read at target pivots (`_coordinates`)."""
-    gens = [(g, root_of(g)) for g in canonical_generators(N_RANK)]
+    """genmats[g] of each irrep, all ten generators.  The four simple ones
+    are read off rep, each block at target pivots (`_coordinates`),
+    which fails unless every image lies in the irrep; the Cartans
+    F_{-r,-r} are diag(-w_r) on the weights; the other four follow
+    `BRACKET_RECIPE`.  Exact when rep is a representation (module
+    docstring)."""
+    simple = [(g, root_of(g)) for g in SIMPLE_RAISING + SIMPLE_LOWERING]
     for irr in irreps:
-        for g, alpha in gens:
+        mats = {}
+        for g, alpha in simple:
             op, m = rep.genmap[g], {}
             for w, cols in irr.weight_positions.items():
                 images = [op.apply(irr.basis[c]) for c in cols]
@@ -281,7 +331,15 @@ def _fill_generator_matrices(rep: Representation, irreps):
                         f"{g} image leaves the irrep span in {irr}")
                 m.update((c, {rows[t]: x for t, x in col.items()})
                          for c, col in zip(cols, coords))
-            irr.genmats[g] = LinOp(irr.dim, m)
+            mats[g] = LinOp(irr.dim, m)
+        for r in range(1, N_RANK + 1):
+            mats[GenIndex(-r, -r, N_RANK)] = LinOp(
+                irr.dim, {c: {c: -w.comps[r - 1]}
+                          for c, w in enumerate(irr.weights)})
+        for g, s, h, c in BRACKET_RECIPE:
+            ms, mh = mats[s], mats[h]
+            mats[g] = (ms @ mh - mh @ ms).scale(Fraction(1, c))
+        irr.genmats.update((g, mats[g]) for g in canonical_generators(N_RANK))
 
 
 def _coordinates(targets, images):

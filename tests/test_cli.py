@@ -440,6 +440,32 @@ def test_repr_reports_a_non_echelon_irrep_basis(monkeypatch, tmp_path,
                              "reduced echelon form"}}]
 
 
+def test_repr_reports_an_image_leaving_the_irrep(monkeypatch, tmp_path,
+                                                capsys):
+    # F[-1,0] sends e_-2 (x) e_0 (position 2) to e_-2 (x) e_-1; one more
+    # entry at e_-1 (x) e_-2 (position 5), of the same weight, takes the
+    # image out of V(0,-2): the span gate on the simple generators fails
+    tensor_power_representation = replab.tensor_power_representation
+
+    def corrupted(power):
+        rep = tensor_power_representation(power)
+        op = rep.genmap[GenIndex(-1, 0, 2)]
+        assert op.cols[2] == {1: 1}
+        op.cols[2] = {1: 1, 5: 1}
+        return rep
+
+    monkeypatch.setattr(replab, "tensor_power_representation", corrupted)
+    out = tmp_path / "report.json"
+    assert run(["repr", "analyze", "--source", "defining-power",
+                "--power", "2", "--out", str(out)]) == 1
+    assert "FAIL    repr/internal-error" in capsys.readouterr().out
+    [check] = json.loads(out.read_text())["checks"]
+    assert check["id"] == "repr/internal-error"
+    assert check["witness"]["error"].startswith(
+        "AssertionError: F[-1,0] image leaves the irrep span in <Irrep "
+        "(Fraction(0, 1), Fraction(-2, 1)) dim 14")
+
+
 def test_repr_reports_a_projector_image_meeting_its_kernel(monkeypatch,
                                                            tmp_path, capsys):
     # f sending the tau0 = -1 vector of the adjoint in defining^2 onto its

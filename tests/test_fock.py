@@ -89,7 +89,7 @@ def test_tau0_on_one_proton():
 def test_dictionary_entries():
     sp = FockSpace(HALF)
     ops = quasispin_operators(sp)
-    genmap = dictionary_to_o5(ops)
+    genmap = dictionary_to_o5(sp)
     assert genmap[GenIndex(-2, -2, 2)] == ops["N"].scale(-1)
     assert genmap[GenIndex(-1, -1, 2)] == ops["tau0"].scale(-1)
     # F_{2,-1} = -F_{1,-2} = A(1) after the sign correction: the table
@@ -246,7 +246,7 @@ def test_integer_checks_match_linop_reference(j):
                if name not in ("tau0", "N")
                for col in op.cols.values() for x in col.values())
     assert sp.car_violations() == ref_car_violations(sp) == []
-    genmap = dictionary_to_o5(ops)
+    genmap = dictionary_to_o5(sp)
     assert verify_representation(genmap) == ref_verify_representation(genmap) == []
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -8,7 +8,7 @@ from quasispin import liealg
 from quasispin.liealg import (GenIndex, Weight, bracket, canonical_generators,
                               canonicalize, defining_matrices, is_lowering,
                               is_raising, o3_subalgebra_generators, root_of,
-                              weyl_dimension)
+                              simple_generators, weyl_dimension)
 from quasispin.linalg import LinOp, rref_rows
 from test_linalg import commutator
 
@@ -169,6 +169,30 @@ def test_o3_subalgebra_closes():
         for b in sub7:
             for c, g in bracket(a, b):
                 assert g.key() in keys7
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_simple_generators_span_the_raising_roots(n):
+    # n simple raising roots, each paired with the generator of its
+    # negative, and every raising root a nonnegative integer combination
+    # of them (coefficients at most 2 in type B)
+    raising, lowering = simple_generators(n)
+    assert len(raising) == len(lowering) == n
+    assert all(is_raising(g) for g in raising)
+    assert [root_of(g) for g in lowering] == [-root_of(g) for g in raising]
+    combos = set()
+    for coeffs in product(range(3), repeat=n):
+        w = Weight.zero(n)
+        for k, g in zip(coeffs, raising):
+            for _ in range(k):
+                w = w + root_of(g)
+        combos.add(w)
+    roots = [root_of(g) for g in canonical_generators(n) if is_raising(g)]
+    assert len(roots) == n * n
+    assert all(r in combos for r in roots)
+    assert simple_generators(2) == (
+        [GenIndex(-2, -1, 2), GenIndex(-1, 0, 2)],
+        [GenIndex(-1, -2, 2), GenIndex(0, -1, 2)])
 
 
 def test_weyl_dimension_oracle():

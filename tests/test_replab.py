@@ -5,14 +5,15 @@ import pytest
 
 from quasispin import replab
 from quasispin.fock import verify_representation
-from quasispin.liealg import (Weight, canonical_generators, is_lowering,
-                              root_of, weyl_dimension)
-from quasispin.linalg import LinOp, characteristic_polynomial, rref_rows
-from quasispin.replab import (O3_LOWERING, O3_RAISING, _coordinates,
-                              _restrict_to_slices,
-                              _fill_generator_matrices,
-                              _highest_weight_kernels, _lowering_orbit,
-                              _map_on_span, _weight_sort_key,
+from quasispin.liealg import (Weight, bracket, canonical_generators,
+                              is_lowering, is_raising, root_of,
+                              weyl_dimension)
+from quasispin.linalg import (LinOp, characteristic_polynomial, kernel_rows,
+                              rref_rows)
+from quasispin.replab import (BRACKET_RECIPE, O3_LOWERING, O3_RAISING,
+                              _coordinates, _restrict_to_slices,
+                              _lowering_orbit, _map_on_span, _stacked_rows,
+                              _weight_sort_key,
                               NonDiagonalCartan, Representation,
                               defining_representation,
                               extremal_projector_o3, fock_representation,
@@ -30,20 +31,88 @@ from test_linalg import (_block, _put_block, commutator, dense, dense_kernel,
 HALF = Fraction(1, 2)
 
 
+# -- the all-generator reference for the Chevalley build ----------------
+
+
+def ref_kernels(rep: Representation, lam=None):
+    """`replab._highest_weight_kernels` with every generator: the kernel
+    of all four raising operators, and all four lowering ones."""
+    buckets = weight_decompose(rep)
+    order = sorted(buckets, key=_weight_sort_key)
+    gens = canonical_generators(2)
+    raising = [rep.genmap[g] for g in gens if is_raising(g)]
+    lowering = [(rep.genmap[g], root_of(g)) for g in gens if is_lowering(g)]
+    only = None if lam is None else Weight(lam)
+    return order, lowering, [
+        (at, kernel) for at, mu in enumerate(order) if only in (None, mu)
+        if (kernel := kernel_rows(_stacked_rows(raising, buckets[mu]),
+                                  buckets[mu]))]
+
+
+def ref_fill_generator_matrices(rep: Representation, irreps):
+    """genmats[g] for all ten generators, each read off rep block by
+    block at target pivots (`_coordinates`)."""
+    gens = [(g, root_of(g)) for g in canonical_generators(2)]
+    for irr in irreps:
+        for g, alpha in gens:
+            op, m = rep.genmap[g], {}
+            for w, cols in irr.weight_positions.items():
+                images = [op.apply(irr.basis[c]) for c in cols]
+                if not any(images):
+                    continue
+                rows = irr.weight_positions.get(w + alpha, [])
+                coords = _coordinates([irr.basis[r] for r in rows], images)
+                if coords is None:
+                    raise AssertionError(
+                        f"{g} image leaves the irrep span in {irr}")
+                m.update((c, {rows[t]: x for t, x in col.items()})
+                         for c, col in zip(cols, coords))
+            irr.genmats[g] = LinOp(irr.dim, m)
+
+
 def extract_irreps(rep: Representation):
     """Split into irreducibles, one per copy: the lowering orbit of every
-    vector of every raising kernel, highest weight first.  The irrep
+    vector of every raising kernel, highest weight first, all through
+    `ref_kernels` and `ref_fill_generator_matrices`.  The irrep
     dimensions must add up to the ambient one.  The per-copy reference
     for `replab.isotypic_types`, which builds one orbit per type."""
-    order, lowering, kernels = _highest_weight_kernels(rep)
+    order, lowering, kernels = ref_kernels(rep)
     irreps = [_lowering_orbit(rep, order, at, kv, lowering)
               for at, kernel in kernels for kv in kernel]
     total = sum(irr.dim for irr in irreps)
     if total != rep.dim:
         raise AssertionError(
             f"irrep dimensions sum to {total}, ambient is {rep.dim}")
-    _fill_generator_matrices(rep, irreps)
+    ref_fill_generator_matrices(rep, irreps)
     return irreps
+
+
+def ref_isotypic_types(rep: Representation, lam=None):
+    """`replab.isotypic_types` through `ref_kernels` and
+    `ref_fill_generator_matrices`."""
+    order, lowering, kernels = ref_kernels(rep, lam)
+    types = [(_lowering_orbit(rep, order, at, kernel[0], lowering),
+              len(kernel)) for at, kernel in kernels]
+    ref_fill_generator_matrices(rep, [irr for irr, _ in types])
+    return types
+
+
+def ref_irrep_of_weight(lam):
+    """`replab.irrep_of_weight` through `ref_isotypic_types`, with no
+    memo."""
+    lam = (Fraction(lam[0]), Fraction(lam[1]))
+    base = {(0, 0): trivial_representation, (0, -1): defining_representation,
+            (-HALF, -HALF): lambda: fock_representation(HALF)}
+    if lam in base:
+        rep = base[lam]()
+    else:
+        mu = (0, -1) if lam[0] != lam[1] else (-HALF, -HALF)
+        rep = tensor_product(
+            ref_irrep_of_weight((lam[0] - mu[0],
+                                 lam[1] - mu[1])).representation(),
+            ref_irrep_of_weight(mu).representation())
+    [(irr, _)] = ref_isotypic_types(rep, lam)
+    return irr
 
 
 def t_ladder(irrep, T):
@@ -177,6 +246,72 @@ def test_targeted_irrep_matches_first_extracted():
 def test_targeted_irrep_of_a_weight_the_source_lacks():
     rep = defining_representation()
     assert irrep_with_highest_weight(rep, (Fraction(-1), Fraction(-1))) is None
+
+
+@pytest.mark.parametrize("make", OLD_SOURCES[:2] + (
+    pytest.param(lambda: fock_representation(Fraction(5, 2)),
+                 marks=pytest.mark.slow),) + OLD_SOURCES[2:],
+    ids=["fock(1/2)", "fock(3/2)", "fock(5/2)", "defining^1", "defining^2",
+         "defining^3", "trivial"])
+def test_isotypic_types_match_the_all_generator_build(make):
+    # the Chevalley build gives the basis, weights and all ten genmats
+    # that reading every generator off the source gives
+    rep = make()
+    want = ref_isotypic_types(rep)
+    got = isotypic_types(rep)
+    assert [m for _, m in got] == [m for _, m in want]
+    for (irr, _), (ref, _) in zip(got, want):
+        assert list(irr.genmats) == canonical_generators(2)
+        assert (irr.basis, irr.weights) == (ref.basis, ref.weights), irr
+        assert irr.genmats == ref.genmats, irr
+
+
+# the classify weights of tools/same_outputs.py
+SAME_OUTPUTS_WEIGHTS = (
+    (0, 0), (0, -1), (-HALF, -HALF), (0, -2), (-1, -1), (-HALF, -3 * HALF),
+    (0, -3), (-1, -2), (-2, -4), (-3 * HALF, -7 * HALF), (-1, -3), (-2, -3))
+
+
+@pytest.mark.parametrize("lam", SAME_OUTPUTS_WEIGHTS + (
+    pytest.param((-3, -6), marks=pytest.mark.slow),), ids=str)
+def test_irrep_of_weight_matches_the_all_generator_build(lam):
+    got, want = irrep_of_weight(lam), ref_irrep_of_weight(lam)
+    assert list(got.genmats) == canonical_generators(2)
+    assert (got.basis, got.weights) == (want.basis, want.weights)
+    assert got.genmats == want.genmats
+
+
+def test_bracket_recipe_reaches_the_other_root_generators():
+    # each step brackets a simple generator with a simple or an earlier
+    # one; with the simple ones they are the eight root generators
+    known = replab.SIMPLE_RAISING + replab.SIMPLE_LOWERING
+    for g, s, h, c in BRACKET_RECIPE:
+        assert s in replab.SIMPLE_RAISING + replab.SIMPLE_LOWERING
+        assert h in known and g not in known
+        assert bracket(s, h) == [(c, g)]
+        known.append(g)
+    assert sorted(known) == [g for g in canonical_generators(2)
+                             if not g.is_cartan()]
+    assert [(repr(g), c) for g, _, _, c in BRACKET_RECIPE] == [
+        ("F[-2,0]", 1), ("F[-2,1]", 1), ("F[0,-2]", -1), ("F[1,-2]", -1)]
+
+
+def test_irrep_of_weight_builds_each_irrep_of_its_chain_once(monkeypatch):
+    # the spinor is both factors of V(-1,-1), the defining irrep a factor
+    # of V(0,-2) and V(0,-3); nothing is kept from one call to the next
+    calls = Counter()
+    for name in ("fock_representation", "defining_representation",
+                 "irrep_with_highest_weight"):
+        monkeypatch.setattr(replab, name, lambda *args, f=getattr(
+            replab, name), name=name: calls.update([name]) or f(*args))
+    irrep_of_weight((-1, -1))
+    assert calls == {"fock_representation": 1,
+                     "irrep_with_highest_weight": 2}
+    calls.clear()
+    irrep_of_weight((0, -3))
+    irrep_of_weight((-1, -1))
+    assert calls == {"defining_representation": 1, "fock_representation": 1,
+                     "irrep_with_highest_weight": 5}
 
 
 CORPUS = ((0, 0), (0, -1), (-HALF, -HALF), (0, -2), (-1, -1),

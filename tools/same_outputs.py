@@ -1,4 +1,4 @@
-"""Record the outputs of the 25 reference commands of one checkout.
+"""Record the outputs of the 27 reference commands of one checkout.
 
     python tools/same_outputs.py CHECKOUT OUTDIR
 
@@ -42,11 +42,13 @@ COMMANDS = (
      ["fock", "build", "--j", "3/2"],
      ["fock", "build", "--j", "5/2"],
      ["repr", "analyze", "--source", "fock", "--j", "1/2"],
-     ["repr", "analyze", "--source", "fock", "--j", "3/2"]]
+     ["repr", "analyze", "--source", "fock", "--j", "3/2"],
+     ["repr", "analyze", "--source", "fock", "--j", "5/2"]]
     + [["repr", "analyze", "--source", "defining-power", "--power", str(p)]
        for p in range(4)]
     + [["probe", "conventions"]]
-    + [["classify", f"--weight={w}"] for w in CLASSIFY_WEIGHTS])
+    + [["classify", f"--weight={w}"] for w in CLASSIFY_WEIGHTS]
+    + [["classify", "--weight=-3,-6"]])
 NO_OUT = (["fock", "build", "--j", "5/2"],)
 
 
