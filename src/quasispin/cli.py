@@ -14,6 +14,8 @@ Exit codes: 0 all checks pass (anomalies allowed), 1 some check failed
 table.  The suites time nothing themselves: each report stamps its
 checks (see `report`).  `repr analyze` builds its source before the
 suite creates its report, so that build is in no check's wall_time.
+Each suite imports the domain modules it runs (`fock`, `replab`,
+`tableaux`), so a command compiles and loads only those it needs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from . import fock, replab, tableaux
 from .liealg import (canonical_generators, defining_matrices, index_range,
                      o3_subalgebra_generators, weyl_dimension, Weight)
 from .linalg import rref_rows
@@ -181,6 +182,7 @@ def suite_identities(n: int, slow: bool = False, seed: int = DEFAULT_SEED):
 
 def suite_fock(j):
     """(report, Fock space) of `fock build`."""
+    from . import fock
     report = VerificationReport(f"fock(j={j})")
     space = fock.FockSpace(j)
     violations = space.car_violations()
@@ -228,6 +230,7 @@ def suite_fock(j):
 
 
 def build_source(source: str, j=None, power=None) -> replab.Representation:
+    from . import replab
     if source == "fock":
         return replab.fock_representation(Fraction(j))
     if source == "defining-power":
@@ -238,6 +241,7 @@ def build_source(source: str, j=None, power=None) -> replab.Representation:
 def irrep_checks(irr: replab.Irrep) -> list:
     """The per-irrep checks of `repr analyze`.  They read the genmats,
     weights and highest weight of irr, never its basis."""
+    from . import replab, tableaux
     report = VerificationReport(repr(irr))
     key = f"{irr.highest_weight[0]},{irr.highest_weight[1]}"
     slices = replab.multiplicity_slices(irr)
@@ -285,6 +289,7 @@ def irrep_checks(irr: replab.Irrep) -> list:
 
 
 def suite_repr(rep: replab.Representation) -> VerificationReport:
+    from . import replab
     report = VerificationReport(f"repr({rep.label})")
     types = replab.isotypic_types(rep)
     total = sum(mult * irr.dim for irr, mult in types)
@@ -305,6 +310,7 @@ def suite_repr(rep: replab.Representation) -> VerificationReport:
 # -- classify -------------------------------------------------------------
 
 def suite_classify(lam1, lam2):
+    from . import replab, tableaux
     report = VerificationReport(f"classify({lam1},{lam2})")
     ntab = len(tableaux.enumerate_tableaux(lam1, lam2))
     wd = weyl_dimension(lam1, lam2)
@@ -342,6 +348,7 @@ PROBE_WEIGHTS = ("0,-1", "-1/2,-1/2", "0,0", "0,-2", "-1/2,-3/2", "-1,-1",
 
 
 def suite_probe():
+    from . import replab, tableaux
     report = VerificationReport("probe(conventions)")
     winners = {}
     for weight in PROBE_WEIGHTS:
@@ -443,6 +450,7 @@ def main(argv=None) -> int:
         elif args.command == "fock":
             report, space = suite_fock(args.j)
             if args.out:  # the generator map is built for the export alone
+                from . import fock
                 genmap = fock.dictionary_to_o5(space)
         elif args.command == "repr":
             if args.source == "fock" and args.j is None:
@@ -458,9 +466,10 @@ def main(argv=None) -> int:
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except (AssertionError, replab.NonDiagonalCartan) as ex:
-        # an internal contradiction (ClassificationError included) is a
-        # failed check with the error as its witness, not a traceback
+    except AssertionError as ex:
+        # an internal contradiction (ClassificationError and
+        # NonDiagonalCartan included) is a failed check with the error
+        # as its witness, not a traceback
         report = VerificationReport(args.command)
         report.add(f"{args.command}/internal-error", False,
                    {"error": f"{type(ex).__name__}: {ex}"})
@@ -472,6 +481,7 @@ def main(argv=None) -> int:
     elif args.out:
         try:
             if genmap is not None:
+                from . import fock
                 fock.write_genmap(args.out, genmap)
             else:
                 write_output(args.out, table if table is not None

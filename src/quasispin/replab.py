@@ -135,7 +135,7 @@ def fock_representation(j) -> Representation:
     return Representation(f"fock({j})", space.dim, dictionary_to_o5(space))
 
 
-class NonDiagonalCartan(Exception):
+class NonDiagonalCartan(AssertionError):
     """A Cartan generator is not diagonal in the computational basis: the
     source representation is broken (all supported sources are
     weight-diagonal, with rational eigenvalues since every entry is)."""

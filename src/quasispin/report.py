@@ -20,7 +20,6 @@ this module imports nothing from the domain layers.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import time
@@ -154,6 +153,7 @@ def classification_table(weight, states) -> dict:
 
 
 def table_to_csv(table: dict) -> str:
+    import csv  # only the csv format needs it
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(TABLE_HEADERS)

@@ -93,14 +93,6 @@ def enumerate_tableaux(lam1, lam2):
     return out
 
 
-def quantum_numbers(t: GTMolevTableau):
-    """(T, tau0, N) of a tableau, by the three defining formulas."""
-    T = t.lam11
-    tau0 = -t.l11 if t.sigma1 else t.l11
-    N = t.sigma + 2 * (t.l21 + t.l22) - (t.lam1 + t.lam2) - t.lam11
-    return T, tau0, N
-
-
 # -- rectangle / line geometry -----------------------------------------
 
 

@@ -28,7 +28,6 @@ from quasispin.replab import (O3_LOWERING, O3_RAISING, _restrict_to_slices,
                               omega_operator, pf_slice_maps,
                               tensor_power_representation, tps_scalar_probe)
 from quasispin.tableaux import (Rectangle, assign_k, enumerate_tableaux,
-                                quantum_numbers,
                                 validate_against_representation)
 from quasispin.uea import (IndexSet, UEAElement, capelli,
                            check_corollary_split, check_lemma_l2,
@@ -37,6 +36,7 @@ from quasispin.uea import (IndexSet, UEAElement, capelli,
                            weight_shift_of)
 from test_linalg import commutator
 from test_replab import extract_irreps, t_ladder, theta_transport
+from test_tableaux import quantum_numbers
 
 F = Fraction
 IDX5 = [-2, -1, 0, 1, 2]

@@ -258,17 +258,29 @@ def test_a_fault_fails_each_polynomial_fock_check(monkeypatch, capsys, check,
     assert line.startswith(f"FAIL    {check}  [{witness}")
 
 
-def test_cli_import_loads_no_dataclasses():
-    # the records are namedtuples; dataclasses would pull in inspect,
-    # ast, dis and tokenize, and every command would pay the import
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# the records are namedtuples; dataclasses would pull in inspect, ast,
+# dis and tokenize, and every command would pay the import
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+DOMAIN = ("quasispin.fock", "quasispin.replab", "quasispin.tableaux", "csv")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (None, HEAVY + DOMAIN),
+    (["verify", "identities", "--n", "1"], HEAVY + DOMAIN),
+    (["fock", "build", "--j", "1/2"],
+     HEAVY + ("quasispin.replab", "quasispin.tableaux")),
+], ids=["import", "verify", "fock"])
+def test_command_imports_only_its_modules(argv, unloaded):
+    # each suite imports the domain modules it runs, so a stray top-level
+    # import fails here before it costs every process its compile time
     src = str(Path(__file__).resolve().parents[1] / "src")
+    run_it = "" if argv is None else f"quasispin.cli.main({argv!r}); "
     code = (f"import sys; sys.path.insert(0, {src!r}); "
-            "import quasispin.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
+            f"import quasispin.cli; {run_it}"
+            f"print([m for m in {unloaded!r} if m in sys.modules])")
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("error", [AssertionError, ClassificationError,

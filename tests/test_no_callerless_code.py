@@ -2,14 +2,13 @@
 
 Every module-level function and class, and every method, of
 `quasispin` must be referenced somewhere under `src/` outside its own
-definition, or be exported by `quasispin/__init__`.  A reference to a
-function or class is any name or attribute with the same identifier; a
-method is referenced only through an attribute (`x.name`), since a bare
-name is a local or a module-level definition, never the method.  The
-scan is still conservative: it can miss dead code that shares a name
-with live code, never the reverse.  Dunder methods are called by the
-language and are exempt.  Code kept on purpose without a caller goes in
-ALLOWED with its reason.
+definition.  A reference to a function or class is any name or
+attribute with the same identifier; a method is referenced only through
+an attribute (`x.name`), since a bare name is a local or a module-level
+definition, never the method.  The scan is still conservative: it can
+miss dead code that shares a name with live code, never the reverse.
+Dunder methods are called by the language and are exempt.  Code kept on
+purpose without a caller goes in ALLOWED with its reason.
 """
 
 import ast
@@ -24,6 +23,13 @@ ALLOWED: dict = {
                         "check the CAR relations with it",
     "fock.FockSpace.adag": "creation operator of one mode; the tests "
                            "check the CAR relations with it",
+    "fock.build_o5_on_fock": "the whole-space generator map, the reference "
+                             "of the differential tests; moving it into "
+                             "the tests would take quasispin_operators too",
+    "fock.verify_representation": "the whole-space bracket table, the "
+                                  "reference of the differential tests; "
+                                  "moving it into the tests would take "
+                                  "_cleared too",
     "liealg.GenIndex.key": "the generator's index pair, which the tests "
                            "compare brackets by",
 }
@@ -55,12 +61,6 @@ def references(tree):
             yield node.attr, node.lineno, True
 
 
-def exports():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {alias.asname or alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
-
-
 def callerless():
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
@@ -68,12 +68,9 @@ def callerless():
     for module, tree in trees.items():
         for name, line, attribute in references(tree):
             uses.setdefault(name, []).append((module, line, attribute))
-    exported = exports()
     found = []
     for module, tree in trees.items():
         for qual, name, first, last in definitions(tree):
-            if module != "__init__" and "." not in qual and name in exported:
-                continue
             method = "." in qual
             if not any((m != module or not first <= line <= last)
                        and (attribute or not method)
@@ -84,7 +81,7 @@ def callerless():
 
 def test_every_definition_has_a_caller():
     missing = [q for q in callerless() if q not in ALLOWED]
-    assert not missing, f"no caller under src/ and not exported: {missing}"
+    assert not missing, f"no caller under src/: {missing}"
 
 
 def test_allowlist_names_callerless_code_only():

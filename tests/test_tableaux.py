@@ -15,7 +15,7 @@ from quasispin.replab import (_restrict_to_slices,
 from quasispin.tableaux import (GAMMA_CONVENTIONS, Flag, GTMolevTableau,
                                 Rectangle, _induced_flags, assign_k, case_of,
                                 enumerate_tableaux, gammas,
-                                predicted_slice_matrix, quantum_numbers,
+                                predicted_slice_matrix,
                                 validate_against_representation)
 from test_linalg import (dense_charpoly, dense_kernel, dense_matmul,
                          dense_rank, dense_rref, dense_solve, densify,
@@ -71,6 +71,14 @@ def test_five_dim_hand_enumeration():
     bottom = sorted((t.sigma1, t.l11) for t in by_lam11[F(-1)])
     assert bottom == [(0, F(-1)), (0, F(0)), (1, F(-1))]
     assert all(t.l22 == F(-1) for t in by_lam11[F(-1)])
+
+
+def quantum_numbers(t: GTMolevTableau):
+    """(T, tau0, N) of a tableau, by the three defining formulas."""
+    T = t.lam11
+    tau0 = -t.l11 if t.sigma1 else t.l11
+    N = t.sigma + 2 * (t.l21 + t.l22) - (t.lam1 + t.lam2) - t.lam11
+    return T, tau0, N
 
 
 def test_quantum_numbers_examples():
