@@ -57,10 +57,12 @@ root_of(g), so conjugation multiplies F_g by sqrt2^s(g) with
 s(g) = alpha_1 + alpha_2 for alpha = root_of(g), and every generator
 becomes rational: c * 2^((k + s(g))/2) times its operator.  Brackets,
 ranks and every other basis-independent output are unchanged;
-`write_genmap` undoes the scale to export the conventional matrices,
-each entry c * sqrt2^k written as {"a": "p/q", "b": "r/s"} meaning
-a + b sqrt2 (`format_sqrt2_power`): the one wire format with irrational
-numbers, and this module the one that knows the rescaled basis.
+`write_genmap` undoes the scale to export the conventional matrices
+as sparse rows: row r lists its nonzero cells by ascending column, each
+entry c * sqrt2^k in column n written as {"a": "p/q", "b": "r/s",
+"col": n} meaning a + b sqrt2 (`format_sqrt2_power`): the one wire
+format with irrational numbers, and this module the one that knows the
+rescaled basis.
 """
 
 from __future__ import annotations
@@ -515,51 +517,37 @@ def format_sqrt2_power(c: Fraction, k: int) -> dict:
     return {"a": "0", "b": x} if k % 2 else {"a": x, "b": "0"}
 
 
-def _entry_text(c: Fraction, k: int) -> str:
-    w = format_sqrt2_power(c, k)
-    return (f'        {{\n          "a": {json.dumps(w["a"])},\n'
-            f'          "b": {json.dumps(w["b"])}\n        }}')
-
-
 def write_genmap(path, genmap: dict) -> None:
     """Write the generator map, rescaled basis (see the module
     docstring), as the JSON matrices of the conventional generators:
     entry v of F_g is written as v * sqrt2^-s(g).
 
-    The file is byte for byte json.dumps(payload, indent=2,
-    sort_keys=True) of the dense payload {"F[i,j]": {"cols", "entries",
-    "rows"}}, but written one row at a time from the sparse columns.
-    Each generator builds the text of its all-zero row once, and every
-    row is written as slices of it around the row's nonzero cells, each
-    distinct value formatted once; no dense matrix or whole-file string
-    is built.
+    The file is byte for byte json.dumps(payload, sort_keys=True) of
+    the sparse payload {"F[i,j]": {"cols", "entries", "rows"}}, where
+    entries[r] lists the nonzero cells of row r in ascending column
+    order, each {"a", "b", "col"}.  It is written one generator and
+    row at a time from the sparse columns, each distinct value
+    formatted once; no dense matrix or whole payload is built.
     """
-    names = sorted((f"F[{g.i},{g.j}]", g) for g in genmap)
-    zero = _entry_text(Fraction(0), 0).encode()
-    step = len(zero) + 2  # a cell and its ",\n" separator
-    with open(path, "wb", buffering=1 << 16) as fh:
-        fh.write(b"{")
-        for n, (name, g) in enumerate(names):
+    with open(path, "w") as fh:
+        fh.write("{")
+        for n, (name, g) in enumerate(sorted(
+                (f"F[{g.i},{g.j}]", g) for g in genmap)):
             op, k = genmap[g], -rescale_exponent(g)
-            zero_row = memoryview(b",\n".join([zero] * op.dim))
             texts: dict = {}
             rows: dict = {}
             for c in sorted(op.cols):
                 for r, v in op.cols[c].items():
                     text = texts.get(v)
                     if text is None:
-                        text = texts[v] = _entry_text(v, k).encode()
-                    rows.setdefault(r, []).append((c, text))
-            fh.write(f'{"," if n else ""}\n  {json.dumps(name)}: {{\n'
-                     f'    "cols": {op.dim},\n    "entries": ['.encode())
+                        w = format_sqrt2_power(v, k)
+                        text = texts[v] = (f'{{"a": {json.dumps(w["a"])}, '
+                                           f'"b": {json.dumps(w["b"])}, '
+                                           f'"col": ')
+                    rows.setdefault(r, []).append(f"{text}{c}}}")
+            fh.write(f'{", " if n else ""}{json.dumps(name)}: '
+                     f'{{"cols": {op.dim}, "entries": [')
             for r in range(op.dim):
-                fh.write(b",\n      [\n" if r else b"\n      [\n")
-                start = 0
-                for c, text in rows.get(r, ()):
-                    fh.write(zero_row[start:c * step])
-                    fh.write(text)
-                    start = c * step + len(zero)
-                fh.write(zero_row[start:])
-                fh.write(b"\n      ]")
-            fh.write(f'\n    ],\n    "rows": {op.dim}\n  }}'.encode())
-        fh.write(b"\n}")
+                fh.write(f'{", " if r else ""}[{", ".join(rows.get(r, ()))}]')
+            fh.write(f'], "rows": {op.dim}}}')
+        fh.write("}")

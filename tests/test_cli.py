@@ -98,9 +98,14 @@ def test_csv_without_a_table_is_an_error(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_unwritable_out_is_an_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["classify", "--weight", "0,-1"], id="classify"),
+    pytest.param(["fock", "build", "--j", "1/2"], id="fock-build")])
+def test_unwritable_out_is_an_error(tmp_path, capsys, argv):
+    # the table goes through report.write_output, the Fock export
+    # through fock.write_genmap; both end in main's OSError branch
     out = tmp_path / "no" / "such" / "t.json"
-    assert run(["classify", "--weight", "0,-1", "--out", str(out)]) == 2
+    assert run([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
@@ -178,6 +183,8 @@ def test_fock_build_writes_genmap(tmp_path, capsys):
     assert run(["fock", "build", "--j", "1/2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert "F[0,-1]" in payload and payload["F[0,-1]"]["rows"] == 16
+    cells = [v for row in payload["F[0,-1]"]["entries"] for v in row]
+    assert cells and all("col" in v for v in cells)
 
 
 def test_a_flipped_jordan_wigner_sign_fails_the_car_check(monkeypatch,

@@ -142,19 +142,39 @@ def test_genmap_export(tmp_path):
     payload = json.loads(path.read_text())
     assert len(payload) == 10
     entry = payload["F[-2,-2]"]
-    assert entry["rows"] == entry["cols"] == 16
-    assert entry["entries"][0][0] == {"a": "1", "b": "0"}  # -N on vacuum
-    # tau+ / sqrt2: the conventional entries are +-1/sqrt2 = +-sqrt2/2
-    tau = {json.dumps(v, sort_keys=True)
-           for row in payload["F[0,-1]"]["entries"] for v in row}
-    assert tau == {'{"a": "0", "b": "0"}', '{"a": "0", "b": "1/2"}',
-                   '{"a": "0", "b": "-1/2"}'}
+    assert entry["rows"] == entry["cols"] == len(entry["entries"]) == 16
+    assert entry["entries"][0] == [{"a": "1", "b": "0", "col": 0}]  # -N
+    # tau+ / sqrt2: the conventional entries are +-1/sqrt2 = +-sqrt2/2,
+    # and a row lists its nonzero cells alone, in ascending column order
+    rows = payload["F[0,-1]"]["entries"]
+    assert {(v["a"], v["b"]) for row in rows for v in row} == {
+        ("0", "1/2"), ("0", "-1/2")}
+    assert all([v["col"] for v in row] == sorted({v["col"] for v in row})
+               for row in rows)
 
 
-def test_genmap_export_is_dense_json_dump(tmp_path):
+def test_genmap_export_is_sparse_json_dump(tmp_path):
     genmap = build_o5_on_fock(Fraction(1, 2))[2]
-    # the reference: the dense payload, pretty-printed by json.dumps
+    # the reference: each row's nonzero cells read off op.cols
     payload = {
+        f"F[{g.i},{g.j}]": {
+            "rows": op.dim, "cols": op.dim,
+            "entries": [[{**format_sqrt2_power(op.cols[c][r],
+                                               -rescale_exponent(g)),
+                          "col": c}
+                         for c in sorted(op.cols) if r in op.cols[c]]
+                        for r in range(op.dim)]}
+        for g, op in genmap.items()}
+    path = tmp_path / "gens.json"
+    write_genmap(str(path), genmap)
+    assert path.read_text() == json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("j", [Fraction(1, 2), Fraction(3, 2)])
+def test_genmap_export_densified_is_the_dense_payload(tmp_path, j):
+    # the dense export's payload, every cell formatted from op.entry
+    genmap = build_o5_on_fock(j)[2]
+    dense = {
         f"F[{g.i},{g.j}]": {
             "rows": op.dim, "cols": op.dim,
             "entries": [[format_sqrt2_power(op.entry(r, c),
@@ -163,12 +183,20 @@ def test_genmap_export_is_dense_json_dump(tmp_path):
         for g, op in genmap.items()}
     path = tmp_path / "gens.json"
     write_genmap(str(path), genmap)
-    assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True)
+    payload = json.loads(path.read_text())
+    for m in payload.values():
+        cells = []
+        for row in m["entries"]:
+            cells.append([{"a": "0", "b": "0"}] * m["cols"])
+            for v in row:
+                cells[-1][v.pop("col")] = v
+        m["entries"] = cells
+    assert payload == dense
 
 
 def test_genmap_export_memory_is_bounded(tmp_path):
-    # j=3/2: ten 256x256 generators, a 39 MB file from 1908 nonzero
-    # entries; the writer holds one row of text at a time
+    # j=3/2: ten 256x256 generators with 1908 nonzero entries; the
+    # writer holds one generator's cell texts at a time
     genmap = build_o5_on_fock(Fraction(3, 2))[2]
     path = tmp_path / "gens.json"
     tracemalloc.start()
@@ -178,14 +206,26 @@ def test_genmap_export_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
-    assert path.stat().st_size > 30 * 2 ** 20
+    assert path.stat().st_size < 100 * 2 ** 10
 
 
 def test_genmap_export_at_j_three_halves_is_pinned(tmp_path):
-    # the j=3/2 export, byte for byte, as the dense writer produced it
+    # the j=3/2 export, byte for byte, as the sparse writer produced it
     path = tmp_path / "gens.json"
     write_genmap(str(path), build_o5_on_fock(Fraction(3, 2))[2])
     with open(path, "rb") as fh:
         digest = hashlib.file_digest(fh, "sha256").hexdigest()
-    assert digest == ("2d8e007bcc8369d03d31a53dd5a4c4f8"
-                      "005bae3a758ee832682550cb0f76e51d")
+    assert digest == ("37a90a7e46fae79469fd58c0c1f997b0"
+                      "a71f677d3ef0f113cb7758258b7c3844")
+
+
+@pytest.mark.slow
+def test_genmap_export_at_j_five_halves(tmp_path):
+    # ten 4096x4096 generators with 43 208 nonzero entries in all
+    path = tmp_path / "gens.json"
+    write_genmap(str(path), build_o5_on_fock(Fraction(5, 2))[2])
+    assert path.stat().st_size < 2 * 2 ** 20
+    cells = [v for m in json.loads(path.read_text()).values()
+             for row in m["entries"] for v in row]
+    assert len(cells) == 43208
+    assert all(v["a"] != "0" or v["b"] != "0" for v in cells)

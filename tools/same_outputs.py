@@ -8,12 +8,8 @@ OUTDIR, named after the command:
 
 - ``.out``: the exit code, then stdout without its ``wrote`` line;
 - ``.json``: the ``--out`` JSON with every ``wall_time`` removed, keys
-  sorted;
-- ``.sha256``: instead of ``.json`` for ``fock build``, the sha256 of
-  its export (39 MB at j = 3/2).
-
-``fock build --j 5/2`` runs without ``--out``, since its export is
-about 10 GB: it records the ``.out`` file alone.
+  sorted (for ``fock build``, its sparse generator export: about 1.7 MB
+  at j = 5/2).
 
 Two checkouts give the same outputs when ``diff -r`` of their OUTDIRs
 is empty.  Standard library only.
@@ -21,7 +17,6 @@ is empty.  Standard library only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -49,7 +44,6 @@ COMMANDS = (
     + [["probe", "conventions"]]
     + [["classify", f"--weight={w}"] for w in CLASSIFY_WEIGHTS]
     + [["classify", "--weight=-3,-6"]])
-NO_OUT = (["fock", "build", "--j", "5/2"],)
 
 
 def drop_wall_time(value):
@@ -66,22 +60,17 @@ def record(checkout: Path, argv, outdir: Path, scratch: Path):
     name = re.sub(r"[^A-Za-z0-9.,=-]+", "_", " ".join(argv))
     out_path = scratch / "out.json"
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    out_args = [] if argv in NO_OUT else ["--out", str(out_path)]
     done = subprocess.run(
-        [sys.executable, "-m", "quasispin.cli", *argv, *out_args],
+        [sys.executable, "-m", "quasispin.cli", *argv, "--out", str(out_path)],
         env=env, capture_output=True, text=True)
     stdout = "".join(line for line in done.stdout.splitlines(keepends=True)
                      if not line.startswith("wrote "))
     (outdir / f"{name}.out").write_text(f"exit {done.returncode}\n{stdout}")
     if not out_path.exists():
         return
-    if argv[0] == "fock":
-        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-        (outdir / f"{name}.sha256").write_text(digest + "\n")
-    else:
-        data = drop_wall_time(json.loads(out_path.read_text()))
-        (outdir / f"{name}.json").write_text(
-            json.dumps(data, indent=1, sort_keys=True) + "\n")
+    data = drop_wall_time(json.loads(out_path.read_text()))
+    (outdir / f"{name}.json").write_text(
+        json.dumps(data, indent=1, sort_keys=True) + "\n")
     out_path.unlink()
 
 
