@@ -28,7 +28,7 @@ from itertools import combinations
 
 from .liealg import (canonical_generators, defining_matrices, index_range,
                      o3_subalgebra_generators, weyl_dimension, Weight)
-from .linalg import rref_rows
+from .linalg import LinOp, rref_rows
 from .report import (Check, VerificationReport, classification_table,
                      write_output)
 from .uea import (CheckResult, IndexSet, UEAElement, capelli,
@@ -270,10 +270,11 @@ def irrep_checks(irr: replab.Irrep) -> list:
     om = replab.omega_operator(irr)
     conj = (om @ irr.pf_matrix(-1)) == (irr.pf_matrix(+1) @ om).scale(-1)
     report.add(f"repr/{key}/omega-conjugates-pfaffians", conj, {"irrep": key})
+    # Omega^2 commutes with every M(g), since omega is an involution,
+    # so on an irrep it is a scalar (Schur); a scalar is central
     om2 = om @ om
-    central = all((om2 @ irr.genmats[g]) == (irr.genmats[g] @ om2)
-                  for g in irr.genmats)
-    report.add(f"repr/{key}/omega-squared-central", central, {"irrep": key})
+    scalar = om2 == LinOp.identity(irr.dim).scale(om2.entry(0, 0))
+    report.add(f"repr/{key}/omega-squared-central", scalar, {"irrep": key})
     # machine-readable slice data: dimensions and Pfaffian map ranks
     slice_data = {}
     for T in sorted({t for (t, _) in slices}):

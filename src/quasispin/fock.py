@@ -6,9 +6,9 @@ Creation operators follow the Jordan-Wigner convention: applying
 a+_k to a mask picks up (-1)^(number of occupied modes below k).
 a+_k and a_k are kept as integer columns {col: {row: +-1}}, signed
 partial permutations of the bitmasks: the CAR check composes them as
-signed index lists (`_signed_permutation`), the operator sums run in
-integers (`_isum`), and an operator leaves here as a `LinOp` of the
-same ints.
+signed index lists (`_signed_permutation`), and `read_off` sums the
+products of them straight into integer columns, divided once by the
+common denominator as the operator leaves here as a `LinOp`.
 
 The quasi-spin operators are built on top, together with the dictionary
 assigning them to the ten canonical generators of o_5.  The operator
@@ -38,18 +38,19 @@ polynomials: `dictionary_to_o5` reads each generator matrix off its
 polynomial of `generator_polynomials`, one integer sum per generator.
 That read-off is not re-checked at run time; tests/test_fock.py
 compares it entry by entry with products of the stored a+ and a at
-j = 1/2 and 3/2, and at 5/2 among the slow tests.  A product multiplies a normal monomial by one letter at a time
-(`_times_letter`: the anticommuting move and at most one contraction);
+j = 1/2 and 3/2, and at 5/2 among the slow tests; tests/fock_reference.py
+keeps those products and the whole-space bracket check of a generator
+map of `LinOp`s.  A product multiplies a normal monomial by one letter
+at a time (`_times_letter`: the anticommuting move and at most one
+contraction);
 the commutator with a quadratic form replaces one letter at a time by
 its image under ad, which is linear in the fermions (`_ad`), and
 normal-orders the word again.
-`verify_representation` is the generic whole-space bracket check of a
-generator map of `LinOp`s.
 
 Rescaled basis.  The conventional normalisation lives in `DICTIONARY`
 alone: generator g is c * sqrt2^k times a quasi-spin operator with
 rational matrix entries (the 1/sqrt2 of A(0) and B(0) is the k = -1
-there, not part of `quasispin_operators`).  `dictionary_to_o5` returns,
+there, not part of `quasispin_polynomials`).  `dictionary_to_o5` returns,
 and `generator_polynomials` writes as polynomials, the conjugate
 D F D^-1 by D = diag(sqrt2^(tau0 + N)) of the conventional generator
 map F.  Every entry of F_g shifts the weight by
@@ -70,6 +71,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 
@@ -91,34 +93,6 @@ CORRECTED_FORMULAS = {
     "B(0)": "(1/sqrt2) sum_{m>0} (-1)^(j-m) (an_{-m} ap_m + ap_{-m} an_m)",
     "B(-1)": "sum_{m>0} (-1)^(j-m) an_{-m} an_m",
 }
-
-
-def _isum(terms) -> dict:
-    """The sum of s * x @ y over terms (s, x, y) of integer columns
-    {col: {row: int}}, with no zero entry and no empty column."""
-    out = {}
-    for s, x, y in terms:
-        for c, ycol in y.items():
-            acc = out.get(c)
-            if acc is None:
-                acc = out[c] = {}
-            for k, b in ycol.items():
-                xcol = x.get(k)
-                if xcol is None:
-                    continue
-                for r, a in xcol.items():
-                    acc[r] = acc.get(r, 0) + s * a * b
-    res = {}
-    for c, col in out.items():
-        if 0 in col.values():
-            col = {r: v for r, v in col.items() if v}
-        if col:
-            res[c] = col
-    return res
-
-
-def _ident(dim: int) -> dict:
-    return {c: {c: 1} for c in range(dim)}
 
 
 def _signed_permutation(cols: dict, dim: int):
@@ -167,12 +141,6 @@ class FockSpace:
             adag[mask] = {mask | bit: sign}
             a[mask | bit] = {mask: sign}
         return adag, a
-
-    def adag(self, species: str, m) -> LinOp:
-        return LinOp(self.dim, self._adag[self.mode_pos[(species, rat(m))]])
-
-    def a(self, species: str, m) -> LinOp:
-        return LinOp(self.dim, self._a[self.mode_pos[(species, rat(m))]])
 
     def vacuum(self) -> dict:
         return {0: 1}
@@ -378,7 +346,8 @@ def evaluate_polynomial(x, polys: dict) -> dict:
 
 def bracket_violations(polys: dict) -> list:
     """The pairs a != b of generators with [P_a, P_b] != P(bracket(a, b)),
-    in the order of `verify_representation`, decided on the polynomials."""
+    in the order of `itertools.combinations`, decided on the
+    polynomials."""
     ads = {g: _ad(p) for g, p in polys.items()}
     violations = []
     for a, b in combinations(polys, 2):
@@ -391,30 +360,38 @@ def bracket_violations(polys: dict) -> list:
 
 
 def read_off(space: FockSpace, poly: dict) -> LinOp:
-    """The matrix of a fermion polynomial of degree 2 or 0: each monomial
-    is a product of two stored a+ and a columns or of the identity with
-    itself, summed in integers by `_isum` with the polynomial's
-    denominators cleared, then divided out once."""
-    ident = _ident(space.dim)
+    """The matrix of a fermion polynomial of degree 2 or 0.  With the
+    denominators cleared by their lcm d, each monomial, a product of two
+    stored a+ and a columns or the constant on the diagonal, is summed
+    straight into integer columns; the columns are divided by d once."""
     d = lcm(1, *(x.denominator for x in poly.values()))
-    terms = []
+    cols: dict = {}
     for (cre, ann), x in poly.items():
+        s = x.numerator * (d // x.denominator)
+        if (cre, ann) == ONE:
+            for c in range(space.dim):
+                col = cols.setdefault(c, {})
+                col[c] = col.get(c, 0) + s
+            continue
         x_cols, y_cols = ([space._adag[k] for k in cre]
-                          + [space._a[k] for k in ann]) or (ident, ident)
-        terms.append((x.numerator * (d // x.denominator), x_cols, y_cols))
-    cols = _isum(terms)
-    if d > 1:
-        cols = {c: {r: Fraction(v, d) for r, v in col.items()}
-                for c, col in cols.items()}
-    return LinOp(space.dim, cols)
-
-
-def quasispin_operators(space: FockSpace) -> dict:
-    """The ten quasi-spin operators as exact matrices, each read off its
-    polynomial of `quasispin_polynomials`.  Every entry is an integer
-    or, in tau0 and N, a half-integer."""
-    return {name: read_off(space, poly)
-            for name, poly in quasispin_polynomials(space).items()}
+                          + [space._a[k] for k in ann])
+        for c, y_col in y_cols.items():
+            for k, b in y_col.items():
+                x_col = x_cols.get(k)
+                if x_col is None:
+                    continue
+                col = cols.get(c)
+                if col is None:
+                    col = cols[c] = {}
+                for r, a in x_col.items():
+                    col[r] = col.get(r, 0) + s * a * b
+    divided = cache(lambda v: exact(Fraction(v, d)))  # once per distinct v
+    op = LinOp(space.dim)
+    for c, col in cols.items():
+        col = {r: divided(v) for r, v in col.items() if v}
+        if col:
+            op.cols[c] = col
+    return op
 
 
 # Canonical-generator dictionary, conventional normalisation: F_(i,j)
@@ -469,43 +446,6 @@ def dictionary_to_o5(space: FockSpace) -> dict:
     matrices, each read off its polynomial of `generator_polynomials`."""
     return {g: read_off(space, poly)
             for g, poly in generator_polynomials(space).items()}
-
-
-def _cleared(op: LinOp):
-    """(d, cols): the least d > 0 making d * op integral, and the integer
-    columns of d * op."""
-    d = lcm(1, *[x.denominator for col in op.cols.values()
-                 for x in col.values()])
-    return d, {c: {r: x.numerator * (d // x.denominator)
-                   for r, x in col.items()}
-               for c, col in op.cols.items()}
-
-
-def verify_representation(genmap: dict):
-    """Check [M_a, M_b] = M(bracket(a,b)) for every pair a != b, in
-    integers: D_g M_g clears the denominators of M_g, and both sides are
-    scaled by D_a D_b and the lcm of the denominators of c D_a D_b / D_g.
-    Returns the list of violating pairs (empty = exact representation).
-    """
-    cleared = {g: _cleared(op) for g, op in genmap.items()}
-    ident = _ident(next(iter(genmap.values())).dim)
-    violations = []
-    for a, b in combinations(genmap, 2):
-        (da, ma), (db, mb) = cleared[a], cleared[b]
-        terms = [(Fraction(c * da * db, cleared[g][0]), cleared[g][1])
-                 for c, g in bracket(a, b)]
-        big = lcm(1, *(q.denominator for q, _ in terms))
-        if (_isum([(big, ma, mb), (-big, mb, ma)])
-                != _isum((int(q * big), ident, m) for q, m in terms)):
-            violations.append((a, b))
-    return violations
-
-
-def build_o5_on_fock(j):
-    """Fock space, quasi-spin operators and the o5 generator map D F D^-1
-    in the rescaled basis (see the module docstring)."""
-    space = FockSpace(j)
-    return space, quasispin_operators(space), dictionary_to_o5(space)
 
 
 # -- export ---------------------------------------------------------------

@@ -26,8 +26,10 @@ highest-weight module is spanned by simple lowerings of its top vector
 (J. E. Humphreys, Introduction to Lie Algebras and Representation
 Theory, 1972, on Serre's theorem and standard cyclic modules).  So the
 raising kernel is taken of the two simple raising operators, the
-lowering orbit steps with the two simple lowering ones, and an irrep
-reads only those four off its source (`_fill_generator_matrices`),
+lowering orbit steps with the two simple lowering ones, as does the
+transport of the reflection intertwiner Omega (`omega_operator`, whose
+final check still covers all ten generators), and an irrep reads only
+those four off its source (`_fill_generator_matrices`),
 through `_coordinates`, whose span gate fails unless every image lies in
 the irrep.  The Cartan matrices are diag(-w_r) on the basis weights,
 the numbers `weight_decompose` read, and the other four root matrices
@@ -52,13 +54,14 @@ from functools import reduce
 
 from .fock import FockSpace, dictionary_to_o5
 from .liealg import (GenIndex, Weight, bracket, canonical_generators,
-                     canonicalize, defining_matrices, is_lowering, root_of,
+                     canonicalize, defining_matrices, root_of,
                      simple_generators, weyl_dimension)
 from .linalg import LinOp, kernel_rows, rref_rows, svec_add, transpose_cols
 from .uea import (IndexSet, UEAElement, evaluate_in_representation, hat_set,
                   pfaffian)
 
 N_RANK = 2  # everything here is o_5
+MAX_POWER = 5  # the largest tensor power built: 5^5 = 3125 states
 SIMPLE_RAISING, SIMPLE_LOWERING = simple_generators(N_RANK)
 
 
@@ -124,6 +127,9 @@ def tensor_power_representation(power: int) -> Representation:
     """Tensor power of the defining rep; power 0 is the trivial rep."""
     if power < 0:
         raise ValueError("power must be nonnegative")
+    if power > MAX_POWER:
+        raise ValueError(f"power {power} exceeds the largest supported "
+                         f"tensor power, {MAX_POWER}")
     if power == 0:
         return trivial_representation()
     rep = reduce(tensor_product, [defining_representation()] * power)
@@ -149,11 +155,13 @@ def weight_decompose(rep: Representation) -> dict:
         if not op.is_diagonal():
             raise NonDiagonalCartan(f"F[{-r},{-r}] not diagonal on {rep.label}")
         cartans.append(op)
+    # indices bucketed by their diagonal entries, one Weight per bucket
     buckets: dict = {}
     for k in range(rep.dim):
-        w = Weight([-op.entry(k, k) for op in cartans])  # F_rr = -F_-r,-r
-        buckets.setdefault(w, []).append(k)
-    return buckets
+        buckets.setdefault(tuple(op.entry(k, k) for op in cartans),
+                           []).append(k)
+    return {Weight([-x for x in diag]): ks  # F_rr = -F_-r,-r
+            for diag, ks in buckets.items()}
 
 
 class Irrep:
@@ -548,11 +556,13 @@ def omega_operator(irrep: Irrep) -> LinOp:
 
     Fixed by sending the highest-weight vector to the lowest-weight one,
     then transported down one weight at a time, highest first: V_nu is
-    spanned by the lowering images f v of the blocks already built, and
-    Omega(f v) = omega(f) Omega(v): `_map_on_span` reads Omega on V_nu
-    from these pairs, and fails when the f v miss part of V_nu or the
-    images contradict each other.  Verified generator by generator at
-    the end.  Maps every weight space V_lam onto V_{-lam}.
+    spanned by the images f v of the blocks already built under the two
+    simple lowerings f (module docstring; `_lowering_orbit` builds the
+    irrep the same way), and Omega(f v) = omega(f) Omega(v):
+    `_map_on_span` reads Omega on V_nu from these pairs, and fails when
+    the f v miss part of V_nu or the images contradict each other.
+    Verified on all ten generators at the end.  Maps every weight space
+    V_lam onto V_{-lam}.
 
     The normalisation refers to basis vectors, so Omega's scale depends on
     the basis: conjugating the generator matrices by D = diag(t_nu) turns
@@ -563,8 +573,7 @@ def omega_operator(irrep: Irrep) -> LinOp:
     """
     # (root of f, M(f), c M(h)) for omega(f) = c h
     lowering = [(root_of(g), irrep.genmats[g], irrep.genmats[h].scale(c))
-                for g in canonical_generators(N_RANK) if is_lowering(g)
-                for c, h in [omega_genindex(g)]]
+                for g in SIMPLE_LOWERING for c, h in [omega_genindex(g)]]
     lam = irrep.weights[0]  # basis[0] is the highest-weight vector
     low_positions = irrep.weight_positions.get(-lam)
     if not low_positions or len(low_positions) != 1:

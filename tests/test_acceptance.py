@@ -16,8 +16,7 @@ from itertools import combinations
 
 import pytest
 
-from quasispin.fock import (CORRECTED_FORMULAS, build_o5_on_fock,
-                            verify_representation)
+from quasispin.fock import CORRECTED_FORMULAS
 from quasispin.liealg import (Weight, canonical_generators, defining_matrices,
                               o3_subalgebra_generators, weyl_dimension)
 from quasispin.linalg import (LinOp, characteristic_polynomial, rref_rows,
@@ -34,6 +33,7 @@ from quasispin.uea import (IndexSet, UEAElement, capelli,
                            check_minorn, check_split_formula,
                            evaluate_in_representation, hat_set, pfaffian,
                            weight_shift_of)
+from fock_reference import build_o5_on_fock, verify_representation
 from test_linalg import commutator
 from test_replab import extract_irreps, t_ladder, theta_transport
 from test_tableaux import quantum_numbers

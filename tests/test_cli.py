@@ -169,6 +169,18 @@ def test_fock_invalid_j_is_usage_error(capsys):
                 "error: j must be a positive odd half-integer")
 
 
+def test_power_above_the_ceiling_is_usage_error(monkeypatch, capsys):
+    # 5^6 states are refused before a tensor product is built
+    def never(a, b):
+        raise AssertionError("a tensor product was built")
+
+    monkeypatch.setattr(replab, "tensor_product", never)
+    assert run(["repr", "analyze", "--source", "defining-power",
+                "--power", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "error: power 6 exceeds the largest supported tensor power, 5\n")
+
+
 def test_seeded_suite_is_deterministic():
     a = suite_identities(1, seed=42).to_json()
     b = suite_identities(1, seed=42).to_json()
@@ -507,6 +519,84 @@ def test_repr_reports_a_projector_image_meeting_its_kernel(monkeypatch,
     [check] = json.loads(out.read_text())["checks"]
     assert check["witness"]["error"].startswith(
         "AssertionError: ker(e) and im(f) do not split weight (0, 0)")
+
+
+def _flipped_first_entry(op: LinOp) -> LinOp:
+    c, col = next(iter(op.cols.items()))
+    r = next(iter(col))
+    return LinOp(op.dim, {**op.cols, c: {**col, r: -col[r]}})
+
+
+def _one_slice_point_fewer(monkeypatch):
+    slice_points = tableaux.Rectangle.slice_points
+
+    def fewer(rect, N):
+        info = slice_points(rect, N)
+        return info and (*info[:2], info[2][1:])
+
+    monkeypatch.setattr(tableaux.Rectangle, "slice_points", fewer)
+
+
+def _flipped_projector_entry(monkeypatch):
+    extremal_projector_o3 = replab.extremal_projector_o3
+
+    def flipped(irr):
+        proj, singular = extremal_projector_o3(irr)
+        return _flipped_first_entry(proj), singular
+
+    monkeypatch.setattr(replab, "extremal_projector_o3", flipped)
+
+
+def _flipped_pfaffian_entry(monkeypatch):
+    # one entry of PfF_{-2hat}, wherever it is nonzero
+    pf_matrix = replab.Irrep.pf_matrix
+
+    def flipped(irr, sign):
+        op = pf_matrix(irr, sign)
+        return op if sign > 0 or op.is_zero() else _flipped_first_entry(op)
+
+    monkeypatch.setattr(replab.Irrep, "pf_matrix", flipped)
+
+
+def _doubled_omega_block(monkeypatch):
+    # Omega doubled on the highest weight block: Omega^2 is then twice
+    # as large on that block and its mirror as elsewhere
+    omega_operator = replab.omega_operator
+
+    def doubled(irr):
+        om = omega_operator(irr)
+        for c in irr.weight_positions[irr.weights[0]]:
+            om.cols[c] = {r: 2 * x for r, x in om.cols[c].items()}
+        return om
+
+    monkeypatch.setattr(replab, "omega_operator", doubled)
+
+
+PER_IRREP_FAULTS = [
+    ("slice-tableau-counts", _one_slice_point_fewer),
+    ("extremal-projector", _flipped_projector_entry),
+    ("omega-conjugates-pfaffians", _flipped_pfaffian_entry),
+    ("omega-squared-central", _doubled_omega_block),
+]
+
+
+@pytest.mark.parametrize("family, fault", PER_IRREP_FAULTS,
+                         ids=[family for family, _ in PER_IRREP_FAULTS])
+def test_a_fault_fails_each_per_irrep_check(monkeypatch, tmp_path, capsys,
+                                            family, fault):
+    fault(monkeypatch)
+    out = tmp_path / "report.json"
+    assert run(["repr", "analyze", "--source", "defining-power",
+                "--power", "2", "--out", str(out)]) == 1
+    failed = [c for c in json.loads(out.read_text())["checks"]
+              if c["status"] == "fail" and c["id"].endswith(f"/{family}")]
+    assert failed and all(c["witness"] for c in failed)
+    printed = capsys.readouterr().out.splitlines()
+    for c in failed:
+        key = c["id"].split("/")[1]
+        assert c["witness"] == {"irrep": key}
+        assert f'FAIL    {c["id"]}  [{{"irrep": "{key}"}}]' in printed
+    assert not any("repr/internal-error" in line for line in printed)
 
 
 def _classify_failures(monkeypatch, capsys, weight):

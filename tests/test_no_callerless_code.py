@@ -19,17 +19,6 @@ import quasispin
 PACKAGE = Path(quasispin.__file__).parent
 
 ALLOWED: dict = {
-    "fock.FockSpace.a": "annihilation operator of one mode; the tests "
-                        "check the CAR relations with it",
-    "fock.FockSpace.adag": "creation operator of one mode; the tests "
-                           "check the CAR relations with it",
-    "fock.build_o5_on_fock": "the whole-space generator map, the reference "
-                             "of the differential tests; moving it into "
-                             "the tests would take quasispin_operators too",
-    "fock.verify_representation": "the whole-space bracket table, the "
-                                  "reference of the differential tests; "
-                                  "moving it into the tests would take "
-                                  "_cleared too",
     "liealg.GenIndex.key": "the generator's index pair, which the tests "
                            "compare brackets by",
 }

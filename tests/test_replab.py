@@ -1,10 +1,10 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from quasispin import replab
-from quasispin.fock import verify_representation
+from quasispin import cli, replab
 from quasispin.liealg import (Weight, bracket, canonical_generators,
                               is_lowering, is_raising, root_of,
                               weyl_dimension)
@@ -23,8 +23,10 @@ from quasispin.replab import (BRACKET_RECIPE, O3_LOWERING, O3_RAISING,
                               tensor_power_representation,
                               tensor_product, tps_scalar_probe,
                               trivial_representation, weight_decompose)
+from quasispin.report import PASS
 from quasispin.tableaux import validate_against_representation
 from quasispin.uea import UEAElement
+from fock_reference import verify_representation
 from test_linalg import (_block, _put_block, commutator, dense, dense_kernel,
                          dense_matmul, dense_rank, dense_rref, dense_solve)
 
@@ -672,7 +674,9 @@ def _projector_by_solve(irr):
 
 def _omega_by_dense_blocks(irr):
     """Omega transported weight by weight from the dense rows
-    [f v | omega(f) Omega v] of the lowering blocks, one RREF each."""
+    [f v | omega(f) Omega v] of the blocks of all four lowering
+    generators, one RREF each (`omega_operator` uses the two simple
+    ones)."""
     lowering = [(g, root_of(g)) + omega_genindex(g)
                 for g in canonical_generators(2) if is_lowering(g)]
     positions = irr.weight_positions
@@ -763,6 +767,64 @@ def test_omega_conjugation_identity_everywhere():
             om2 = om @ om
             for g in irr.genmats:
                 assert (om2 @ irr.genmats[g]) == (irr.genmats[g] @ om2)
+
+
+def _omega_of(x: dict) -> dict:
+    """omega, extended linearly, of {generator: coefficient}."""
+    out: dict = {}
+    for g, c in x.items():
+        d, h = omega_genindex(g)
+        out[h] = out.get(h, 0) + c * d
+    return {g: c for g, c in out.items() if c}
+
+
+def _bracket_of(a, b) -> dict:
+    return {g: c for c, g in bracket(a, b)}
+
+
+def test_omega_is_an_involutive_automorphism():
+    # the premise of the Schur verdict on Omega^2: omega^2 = id gives
+    # Omega^2 M(g) = Omega M(omega g) Omega = M(g) Omega^2
+    gens = canonical_generators(2)
+    for g in gens:
+        assert _omega_of(_omega_of({g: 1})) == {g: 1}
+    pairs = list(combinations(gens, 2))
+    assert len(pairs) == 45
+    for a, b in pairs:
+        (ca, ha), (cb, hb) = omega_genindex(a), omega_genindex(b)
+        assert _omega_of(_bracket_of(a, b)) == {
+            g: ca * cb * c for g, c in _bracket_of(ha, hb).items()}, (a, b)
+
+
+def _omega_squared_verdicts(monkeypatch, irr, om):
+    """(the verdict of cli.irrep_checks with Omega = om, the ten-generator
+    reference: om^2 commutes with every generator matrix)."""
+    om2 = om @ om
+    central = all(om2 @ m == m @ om2 for m in irr.genmats.values())
+    monkeypatch.setattr(replab, "omega_operator", lambda _: om)
+    [scalar] = [c.status == PASS for c in cli.irrep_checks(irr)
+                if c.id.endswith("/omega-squared-central")]
+    return scalar, central
+
+
+@pytest.mark.parametrize("make", OLD_SOURCES[:2] + (
+    pytest.param(lambda: fock_representation(Fraction(5, 2)),
+                 marks=pytest.mark.slow),) + OLD_SOURCES[2:],
+    ids=["fock(1/2)", "fock(3/2)", "fock(5/2)", "defining^1", "defining^2",
+         "defining^3", "trivial"])
+def test_scalar_omega_squared_matches_the_ten_generator_reference(
+        monkeypatch, make):
+    for irr in extract_irreps(make()):
+        om = omega_operator(irr)
+        assert _omega_squared_verdicts(monkeypatch, irr, om) == (True, True)
+        if irr.dim == 1:
+            continue  # a single weight block: doubled, Omega^2 stays scalar
+        top = irr.weight_positions[irr.weights[0]]
+        doubled = LinOp(irr.dim, {c: {r: 2 * x for r, x in col.items()}
+                                  if c in top else col
+                                  for c, col in om.cols.items()})
+        assert _omega_squared_verdicts(monkeypatch, irr,
+                                       doubled) == (False, False)
 
 
 def test_theta_maps_slices():

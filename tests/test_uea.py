@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasispin import uea
-from quasispin.fock import build_o5_on_fock
 from quasispin.liealg import (GenIndex, Weight, bracket, canonical_generators,
                               canonicalize, defining_matrices, index_range,
                               o3_subalgebra_generators, pbw_sort_key, root_of)
@@ -19,6 +18,7 @@ from quasispin.uea import (CheckResult, IndexSet, UEAElement, capelli,
                            evaluate_in_representation, hat_set,
                            normal_order_rightmost, pf_hat_star_expression,
                            pf_of_tuple, pfaffian, star, weight_shift_of)
+from fock_reference import build_o5_on_fock
 from test_linalg import dense, dense_matmul, follows_the_scalar_rule
 
 N5 = 2
