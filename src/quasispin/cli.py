@@ -40,6 +40,14 @@ from .uea import (CheckResult, IndexSet, UEAElement, capelli,
 DEFAULT_SEED = 20120521
 
 
+def _labels_on_wire(entry: dict) -> dict:
+    """entry with its labels T and N as Fractions, which the wire writes
+    as "p/q" text (`report.serialize_value`).  A label is an int when
+    integral, and the wire writes an int as a JSON number."""
+    return {k: Fraction(v) if k in ("T", "N") else v
+            for k, v in entry.items()}
+
+
 def _sym_check(report, result, oracle=None):
     """Record a symbolic identity check plus its matrix-oracle shadow."""
     report.add(f"sym/{result.name}", result.equal,
@@ -243,7 +251,7 @@ def irrep_checks(irr: replab.Irrep) -> list:
     weights and highest weight of irr, never its basis."""
     from . import replab, tableaux
     report = VerificationReport(repr(irr))
-    key = f"{irr.highest_weight[0]},{irr.highest_weight[1]}"
+    key = replab.weight_text(irr.highest_weight)
     slices = replab.multiplicity_slices(irr)
     counts_ok = True
     for (T, N), basis in slices.items():
@@ -296,7 +304,7 @@ def suite_repr(rep: replab.Representation) -> VerificationReport:
     total = sum(mult * irr.dim for irr, mult in types)
     report.add("repr/dimension-accounting", total == rep.dim,
                {"sum": total, "ambient": rep.dim})
-    bad = [str(irr.highest_weight) for irr, _ in types
+    bad = [replab.weight_text(irr.highest_weight) for irr, _ in types
            if irr.dim != weyl_dimension(*irr.highest_weight)]
     report.add("repr/weyl-dimensions", not bad, {"irreps": bad})
     # one analysis per type; its further copies repeat the checks, untimed
@@ -330,9 +338,10 @@ def suite_classify(lam1, lam2):
     report.add("classify/labels-distinct-complete", ok,
                {"labels": len(labels), "dim": irr.dim})
     report.add("classify/case-pattern", not result["case_mismatches"],
-               {"mismatches": result["case_mismatches"]})
+               {"mismatches": list(map(_labels_on_wire,
+                                       result["case_mismatches"]))})
     for anom in result["anomalies"]:
-        report.add_anomaly(f"classify/{anom['kind']}", anom)
+        report.add_anomaly(f"classify/{anom['kind']}", _labels_on_wire(anom))
     report.add("classify/gamma-single-winner",
                result["gamma_winner"] in ("proof-text", "definition", "tie"),
                {"winner": result["gamma_winner"]})
@@ -354,9 +363,9 @@ def suite_probe():
     winners = {}
     for weight in PROBE_WEIGHTS:
         irr = replab.irrep_of_weight(_parse_weight(weight))
-        key = f"{irr.highest_weight[0]},{irr.highest_weight[1]}"
+        key = replab.weight_text(irr.highest_weight)
         probe = replab.tps_scalar_probe(irr)
-        sym_rows = probe["pf_sym_scalar"]
+        sym_rows = list(map(_labels_on_wire, probe["pf_sym_scalar"]))
         all_match_f11 = all(r["matches_F11_eigenvalue"] for r in sym_rows)
         any_match_d1 = any(r["matches_D1"] for r in sym_rows)
         report.add(f"probe/{key}/pf-sym-acts-as-F11", all_match_f11, sym_rows)
@@ -373,7 +382,7 @@ def suite_probe():
                          "on o3-highest vectors; measured, since the "
                          "received closed forms are ambiguous",
                  "fits_c(T)=1-T": probe["c_fits_one_minus_T"],
-                 "rows": probe["c_constant"]})
+                 "rows": list(map(_labels_on_wire, probe["c_constant"]))})
         val = tableaux.validate_against_representation(irr)
         winners.setdefault(val["gamma_winner"], []).append(key)
         report.add_anomaly(

@@ -16,10 +16,8 @@ operators of the Fock realization.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import LinOp
-from .scalars import rat
+from .scalars import exact
 
 
 def index_range(n: int):
@@ -97,13 +95,15 @@ def canonical_generators(n: int):
 
 
 class Weight:
-    """A vector in the e_1..e_n weight coordinates, Rational entries."""
+    """A vector in the e_1..e_n weight coordinates.  Its entries follow
+    the scalar rule of `scalars.exact`: an int when integral (every
+    weight of an integral irrep), a Fraction otherwise."""
 
     __slots__ = ("comps", "_hash")
 
     def __init__(self, comps):
-        self.comps = tuple(rat(c) for c in comps)
-        # weights key many dicts, and a Fraction hash is a modular inverse
+        self.comps = tuple(map(exact, comps))
+        # weights key many dicts: the hash is taken once
         self._hash = hash(self.comps)
 
     @staticmethod
@@ -113,11 +113,11 @@ class Weight:
     @staticmethod
     def e(r: int, n: int) -> "Weight":
         """e_r with the conventions e_{-r} = -e_r and e_0 = 0."""
-        comps = [Fraction(0)] * n
+        comps = [0] * n
         if r > 0:
-            comps[r - 1] = Fraction(1)
+            comps[r - 1] = 1
         elif r < 0:
-            comps[-r - 1] = Fraction(-1)
+            comps[-r - 1] = -1
         return Weight(comps)
 
     def __add__(self, other):
@@ -197,16 +197,14 @@ def pbw_sort_key(g: GenIndex):
 
     Lowering (negative-root) generators first, then Cartan F_{-n,-n}..
     F_{-1,-1}, then raising generators; within a class ordered by root
-    coordinates, then by index pair.  The root coordinates are integral
-    and stored as ints: the rewriter compares keys on every step.
+    coordinates, then by index pair.  The root coordinates are ints.
     """
     hit = _sort_key_memo.get(g)
     if hit is None:
         if g.is_cartan():
             hit = (1, (g.i, g.j))
         else:
-            root = tuple(int(c) for c in root_of(g).comps)
-            hit = (2 if is_raising(g) else 0, root + (g.i, g.j))
+            hit = (2 if is_raising(g) else 0, root_of(g).comps + (g.i, g.j))
         _sort_key_memo[g] = hit
     return hit
 
@@ -255,21 +253,23 @@ def weyl_dimension(lam1, lam2) -> int:
     """Dimension of the o5 irrep with nonpositive highest weight (lam1, lam2).
 
     Uses the substitution a = -lam2, b = -lam1 to bridge to the standard
-    dominant B2 convention: dim = (a-b+1)(a+b+2)(2a+3)(2b+1)/6.
+    dominant B2 convention: dim = (a-b+1)(a+b+2)(2a+3)(2b+1)/6, computed
+    in integers on the doubled coordinates A = 2a, B = 2b as
+    (A-B+2)(A+B+4)(A+3)(B+1)/24.
     """
-    lam1, lam2 = rat(lam1), rat(lam2)
+    lam1, lam2 = exact(lam1), exact(lam2)
     if not (0 >= lam1 >= lam2):
         raise ValueError(f"invalid highest weight ({lam1},{lam2}): need 0 >= lam1 >= lam2")
-    if (2 * lam1).denominator != 1 or (2 * lam2).denominator != 1:
+    A, B = exact(-2 * lam2), exact(-2 * lam1)
+    if type(A) is not int or type(B) is not int:
         raise ValueError("weights must be integers or half-integers")
-    if (2 * lam1 - 2 * lam2) % 2 != 0:
+    if (A - B) % 2:
         raise ValueError("weights must be simultaneously integer or half-integer")
-    a, b = -lam2, -lam1
-    d = (a - b + 1) * (a + b + 2) * (2 * a + 3) * (2 * b + 1) / 6
-    if d.denominator != 1 or d <= 0:
-        raise AssertionError(f"Weyl dimension {d} of ({lam1},{lam2}) is not "
-                             "a positive integer")
-    return int(d)
+    num = (A - B + 2) * (A + B + 4) * (A + 3) * (B + 1)
+    if num % 24 or num <= 0:
+        raise AssertionError(f"Weyl dimension {num}/24 of ({lam1},{lam2}) "
+                             "is not a positive integer")
+    return num // 24
 
 
 def o3_subalgebra_generators(n: int):

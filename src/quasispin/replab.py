@@ -57,6 +57,7 @@ from .liealg import (GenIndex, Weight, bracket, canonical_generators,
                      canonicalize, defining_matrices, root_of,
                      simple_generators, weyl_dimension)
 from .linalg import LinOp, kernel_rows, rref_rows, svec_add, transpose_cols
+from .scalars import exact, format_rational
 from .uea import (IndexSet, UEAElement, evaluate_in_representation, hat_set,
                   pfaffian)
 
@@ -175,7 +176,7 @@ class Irrep:
 
     def __init__(self, source: str, highest_weight, basis, weights):
         self.source = source
-        self.highest_weight = highest_weight  # (lam1, lam2) Fractions
+        self.highest_weight = highest_weight  # (lam1, lam2), scalar rule
         self.basis = basis
         self.weights = weights  # Weight per basis vector
         self.dim = len(basis)
@@ -187,7 +188,8 @@ class Irrep:
         self._slices = None  # filled by multiplicity_slices
 
     def __repr__(self):
-        return f"<Irrep {self.highest_weight} dim {self.dim} from {self.source}>"
+        return (f"<Irrep {weight_text(self.highest_weight)} dim {self.dim} "
+                f"from {self.source}>")
 
     def representation(self) -> Representation:
         """The irrep as a source, sharing its generator operators."""
@@ -203,6 +205,11 @@ class Irrep:
         if sign not in self._pf_cache:
             self._pf_cache[sign] = self.matrix_of(pfaffian(hat_set(N_RANK, sign)))
         return self._pf_cache[sign]
+
+
+def weight_text(lam) -> str:
+    """A highest weight as "lam1,lam2", the form of the check ids."""
+    return ",".join(map(format_rational, lam))
 
 
 def _weight_sort_key(w: Weight):
@@ -257,7 +264,9 @@ def irrep_of_weight(lam) -> Irrep:
     weight of V(lam - mu) (x) V(mu), of multiplicity one, so its irrep
     there is V(lam).  The Weyl-dimension check guards every step.  Each
     irrep of the chain is built once per call (the spinor is both
-    factors of V(-1,-1)); nothing is kept between calls.
+    factors of V(-1,-1)); nothing is kept between calls.  lam and every
+    step lam - mu follow the scalar rule (`scalars.exact`), and so do
+    the weights of the irreps built.
     """
     half = Fraction(1, 2)
     base = {(0, 0): trivial_representation, (0, -1): defining_representation,
@@ -272,18 +281,18 @@ def irrep_of_weight(lam) -> Irrep:
             irr = irrep_with_highest_weight(base[lam](), lam)
         else:
             mu = (0, -1) if lam[0] != lam[1] else (-half, -half)
-            rest = build((lam[0] - mu[0], lam[1] - mu[1]))
+            rest = build((exact(lam[0] - mu[0]), exact(lam[1] - mu[1])))
             irr = irrep_with_highest_weight(
                 tensor_product(rest.representation(),
                                build(mu).representation()), lam)
         if irr.dim != expected:
             raise AssertionError(
-                f"irrep {lam} in {irr.source}: span dim {irr.dim} != "
-                f"Weyl dimension {expected}")
+                f"irrep {weight_text(lam)} in {irr.source}: span dim "
+                f"{irr.dim} != Weyl dimension {expected}")
         built[lam] = irr
         return irr
 
-    return build((Fraction(lam[0]), Fraction(lam[1])))
+    return build((exact(lam[0]), exact(lam[1])))
 
 
 def _stacked_rows(ops, cols):
@@ -303,7 +312,7 @@ def _lowering_orbit(rep: Representation, order, at, kv, lowering):
     lam = (mu.comps[0], mu.comps[1])
     if not (0 >= lam[0] >= lam[1]):
         raise AssertionError(
-            f"highest weight {lam} violates 0 >= lam1 >= lam2; "
+            f"highest weight {weight_text(lam)} violates 0 >= lam1 >= lam2; "
             "polarity convention broken")
     blocks = {mu: [kv]}
     # V_nu = sum over lowering f_alpha of f_alpha V_{nu - alpha}:
@@ -544,10 +553,7 @@ def omega_genindex(g: GenIndex):
     Returns (coefficient, canonical generator).
     """
     s, h = canonicalize(g.j, g.i, g.n)
-    b2 = root_of(g).comps[1]
-    if b2.denominator != 1:
-        raise AssertionError(f"root of {g} has a non-integral e_2 coordinate")
-    twist = -1 if int(b2) % 2 else 1
+    twist = -1 if root_of(g).comps[1] % 2 else 1  # roots are ints
     return (-Fraction(s * twist), h)
 
 

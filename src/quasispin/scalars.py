@@ -3,9 +3,12 @@ and a ``fractions.Fraction`` otherwise.  The Pfaffians, slice maps and
 brackets of o_N are integral almost everywhere, and an ``int`` product
 costs a small part of a ``Fraction`` one.  ``exact`` is the one entry
 normaliser: every ``LinOp`` entry, every ``uea`` coefficient and every
-scale factor goes through it.  ``Fraction(3) == 3`` and both hash alike,
-so the rule changes no value; the report boundary (``report``) writes a
-``Fraction`` as "p/q" and an ``int`` as a JSON number.
+scale factor goes through it, and so do the labels: weight components,
+highest weights, the slice keys (T, N) and tableau coordinates.
+``Fraction(3) == 3`` and both hash alike, so the rule changes no value;
+the report boundary (``report``) writes a ``Fraction`` as "p/q" and an
+``int`` as a JSON number, so a label that reaches a witness goes there
+as a ``Fraction`` (``cli``) and always travels as "p/q" text.
 
 The quasi-spin dictionary carries factors 1/sqrt 2, but the Fock
 realization is used in a rescaled basis where all of them cancel (see

@@ -13,8 +13,11 @@ action of PfF_{2-hat} on the second row is modeled by an identity block
 (sigma = 0) or a bidiagonal block with gamma-dependent coefficients
 (sigma = 1); `predicted_slice_matrix` is the one builder of these model
 maps, and its gamma-free skeleton (every coefficient 1) carries the A-D
-case pattern.  Everything the model claims about actual representations
-is compared through basis-independent data only, never through matrix
+case pattern.  Coordinates, labels and model coefficients follow the
+scalar rule of `scalars.exact`: an int when integral, a Fraction
+otherwise (never a float, so `/` is never applied to two ints).
+Everything the model claims about actual representations is compared
+through basis-independent data only, never through matrix
 entries in an uncomputable basis: per T, the barcode of the chain of
 PfF_{2-hat} slice maps against that of each gamma model's chain, the
 skeleton's barcode against those of both computed chains (the
@@ -39,13 +42,14 @@ at N - k.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .liealg import weyl_dimension
 from .linalg import LinOp, characteristic_polynomial, rref_rows, svec_map
 from .replab import Irrep, multiplicity_slices, pf_slice_maps
-from .scalars import rat
+from .scalars import exact
 
 HALF = Fraction(1, 2)
 
@@ -55,13 +59,10 @@ GTMolevTableau = namedtuple(
 
 
 def _grid(lo, hi):
-    """Values lo, lo+1, ..., <= hi (the weight grid between two bounds)."""
-    out = []
-    v = lo
-    while v <= hi:
-        out.append(v)
-        v = v + 1
-    return out
+    """Values lo, lo+1, ..., <= hi (the weight grid between two bounds),
+    ints when lo is integral."""
+    lo = exact(lo)
+    return [lo + i for i in range(math.floor(hi - lo) + 1)]
 
 
 def enumerate_tableaux(lam1, lam2):
@@ -72,18 +73,18 @@ def enumerate_tableaux(lam1, lam2):
     undercount: the adjoint's T = 0 singlet needs lam11 > lam1; the
     dimension-count oracle pins the correct constraint set).
     """
-    lam1, lam2 = rat(lam1), rat(lam2)
+    lam1, lam2 = exact(lam1), exact(lam2)
     weyl_dimension(lam1, lam2)  # validates the weight
     out = []
-    for lam11 in _grid(lam2, Fraction(0)):
-        for l21 in _grid(lam1, Fraction(0)):
+    for lam11 in _grid(lam2, 0):
+        for l21 in _grid(lam1, 0):
             for l22 in _grid(lam2, lam1):
                 if not (l21 >= lam11 >= l22):
                     continue
                 for sigma in (0, 1):
                     if sigma == 1 and l21 == 0:
                         continue
-                    for l11 in _grid(lam11, Fraction(0)):
+                    for l11 in _grid(lam11, 0):
                         for sigma1 in (0, 1):
                             if sigma1 == 1 and l11 == 0:
                                 continue
@@ -100,12 +101,13 @@ class Rectangle:
     """Second-row geometry for fixed highest weight and T = lam11."""
 
     def __init__(self, lam1, lam2, T):
-        self.lam1, self.lam2, self.T = rat(lam1), rat(lam2), rat(T)
+        self.lam1, self.lam2, self.T = exact(lam1), exact(lam2), exact(T)
         if not (0 >= self.T >= self.lam2):
             raise ValueError(f"T={T} incompatible with ({lam1},{lam2})")
-        self.xs = _grid(max(self.lam1, self.T), Fraction(0))  # l21 values
-        self.ys = _grid(self.lam2, min(self.lam1, self.T))    # l22 values
-        self.offset = self.lam1 + self.lam2 + self.T  # N = sigma + 2K - offset
+        self.xs = _grid(max(self.lam1, self.T), 0)          # l21 values
+        self.ys = _grid(self.lam2, min(self.lam1, self.T))  # l22 values
+        # N = sigma + 2K - offset
+        self.offset = exact(self.lam1 + self.lam2 + self.T)
 
     def shape(self) -> str:
         if len(self.xs) == len(self.ys):
@@ -123,12 +125,12 @@ class Rectangle:
         is forced by the parity of N + offset; sigma = 1 excludes points
         with l21 = 0.
         """
-        N = rat(N)
+        N = exact(N)
         for sigma in (0, 1):
-            two_k = N + self.offset - sigma
-            if two_k.denominator != 1 or int(two_k) % 2:
+            two_k = exact(N + self.offset - sigma)
+            if type(two_k) is not int or two_k % 2:
                 continue
-            K = two_k / 2
+            K = two_k // 2
             pts = [(x, K - x) for x in reversed(self.xs)
                    if self.contains((x, K - x))
                    and not (sigma == 1 and x == 0)]
@@ -149,7 +151,7 @@ def case_of(lam1, lam2, T, N):
         raise ValueError(f"empty slice (T={T}, N={N})")
     sigma, K, pts = info
     xlo, xhi = min(p[0] for p in pts), max(p[0] for p in pts)
-    if rat(N) <= 0:
+    if exact(N) <= 0:
         corner = (xlo == rect.xs[0]) and (K - xhi == rect.ys[0])
     else:
         corner = (xhi == rect.xs[-1]) and (K - xlo == rect.ys[-1])
@@ -207,7 +209,7 @@ def predicted_slice_matrix(lam1, lam2, T, N,
     if src is None:
         raise ValueError(f"empty source slice (T={T}, N={N})")
     sigma, K, pts = src
-    tgt = rect.slice_points(rat(N) + 1)
+    tgt = rect.slice_points(exact(N) + 1)
     tpts = tgt[2] if tgt is not None else []
     tpos = {p: i for i, p in enumerate(tpts)}
     singular = []
@@ -223,7 +225,8 @@ def predicted_slice_matrix(lam1, lam2, T, N,
             if not d:
                 singular.append((x, y))
                 continue
-            coeffs = {(x + 1, y): -g2 * g2 / d, (x, y + 1): g1 * g1 / d}
+            coeffs = {(x + 1, y): exact(Fraction(-g2 * g2) / d),
+                      (x, y + 1): exact(Fraction(g1 * g1) / d)}
         col = {tpos[q]: c for q, c in coeffs.items() if q in tpos and c}
         if col:
             cols[j] = col

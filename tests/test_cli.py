@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -441,8 +442,7 @@ def test_repr_weyl_dimension_mismatch_is_a_failed_check(monkeypatch,
     checks = json.loads(out.read_text())["checks"]
     assert [(c["id"], c.get("witness")) for c in checks
             if c["status"] == "fail"] == [
-        ("repr/weyl-dimensions",
-         {"irreps": [str((Fraction(0), Fraction(-1)))]})]
+        ("repr/weyl-dimensions", {"irreps": ["0,-1"]})]
     assert "repr/0,-1/slice-data" in [c["id"] for c in checks]
 
 
@@ -494,7 +494,7 @@ def test_repr_reports_an_image_leaving_the_irrep(monkeypatch, tmp_path,
     assert check["id"] == "repr/internal-error"
     assert check["witness"]["error"].startswith(
         "AssertionError: F[-1,0] image leaves the irrep span in <Irrep "
-        "(Fraction(0, 1), Fraction(-2, 1)) dim 14")
+        "0,-2 dim 14 from defining^2>")
 
 
 def test_repr_reports_a_projector_image_meeting_its_kernel(monkeypatch,
@@ -698,6 +698,43 @@ def test_failed_gamma_winner_probe_is_reported(monkeypatch, tmp_path,
     # "none" is no convention: no gamma-winner anomaly names it
     assert not [c for c in json.loads(out.read_text())["checks"]
                 if c["id"] == "probe/gamma-winner"]
+
+
+RATIONAL_TEXT = re.compile(r"-?\d+(/\d+)?")
+
+
+def _wire_labels(value):
+    """Every T, tau0 and N value at any depth of a wire value."""
+    if isinstance(value, list):
+        return [x for v in value for x in _wire_labels(v)]
+    if isinstance(value, dict):
+        return [x for k, v in value.items()
+                for x in ([v] if k in ("T", "tau0", "N") else _wire_labels(v))]
+    return []
+
+
+def test_labels_stay_text_on_the_wire(tmp_path, capsys):
+    # a label is an int when integral and the wire writes an int as a
+    # JSON number, yet every T, tau0 and N of a table or a witness is
+    # "p/q" text: the table, the n0 anomaly of V(-1,-2) and the probe
+    # rows
+    table = tmp_path / "table.json"
+    assert run(["classify", "--weight=-1,-2", "--out", str(table)]) == 0
+    witnesses = [json.loads(line.split("  [", 1)[1][:-1])
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("ANOMALY")]
+    assert [w["kind"] for w in witnesses] == ["n0-two-sided-disagreement"]
+    report = tmp_path / "report.json"
+    assert run(["probe", "conventions", "--out", str(report)]) == 0
+    probe = [c.get("witness") for c in json.loads(report.read_text())["checks"]]
+    labels = {"table": _wire_labels(json.loads(table.read_text())["states"]),
+              "classify witnesses": _wire_labels(witnesses),
+              "probe witnesses": _wire_labels(probe)}
+    for where, texts in labels.items():
+        assert texts and "-1" in texts, where
+        assert all(isinstance(x, str) and RATIONAL_TEXT.fullmatch(x)
+                   for x in texts), where
+    assert "-1/2" in labels["probe witnesses"]
 
 
 @pytest.mark.parametrize("spoiled", [1, None], ids=["one-row", "every-row"])
