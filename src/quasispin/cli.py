@@ -265,7 +265,9 @@ def irrep_checks(irr: replab.Irrep) -> list:
     P, singular = replab.extremal_projector_o3(irr)
     e = irr.genmats[replab.O3_RAISING]
     f = irr.genmats[replab.O3_LOWERING]
-    ok = (P @ P) == P and (e @ P).is_zero() and (P @ f).is_zero()
+    # image ker(e), spanned by the slices, and kernel im(f); P = 0 fails
+    ok = ((P @ P) == P and (e @ P).is_zero() and (P @ f).is_zero()
+          and all(P.apply(v) == v for b in slices.values() for v in b))
     report.add(f"repr/{key}/extremal-projector", ok, {"irrep": key})
     if singular:
         report.add_anomaly(
@@ -334,9 +336,10 @@ def suite_classify(lam1, lam2):
     states = result["states"]
     report.add("classify/assign-k", True)
     labels = [s.label() for s in states]
-    ok = len(labels) == len(set(labels)) == irr.dim
-    report.add("classify/labels-distinct-complete", ok,
-               {"labels": len(labels), "dim": irr.dim})
+    distinct = len(set(labels))
+    report.add("classify/labels-distinct-complete",
+               len(labels) == distinct == irr.dim,
+               {"labels": len(labels), "distinct": distinct, "dim": irr.dim})
     report.add("classify/case-pattern", not result["case_mismatches"],
                {"mismatches": list(map(_labels_on_wire,
                                        result["case_mismatches"]))})

@@ -418,7 +418,7 @@ DICTIONARY = {
 def rescale_exponent(g) -> int:
     """s(g) = alpha_1 + alpha_2 for alpha = root_of(g): the power of
     sqrt2 that the rescaled basis puts on generator g."""
-    return int(sum(root_of(g).comps))
+    return sum(root_of(g).comps)
 
 
 def _rescaled_dictionary():

@@ -100,18 +100,6 @@ def characteristic_polynomial(op: LinOp):
 
 # -- sparse vectors -------------------------------------------------
 
-def svec_add(u: dict, v: dict) -> dict:
-    """u + v for sparse vectors."""
-    out = dict(u)
-    for k, x in v.items():
-        s = out.get(k, 0) + x
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def svec_map(cols: dict, vec: dict) -> dict:
     """The image of a sparse vector under the map with sparse columns
     cols {source index: image}: the sum of vec[c] * cols[c]."""
@@ -185,13 +173,11 @@ class LinOp:
 
     def __add__(self, other: "LinOp") -> "LinOp":
         self._check_dim(other)
-        out = LinOp(self.dim, {c: dict(col) for c, col in self.cols.items()})
+        out = LinOp(self.dim, self.cols)  # the constructor copies
         for c, col in other.cols.items():
-            merged = svec_add(out.cols.get(c, {}), col)
-            if merged:
-                out.cols[c] = merged
-            else:
-                out.cols.pop(c, None)
+            axpy(out.cols.setdefault(c, {}), 1, col)
+            if not out.cols[c]:
+                del out.cols[c]
         return out
 
     def __sub__(self, other: "LinOp") -> "LinOp":

@@ -15,10 +15,11 @@ elimination runs on sparse vectors, through `linalg.rref_rows` and
 a weight block (`_stacked_rows`), `_coordinates` expresses sparse
 vectors in an RREF basis by reading them at its pivots, with no
 elimination, and `_map_on_span` reads a linear map fixed on a spanning
-set (the extremal projector and Omega) from one RREF of the rows
-[x | y].  The slice layer is plain data: a multiplicity slice is its
-RREF basis, and an operator between two slices is the sparse columns
-that `_coordinates` returns, which `tableaux` reads.
+set (Omega, transported down the weights) from one RREF of the rows
+[x | y].  The extremal projector needs no elimination: it is its
+defining series.  The slice layer is plain data: a multiplicity slice
+is its RREF basis, and an operator between two slices is the sparse
+columns that `_coordinates` returns, which `tableaux` reads.
 
 Chevalley build.  o5 is generated by its two simple raising and two
 simple lowering root vectors (`liealg.simple_generators`), and a
@@ -56,7 +57,7 @@ from .fock import FockSpace, dictionary_to_o5
 from .liealg import (GenIndex, Weight, bracket, canonical_generators,
                      canonicalize, defining_matrices, root_of,
                      simple_generators, weyl_dimension)
-from .linalg import LinOp, kernel_rows, rref_rows, svec_add, transpose_cols
+from .linalg import LinOp, axpy, kernel_rows, rref_rows, transpose_cols
 from .scalars import exact, format_rational
 from .uea import (IndexSet, UEAElement, evaluate_in_representation, hat_set,
                   pfaffian)
@@ -474,67 +475,42 @@ def pf_slice_maps(irrep: Irrep, T):
 
 
 def extremal_projector_o3(irrep: Irrep):
-    """(p, singular weights): the o3 extremal projector p on the irrep,
-    as an exact operator, and the weights where its series hits a
-    vanishing denominator (reported, not fatal).
+    """(p, singular weights): the o3 extremal projector p of Asherova,
+    Smirnov and Tolstoy (Theor. Math. Phys. 8, 1971) on the irrep, from
+    its defining series alone, and the weights of the blocks where that
+    series has a vanishing denominator (reported, not fatal).
 
-    p is realized as the unique projector with image ker(e) and kernel
-    im(f) (the algebraic characterization p^2 = p, e p = p f = 0): on
-    each weight block it fixes ker(e), spanned by the slice vectors there
-    (`multiplicity_slices`; blocks with tau0 > 0 have none), and kills
-    the f-images of the tau0 - 1 block.  The defining series with
-    denominators (h + rho + t) is evaluated per weight block wherever
-    those denominators are nonzero and compared against the algebraic
-    projector; blocks with vanishing denominators are recorded as
-    diagnostics (the R(h) localization of the series is not defined
-    there).
+    With h = 2 F_{-1,-1} and f scaled to 2 F_{0,-1}, so that [e, f] = h,
+    each basis vector v of weight (tau0, N) has p v = sum_k 2^k c_k f^k
+    e^k v, c_k = prod_{i <= k} (-1/i) / (-2 tau0 + 1 + i), summed until
+    e^k v = 0.  The denominator h + 1 + i vanishes at i = 2 tau0 - 1,
+    which the sum reaches on every block with tau0 >= 1: e^k v != 0 up
+    to k = tau0 + |T| >= 2 tau0, T <= -tau0 being the o3-highest weight
+    of each o3 string through the block.  p is zero on these singular
+    blocks, since ker(e) has no vector with tau0 > 0.  `cli.irrep_checks`
+    checks p against its characterization: p^2 = p, e p = p f = 0, and
+    p fixes every slice vector.
     """
     e = irrep.genmats[O3_RAISING]
     f = irrep.genmats[O3_LOWERING]
-    slices = multiplicity_slices(irrep)
-    proj = LinOp(irrep.dim)
-    singular = []
+    cols, singular = {}, []
     for w in sorted(irrep.weight_positions, key=_weight_sort_key):
-        cols = irrep.weight_positions[w]
-        # f = F_{0,-1} has root +e_1: its images here come from tau0 - 1
-        up = irrep.weight_positions.get(Weight((w.comps[0] - 1, w.comps[1])), [])
-        kern = slices.get(w.comps, [])
-        block = _map_on_span([(v, v) for v in kern]
-                             + [(f.cols.get(u, {}), {}) for u in up],
-                             cols, cols)
-        if block is None:
-            raise AssertionError(
-                f"ker(e) and im(f) do not split weight {w} of {irrep}")
-        proj.cols.update(block)
-        # series cross-check on this block: h = 2 F_{-1,-1}, rho(h) = 1,
-        # f normalized to 2 F_{0,-1} so that [e, f] = h
-        mu_h = -2 * w.comps[0]
-        # e-powers of the block basis vectors, up to nilpotency
-        towers = []
-        for c in cols:
-            tower = [{c: 1}]
-            while tower[-1]:
-                tower.append(e.apply(tower[-1]))
-            towers.append(tower[:-1])
-        kmax = max(len(t) - 1 for t in towers)
-        if any(mu_h + 1 + t == 0 for t in range(1, kmax + 1)):
+        tau0 = w.comps[0]
+        if tau0 >= 1:
             singular.append(w)
             continue
-        for tower in towers:
-            acc = tower[0]
-            coeff = Fraction(1)
-            for k in range(1, len(tower)):
-                coeff = coeff * Fraction(-1, k) / (mu_h + 1 + k)
-                term = tower[k]
+        for c in irrep.weight_positions[w]:
+            col, ek, coeff, k = {c: 1}, e.apply({c: 1}), 1, 0
+            while ek:
+                k += 1
+                coeff *= Fraction(-2, k) / (-2 * tau0 + 1 + k)  # 2^k c_k
+                term = ek
                 for _ in range(k):
                     term = f.apply(term)
-                acc = svec_add(acc, {r: 2 ** k * coeff * x
-                                     for r, x in term.items()})
-            if acc != proj.apply(tower[0]):
-                raise AssertionError(
-                    f"extremal projector series disagrees with the "
-                    f"algebraic projector on weight {w} of {irrep}")
-    return proj, singular
+                axpy(col, coeff, term)
+                ek = e.apply(ek)
+            cols[c] = col
+    return LinOp(irrep.dim, cols), singular
 
 
 # -- the reflection intertwiner ----------------------------------------
@@ -554,7 +530,7 @@ def omega_genindex(g: GenIndex):
     """
     s, h = canonicalize(g.j, g.i, g.n)
     twist = -1 if root_of(g).comps[1] % 2 else 1  # roots are ints
-    return (-Fraction(s * twist), h)
+    return (-s * twist, h)
 
 
 def omega_operator(irrep: Irrep) -> LinOp:

@@ -68,19 +68,19 @@ def _grid(lo, hi):
 def enumerate_tableaux(lam1, lam2):
     """All patterns for highest weight (lam1, lam2); count = Weyl dimension.
 
-    The o3-weight lam11 is constrained only through the interlacing
-    l21 >= lam11 >= l22 (a direct chain lam1 >= lam11 >= lam2 would
-    undercount: the adjoint's T = 0 singlet needs lam11 > lam1; the
-    dimension-count oracle pins the correct constraint set).
+    The second row (l21, l22) runs over the `Rectangle` of lam11, the
+    interlacing l21 >= lam11 >= l22, the only constraint on lam11 (a
+    direct chain lam1 >= lam11 >= lam2 would undercount: the adjoint's
+    T = 0 singlet needs lam11 > lam1; the dimension-count oracle pins
+    the correct constraint set).
     """
     lam1, lam2 = exact(lam1), exact(lam2)
     weyl_dimension(lam1, lam2)  # validates the weight
     out = []
     for lam11 in _grid(lam2, 0):
-        for l21 in _grid(lam1, 0):
-            for l22 in _grid(lam2, lam1):
-                if not (l21 >= lam11 >= l22):
-                    continue
+        rect = Rectangle(lam1, lam2, lam11)
+        for l21 in rect.xs:
+            for l22 in rect.ys:
                 for sigma in (0, 1):
                     if sigma == 1 and l21 == 0:
                         continue
@@ -383,9 +383,10 @@ def assign_k(irrep: Irrep):
     N = -1/2 <-> +1/2 land in the other induction's flags and are
     recorded as anomalies where they break the raising property.
     Hard contradictions of the classification pattern (a mirror missing
-    or of other level dimensions, label collisions, a raising kernel
-    meeting the image U_1 at N <= 0, read off the up barcode)
-    raise ClassificationError.
+    or of other level dimensions, a stratum of dimension > 1, whose
+    labels would collide, a raising kernel meeting the image U_1 at
+    N <= 0, read off the up barcode) raise ClassificationError; the
+    labels are checked distinct and dim V in number by `cli`.
     """
     lam1, lam2 = irrep.highest_weight
     slices = multiplicity_slices(irrep)
@@ -453,12 +454,6 @@ def assign_k(irrep: Irrep):
                 for tau0 in _grid(T, -T):
                     states.append(ClassifiedState(
                         T, tau0, N, m, len(mine[N]), tag, sigma))
-    labels = [s.label() for s in states]
-    if len(labels) != len(set(labels)):
-        raise ClassificationError("duplicate (T,tau0,N,k) labels")
-    if len(labels) != irrep.dim:
-        raise ClassificationError(
-            f"label count {len(labels)} != irrep dimension {irrep.dim}")
     return states, data
 
 

@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .liealg import (GenIndex, Weight, bracket, canonicalize, index_range,
-                     pbw_sort_key)
+                     pbw_sort_key, root_of)
 from .linalg import LinOp
 from .scalars import exact
 
@@ -489,16 +489,15 @@ def weight_shift_of(x: UEAElement):
     """Common weight shift of all words of x, or None when mixed.
 
     Every word shifts weights by the sum of its letters' roots; PfF_I
-    must come out as -sum_{i in I} e_i.  The root e_i - e_j of F_ij is
-    summed in ints, with e_{-r} = -e_r and e_0 = 0.
+    must come out as -sum_{i in I} e_i.  The `root_of` components are
+    summed as ints: a `Weight` sum would normalise every partial sum.
     """
     shift = None
     for w in x.terms:
         s = [0] * x.n
         for g in w:
-            for r, sign in ((g.i, 1), (g.j, -1)):
-                if r:
-                    s[abs(r) - 1] += sign if r > 0 else -sign
+            for r, c in enumerate(root_of(g).comps):
+                s[r] += c
         if shift is None:
             shift = s
         elif shift != s:

@@ -500,7 +500,8 @@ def test_repr_reports_an_image_leaving_the_irrep(monkeypatch, tmp_path,
 def test_repr_reports_a_projector_image_meeting_its_kernel(monkeypatch,
                                                            tmp_path, capsys):
     # f sending the tau0 = -1 vector of the adjoint in defining^2 onto its
-    # o3-singlet, which spans ker(e) at weight (0, 0)
+    # o3-singlet, which spans ker(e) at weight (0, 0); the first gate it
+    # meets is the transport of Omega, whose lowering images then fail
     isotypic_types = replab.isotypic_types
 
     def broken(rep):
@@ -518,7 +519,8 @@ def test_repr_reports_a_projector_image_meeting_its_kernel(monkeypatch,
     assert "FAIL    repr/internal-error" in capsys.readouterr().out
     [check] = json.loads(out.read_text())["checks"]
     assert check["witness"]["error"].startswith(
-        "AssertionError: ker(e) and im(f) do not split weight (0, 0)")
+        "AssertionError: lowering images fail to span V_(1, 0) or give "
+        "inconsistent Omega images on <Irrep -1,-1 dim 10 from defining^2>")
 
 
 def _flipped_first_entry(op: LinOp) -> LinOp:
@@ -646,6 +648,37 @@ def test_an_empty_skeleton_fails_the_case_pattern(monkeypatch, capsys):
     for m in mismatches:
         assert all(a == b for a, b in m["barcodes"]["model"])
         assert any(a < b for a, b in m["barcodes"]["actual"])
+
+
+def test_a_zero_projector_fails_the_extremal_projector_check(monkeypatch,
+                                                            tmp_path, capsys):
+    # P = 0 has P^2 = P and e P = P f = 0; only fixing the slice vectors
+    # tells it from the projector
+    monkeypatch.setattr(replab, "extremal_projector_o3",
+                        lambda irr: (LinOp(irr.dim), []))
+    out = tmp_path / "report.json"
+    assert run(["repr", "analyze", "--source", "defining-power",
+                "--power", "2", "--out", str(out)]) == 1
+    failed = [c for c in json.loads(out.read_text())["checks"]
+              if c["status"] == "fail"]
+    assert {c["id"] for c in failed} == {
+        f"repr/{key}/extremal-projector" for key in ("0,-2", "-1,-1", "0,0")}
+    assert all(c["witness"] == {"irrep": c["id"].split("/")[1]}
+               for c in failed)
+    assert "repr/internal-error" not in capsys.readouterr().out
+
+
+def test_collapsed_labels_fail_labels_distinct_complete(monkeypatch,
+                                                        capsys):
+    # labels (T, N) collide wherever a slice holds more than one state;
+    # the cli check is the one gate on them
+    monkeypatch.setattr(tableaux.ClassifiedState, "label",
+                        lambda state: (state.T, state.N))
+    code, lines, failed = _classify_failures(monkeypatch, capsys, "-1,-2")
+    assert code == 1
+    assert lines == ['FAIL    classify/labels-distinct-complete  '
+                     '[{"labels": 35, "distinct": 10, "dim": 35}]']
+    assert [c.id for c in failed] == ["classify/labels-distinct-complete"]
 
 
 def test_a_zeroed_down_map_fails_the_case_pattern(monkeypatch, capsys):

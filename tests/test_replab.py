@@ -724,10 +724,29 @@ def test_projector_and_omega_match_their_dense_constructions():
         assert omega_operator(irr) == _omega_by_dense_blocks(irr)
 
 
+def test_projector_singular_blocks_follow_the_closed_form():
+    # the measured rule: a block is singular when the series denominator
+    # -2 tau0 + 1 + t vanishes for some t in 1..kmax, kmax the longest
+    # e-tower of its basis vectors; the projector names those with tau0 >= 1
+    for irr in _corpus_irreps():
+        e = irr.genmats[O3_RAISING]
+        measured = []
+        for w in sorted(irr.weight_positions, key=_weight_sort_key):
+            kmax = 0
+            for c in irr.weight_positions[w]:
+                v, k = e.apply({c: 1}), 0
+                while v:
+                    v, k = e.apply(v), k + 1
+                kmax = max(kmax, k)
+            if any(-2 * w.comps[0] + 1 + t == 0 for t in range(1, kmax + 1)):
+                measured.append(w)
+        assert extremal_projector_o3(irr)[1] == measured
+
+
 def test_projector_takes_ker_e_from_the_slices(monkeypatch):
-    # ker(e) is eliminated once per block, in multiplicity_slices
+    # the series runs no elimination at all: no kernel is taken, not
+    # even the slices' own
     irr = irrep_of_weight((-1, -2))
-    multiplicity_slices(irr)
     calls = []
     kernel_rows = replab.kernel_rows
     monkeypatch.setattr(replab, "kernel_rows",
